@@ -61,7 +61,6 @@ from .market_data import (
     day_windows,
     generate_synthetic,
     ingest_csv,
-    percentile_of,
     planted_regime_config,
     write_snapshots_csv,
 )

@@ -161,31 +161,22 @@ def q_update(
     return q
 
 
-def _greedy_action(row: np.ndarray, betas: tuple[float, ...]) -> int:
-    """Argmax with deterministic ties: closest to beta = 1, then smaller beta."""
-    top = row.max()
-    candidates = np.flatnonzero(row == top)
-    return int(min(candidates, key=lambda a: (abs(betas[a] - 1.0), betas[a])))
+def _greedy_actions(values: np.ndarray, betas: tuple[float, ...]) -> np.ndarray:
+    """Argmax over the last axis with deterministic ties: closest to beta = 1,
+    then smaller beta. The actions are put in that order first, so argmax's
+    first hit is the tie-break."""
+    order = np.array(sorted(range(len(betas)), key=lambda a: (abs(betas[a] - 1.0), betas[a])))
+    return order[np.argmax(values[..., order], axis=-1)]
 
 
 def greedy_beta(q: QTable, x: StateTuple, grid: ActionGrid) -> float:
-    row = q.values[q.state_index(x)]
-    return grid.betas[_greedy_action(row, grid.betas)]
+    return grid.betas[int(_greedy_actions(q.values[q.state_index(x)], grid.betas))]
 
 
 def extract_policy(q: QTable, grid: ActionGrid) -> np.ndarray:
     """Greedy beta per state, shape (T, I, B, W). Unvisited rows fall back to
     beta = 1 through the tie-break."""
-    periods, inv, spread, vol, _ = q.values.shape
-    policy = np.empty((periods, inv, spread, vol))
-    for t in range(periods):
-        for i in range(inv):
-            for s in range(spread):
-                for v in range(vol):
-                    policy[t, i, s, v] = grid.betas[
-                        _greedy_action(q.values[t, i, s, v], grid.betas)
-                    ]
-    return policy
+    return np.asarray(grid.betas)[_greedy_actions(q.values, grid.betas)]
 
 
 def correct_action_fraction(q: QTable, grid: ActionGrid) -> float | None:
@@ -197,26 +188,16 @@ def correct_action_fraction(q: QTable, grid: ActionGrid) -> float | None:
     clean-up order makes every action equivalent. Returns None when no
     qualifying state has been visited.
     """
-    periods, inv, spread, vol, _ = q.values.shape
-    s_mid = (spread + 1) / 2
-    v_mid = (vol + 1) / 2
-    correct = 0
-    total = 0
-    for t in range(1, periods):  # 0-based index: skips t=1 (final period)
-        for i in range(inv):
-            for s in range(spread):
-                for v in range(vol):
-                    trim = (s + 1) > s_mid and (v + 1) < v_mid
-                    add = (s + 1) < s_mid and (v + 1) > v_mid
-                    if not (trim or add):
-                        continue
-                    if q.visit_counts[t, i, s, v].sum() == 0:
-                        continue
-                    beta = grid.betas[_greedy_action(q.values[t, i, s, v], grid.betas)]
-                    if (trim and beta < 1.0) or (add and beta > 1.0):
-                        correct += 1
-                    total += 1
-    return correct / total if total else None
+    _, _, spread, vol, _ = q.values.shape
+    s, v = np.ogrid[1 : spread + 1, 1 : vol + 1]
+    trim = (s > (spread + 1) / 2) & (v < (vol + 1) / 2)
+    add = (s < (spread + 1) / 2) & (v > (vol + 1) / 2)
+    # index 0 along the first axis is the final period (t = 1)
+    qualifying = (trim | add) & (q.visit_counts[1:].sum(axis=-1) != 0)
+    beta = np.asarray(grid.betas)[_greedy_actions(q.values[1:], grid.betas)]
+    correct = qualifying & ((trim & (beta < 1.0)) | (add & (beta > 1.0)))
+    total = int(qualifying.sum())
+    return int(correct.sum()) / total if total else None
 
 
 @dataclass
@@ -238,7 +219,6 @@ def train(
     cap: float,
     side: Side = Side.BUY,
     learning: LearningSchedule | None = None,
-    trace_stride: int = 0,
     reference_kind: str = "mid",
 ) -> TrainingResult:
     """Sweep-train the Q table over the training windows.
@@ -250,8 +230,8 @@ def train(
     whole remaining inventory cap-free, mirroring the terminal market order.
 
     The correct-action trace records (cumulative tuple visits, fraction) after
-    every episode, when the table holds a consistent policy; trace_stride > 0
-    additionally samples inside the sweep.
+    every episode, when the table holds a consistent policy. An episode with
+    a bar whose hour has no historical distribution is skipped.
     """
     periods, inv_buckets, spread_buckets, vol_buckets, n_actions = q.values.shape
     if n_actions != len(grid):
@@ -271,18 +251,21 @@ def train(
         if len(episode.bars) != periods:
             result.episodes_skipped += 1
             continue
-        buckets = []
-        for bar in episode.bars:
-            dist = dists.get(bar.hour)
-            if dist is None:
-                break
-            buckets.append(
-                (
-                    bucket_of(dist, "spread", bar.spread, spread_buckets),
-                    bucket_of(dist, "volume", bar.quote_volume, vol_buckets),
+        try:
+            states = [
+                encode_state(
+                    periods - j,
+                    total,
+                    bar,
+                    dists.get(bar.hour),
+                    total_shares=total,
+                    inv_buckets=inv_buckets,
+                    spread_buckets=spread_buckets,
+                    vol_buckets=vol_buckets,
                 )
-            )
-        if len(buckets) != periods:
+                for j, bar in enumerate(episode.bars)
+            ]
+        except ValueError:  # no historical distribution for a bar's hour
             result.episodes_skipped += 1
             continue
         result.episodes_trained += 1
@@ -291,7 +274,7 @@ def train(
             j = periods - t  # 0-based period index
             bar = episode.bars[j]
             prices, volumes = bar.levels(side)
-            s, v = buckets[j]
+            s, v = states[j].s, states[j].v
             weight = sched[j] / suffix[j] if suffix[j] > 0 else 0.0
             for i in range(1, inv_buckets + 1):
                 remaining = midpoints[i - 1]
@@ -311,15 +294,11 @@ def train(
                         nxt = StateTuple(
                             t - 1,
                             _inventory_bucket(remaining - fill.executed, total, inv_buckets),
-                            buckets[j + 1][0],
-                            buckets[j + 1][1],
+                            states[j + 1].s,
+                            states[j + 1].v,
                         )
                         q_update(q, x, action, reward, nxt, learning)
                     result.updates += 1
-                    if trace_stride and result.updates % trace_stride == 0:
-                        result.trace.append(
-                            (result.updates, correct_action_fraction(q, grid))
-                        )
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
     return result
 
@@ -339,7 +318,7 @@ QTABLE_FORMAT = 1
 
 
 def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
-    periods, inv, spread, vol, n_actions = q.values.shape
+    periods, inv, spread, vol, _ = q.values.shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# rlexec-qtable: {QTABLE_FORMAT}\n")
         fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
@@ -348,23 +327,19 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
         fh.write(f"# gamma: {learning.gamma!r}\n")
         writer = csv.writer(fh)
         writer.writerow(("t", "i", "s", "v", "action", "beta", "q", "visits"))
-        for t in range(periods):
-            for i in range(inv):
-                for s in range(spread):
-                    for v in range(vol):
-                        for a in range(n_actions):
-                            writer.writerow(
-                                (
-                                    t + 1,
-                                    i + 1,
-                                    s + 1,
-                                    v + 1,
-                                    a,
-                                    repr(grid.betas[a]),
-                                    repr(float(q.values[t, i, s, v, a])),
-                                    int(q.visit_counts[t, i, s, v, a]),
-                                )
-                            )
+        for t, i, s, v, a in np.ndindex(q.values.shape):
+            writer.writerow(
+                (
+                    t + 1,
+                    i + 1,
+                    s + 1,
+                    v + 1,
+                    a,
+                    repr(grid.betas[a]),
+                    repr(float(q.values[t, i, s, v, a])),
+                    int(q.visit_counts[t, i, s, v, a]),
+                )
+            )
 
 
 def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]:
@@ -381,7 +356,12 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
             position = fh.tell()
         if header.get("rlexec-qtable") != str(QTABLE_FORMAT):
             raise ValueError(f"{path}: not a version-{QTABLE_FORMAT} q-table file")
+        for key in ("dims", "betas"):
+            if key not in header:
+                raise ValueError(f"{path}: missing header line {key!r}")
         dims = tuple(int(tok) for tok in header["dims"].split())
+        if len(dims) != 4:
+            raise ValueError(f"{path}: dims must list T I B W, got {header['dims']!r}")
         betas = tuple(float(tok) for tok in header["betas"].split())
         grid = ActionGrid(betas=betas)
         learning = LearningSchedule(
@@ -390,14 +370,21 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
         )
         q = QTable.zeros(*dims, len(betas))
         reader = csv.DictReader(fh)
-        for row in reader:
-            idx = (
-                int(row["t"]) - 1,
-                int(row["i"]) - 1,
-                int(row["s"]) - 1,
-                int(row["v"]) - 1,
-                int(row["action"]),
-            )
-            q.values[idx] = float(row["q"])
-            q.visit_counts[idx] = int(row["visits"])
+        rows = 0
+        for rows, row in enumerate(reader, start=1):
+            try:
+                idx = (
+                    int(row["t"]) - 1,
+                    int(row["i"]) - 1,
+                    int(row["s"]) - 1,
+                    int(row["v"]) - 1,
+                    int(row["action"]),
+                )
+                q.values[idx] = float(row["q"])
+                q.visit_counts[idx] = int(row["visits"])
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                # a short row leaves None in its missing cells
+                raise ValueError(f"{path}: bad row on line {reader.line_num}: {exc!r}") from None
+    if rows != q.values.size:
+        raise ValueError(f"{path}: {rows} rows, expected {q.values.size}")
     return q, grid, learning

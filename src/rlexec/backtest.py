@@ -2,33 +2,25 @@
 
 Each test day supplies one window of bars at the configured hour. The static
 strategy replays the rounded trade list through the execution engine; the
-adaptive strategy re-sizes each child order as greedy-beta times the trade
-list's remaining weight applied to the inventory still planned (cap carry is
-re-requested by the engine mechanics, not re-scaled, so an all-beta-1 policy
-reproduces the static runs fill for fill). Runs are scored by implementation
-shortfall and compared by medians and dispersion.
+adaptive strategy runs the same engine with each child order scaled by the
+greedy beta of the Q table for the live state. Runs are scored by
+implementation shortfall and compared by medians and dispersion.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .agent import ActionGrid, QTable, StateTuple, _inventory_bucket, greedy_beta, bucket_of
-from .execution import Fill, ISRecord, LiquidationError, implementation_shortfall, walk_book, execute_schedule
-from .market_data import (
-    DayWindow,
-    HistoricalDistribution,
-    IntervalBar,
-    Side,
-    arrival_reference,
-    day_windows,
-)
+from .agent import ActionGrid, QTable, encode_state, greedy_beta
+# walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
+from .execution import ISRecord, LiquidationError, _schedule_total, execute_schedule, walk_book  # noqa: F401
+from .market_data import HistoricalDistribution, IntervalBar, Side, arrival_reference, day_windows
 
 REPORT_HOURS = tuple(range(9, 17))
 
@@ -44,7 +36,6 @@ class RunConfig:
     spread_buckets: int = 5
     vol_buckets: int = 5
     grid: ActionGrid = field(default_factory=ActionGrid.from_bounds)
-    lam: float = 0.01
     tau: float = 300.0  # bar length in seconds
     cap: float = 0.2
     side: Side = Side.BUY
@@ -73,8 +64,15 @@ class StrategyRuns:
     skipped: list[tuple[date, str]]
 
 
-def run_ac(cfg: RunConfig, test_bars: list[IntervalBar], schedule_shares: np.ndarray) -> StrategyRuns:
-    """Replay the static trade list on every test day at the configured hour."""
+def _run_days(
+    cfg: RunConfig,
+    test_bars: list[IntervalBar],
+    schedule_shares: np.ndarray,
+    beta: Callable[[int, IntervalBar, float], float] | None = None,
+) -> StrategyRuns:
+    """Execute the trade list, re-sized by `beta` when given, on every test
+    day; liquidation failures and days without a state are skipped days."""
+    _schedule_total(np.asarray(schedule_shares), cfg.periods)
     windows, skipped = day_windows(test_bars, cfg.hour, cfg.periods, cfg.tau)
     records: dict[date, ISRecord] = {}
     for window in windows:
@@ -85,10 +83,16 @@ def run_ac(cfg: RunConfig, test_bars: list[IntervalBar], schedule_shares: np.nda
                 cfg.cap,
                 cfg.side,
                 reference=arrival_reference(window, cfg.side, cfg.reference),
+                beta=beta,
             )
-        except LiquidationError as exc:
+        except (LiquidationError, ValueError) as exc:  # ValueError: no distribution for an hour
             skipped.append((window.day, str(exc)))
     return StrategyRuns(records=records, skipped=skipped)
+
+
+def run_ac(cfg: RunConfig, test_bars: list[IntervalBar], schedule_shares: np.ndarray) -> StrategyRuns:
+    """Replay the static trade list on every test day at the configured hour."""
+    return _run_days(cfg, test_bars, schedule_shares)
 
 
 def run_rl(
@@ -99,70 +103,22 @@ def run_rl(
     dists: dict[int, HistoricalDistribution],
 ) -> StrategyRuns:
     """Execute the Q-modulated trade list on every test day."""
-    windows, skipped = day_windows(test_bars, cfg.hour, cfg.periods, cfg.tau)
-    records: dict[date, ISRecord] = {}
-    for window in windows:
-        try:
-            records[window.day] = _execute_adaptive(cfg, window, schedule_shares, q, dists)
-        except LiquidationError as exc:
-            skipped.append((window.day, str(exc)))
-        except ValueError as exc:  # e.g. missing distribution for an hour
-            skipped.append((window.day, str(exc)))
-    return StrategyRuns(records=records, skipped=skipped)
+    total = int(np.sum(schedule_shares))
 
+    def beta(remaining_periods: int, bar: IntervalBar, remaining_shares: float) -> float:
+        x = encode_state(
+            remaining_periods,
+            remaining_shares,
+            bar,
+            dists.get(bar.hour),
+            total_shares=total,
+            inv_buckets=cfg.inv_buckets,
+            spread_buckets=cfg.spread_buckets,
+            vol_buckets=cfg.vol_buckets,
+        )
+        return greedy_beta(q, x, cfg.grid)
 
-def _execute_adaptive(
-    cfg: RunConfig,
-    window: DayWindow,
-    schedule_shares: np.ndarray,
-    q: QTable,
-    dists: dict[int, HistoricalDistribution],
-) -> ISRecord:
-    sched = np.asarray(schedule_shares, dtype=np.int64)
-    periods = cfg.periods
-    if len(sched) != periods:
-        raise ValueError("trade list length does not match the horizon")
-    total = int(sched.sum())
-    suffix = np.cumsum(sched[::-1])[::-1]
-    ref = arrival_reference(window, cfg.side, cfg.reference)
-    planned_remaining = total  # inventory net of carried residual
-    actual_remaining = total
-    carry = 0.0
-    fills: list[tuple[int, Fill]] = []
-    for period in range(1, periods + 1):
-        bar = window.bars[period - 1]
-        prices, volumes = bar.levels(cfg.side)
-        if period == periods:
-            planned = planned_remaining  # terminal order takes everything
-        else:
-            t_remaining = periods - period + 1
-            dist = dists.get(bar.hour)
-            if dist is None:
-                raise ValueError(f"no historical distribution for hour {bar.hour}")
-            x = StateTuple(
-                t=t_remaining,
-                i=_inventory_bucket(actual_remaining, total, cfg.inv_buckets),
-                s=bucket_of(dist, "spread", bar.spread, cfg.spread_buckets),
-                v=bucket_of(dist, "volume", bar.quote_volume, cfg.vol_buckets),
-            )
-            beta = greedy_beta(q, x, cfg.grid)
-            weight = sched[period - 1] / suffix[period - 1] if suffix[period - 1] > 0 else 0.0
-            child = planned_remaining * weight
-            planned = min(max(int(round(beta * child)), 0), planned_remaining)
-        request = float(planned) + carry
-        fill = walk_book(prices, volumes, request, cap=1.0 if period == periods else cfg.cap)
-        carry = fill.residual
-        planned_remaining -= planned
-        actual_remaining -= fill.executed
-        fills.append((period, fill))
-    if carry > 0.0:
-        raise LiquidationError(f"{carry:g} shares unexecuted after the terminal order")
-    return ISRecord(
-        reference_price=ref,
-        total_volume=total,
-        fills=fills,
-        shortfall_bps=implementation_shortfall(ref, fills, total),
-    )
+    return _run_days(cfg, test_bars, schedule_shares, beta)
 
 
 @dataclass
@@ -338,7 +294,7 @@ def write_report(
                 "",
                 f"{float(np.mean(col_ac)):.4f}" if col_ac else "",
                 f"{float(np.mean(col_rl)):.4f}" if col_rl else "",
-                fmt(float(np.mean(col_imp)) if col_imp else None) if col_imp else "",
+                fmt(float(np.mean(col_imp))) if col_imp else "",
             ]
         )
 

@@ -12,9 +12,11 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
 import warnings
-from dataclasses import dataclass, fields
-from datetime import datetime
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +29,12 @@ from .agent import (
     save_qtable,
     train,
 )
-from .almgren_chriss import ACParams, compute_kappa, compute_trajectory, calibrate
-from .backtest import RunConfig, compare, run_ac, run_rl, write_report, write_runs_csv
+from .almgren_chriss import compute_trajectory, calibrate
+from .backtest import ISStatistics, RunConfig, compare, run_ac, run_rl, write_report, write_runs_csv
 from .execution import LiquidationError
 from .market_data import (
     DataSplit,
+    IngestResult,
     Side,
     SyntheticConfig,
     aggregate_intervals,
@@ -55,33 +58,38 @@ class MissingArtifactError(FileNotFoundError):
 _PRESETS = ("planted", "uniform")
 
 
+def _key(default, help: str | None = None):
+    """A config key; one with help text is also a command-line flag."""
+    return field(default=default, metadata={"help": help} if help else {})
+
+
 @dataclass
 class ExperimentConfig:
-    data: str = "synthetic"  # synthetic | csv
-    csv: str = ""
-    days: int = 45
-    preset: str = "planted"
-    split: str = ""  # ISO datetime boundary: bars before train, rest test
-    V: int = 10000
-    T: int = 4
-    H: int = 10
-    I: int = 2
-    B: int = 2
-    W: int = 2
-    beta_lb: float = 0.0
-    beta_ub: float = 2.0
-    beta_incr: float = 0.25
-    lam: float = 0.01
-    tau: float = 300.0
+    data: str = _key("synthetic", "synthetic | csv")
+    csv: str = _key("", "raw depth CSV path")
+    days: int = _key(45, "synthetic days")
+    preset: str = _key("planted", "synthetic regime preset")
+    split: str = _key("", "train/test boundary (ISO datetime)")  # bars before train, rest test
+    V: int = _key(10000, "volume to trade")
+    T: int = _key(4, "trading periods")
+    H: int = _key(10, "trading hour")
+    I: int = _key(2, "inventory buckets")
+    B: int = _key(2, "spread buckets")
+    W: int = _key(2, "volume buckets")
+    beta_lb: float = _key(0.0, "lowest beta")
+    beta_ub: float = _key(2.0, "highest beta")
+    beta_incr: float = _key(0.25, "beta grid step")
+    lam: float = _key(0.01, "risk aversion")
+    tau: float = _key(300.0, "bar length, seconds")
     gamma: float = 1.0
-    alpha0: float = 1.0
-    cap: float = 0.2
-    side: str = "buy"
-    reference: str = "mid"
-    seed: int = 42
+    alpha0: float = _key(1.0, "initial learning rate")
+    cap: float = _key(0.2, "participation cap")
+    side: str = _key("buy", "buy | sell")
+    reference: str = _key("mid", "arrival benchmark: mid | ask")
+    seed: int = _key(42, "experiment seed")
     base_price: float = 100.0
     walk_sigma: float = 0.02
-    out: str = "out"
+    out: str = _key("out", "output directory")
 
     def validate(self) -> None:
         if self.data not in ("synthetic", "csv"):
@@ -125,7 +133,6 @@ class ExperimentConfig:
             spread_buckets=self.B,
             vol_buckets=self.W,
             grid=self.grid(),
-            lam=self.lam,
             tau=self.tau,
             cap=self.cap,
             side=Side.BUY if self.side == "buy" else Side.SELL,
@@ -156,8 +163,7 @@ class ExperimentConfig:
 
 
 _KEY_ALIASES = {"lambda": "lam"}
-_INT_KEYS = {"days", "V", "T", "H", "I", "B", "W", "seed"}
-_FLOAT_KEYS = {"beta_lb", "beta_ub", "beta_incr", "lam", "tau", "gamma", "alpha0", "cap", "base_price", "walk_sigma"}
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -179,18 +185,12 @@ def load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfig
     if path:
         merged.update(parse_config_file(path))
     merged.update(overrides)
-    valid = {f.name for f in fields(ExperimentConfig)}
     for key, value in merged.items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in valid:
+        if name not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if name in _INT_KEYS:
-                setattr(cfg, name, int(value))
-            elif name in _FLOAT_KEYS:
-                setattr(cfg, name, float(value))
-            else:
-                setattr(cfg, name, value)
+            setattr(cfg, name, _KEY_TYPES[name](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
     cfg.validate()
@@ -216,25 +216,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def cmd_synth(cfg: ExperimentConfig) -> Path:
-    """Generate the synthetic snapshot store."""
+def _write_store(cfg: ExperimentConfig, result: IngestResult) -> Path:
+    """Write the snapshot store and its ingest_meta.json."""
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    snapshots = generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config())
-    path = _snapshots_path(cfg)
-    write_snapshots_csv(path, snapshots)
-    meta = {"rows": len(snapshots), "rejected": 0, "row_errors": {}, "sha256": _sha256(path)}
-    (out / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-    return path
-
-
-def cmd_ingest(cfg: ExperimentConfig) -> Path:
-    """Normalize a raw depth CSV into the snapshot store."""
-    if cfg.data != "csv":
-        return cmd_synth(cfg)
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    result = ingest_csv(cfg.csv)
     path = _snapshots_path(cfg)
     write_snapshots_csv(path, result.snapshots)
     meta = {
@@ -245,6 +230,19 @@ def cmd_ingest(cfg: ExperimentConfig) -> Path:
     }
     (out / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
     return path
+
+
+def cmd_synth(cfg: ExperimentConfig) -> Path:
+    """Generate the synthetic snapshot store."""
+    snapshots = generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config())
+    return _write_store(cfg, IngestResult(snapshots=snapshots, rejected_rows=0, row_errors=Counter()))
+
+
+def cmd_ingest(cfg: ExperimentConfig) -> Path:
+    """Normalize a raw depth CSV into the snapshot store."""
+    if cfg.data != "csv":
+        return cmd_synth(cfg)
+    return _write_store(cfg, ingest_csv(cfg.csv))
 
 
 def _load_split(cfg: ExperimentConfig) -> DataSplit:
@@ -287,6 +285,8 @@ def cmd_calibrate(cfg: ExperimentConfig) -> Path:
 def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
     path = _require(cfg.out_dir() / "params.json", "calibrate")
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if "share_schedule" not in payload:
+        raise ValueError(f"{path}: missing key 'share_schedule'")
     return np.asarray(payload["share_schedule"], dtype=np.int64)
 
 
@@ -333,24 +333,17 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
     run = cfg.run_config()
     if grid.betas != run.grid.betas:
         raise ValueError("q-table action grid does not match the config")
+    if q.values.shape[:4] != (cfg.T, cfg.I, cfg.B, cfg.W):
+        raise ValueError(f"q-table dims {q.values.shape[:4]} do not match the config's (T, I, B, W)")
     dists = build_distributions(split.training)
     ac_runs = run_ac(run, split.testing, schedule)
     rl_runs = run_rl(run, split.testing, schedule, q, dists)
     stats = compare(ac_runs.records, rl_runs.records)
     write_runs_csv(cfg.out_dir() / "runs.csv", run, {"ac": ac_runs, "rl": rl_runs})
-    payload = {
-        "dates": [d.isoformat() for d in stats.dates],
-        "ac_bps": stats.ac_bps,
-        "rl_bps": stats.rl_bps,
-        "median_ac": stats.median_ac,
-        "median_rl": stats.median_rl,
-        "median_improvement_pct": stats.median_improvement_pct,
-        "std_ac_pct": stats.std_ac_pct,
-        "std_rl_pct": stats.std_rl_pct,
-        "n_days": stats.n_days,
-        "skipped_ac": [[d.isoformat(), why] for d, why in ac_runs.skipped],
-        "skipped_rl": [[d.isoformat(), why] for d, why in rl_runs.skipped],
-    }
+    payload = {f.name: getattr(stats, f.name) for f in fields(ISStatistics)}
+    payload["dates"] = [d.isoformat() for d in stats.dates]
+    payload["skipped_ac"] = [[d.isoformat(), why] for d, why in ac_runs.skipped]
+    payload["skipped_rl"] = [[d.isoformat(), why] for d, why in rl_runs.skipped]
     path = cfg.out_dir() / "stats.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
     return path
@@ -358,23 +351,14 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
 
 def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
     """Render the comparison tables and the training trace."""
-    from datetime import date as _date
-
-    from .backtest import ISStatistics
-
     stats_path = _require(cfg.out_dir() / "stats.json", "backtest")
     payload = json.loads(stats_path.read_text(encoding="utf-8"))
-    stats = ISStatistics(
-        dates=[_date.fromisoformat(d) for d in payload["dates"]],
-        ac_bps=payload["ac_bps"],
-        rl_bps=payload["rl_bps"],
-        median_ac=payload["median_ac"],
-        median_rl=payload["median_rl"],
-        median_improvement_pct=payload["median_improvement_pct"],
-        std_ac_pct=payload["std_ac_pct"],
-        std_rl_pct=payload["std_rl_pct"],
-        n_days=payload["n_days"],
-    )
+    missing = [f.name for f in fields(ISStatistics) if f.name not in payload]
+    if missing:
+        raise ValueError(f"{stats_path}: missing keys {missing}")
+    values = {f.name: payload[f.name] for f in fields(ISStatistics)}
+    values["dates"] = [date.fromisoformat(d) for d in values["dates"]]
+    stats = ISStatistics(**values)
     trace_path = _require(cfg.out_dir() / "train_trace.csv", "train")
     trace: list[tuple[int, float | None]] = []
     for line in trace_path.read_text(encoding="utf-8").splitlines()[1:]:
@@ -419,35 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trajectory generation, Q-learning training, and shortfall backtesting",
     )
     sub = parser.add_subparsers(dest="stage", required=True)
-    flag_specs = [
-        ("--config", "config_path", str, "key = value experiment file"),
-        ("--data", "data", str, "synthetic | csv"),
-        ("--csv", "csv", str, "raw depth CSV path"),
-        ("--days", "days", int, "synthetic days"),
-        ("--preset", "preset", str, "synthetic regime preset"),
-        ("--split", "split", str, "train/test boundary (ISO datetime)"),
-        ("--V", "V", int, "volume to trade"),
-        ("--T", "T", int, "trading periods"),
-        ("--H", "H", int, "trading hour"),
-        ("--I", "I", int, "inventory buckets"),
-        ("--B", "B", int, "spread buckets"),
-        ("--W", "W", int, "volume buckets"),
-        ("--beta-lb", "beta_lb", float, "lowest beta"),
-        ("--beta-ub", "beta_ub", float, "highest beta"),
-        ("--beta-incr", "beta_incr", float, "beta grid step"),
-        ("--lambda", "lam", float, "risk aversion"),
-        ("--tau", "tau", float, "bar length, seconds"),
-        ("--alpha0", "alpha0", float, "initial learning rate"),
-        ("--cap", "cap", float, "participation cap"),
-        ("--side", "side", str, "buy | sell"),
-        ("--reference", "reference", str, "arrival benchmark: mid | ask"),
-        ("--seed", "seed", int, "experiment seed"),
-        ("--out", "out", str, "output directory"),
-    ]
+    flag_names = {name: key for key, name in _KEY_ALIASES.items()}
     for stage in _STAGES:
         sp = sub.add_parser(stage, help=(_STAGES[stage].__doc__ or "").strip())
-        for flag, dest, typ, helptext in flag_specs:
-            sp.add_argument(flag, dest=dest, type=typ, default=None, help=helptext)
+        sp.add_argument("--config", dest="config_path", type=str, default=None, help="key = value experiment file")
+        for f in fields(ExperimentConfig):
+            if "help" in f.metadata:
+                flag = "--" + flag_names.get(f.name, f.name).replace("_", "-")
+                sp.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name], default=None, help=f.metadata["help"])
     return parser
 
 

@@ -2,13 +2,16 @@
 
 Child orders walk the book level by level under a participation cap; residual
 volume rolls into the next period and a cap-free terminal order guarantees
-complete liquidation. Scoring is Perold-style implementation shortfall against
-the arrival price, in signed basis points (negative = cost for a buy).
+complete liquidation. An optional per-period multiplier beta re-sizes each
+non-final child order; beta = 1 everywhere replays the trade list fill for
+fill. Scoring is Perold-style implementation shortfall against the arrival
+price, in signed basis points (negative = cost for a buy).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +101,27 @@ def implementation_shortfall(
     return (target - cost) / target * 1e4
 
 
+def _schedule_total(schedule: np.ndarray, periods: int) -> int:
+    """Shares a trade list plans over `periods`; raises on a list no run can execute."""
+    if len(schedule) != periods:
+        raise ValueError("schedule length must match the number of periods")
+    if periods == 0:
+        raise ValueError("no periods")
+    if np.any(schedule < 0):
+        raise ValueError("negative scheduled volume")
+    total = int(schedule.sum())
+    if total <= 0:
+        raise ValueError("empty schedule")
+    return total
+
+
 def execute_schedule(
     bars: list[IntervalBar],
     schedule: np.ndarray,
     cap: float,
     side: Side = Side.BUY,
     reference: float | None = None,
+    beta: Callable[[int, IntervalBar, float], float] | None = None,
 ) -> ISRecord:
     """Execute a per-period share schedule against per-period books.
 
@@ -111,26 +129,36 @@ def execute_schedule(
     residual, capped at `cap` of visible depth; the final period lifts the cap
     (terminal market order). If the final book cannot absorb what remains the
     run has failed its liquidation guarantee and raises LiquidationError.
+
+    With `beta(remaining_periods, bar, remaining_shares)`, each non-final
+    child is beta times the list's remaining weight for the period applied to
+    the inventory still planned, and the final period plans all of that
+    inventory. Carried residual is re-requested, not re-scaled, so beta = 1
+    everywhere replays the list fill for fill.
     """
     schedule = np.asarray(schedule)
-    if len(schedule) != len(bars):
-        raise ValueError("schedule length must match the number of periods")
-    if len(bars) == 0:
-        raise ValueError("no periods")
-    if np.any(schedule < 0):
-        raise ValueError("negative scheduled volume")
-    total = int(schedule.sum())
-    if total <= 0:
-        raise ValueError("empty schedule")
+    total = _schedule_total(schedule, len(bars))
     ref = bars[0].mid if reference is None else float(reference)
     last = len(bars)
+    suffix = np.cumsum(schedule[::-1])[::-1]  # shares still planned from each period on
+    planned_remaining = total  # inventory net of carried residual
+    remaining = total  # inventory not yet executed
     carry = 0.0
     fills: list[tuple[int, Fill]] = []
     for period, (bar, planned) in enumerate(zip(bars, schedule), start=1):
+        if beta is not None:
+            if period == last:
+                planned = planned_remaining
+            else:
+                weight = planned / suffix[period - 1] if suffix[period - 1] > 0 else 0.0
+                b = beta(last - period + 1, bar, remaining)
+                planned = min(max(int(round(b * (planned_remaining * weight))), 0), planned_remaining)
+            planned_remaining -= planned
         request = float(planned) + carry
         prices, volumes = bar.levels(side)
         fill = walk_book(prices, volumes, request, cap=1.0 if period == last else cap)
         carry = fill.residual
+        remaining -= fill.executed
         fills.append((period, fill))
     if carry > 0.0:
         raise LiquidationError(f"{carry:g} shares unexecuted after the terminal order")

@@ -129,24 +129,13 @@ class HistoricalDistribution:
         raise ValueError(f"unknown field {field_name!r}")
 
 
-def percentile_of(dist: HistoricalDistribution, field_name: str, value: float) -> float:
-    """Inclusive empirical percentile (count <= value)/n, clamped into (0, 1].
-
-    The clamp below at 1/n keeps ceil(p * buckets) a total map onto 1..buckets.
-    """
-    samples = dist.samples(field_name)
-    n = len(samples)
-    if n == 0:
-        raise ValueError(f"empty {field_name} distribution for hour {dist.hour}")
-    count = int(np.searchsorted(samples, value, side="right"))
-    return max(count, 1) / n
-
-
 def bucket_of(dist: HistoricalDistribution, field_name: str, value: float, buckets: int) -> int:
     """Percentile bucket ceil(p * buckets) in 1..buckets, computed exactly.
 
-    Uses integer arithmetic on the sample count so bucket boundaries never
-    shift by a float rounding of the percentile.
+    p is the inclusive empirical percentile (count <= value) / n, clamped
+    below at 1/n so the map onto 1..buckets is total. Uses integer arithmetic
+    on the sample count so bucket boundaries never shift by a float rounding
+    of the percentile.
     """
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
@@ -183,9 +172,6 @@ class IngestResult:
     snapshots: list[BookSnapshot]
     rejected_rows: int
     row_errors: Counter
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -332,11 +318,6 @@ class DayWindow:
 
     day: date
     bars: tuple[IntervalBar, ...]
-
-    @property
-    def reference_price(self) -> float:
-        """Arrival price: mid of the first bar of the window."""
-        return self.bars[0].mid
 
 
 def arrival_reference(window: DayWindow, side: Side, kind: str = "mid") -> float:

@@ -254,6 +254,36 @@ class TestCorrectActionFraction:
                             correct += 1
         assert got == pytest.approx(correct / total)
 
+    def test_tie_heavy_table_matches_per_row_loop(self):
+        # values on a few levels tie often; the loop below is the per-row
+        # tie-break (closest to beta = 1, then smaller) applied state by state
+        rng = np.random.default_rng(5)
+        grid = ActionGrid(betas=(0.0, 0.5, 0.75, 1.25, 1.5, 2.0))  # 1 itself absent
+        q = QTable.zeros(4, 3, 5, 5, 6)
+        q.values[:] = rng.integers(-2, 1, size=q.values.shape).astype(float)
+        q.visit_counts[:] = rng.integers(0, 3, size=q.values.shape)
+        q.visit_counts[rng.random(q.values.shape[:4]) < 0.5] = 0  # half the states unvisited
+
+        def row_greedy(row):
+            top = row.max()
+            candidates = np.flatnonzero(row == top)
+            return grid.betas[min(candidates, key=lambda a: (abs(grid.betas[a] - 1.0), grid.betas[a]))]
+
+        policy = np.empty(q.values.shape[:4])
+        correct = total = 0
+        for t, i, s, v in np.ndindex(policy.shape):
+            policy[t, i, s, v] = beta = row_greedy(q.values[t, i, s, v])
+            trim = s + 1 > 3 and v + 1 < 3
+            add = s + 1 < 3 and v + 1 > 3
+            if t == 0 or not (trim or add) or q.visit_counts[t, i, s, v].sum() == 0:
+                continue
+            total += 1
+            correct += (trim and beta < 1) or (add and beta > 1)
+        assert np.array_equal(extract_policy(q, grid), policy)
+        assert len(np.unique(policy)) > 2  # the ties do not all fall one way
+        assert total > 0
+        assert correct_action_fraction(q, grid) == correct / total
+
     def test_empty_denominator_is_none(self):
         q = QTable.zeros(3, 2, 3, 3, 9)
         assert correct_action_fraction(q, self.grid()) is None

@@ -41,7 +41,6 @@ def config(**kwargs) -> RunConfig:
         spread_buckets=3,
         vol_buckets=3,
         grid=ActionGrid.from_bounds(),
-        lam=0.001,
         tau=300.0,
         cap=0.2,
         side=Side.BUY,
@@ -196,6 +195,13 @@ def test_day(tmp_path):
     assert [row[:2] for row in rows[1:]] == [
         [f"{model}-{day.isoformat()}", day.isoformat()] for model in ("ac", "rl") for day in days
     ]
+    # the shortfall cell is a plain float literal for both models
+    cells = {(row[3], row[1]): row[4] for row in rows[1:]}
+    for model, runs in (("ac", ac), ("rl", rl)):
+        for day, record in runs.records.items():
+            cell = cells[(model, day.isoformat())]
+            assert float(cell) == record.shortfall_bps
+            assert cell == repr(float(record.shortfall_bps))
 
 
 class TestCompare:

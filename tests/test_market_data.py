@@ -25,7 +25,6 @@ from rlexec.market_data import (
     day_windows,
     generate_synthetic,
     ingest_csv,
-    percentile_of,
     planted_regime_config,
     write_snapshots_csv,
 )
@@ -271,33 +270,43 @@ class TestPercentile:
         return HistoricalDistribution(hour=10, spread_samples=np.asarray(samples, dtype=float), volume_samples=np.asarray(samples, dtype=float))
 
     def test_below_all_clamps_to_one_over_n(self):
+        # the percentile clamps to 1/n, not the bucket to 1: with 8 buckets
+        # over 4 samples a value below them all lands where the minimum does
         d = self.dist([1.0, 2.0, 3.0, 4.0])
-        assert percentile_of(d, "spread", 0.5) == 0.25
+        assert bucket_of(d, "spread", 0.5, 4) == 1
+        assert bucket_of(d, "spread", 0.5, 8) == 2 == bucket_of(d, "spread", 1.0, 8)
 
     def test_at_maximum_is_one(self):
+        # percentile one at (and above) the maximum: the top bucket
         d = self.dist([1.0, 2.0, 3.0, 4.0])
-        assert percentile_of(d, "spread", 4.0) == 1.0
+        for buckets in (1, 2, 3, 5, 10):
+            assert bucket_of(d, "spread", 4.0, buckets) == buckets
+            assert bucket_of(d, "spread", 9.0, buckets) == buckets
 
     def test_median_order_statistic(self):
         samples = np.arange(1.0, 101.0)  # 1..100
         d = self.dist(samples)
-        assert percentile_of(d, "spread", 50.0) == 0.5
+        assert bucket_of(d, "spread", 50.0, 100) == 50
+        assert bucket_of(d, "spread", 50.5, 2) == 1  # 50 of 100 at or below
+        assert bucket_of(d, "spread", 51.0, 2) == 2
 
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(3)
         d = self.dist(np.sort(rng.uniform(0, 1, size=57)))
         values = np.sort(rng.uniform(-0.5, 1.5, size=200))
-        pcts = [percentile_of(d, "volume", v) for v in values]
-        assert all(0 < p <= 1 for p in pcts)
-        assert all(b >= a for a, b in zip(pcts, pcts[1:]))
+        buckets = [bucket_of(d, "volume", v, 5) for v in values]
+        assert all(1 <= b <= 5 for b in buckets)
+        assert all(b >= a for a, b in zip(buckets, buckets[1:]))
+        assert buckets[0] == 1 and buckets[-1] == 5
 
     def test_rank_consistency_with_naive_count(self):
+        # with one bucket per sample the bucket is the value's rank
         rng = np.random.default_rng(9)
         samples = rng.uniform(0, 10, size=83)
         d = self.dist(samples)
         for value in samples[:25]:
-            naive = sum(1 for s in samples if s <= value) / len(samples)
-            assert percentile_of(d, "spread", value) == pytest.approx(naive)
+            naive = sum(1 for s in samples if s <= value)
+            assert bucket_of(d, "spread", value, len(samples)) == naive
 
     def test_bucket_matches_exact_ceiling(self):
         rng = np.random.default_rng(21)
@@ -314,12 +323,12 @@ class TestPercentile:
     def test_empty_distribution(self):
         d = HistoricalDistribution(hour=10, spread_samples=np.array([]), volume_samples=np.array([1.0]))
         with pytest.raises(ValueError, match="empty"):
-            percentile_of(d, "spread", 1.0)
+            bucket_of(d, "spread", 1.0, 3)
 
     def test_unknown_field(self):
         d = self.dist([1.0])
         with pytest.raises(ValueError, match="unknown field"):
-            percentile_of(d, "depth", 1.0)
+            bucket_of(d, "depth", 1.0, 3)
 
 
 class TestDataSplit:
