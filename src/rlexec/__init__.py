@@ -44,6 +44,7 @@ from .execution import (
     walk_book,
 )
 from .market_data import (
+    BookFrame,
     BookRegime,
     BookSnapshot,
     DataSplit,

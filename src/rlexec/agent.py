@@ -22,6 +22,8 @@ pair keeps being visited.
 from __future__ import annotations
 
 import csv
+import itertools
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -315,6 +317,9 @@ def _period_reward(fill, reference: float, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 QTABLE_FORMAT = 1
+_QTABLE_COLUMNS = ("t", "i", "s", "v", "action", "beta", "q", "visits")
+#: Data rows load_qtable parses and checks per array pass; bounds its memory.
+_LOAD_BLOCK = 8192
 
 
 def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
@@ -325,27 +330,49 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
         fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
         fh.write(f"# alpha0: {learning.alpha0!r}\n")
         fh.write(f"# gamma: {learning.gamma!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("t", "i", "s", "v", "action", "beta", "q", "visits"))
-        for t, i, s, v, a in np.ndindex(q.values.shape):
-            writer.writerow(
-                (
-                    t + 1,
-                    i + 1,
-                    s + 1,
-                    v + 1,
-                    a,
-                    repr(grid.betas[a]),
-                    repr(float(q.values[t, i, s, v, a])),
-                    int(q.visit_counts[t, i, s, v, a]),
+        # rows as csv.writer's default dialect writes them: CRLF-terminated,
+        # and no cell needs quoting
+        fh.write(",".join(_QTABLE_COLUMNS) + "\r\n")
+        actions = [f"{a},{beta!r}" for a, beta in enumerate(grid.betas)]
+        for state in np.ndindex(q.values.shape[:4]):
+            prefix = ",".join(str(k + 1) for k in state)
+            fh.writelines(
+                f"{prefix},{action},{value!r},{visits}\r\n"
+                for action, value, visits in zip(
+                    actions, q.values[state].tolist(), q.visit_counts[state].tolist(), strict=True
                 )
             )
 
 
+def _row_blocks(path: str | Path, reader, header_lines: int):
+    """The table's data rows, up to _LOAD_BLOCK at a time, as arrays: the
+    (t, i, s, v, action) cells, q values, visits and each row's file line."""
+    rows = (row for row in reader if row)
+    while True:
+        cells, values, visits, lines = array("q"), array("d"), array("q"), array("q")
+        for row in itertools.islice(rows, _LOAD_BLOCK):
+            lines.append(header_lines + reader.line_num)
+            try:
+                if len(row) != len(_QTABLE_COLUMNS):
+                    raise ValueError(f"{len(row)} cells, expected {len(_QTABLE_COLUMNS)}")
+                cells.extend(map(int, row[:5]))
+                values.append(float(row[6]))
+                visits.append(int(row[7]))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: bad row on line {lines[-1]}: {exc!r}") from None
+        if not lines:
+            return
+        yield cells, values, visits, lines
+
+
 def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]:
+    """Read a table save_qtable wrote. Every cell must appear exactly once,
+    with t, i, s, v in 1..T, I, B, W and the action in 0..A-1; a damaged
+    file is a ValueError naming its first bad line."""
     header: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         position = fh.tell()
+        header_lines = 0
         while True:
             line = fh.readline()
             if not line.startswith("#"):
@@ -354,6 +381,7 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
             key, _, value = line[1:].partition(":")
             header[key.strip()] = value.strip()
             position = fh.tell()
+            header_lines += 1
         if header.get("rlexec-qtable") != str(QTABLE_FORMAT):
             raise ValueError(f"{path}: not a version-{QTABLE_FORMAT} q-table file")
         for key in ("dims", "betas"):
@@ -369,22 +397,32 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
             gamma=float(header.get("gamma", "1.0")),
         )
         q = QTable.zeros(*dims, len(betas))
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        if next(reader, None) != list(_QTABLE_COLUMNS):
+            raise ValueError(f"{path}: line {header_lines + 1} is not the column header {','.join(_QTABLE_COLUMNS)}")
+        seen = np.zeros(q.values.shape, dtype=bool)
         rows = 0
-        for rows, row in enumerate(reader, start=1):
-            try:
-                idx = (
-                    int(row["t"]) - 1,
-                    int(row["i"]) - 1,
-                    int(row["s"]) - 1,
-                    int(row["v"]) - 1,
-                    int(row["action"]),
+        for cells, values, visits, lines in _row_blocks(path, reader, header_lines):
+            raw = np.frombuffer(cells, dtype=np.int64).reshape(-1, 5)
+            index = raw - (1, 1, 1, 1, 0)
+            outside = np.flatnonzero(((index < 0) | (index >= q.values.shape)).any(axis=1))
+            if len(outside):
+                k = outside[0]
+                raise ValueError(
+                    f"{path}: line {lines[k]}: cell (t, i, s, v, action) = {tuple(raw[k].tolist())} "
+                    f"outside dims {dims} with {len(betas)} actions"
                 )
-                q.values[idx] = float(row["q"])
-                q.visit_counts[idx] = int(row["visits"])
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                # a short row leaves None in its missing cells
-                raise ValueError(f"{path}: bad row on line {reader.line_num}: {exc!r}") from None
+            cell = tuple(index.T)
+            later = np.ones(len(lines), dtype=bool)  # not the block's first row of its cell
+            later[np.unique(np.ravel_multi_index(cell, q.values.shape), return_index=True)[1]] = False
+            repeated = seen[cell] | later
+            if repeated.any():
+                k = int(np.argmax(repeated))
+                raise ValueError(f"{path}: line {lines[k]}: duplicate cell (t, i, s, v, action) = {tuple(raw[k].tolist())}")
+            seen[cell] = True
+            q.values[cell] = values
+            q.visit_counts[cell] = visits
+            rows += len(lines)
     if rows != q.values.size:
         raise ValueError(f"{path}: {rows} rows, expected {q.values.size}")
     return q, grid, learning

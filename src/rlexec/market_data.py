@@ -1,16 +1,22 @@
 """Order book market data: depth-CSV ingestion, interval bars, synthetic books.
 
-Raw 5-level depth snapshots are aggregated into fixed-length interval bars
-(average level prices and volumes). The bars are the time grid for everything
-downstream: hour-conditioned spread/volume percentile distributions for state
-encoding, calibration inputs, and the execution substrate for book walks.
+Raw 5-level depth snapshots are held as one `BookFrame`: a timestamp list and
+one (rows, 20) float array in the depth CSV's column order. Ingestion parses
+the CSV into that array, validates every row with one vectorized check and
+tallies rejects per reason; aggregation averages the rows into fixed-length
+interval bars (mean level prices and volumes) with one grouped sum. The bars
+are the time grid for everything downstream: hour-conditioned spread/volume
+percentile distributions for state encoding, calibration inputs, and the
+execution substrate for book walks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter, defaultdict
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
@@ -27,6 +33,39 @@ DEPTH_CSV_COLUMNS = (
     *(f"{name}{lvl}" for lvl in range(1, N_LEVELS + 1) for name in ("bp", "bv")),
     *(f"{name}{lvl}" for lvl in range(1, N_LEVELS + 1) for name in ("ap", "av")),
 )
+#: Column slices of one depth row (the CSV columns after ``ts``).
+BID_PRICES = slice(0, 2 * N_LEVELS, 2)
+BID_VOLUMES = slice(1, 2 * N_LEVELS, 2)
+ASK_PRICES = slice(2 * N_LEVELS, 4 * N_LEVELS, 2)
+ASK_VOLUMES = slice(2 * N_LEVELS + 1, 4 * N_LEVELS, 2)
+
+#: Book invariants in precedence order: a row failing several is reported
+#: under the first.
+BOOK_CHECKS = (
+    "negative volume",
+    "non-positive price",
+    "bid prices not strictly descending",
+    "ask prices not strictly ascending",
+    "crossed book",
+)
+
+
+def first_book_failure(values: np.ndarray) -> np.ndarray:
+    """Index into BOOK_CHECKS of each depth row's first failing check, -1
+    where the row passes them all. A NaN fails the order and crossing checks
+    (its comparisons are false) but not the sign checks."""
+    bid_p, bid_v = values[:, BID_PRICES], values[:, BID_VOLUMES]
+    ask_p, ask_v = values[:, ASK_PRICES], values[:, ASK_VOLUMES]
+    failed = np.column_stack(
+        (
+            (bid_v < 0).any(axis=1) | (ask_v < 0).any(axis=1),
+            (bid_p <= 0).any(axis=1) | (ask_p <= 0).any(axis=1),
+            ~(np.diff(bid_p, axis=1) < 0).all(axis=1),
+            ~(np.diff(ask_p, axis=1) > 0).all(axis=1),
+            ~(ask_p[:, 0] > bid_p[:, 0]),
+        )
+    )
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
 
 
 class Side(Enum):
@@ -54,16 +93,16 @@ class BookSnapshot:
         for name in ("bid_prices", "bid_volumes", "ask_prices", "ask_volumes"):
             if getattr(self, name).shape != (N_LEVELS,):
                 raise ValueError(f"{name} must hold exactly {N_LEVELS} levels")
-        if np.any(self.bid_volumes < 0) or np.any(self.ask_volumes < 0):
-            raise ValueError("negative volume")
-        if np.any(self.bid_prices <= 0) or np.any(self.ask_prices <= 0):
-            raise ValueError("non-positive price")
-        if not np.all(np.diff(self.bid_prices) < 0):
-            raise ValueError("bid prices not strictly descending")
-        if not np.all(np.diff(self.ask_prices) > 0):
-            raise ValueError("ask prices not strictly ascending")
-        if not self.ask_prices[0] > self.bid_prices[0]:
-            raise ValueError("crossed book")
+        failure = first_book_failure(self.row()[np.newaxis])[0]
+        if failure >= 0:
+            raise ValueError(BOOK_CHECKS[failure])
+
+    def row(self) -> np.ndarray:
+        """The snapshot's levels as one depth row."""
+        row = np.empty(4 * N_LEVELS)
+        row[BID_PRICES], row[BID_VOLUMES] = self.bid_prices, self.bid_volumes
+        row[ASK_PRICES], row[ASK_VOLUMES] = self.ask_prices, self.ask_volumes
+        return row
 
     @property
     def mid(self) -> float:
@@ -74,6 +113,50 @@ class BookSnapshot:
         if side is Side.BUY:
             return self.ask_prices, self.ask_volumes
         return self.bid_prices, self.bid_volumes
+
+
+@dataclass
+class BookFrame:
+    """The snapshot store as columns: one timestamp per row and a (rows, 20)
+    float array of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded).
+
+    Every row passes BOOK_CHECKS. Indexing a frame gives the row as a
+    `BookSnapshot` viewing the array.
+    """
+
+    timestamps: list[datetime]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.values.shape != (len(self.timestamps), 4 * N_LEVELS):
+            raise ValueError(f"values must be ({len(self.timestamps)}, {4 * N_LEVELS}), got {self.values.shape}")
+        failure = first_book_failure(self.values)
+        bad = np.flatnonzero(failure >= 0)
+        if len(bad):
+            raise ValueError(f"row {bad[0]}: {BOOK_CHECKS[failure[bad[0]]]}")
+
+    @classmethod
+    def from_snapshots(cls, snapshots: Sequence[BookSnapshot]) -> "BookFrame":
+        values = np.empty((len(snapshots), 4 * N_LEVELS))
+        for k, snap in enumerate(snapshots):
+            values[k] = snap.row()
+        return cls(timestamps=[snap.timestamp for snap in snapshots], values=values)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, k: int) -> BookSnapshot:
+        row = self.values[k]
+        return BookSnapshot(
+            timestamp=self.timestamps[k],
+            bid_prices=row[BID_PRICES],
+            bid_volumes=row[BID_VOLUMES],
+            ask_prices=row[ASK_PRICES],
+            ask_volumes=row[ASK_VOLUMES],
+        )
+
+    def __iter__(self) -> Iterator[BookSnapshot]:
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass
@@ -169,7 +252,7 @@ class DataSplit:
 
 @dataclass
 class IngestResult:
-    snapshots: list[BookSnapshot]
+    snapshots: BookFrame
     rejected_rows: int
     row_errors: Counter
 
@@ -185,10 +268,15 @@ def ingest_csv(path: str | Path, columns: tuple[str, ...] = DEPTH_CSV_COLUMNS) -
     """Read a depth CSV into validated snapshots sorted by timestamp.
 
     Rows that fail parsing or book invariants are skipped and tallied per
-    reason in ``row_errors``; a file with a bad header or zero valid rows is
+    reason in ``row_errors``, under the first failing of: column count,
+    parsing (a naive timestamp or a non-finite cell is an unparseable row),
+    then BOOK_CHECKS in order. A file with a bad header or zero valid rows is
     an error.
     """
     path = Path(path)
+    stamps: list[datetime] = []
+    flat = array("d")  # the parsed rows' depth cells, row after row
+    errors: Counter = Counter()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -197,85 +285,88 @@ def ingest_csv(path: str | Path, columns: tuple[str, ...] = DEPTH_CSV_COLUMNS) -
             raise ValueError(f"{path}: empty file, no header") from None
         if header != list(columns):
             raise ValueError(f"{path}: malformed header {header!r}")
-        snapshots: list[BookSnapshot] = []
-        errors: Counter = Counter()
         for row in reader:
             if not row:
                 continue
             if len(row) != len(columns):
                 errors["wrong column count"] += 1
                 continue
+            mark = len(flat)
             try:
                 ts = _parse_timestamp(row[0])
-                values = [float(cell) for cell in row[1:]]
+                flat.extend(map(float, row[1:]))
             except ValueError:
+                del flat[mark:]
                 errors["unparseable row"] += 1
                 continue
-            bid = values[: 2 * N_LEVELS]
-            ask = values[2 * N_LEVELS :]
-            try:
-                snapshots.append(
-                    BookSnapshot(
-                        timestamp=ts,
-                        bid_prices=bid[0::2],
-                        bid_volumes=bid[1::2],
-                        ask_prices=ask[0::2],
-                        ask_volumes=ask[1::2],
-                    )
-                )
-            except ValueError as exc:
-                errors[str(exc)] += 1
-    if not snapshots:
+            stamps.append(ts)
+    values = np.frombuffer(flat, dtype=float).reshape(len(stamps), 4 * N_LEVELS)
+    finite = np.isfinite(values).all(axis=1)
+    # a row with a non-finite cell is unparseable, whatever its book checks say
+    reasons = (*BOOK_CHECKS, "unparseable row")
+    failure = np.full(len(stamps), len(BOOK_CHECKS))
+    failure[finite] = first_book_failure(values[finite])
+    for code, count in zip(*np.unique(failure[failure >= 0], return_counts=True)):
+        errors[reasons[code]] += int(count)
+    kept = sorted(np.flatnonzero(failure < 0).tolist(), key=stamps.__getitem__)
+    if not kept:
         raise ValueError(f"{path}: no valid rows")
-    snapshots.sort(key=lambda s: s.timestamp)
-    return IngestResult(snapshots=snapshots, rejected_rows=sum(errors.values()), row_errors=errors)
+    frame = BookFrame(timestamps=[stamps[k] for k in kept], values=values[kept])
+    return IngestResult(snapshots=frame, rejected_rows=sum(errors.values()), row_errors=errors)
 
 
-def write_snapshots_csv(path: str | Path, snapshots: list[BookSnapshot]) -> None:
-    """Write snapshots in the canonical depth CSV schema (volumes as integers
-    when integral, prices in shortest round-trip form)."""
+#: Rows formatted per block by write_snapshots_csv; bounds its Python objects.
+_WRITE_BLOCK = 1024
 
-    def num(x: float) -> str:
-        return str(int(x)) if float(x).is_integer() else repr(float(x))
 
+def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
+    """Write snapshots in the canonical depth CSV schema (finite integral
+    values as integers, other values in shortest round-trip form).
+
+    Lines are comma-separated and CRLF-terminated, as csv.writer's default
+    dialect writes them; no cell (ISO timestamps, numbers) needs quoting.
+    """
+    values = snapshots.values
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEPTH_CSV_COLUMNS)
-        for snap in snapshots:
-            row = [snap.timestamp.isoformat()]
-            for prices, volumes in ((snap.bid_prices, snap.bid_volumes), (snap.ask_prices, snap.ask_volumes)):
-                for lvl in range(N_LEVELS):
-                    row.append(num(prices[lvl]))
-                    row.append(num(volumes[lvl]))
-            writer.writerow(row)
+        fh.write(",".join(DEPTH_CSV_COLUMNS) + "\r\n")
+        for start in range(0, len(snapshots), _WRITE_BLOCK):
+            block = values[start : start + _WRITE_BLOCK]
+            cells = block.astype(object)  # Python floats, whose str is their repr
+            integral = np.isfinite(block) & (block == np.trunc(block))
+            cells[integral] = [int(x) for x in block[integral]]
+            stamps = snapshots.timestamps[start : start + _WRITE_BLOCK]
+            fh.writelines(
+                f"{ts.isoformat()},{','.join(map(str, row))}\r\n" for ts, row in zip(stamps, cells.tolist())
+            )
 
 
-def aggregate_intervals(
-    snapshots: list[BookSnapshot], tau: float, side: Side = Side.BUY
-) -> list[IntervalBar]:
+def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY) -> list[IntervalBar]:
     """Aggregate snapshots into tau-second bars aligned to the epoch grid.
 
     Each bar holds the simple mean of per-level prices and volumes over the
     snapshots whose timestamps fall in [start, start + tau); empty intervals
-    are omitted. ``quote_volume`` is the averaged level-1 volume of the side a
+    are omitted. A bar's start carries the tz of its first snapshot in input
+    order. ``quote_volume`` is the averaged level-1 volume of the side a
     `side` order consumes.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if not snapshots:
+    if not len(snapshots):
         raise ValueError("no snapshots to aggregate")
-    groups: dict[float, list[BookSnapshot]] = defaultdict(list)
-    for snap in snapshots:
-        start_epoch = math.floor(snap.timestamp.timestamp() / tau) * tau
-        groups[start_epoch].append(snap)
+    epochs = np.array([ts.timestamp() for ts in snapshots.timestamps])
+    starts, first, group = np.unique(np.floor(epochs / tau) * tau, return_index=True, return_inverse=True)
+    # np.add.at adds each group's rows onto +0.0 in input order, as np.mean
+    # over the group's stacked rows does, so the means are bit-identical to
+    # it (np.add.reduceat's are not: they differ in the last bit in places).
+    sums = np.zeros((len(starts), 4 * N_LEVELS))
+    np.add.at(sums, group, snapshots.values)
+    counts = np.bincount(group, minlength=len(starts))
+    means = sums / counts[:, np.newaxis]
     bars: list[IntervalBar] = []
-    for start_epoch in sorted(groups):
-        members = groups[start_epoch]
-        start = datetime.fromtimestamp(start_epoch, tz=members[0].timestamp.tzinfo)
-        bid_p = np.mean([m.bid_prices for m in members], axis=0)
-        bid_v = np.mean([m.bid_volumes for m in members], axis=0)
-        ask_p = np.mean([m.ask_prices for m in members], axis=0)
-        ask_v = np.mean([m.ask_volumes for m in members], axis=0)
+    for start_epoch, k, mean, n in zip(starts.tolist(), first.tolist(), means, counts.tolist()):
+        start = datetime.fromtimestamp(start_epoch, tz=snapshots.timestamps[k].tzinfo)
+        bid_p, bid_v = mean[BID_PRICES].copy(), mean[BID_VOLUMES].copy()
+        ask_p, ask_v = mean[ASK_PRICES].copy(), mean[ASK_VOLUMES].copy()
         bars.append(
             IntervalBar(
                 start=start,
@@ -287,7 +378,7 @@ def aggregate_intervals(
                 spread=float(ask_p[0] - bid_p[0]),
                 quote_volume=float(ask_v[0] if side is Side.BUY else bid_v[0]),
                 hour=start.hour,
-                n_snapshots=len(members),
+                n_snapshots=n,
             )
         )
     return bars
@@ -450,9 +541,7 @@ def _interval_regime(
     return config.hourly.get(hour, config.default_regime)
 
 
-def generate_synthetic(
-    seed: int, days: int, config: SyntheticConfig | None = None
-) -> list[BookSnapshot]:
+def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = None) -> BookFrame:
     """Deterministic synthetic depth stream: same seed, same snapshots.
 
     The mid price follows a discrete arithmetic random walk; each tau-interval
@@ -468,7 +557,9 @@ def generate_synthetic(
     step_sigma = cfg.walk_sigma / math.sqrt(cfg.snapshots_per_interval)
     offsets = np.arange(N_LEVELS, dtype=float)
     mid = cfg.base_price
-    snapshots: list[BookSnapshot] = []
+    hours = cfg.session_end_hour - cfg.session_start_hour
+    values = np.empty((days * hours * intervals_per_hour * cfg.snapshots_per_interval, 4 * N_LEVELS))
+    stamps: list[datetime] = []
     for d in range(days):
         day_start = datetime.combine(
             cfg.start_day + timedelta(days=d), time(0), tzinfo=timezone.utc
@@ -490,13 +581,10 @@ def generate_synthetic(
                     ask_v = regime.level_volume * (
                         1.0 + regime.volume_jitter * rng.uniform(-1.0, 1.0, size=N_LEVELS)
                     )
-                    snapshots.append(
-                        BookSnapshot(
-                            timestamp=t0 + timedelta(seconds=s * snap_step),
-                            bid_prices=mid - half - regime.level_step * offsets,
-                            bid_volumes=np.maximum(np.rint(bid_v), 1.0),
-                            ask_prices=mid + half + regime.level_step * offsets,
-                            ask_volumes=np.maximum(np.rint(ask_v), 1.0),
-                        )
-                    )
-    return snapshots
+                    row = values[len(stamps)]
+                    row[BID_PRICES] = mid - half - regime.level_step * offsets
+                    row[BID_VOLUMES] = np.maximum(np.rint(bid_v), 1.0)
+                    row[ASK_PRICES] = mid + half + regime.level_step * offsets
+                    row[ASK_VOLUMES] = np.maximum(np.rint(ask_v), 1.0)
+                    stamps.append(t0 + timedelta(seconds=s * snap_step))
+    return BookFrame(timestamps=stamps, values=values)

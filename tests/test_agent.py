@@ -7,6 +7,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from rlexec import agent
 from rlexec.agent import (
     ActionGrid,
     LearningSchedule,
@@ -387,6 +388,44 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version"):
             load_qtable(path)
 
+
+    @staticmethod
+    def saved_lines(tmp_path):
+        q = QTable.zeros(2, 2, 2, 2, 3)
+        q.values[:] = np.arange(q.values.size).reshape(q.values.shape) * 0.5
+        path = tmp_path / "qtable.csv"
+        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, "0", "outside dims (2, 2, 2, 2) with 3 actions"),
+            (3, "3", "outside dims (2, 2, 2, 2) with 3 actions"),
+            (4, "3", "outside dims (2, 2, 2, 2) with 3 actions"),
+            (4, "-1", "outside dims (2, 2, 2, 2) with 3 actions"),
+            (0, "1.0", "bad row on line 17"),
+        ],
+    )
+    def test_out_of_range_or_bad_index_names_the_line(self, tmp_path, column, value, message):
+        path, lines = self.saved_lines(tmp_path)
+        cells = lines[16].split(",")  # line 17: the 11th row, cell (1, 2, 1, 1, 2)
+        cells[column] = value
+        lines[16] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 17\b") as info:
+            load_qtable(path)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("block", [4, 8192])  # rows 4 and 15: other or same array pass
+    def test_duplicate_cell_names_the_line(self, tmp_path, monkeypatch, block):
+        # the table keeps its row count, so only the duplicate check sees it
+        monkeypatch.setattr(agent, "_LOAD_BLOCK", block)
+        path, lines = self.saved_lines(tmp_path)
+        lines[20] = lines[9]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 21: duplicate cell \(t, i, s, v, action\) = \(1, 1, 1, 2, 0\)"):
+            load_qtable(path)
 
 class TestDPEquivalenceSmall:
     def test_two_period_policy_matches_backward_induction(self):

@@ -143,6 +143,12 @@ def drop_last_row(path):
     path.write_text("".join(lines[:-1]), encoding="utf-8")
 
 
+def duplicate_first_row(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[7] = lines[6]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def three_dims(path):
     path.write_text(path.read_text(encoding="utf-8").replace("# dims: 4 2 2 2", "# dims: 4 2 2"), encoding="utf-8")
 
@@ -166,6 +172,7 @@ def drop_key(key):
         ("backtest", "qtable.csv", three_dims, (), "dims must list T I B W"),
         ("backtest", "params.json", drop_key("share_schedule"), (), "missing key 'share_schedule'"),
         ("report", "stats.json", drop_key("n_days"), (), "missing keys ['n_days']"),
+        ("backtest", "qtable.csv", duplicate_first_row, (), "line 8: duplicate cell"),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):

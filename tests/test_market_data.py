@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
@@ -9,9 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlexec.market_data import (
+    BOOK_CHECKS,
     DEPTH_CSV_COLUMNS,
+    BookFrame,
     BookRegime,
     BookSnapshot,
     DataSplit,
@@ -23,6 +28,7 @@ from rlexec.market_data import (
     bucket_of,
     build_distributions,
     day_windows,
+    first_book_failure,
     generate_synthetic,
     ingest_csv,
     planted_regime_config,
@@ -75,6 +81,66 @@ class TestBookSnapshot:
             )
 
 
+def scalar_first_failure(row: list[float]) -> int:
+    """Per-row reference for first_book_failure, one check after another."""
+    bid_p, bid_v, ask_p, ask_v = row[0:10:2], row[1:10:2], row[10:20:2], row[11:20:2]
+    if any(v < 0 for v in bid_v + ask_v):
+        return 0
+    if any(p <= 0 for p in bid_p + ask_p):
+        return 1
+    if not all(b - a < 0 for a, b in zip(bid_p, bid_p[1:])):
+        return 2
+    if not all(b - a > 0 for a, b in zip(ask_p, ask_p[1:])):
+        return 3
+    if not ask_p[0] > bid_p[0]:
+        return 4
+    return -1
+
+
+# values that sit on or next to a check's boundary
+EDGE_VALUES = st.sampled_from([0.0, -0.0, -1.0, -1e-9, 1e-9, 99.9, 100.0, 100.1, float("nan")])
+
+
+@st.composite
+def depth_rows(draw) -> list[float]:
+    """A valid book, often with some cells overwritten by edge values or by
+    the cell beside them (equal adjacent levels)."""
+    mid = draw(st.floats(1.0, 200.0))
+    half = draw(st.floats(0.0, 1.0))
+    step = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    row: list[float] = []
+    for side in (-1, 1):
+        for lvl in range(5):
+            row += [mid + side * (half + step * lvl), draw(st.sampled_from([0.0, 1.0, 500.0]))]
+    for cell in draw(st.lists(st.integers(0, 19), max_size=3)):
+        if draw(st.booleans()):
+            row[cell] = draw(EDGE_VALUES)
+        else:
+            row[cell] = row[cell - 2 if cell >= 2 else cell + 2]
+    return row
+
+
+class TestBookValidator:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(depth_rows(), min_size=1, max_size=12))
+    def test_matches_per_row_reference(self, rows):
+        expected = [scalar_first_failure(r) for r in rows]
+        assert first_book_failure(np.array(rows)).tolist() == expected
+        for r, code in zip(rows, expected):
+            snap = dict(
+                timestamp=T0,
+                bid_prices=r[0:10:2],
+                bid_volumes=r[1:10:2],
+                ask_prices=r[10:20:2],
+                ask_volumes=r[11:20:2],
+            )
+            if code < 0:
+                BookSnapshot(**snap)
+            else:
+                with pytest.raises(ValueError, match=BOOK_CHECKS[code]):
+                    BookSnapshot(**snap)
+
+
 class TestIngest:
     def test_well_formed_rows_pass_through(self, tmp_path):
         src = tmp_path / "depth.csv"
@@ -112,6 +178,22 @@ class TestIngest:
         assert result.rejected_rows == 1
         assert result.row_errors["crossed book"] == 1
 
+    def test_non_finite_cells_are_unparseable(self, tmp_path):
+        cells = row("2024-03-04T10:00:30+00:00").split(",")
+        nan_volume = cells.copy()
+        nan_volume[DEPTH_CSV_COLUMNS.index("av1")] = "nan"
+        inf_volume = cells.copy()
+        inf_volume[DEPTH_CSV_COLUMNS.index("bv2")] = "-inf"
+        src = tmp_path / "depth.csv"
+        src.write_text(
+            "\n".join([HEADER, row("2024-03-04T10:00:00+00:00"), ",".join(nan_volume), ",".join(inf_volume)]),
+            encoding="utf-8",
+        )
+        result = ingest_csv(src)
+        assert len(result.snapshots) == 1
+        assert result.row_errors == {"unparseable row": 2}
+        assert np.isfinite(result.snapshots.values).all()
+
     def test_descending_file_sorted_ascending(self, tmp_path):
         # oracle: an independent sort of the raw timestamps
         stamps = [f"2024-03-04T10:0{k}:00+00:00" for k in range(5)]
@@ -140,7 +222,7 @@ class TestIngest:
     def test_roundtrip_via_writer(self, tmp_path):
         snaps = [make_snapshot(ts=T0 + timedelta(seconds=30 * k)) for k in range(4)]
         path = tmp_path / "store.csv"
-        write_snapshots_csv(path, snaps)
+        write_snapshots_csv(path, BookFrame.from_snapshots(snaps))
         back = ingest_csv(path)
         assert len(back.snapshots) == 4
         for a, b in zip(snaps, back.snapshots):
@@ -149,10 +231,17 @@ class TestIngest:
             assert np.array_equal(a.bid_volumes, b.bid_volumes)
 
 
+    def test_synthetic_store_bytes_are_pinned(self, tmp_path):
+        # sha256 of the file the per-snapshot writer produced for this input
+        path = tmp_path / "store.csv"
+        write_snapshots_csv(path, generate_synthetic(7, 2))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "80fa0aa904dac9a68116d28147f4edac93dc7e57a4bedc77e98780d793f88d44"
+
 class TestAggregate:
     def test_single_snapshot_bar_equals_snapshot(self):
         snap = make_snapshot()
-        (bar,) = aggregate_intervals([snap], 300.0)
+        (bar,) = aggregate_intervals(BookFrame.from_snapshots([snap]), 300.0)
         assert np.array_equal(bar.avg_ask_prices, snap.ask_prices)
         assert np.array_equal(bar.avg_bid_volumes, snap.bid_volumes)
         assert bar.n_snapshots == 1
@@ -161,7 +250,7 @@ class TestAggregate:
     def test_two_snapshot_mean(self):
         s1 = make_snapshot(mid=100.0, spread=0.10)
         s2 = make_snapshot(ts=T0 + timedelta(seconds=60), mid=102.0, spread=0.10)
-        (bar,) = aggregate_intervals([s1, s2], 300.0)
+        (bar,) = aggregate_intervals(BookFrame.from_snapshots([s1, s2]), 300.0)
         assert bar.avg_ask_prices[0] == pytest.approx(101.05)
         assert bar.mid == pytest.approx(101.0)
 
@@ -178,7 +267,7 @@ class TestAggregate:
                 )
             )
         snaps.sort(key=lambda s: s.timestamp)
-        bars = aggregate_intervals(snaps, 300.0)
+        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0)
         assert len(bars) == 12
 
         # brute-force oracle: group by floor(epoch / tau) and average
@@ -204,26 +293,29 @@ class TestAggregate:
             ),
             key=lambda s: s.timestamp,
         )
-        bars = aggregate_intervals(snaps, 300.0)
+        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0)
         assert sum(b.n_snapshots for b in bars) == len(snaps)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            aggregate_intervals([], 300.0)
+            aggregate_intervals(BookFrame.from_snapshots([]), 300.0)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            aggregate_intervals([make_snapshot()], 0.0)
+            aggregate_intervals(BookFrame.from_snapshots([make_snapshot()]), 0.0)
 
     def test_quote_volume_follows_side(self):
         snap = make_snapshot()
-        (buy_bar,) = aggregate_intervals([snap], 300.0, side=Side.BUY)
-        (sell_bar,) = aggregate_intervals([snap], 300.0, side=Side.SELL)
+        frame = BookFrame.from_snapshots([snap])
+        (buy_bar,) = aggregate_intervals(frame, 300.0, side=Side.BUY)
+        (sell_bar,) = aggregate_intervals(frame, 300.0, side=Side.SELL)
         assert buy_bar.quote_volume == snap.ask_volumes[0]
         assert sell_bar.quote_volume == snap.bid_volumes[0]
 
     def test_deterministic(self):
-        snaps = [make_snapshot(ts=T0 + timedelta(seconds=17 * k), mid=100 + 0.01 * k) for k in range(50)]
+        snaps = BookFrame.from_snapshots(
+            [make_snapshot(ts=T0 + timedelta(seconds=17 * k), mid=100 + 0.01 * k) for k in range(50)]
+        )
         a = aggregate_intervals(snaps, 300.0)
         b = aggregate_intervals(snaps, 300.0)
         assert len(a) == len(b)
@@ -232,6 +324,42 @@ class TestAggregate:
             assert np.array_equal(x.avg_ask_prices, y.avg_ask_prices)
             assert x.spread == y.spread
 
+
+    def test_unsorted_two_offsets_match_mean_bit_for_bit(self):
+        # oracle: group in input order, np.mean(axis=0) per group; the bar's
+        # start carries the tz of the group's first member in input order
+        rng = np.random.default_rng(11)
+        zones = (timezone.utc, timezone(timedelta(hours=2)))
+        snaps = [
+            make_snapshot(
+                ts=(T0 + timedelta(seconds=float(rng.uniform(0, 7200)))).astimezone(zones[rng.integers(2)]),
+                mid=float(rng.uniform(95, 105)),
+                spread=float(rng.uniform(0.01, 0.3)),
+                level_volume=float(rng.uniform(1, 9000)),
+            )
+            for _ in range(2000)
+        ]
+        # alone in its bar: np.mean sums onto +0.0, so its -0.0 volumes average to +0.0
+        snaps.append(make_snapshot(ts=T0 + timedelta(hours=3), level_volume=-0.0))
+        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0, side=Side.SELL)
+
+        groups = defaultdict(list)
+        for snap in snaps:
+            groups[math.floor(snap.timestamp.timestamp() / 300.0) * 300.0].append(snap)
+        assert [bar.start.timestamp() for bar in bars] == sorted(groups)
+        for bar in bars:
+            members = groups[bar.start.timestamp()]
+            assert bar.start.tzinfo == members[0].timestamp.tzinfo
+            assert bar.n_snapshots == len(members)
+            for got, name in (
+                (bar.avg_bid_prices, "bid_prices"),
+                (bar.avg_bid_volumes, "bid_volumes"),
+                (bar.avg_ask_prices, "ask_prices"),
+                (bar.avg_ask_volumes, "ask_volumes"),
+            ):
+                want = np.mean([getattr(m, name) for m in members], axis=0)
+                assert got.tobytes() == want.tobytes()
+            assert bar.quote_volume == bar.avg_bid_volumes[0]
 
 class TestDistributions:
     def test_single_hour_key(self):
