@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import csv
 import itertools
-from array import array
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .execution import walk_book
+# walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
+from .execution import _walk_books, walk_book  # noqa: F401
 from .market_data import (
     DayWindow,
     HistoricalDistribution,
@@ -50,15 +52,21 @@ class StateTuple(NamedTuple):
     v: int
 
 
+#: Most betas from_bounds builds; the Q table holds one value per beta and state.
+MAX_ACTIONS = 10_000
+
+
 @dataclass(frozen=True)
 class ActionGrid:
-    """Strictly increasing beta multipliers applied to the child volume."""
+    """Strictly increasing, finite beta multipliers applied to the child volume."""
 
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.betas:
             raise ValueError("empty action grid")
+        if not all(math.isfinite(b) for b in self.betas):
+            raise ValueError("non-finite beta")
         if any(b < 0 for b in self.betas):
             raise ValueError("negative beta")
         if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
@@ -66,9 +74,14 @@ class ActionGrid:
 
     @classmethod
     def from_bounds(cls, lower: float = 0.0, upper: float = 2.0, incr: float = 0.25) -> "ActionGrid":
+        """lower, lower + incr, ... up to upper: at most MAX_ACTIONS betas,
+        checked before any is built."""
         if incr <= 0 or upper < lower:
             raise ValueError("bad beta bounds")
-        count = int(round((upper - lower) / incr)) + 1
+        steps = (upper - lower) / incr
+        if not steps < MAX_ACTIONS - 0.5:  # also catches inf and nan
+            raise ValueError(f"beta grid from {lower!r} to {upper!r} by {incr!r} exceeds {MAX_ACTIONS} actions")
+        count = int(round(steps)) + 1
         return cls(betas=tuple(lower + k * incr for k in range(count)))
 
     def __len__(self) -> int:
@@ -102,13 +115,15 @@ class QTable:
         return (x.t - 1, x.i - 1, x.s - 1, x.v - 1)
 
 
-def _inventory_bucket(remaining: float, total: int, buckets: int) -> int:
-    """ceil(remaining / total * buckets) in integer arithmetic; zero shares
-    map to bucket 1 by convention."""
-    shares = int(round(remaining))
-    if shares <= 0:
-        return 1
-    return min(buckets, (shares * buckets + total - 1) // total)
+def _inventory_bucket(remaining, total: int, buckets: int) -> np.ndarray:
+    """ceil(remaining / total * buckets) in integer arithmetic, elementwise,
+    after rounding to whole shares (half to even); zero shares map to bucket
+    1 by convention. Shares past `total` are clipped to it (they take the top
+    bucket either way), so the largest intermediate is total * (buckets + 1) - 1."""
+    if total * (buckets + 1) > 2**63:
+        raise ValueError(f"{total} shares in {buckets} inventory buckets overflow int64 bucket arithmetic")
+    shares = np.minimum(np.rint(remaining).astype(np.int64), total)
+    return np.where(shares <= 0, 1, np.minimum(buckets, (shares * buckets + total - 1) // total))
 
 
 def encode_state(
@@ -131,7 +146,7 @@ def encode_state(
         raise ValueError(f"no historical distribution for hour {bar.hour}")
     return StateTuple(
         t=remaining_periods,
-        i=_inventory_bucket(remaining_shares, int(total_shares), inv_buckets),
+        i=int(_inventory_bucket(remaining_shares, int(total_shares), inv_buckets)),
         s=bucket_of(dist, "spread", bar.spread, spread_buckets),
         v=bucket_of(dist, "volume", bar.quote_volume, vol_buckets),
     )
@@ -231,6 +246,13 @@ def train(
     trade list's remaining-weight for the period. The final period walks the
     whole remaining inventory cap-free, mirroring the terminal market order.
 
+    Each period is one block: the I x A child volumes walk the period's book
+    in one array pass, which gives their rewards and next inventory buckets,
+    and the block's Q updates then run one q_update per (bucket, action) in
+    bucket-major order. Within a period every update writes its own cell and
+    bootstraps off period t - 1 only, and the block arithmetic is the
+    per-request arithmetic, so the table is the one per-request walks give.
+
     The correct-action trace records (cumulative tuple visits, fraction) after
     every episode, when the table holds a consistent policy. An episode with
     a bar whose hour has no historical distribution is skipped.
@@ -244,10 +266,12 @@ def train(
     learning = learning if learning is not None else LearningSchedule()
     total = int(total_shares)
     suffix = np.cumsum(sched[::-1])[::-1]  # shares still planned from period j on
-    midpoints = [
-        int(round(total * (2 * b - 1) / (2 * inv_buckets)))
-        for b in range(1, inv_buckets + 1)
-    ]
+    # bucket midpoints as a column against the actions' row of betas
+    midpoints = np.array(
+        [[round(total * (2 * b - 1) / (2 * inv_buckets))] for b in range(1, inv_buckets + 1)],
+        dtype=float,
+    )
+    betas = np.asarray(grid.betas)
     result = TrainingResult()
     for episode in episodes:
         if len(episode.bars) != periods:
@@ -274,42 +298,36 @@ def train(
         ref = arrival_reference(episode, side, reference_kind)
         for t in range(periods, 0, -1):
             j = periods - t  # 0-based period index
-            bar = episode.bars[j]
-            prices, volumes = bar.levels(side)
+            prices, volumes = episode.bars[j].levels(side)
+            if t == 1:
+                # liquidation guarantee: the last period executes all
+                # remaining inventory cap-free, whatever beta says
+                walk = _walk_books(prices, volumes, midpoints, cap=1.0)
+                next_states = [[None] * n_actions] * inv_buckets  # absorbing
+            else:
+                weight = sched[j] / suffix[j] if suffix[j] > 0 else 0.0
+                volume = np.minimum(np.maximum(np.rint(betas * (midpoints * weight)), 0.0), midpoints)
+                walk = _walk_books(prices, volumes, volume, cap=cap)
+                s1, v1 = states[j + 1].s, states[j + 1].v
+                next_states = [
+                    [StateTuple(t - 1, i1, s1, v1) for i1 in row]
+                    for row in _inventory_bucket(midpoints - walk.executed, total, inv_buckets).tolist()
+                ]
+            rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).tolist()
             s, v = states[j].s, states[j].v
-            weight = sched[j] / suffix[j] if suffix[j] > 0 else 0.0
-            for i in range(1, inv_buckets + 1):
-                remaining = midpoints[i - 1]
-                child = remaining * weight
+            for i, (row_rewards, row_next) in enumerate(zip(rewards, next_states), start=1):
                 x = StateTuple(t, i, s, v)
-                for action, beta in enumerate(grid.betas):
-                    if t == 1:
-                        # liquidation guarantee: the last period executes all
-                        # remaining inventory cap-free, whatever beta says
-                        fill = walk_book(prices, volumes, remaining, cap=1.0)
-                        reward = _period_reward(fill, ref, total)
-                        q_update(q, x, action, reward, None, learning)
-                    else:
-                        volume = min(max(int(round(beta * child)), 0), remaining)
-                        fill = walk_book(prices, volumes, volume, cap=cap)
-                        reward = _period_reward(fill, ref, total)
-                        nxt = StateTuple(
-                            t - 1,
-                            _inventory_bucket(remaining - fill.executed, total, inv_buckets),
-                            states[j + 1].s,
-                            states[j + 1].v,
-                        )
-                        q_update(q, x, action, reward, nxt, learning)
-                    result.updates += 1
+                for action, (reward, nxt) in enumerate(zip(row_rewards, row_next)):
+                    q_update(q, x, action, reward, nxt, learning)
+            result.updates += inv_buckets * n_actions
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
     return result
 
 
-def _period_reward(fill, reference: float, total: int) -> float:
-    """Signed IS contribution of one fill, in basis points of the run."""
-    if fill.executed <= 0:
-        return 0.0
-    return fill.executed * (reference - fill.vwap) / (total * reference) * 1e4
+def _period_reward(walk, reference: float, total: int) -> np.ndarray:
+    """Signed IS contribution of each walked order, in basis points of the run."""
+    scale = total * reference
+    return np.where(walk.executed > 0, walk.executed * (reference - walk.vwap) / scale * 1e4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +336,7 @@ def _period_reward(fill, reference: float, total: int) -> float:
 
 QTABLE_FORMAT = 1
 _QTABLE_COLUMNS = ("t", "i", "s", "v", "action", "beta", "q", "visits")
-#: Data rows load_qtable parses and checks per array pass; bounds its memory.
+#: File lines load_qtable parses and checks per array pass; bounds its memory.
 _LOAD_BLOCK = 8192
 
 
@@ -344,25 +362,54 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
             )
 
 
-def _row_blocks(path: str | Path, reader, header_lines: int):
-    """The table's data rows, up to _LOAD_BLOCK at a time, as arrays: the
-    (t, i, s, v, action) cells, q values, visits and each row's file line."""
-    rows = (row for row in reader if row)
+_ROW_DTYPE = np.dtype([(name, np.float64 if name in ("beta", "q") else np.int64) for name in _QTABLE_COLUMNS])
+
+
+def _parse_rows(path: str | Path, lines: list[str], first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `lines` (file lines from `first_line` on) one by one, as the
+    csv module reads them; blank lines are skipped and the first bad row is a
+    ValueError naming its file line. The slow path of _row_blocks."""
+    rows = np.zeros(len(lines), dtype=_ROW_DTYPE)
+    numbers = np.zeros(len(lines), dtype=np.int64)
+    reader = csv.reader(lines)
+    n = 0
+    for row in reader:
+        if not row:
+            continue
+        numbers[n] = first_line - 1 + reader.line_num
+        try:
+            if len(row) != len(_QTABLE_COLUMNS):
+                raise ValueError(f"{len(row)} cells, expected {len(_QTABLE_COLUMNS)}")
+            rows[n] = (*map(int, row[:5]), 0.0, float(row[6]), int(row[7]))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: bad row on line {numbers[n]}: {exc!r}") from None
+        n += 1
+    return rows[:n], numbers[:n]
+
+
+def _row_blocks(path: str | Path, fh, first_line: int):
+    """The table's data rows, up to _LOAD_BLOCK file lines at a time, as a
+    structured array with each row's file line. A block np.loadtxt parses
+    into one row per line takes one vectorized parse; any other block (a bad
+    row, a blank line, a quoted cell) goes through the per-row parser, which
+    accepts and rejects what the csv module does. Any warning loadtxt raises
+    also sends the block there: NumPy releases that deprecate rather than
+    reject a float in an int64 column ('1.0', '1.7') warn and truncate it."""
     while True:
-        cells, values, visits, lines = array("q"), array("d"), array("q"), array("q")
-        for row in itertools.islice(rows, _LOAD_BLOCK):
-            lines.append(header_lines + reader.line_num)
-            try:
-                if len(row) != len(_QTABLE_COLUMNS):
-                    raise ValueError(f"{len(row)} cells, expected {len(_QTABLE_COLUMNS)}")
-                cells.extend(map(int, row[:5]))
-                values.append(float(row[6]))
-                visits.append(int(row[7]))
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: bad row on line {lines[-1]}: {exc!r}") from None
+        lines = list(itertools.islice(fh, _LOAD_BLOCK))
         if not lines:
             return
-        yield cells, values, visits, lines
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_ROW_DTYPE, ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+        if rows is not None and len(rows) == len(lines):
+            yield rows, np.arange(first_line, first_line + len(lines))
+        else:
+            yield _parse_rows(path, lines, first_line)
+        first_line += len(lines)
 
 
 def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]:
@@ -397,13 +444,13 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
             gamma=float(header.get("gamma", "1.0")),
         )
         q = QTable.zeros(*dims, len(betas))
-        reader = csv.reader(fh)
-        if next(reader, None) != list(_QTABLE_COLUMNS):
+        columns = next(csv.reader([fh.readline()]), None)
+        if columns != list(_QTABLE_COLUMNS):
             raise ValueError(f"{path}: line {header_lines + 1} is not the column header {','.join(_QTABLE_COLUMNS)}")
         seen = np.zeros(q.values.shape, dtype=bool)
         rows = 0
-        for cells, values, visits, lines in _row_blocks(path, reader, header_lines):
-            raw = np.frombuffer(cells, dtype=np.int64).reshape(-1, 5)
+        for block, lines in _row_blocks(path, fh, header_lines + 2):
+            raw = np.stack([block[name] for name in _QTABLE_COLUMNS[:5]], axis=1)
             index = raw - (1, 1, 1, 1, 0)
             outside = np.flatnonzero(((index < 0) | (index >= q.values.shape)).any(axis=1))
             if len(outside):
@@ -420,8 +467,8 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
                 k = int(np.argmax(repeated))
                 raise ValueError(f"{path}: line {lines[k]}: duplicate cell (t, i, s, v, action) = {tuple(raw[k].tolist())}")
             seen[cell] = True
-            q.values[cell] = values
-            q.visit_counts[cell] = visits
+            q.values[cell] = block["q"]
+            q.visit_counts[cell] = block["visits"]
             rows += len(lines)
     if rows != q.values.size:
         raise ValueError(f"{path}: {rows} rows, expected {q.values.size}")

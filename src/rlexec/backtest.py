@@ -52,7 +52,7 @@ class RunConfig:
             raise ValueError("bucket counts must be >= 2")
         if not 0.0 < self.cap <= 1.0:
             raise ValueError("cap must be in (0, 1]")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be > 0")
         if self.reference not in ("mid", "ask"):
             raise ValueError("reference must be mid or ask")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import typing
 import warnings
@@ -92,6 +93,10 @@ class ExperimentConfig:
     out: str = _key("out", "output directory")
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"bad value for {_FLAG_NAMES.get(f.name, f.name)}: {value!r} is not finite")
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"data must be synthetic or csv, got {self.data!r}")
         if self.data == "csv" and not self.csv:
@@ -163,6 +168,7 @@ class ExperimentConfig:
 
 
 _KEY_ALIASES = {"lambda": "lam"}
+_FLAG_NAMES = {name: key for key, name in _KEY_ALIASES.items()}
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
@@ -403,13 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trajectory generation, Q-learning training, and shortfall backtesting",
     )
     sub = parser.add_subparsers(dest="stage", required=True)
-    flag_names = {name: key for key, name in _KEY_ALIASES.items()}
     for stage in _STAGES:
         sp = sub.add_parser(stage, help=(_STAGES[stage].__doc__ or "").strip())
         sp.add_argument("--config", dest="config_path", type=str, default=None, help="key = value experiment file")
         for f in fields(ExperimentConfig):
             if "help" in f.metadata:
-                flag = "--" + flag_names.get(f.name, f.name).replace("_", "-")
+                flag = "--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
                 sp.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name], default=None, help=f.metadata["help"])
     return parser
 

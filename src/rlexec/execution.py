@@ -2,10 +2,14 @@
 
 Child orders walk the book level by level under a participation cap; residual
 volume rolls into the next period and a cap-free terminal order guarantees
-complete liquidation. An optional per-period multiplier beta re-sizes each
-non-final child order; beta = 1 everywhere replays the trade list fill for
-fill. Scoring is Perold-style implementation shortfall against the arrival
-price, in signed basis points (negative = cost for a buy).
+complete liquidation. One level loop walks a whole block of orders, against
+one book or a stack of books, and walk_book is its validated scalar view, so
+the training sweep and the calibration probes walk each block at once and
+still fill every order exactly as walk_book would. An optional per-period
+multiplier beta re-sizes each non-final child order; beta = 1 everywhere
+replays the trade list fill for fill. Scoring is Perold-style implementation
+shortfall against the arrival price, in signed basis points (negative = cost
+for a buy).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,41 +51,68 @@ class ISRecord:
         return math.fsum(fill.executed for _, fill in self.fills)
 
 
-def walk_book(prices: np.ndarray, volumes: np.ndarray, volume: float, cap: float = 1.0) -> Fill:
-    """Fill a market order by consuming levels in price order.
+class _Walk(NamedTuple):
+    executed: np.ndarray
+    vwap: np.ndarray
+    residual: np.ndarray
+    levels: np.ndarray
 
-    Executable volume is min(volume, floor(cap * total visible depth)) in
-    whole shares; whatever the cap or depth withholds comes back as residual,
-    never as an exception.
+
+def _walk_books(prices, volumes, requests, cap: float = 1.0) -> _Walk:
+    """Walk a block of market orders, levels on the last axis of the books.
+
+    `prices` and `volumes` hold one book, shape (L,), or a stack, shape
+    (..., L); `requests` broadcasts against the stack's leading axes. Each
+    request is filled by the scalar rule of walk_book, with the same per-level
+    min / take > 0 arithmetic in the same order, so every element is bit for
+    bit the scalar walk of its book. (Cumulative depth plus searchsorted would
+    sum the value in another order.)
+
+    The name is private so that a call tracer wrapping the module's public
+    functions sees one span per walk_book call, not a second one inside it.
     """
-    if volume < 0:
+    requests = np.asarray(requests, dtype=float)
+    if not np.isfinite(requests).all():
+        raise ValueError("non-finite volume")
+    if (requests < 0).any():
         raise ValueError("negative volume")
     if not 0.0 < cap <= 1.0:
         raise ValueError("cap must be in (0, 1]")
     prices = np.asarray(prices, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
-    total_depth = float(volumes.sum())
-    executable = min(float(volume), float(math.floor(cap * total_depth)))
+    depth = np.floor(cap * volumes.sum(axis=-1))
+    executable = np.where(depth < requests, depth, requests)  # min(request, depth)
     remaining = executable
-    value = 0.0
-    levels = 0
-    for price, avail in zip(prices, volumes):
-        if remaining <= 0.0:
+    value = np.zeros(executable.shape)
+    levels = np.zeros(executable.shape, dtype=np.int64)
+    for k in range(prices.shape[-1]):
+        if not remaining.any():  # remaining never drops below zero
             break
-        take = min(remaining, float(avail))
-        if take > 0.0:
-            value += take * float(price)
-            levels += 1
-            remaining -= take
-    if 0.0 < remaining < 1e-9:  # dust from fractional averaged depth
-        remaining = 0.0
+        take = np.fmin(remaining, volumes[..., k])  # min(remaining, avail), NaN depth included
+        hit = take > 0.0
+        value = np.where(hit, value + take * prices[..., k], value)
+        remaining = remaining - np.where(hit, take, 0.0)
+        levels += hit
+    remaining = np.where((remaining > 0.0) & (remaining < 1e-9), 0.0, remaining)  # dust from fractional averaged depth
     executed = executable - remaining
+    vwap = np.divide(value, executed, out=np.zeros(executed.shape), where=executed > 0.0)
+    return _Walk(executed, vwap, requests - executed, levels)
+
+
+def walk_book(prices: np.ndarray, volumes: np.ndarray, volume: float, cap: float = 1.0) -> Fill:
+    """Fill a market order by consuming levels in price order.
+
+    Executable volume is min(volume, floor(cap * total visible depth)) in
+    whole shares; whatever the cap or depth withholds comes back as residual,
+    never as an exception. A negative or non-finite volume is a ValueError.
+    """
+    walk = _walk_books(prices, volumes, volume, cap)
     return Fill(
         requested=float(volume),
-        executed=executed,
-        vwap=value / executed if executed > 0.0 else 0.0,
-        residual=float(volume) - executed,
-        levels_consumed=levels,
+        executed=float(walk.executed),
+        vwap=float(walk.vwap),
+        residual=float(walk.residual),
+        levels_consumed=int(walk.levels),
     )
 
 

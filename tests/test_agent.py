@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestActionGrid:
         with pytest.raises(ValueError):
             ActionGrid.from_bounds(incr=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite beta"):
+            ActionGrid(betas=(0.0, bad))
+
+    def test_grid_size_is_checked_before_building(self):
+        assert len(ActionGrid.from_bounds(0.0, agent.MAX_ACTIONS - 1.0, 1.0)) == agent.MAX_ACTIONS
+        for bounds in [(0.0, float(agent.MAX_ACTIONS), 1.0), (0.0, 2.0, 1e-300), (0.0, float("inf"), 1.0)]:
+            with pytest.raises(ValueError, match=f"exceeds {agent.MAX_ACTIONS} actions"):
+                ActionGrid.from_bounds(*bounds)
+
 
 class TestEncodeState:
     def test_full_inventory_maps_to_top_bucket(self):
@@ -92,6 +104,21 @@ class TestEncodeState:
         x = encode_state(1, 0, make_bar(spread=0.06), dist(), total_shares=100,
                          inv_buckets=5, spread_buckets=5, vol_buckets=5)
         assert x.i == 1
+
+    def test_inventory_buckets_match_python_int_arithmetic(self):
+        def reference(remaining: float, total: int, buckets: int) -> int:
+            shares = int(round(remaining))
+            return 1 if shares <= 0 else min(buckets, (shares * buckets + total - 1) // total)
+
+        rng = np.random.default_rng(4)
+        # the last two sit on the int64 bound: total * (buckets + 1) == 2**63
+        for total, buckets in [(100, 5), (10000, 20), (2**62 // 3, 3), (2**61, 3), (2**62, 1)]:
+            remaining = np.concatenate([rng.uniform(0, total, 200), np.arange(0.5, 40.5), [0.0, total]])
+            got = agent._inventory_bucket(remaining, total, buckets).tolist()
+            assert got == [reference(r, total, buckets) for r in remaining.tolist()]
+        for total, buckets in [(2**61 + 1, 3), ((2**63 - 1) // 3, 3), (2**62, 2)]:
+            with pytest.raises(ValueError, match="overflow int64"):
+                agent._inventory_bucket(float(total), total, buckets)
 
     def test_missing_distribution(self):
         with pytest.raises(ValueError, match="no historical distribution"):
@@ -417,6 +444,41 @@ class TestPersistence:
             load_qtable(path)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [(c, v) for c in (0, 3, 4, 7) for v in ("1.0", "1.5", "2e0")]
+        + [(7, "9223372036854775808"), (0, "-9223372036854775809")],
+    )
+    def test_non_integer_index_or_visits_is_a_bad_row_with_warnings_ignored(self, tmp_path, column, value):
+        # as a CLI run sees it: no filter turns a NumPy DeprecationWarning into an error
+        path, lines = self.saved_lines(tmp_path)
+        cells = lines[16].split(",")
+        cells[column] = value + ("\r\n" if column == 7 else "")
+        lines[16] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=r"bad row on line 17\b"):
+                load_qtable(path)
+
+    def test_a_block_loadtxt_warns_on_goes_through_the_row_parser(self, tmp_path, monkeypatch):
+        # NumPy releases that warn and truncate a float in an int64 column
+        # instead of rejecting it: the warned parse must not be used
+        real = np.loadtxt
+
+        def warn_and_truncate(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+            rows["q"] = np.trunc(rows["q"])
+            return rows
+
+        monkeypatch.setattr(agent.np, "loadtxt", warn_and_truncate)
+        path, _ = self.saved_lines(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            q, _, _ = load_qtable(path)
+        assert q.values.ravel().tolist() == (np.arange(q.values.size) * 0.5).tolist()
+
     @pytest.mark.parametrize("block", [4, 8192])  # rows 4 and 15: other or same array pass
     def test_duplicate_cell_names_the_line(self, tmp_path, monkeypatch, block):
         # the table keeps its row count, so only the duplicate check sees it
@@ -425,6 +487,42 @@ class TestPersistence:
         lines[20] = lines[9]
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=r"line 21: duplicate cell \(t, i, s, v, action\) = \(1, 1, 1, 2, 0\)"):
+            load_qtable(path)
+
+    def test_round_trip_is_bit_exact_at_the_float_and_count_extremes(self, tmp_path):
+        q = QTable.zeros(2, 2, 2, 2, 3)
+        extremes = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, 1 / 3]
+        q.values.flat[: len(extremes)] = extremes
+        q.visit_counts.flat[:4] = [2**63 - 1, 2**53 + 1, 2**31, 1]
+        path = tmp_path / "qtable.csv"
+        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        q2, _, _ = load_qtable(path)
+        assert q2.values.tobytes() == q.values.tobytes()  # -0.0 keeps its sign bit
+        assert q2.visit_counts.tobytes() == q.visit_counts.tobytes()
+
+    @pytest.mark.parametrize("block", [4, agent._LOAD_BLOCK])
+    def test_bad_first_row_of_the_second_block_names_its_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(agent, "_LOAD_BLOCK", block)
+        q = QTable.zeros(4, 4, 4, 4, 41)  # 10,496 rows: more than one block either way
+        path = tmp_path / "qtable.csv"
+        save_qtable(path, q, ActionGrid.from_bounds(0.0, 2.0, 0.05), LearningSchedule())
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        line = 6 + block + 1  # 5 header lines, the column header, then block rows
+        cells = lines[line - 1].split(",")
+        cells[6] = "zero"  # the q cell
+        lines[line - 1] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad row on line {line}:"):
+            load_qtable(path)
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines.insert(10, "\r\n")  # blank line 11 pushes the 11th row to line 18
+        cells = lines[17].split(",")
+        cells[0] = "0"
+        lines[17] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 18: cell .* outside dims"):
             load_qtable(path)
 
 class TestDPEquivalenceSmall:

@@ -14,6 +14,7 @@ from rlexec.almgren_chriss import (
     compute_trajectory,
     fit_temporary_impact,
 )
+from rlexec.execution import walk_book
 from rlexec.market_data import Side
 
 from conftest import T0, make_bar, make_bar_sequence
@@ -216,3 +217,26 @@ class TestCalibrate:
         bars = make_bar_sequence(8, level_volume=900.0, step=0.10)
         p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=Side.SELL)
         assert p.eta > 0
+
+    @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+    def test_probes_match_a_per_bar_walk_book_loop(self, side):
+        # thin and empty books: the small probes fill partly, none fills an
+        # empty side, and a point is kept only for a probe that filled
+        rng = np.random.default_rng(5)
+        bars = make_bar_sequence(12, level_volume=400.0, step=0.07)
+        for k, bar in enumerate(bars):
+            prices, volumes = bar.levels(side)
+            volumes[:] = 0.0 if k % 4 == 1 else rng.integers(1, 900, size=5) / 3
+        depth = float(np.median([bar.levels(side)[1].sum() for bar in bars]))
+        rates, impacts = [], []
+        for bar in bars:
+            for probe in sorted({max(int(round(f * depth)), 1) for f in (0.05, 0.1, 0.2, 0.4, 0.8)}):
+                fill = walk_book(*bar.levels(side), probe, cap=1.0)
+                if fill.executed <= 0:
+                    continue
+                rates.append(fill.executed / 2.0)
+                impacts.append(fill.vwap - bar.mid if side is Side.BUY else bar.mid - fill.vwap)
+        assert len(rates) < 5 * len(bars)  # the empty books gave no point
+        slope, _ = fit_temporary_impact(np.array(rates), np.array(impacts))
+        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=side, tau=2.0)
+        assert p.eta.hex() == slope.hex()

@@ -108,6 +108,24 @@ def test_bad_config_exits_2(tmp_path, capsys, line, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--beta-ub", "inf", "bad value for beta_ub: inf is not finite"),
+        ("--beta-lb", "-inf", "bad value for beta_lb: -inf is not finite"),
+        ("--tau", "nan", "bad value for tau: nan is not finite"),
+        ("--lambda", "nan", "bad value for lambda: nan is not finite"),
+        ("--cap", "inf", "bad value for cap: inf is not finite"),
+        ("--beta-incr", "1e-300", "exceeds 10000 actions"),
+    ],
+)
+def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, message):
+    assert cli.main(args("train", tmp_path / "out", f"{flag}={value}")) == 2
+    error = error_of(capsys)
+    assert error["error"] == "config-error"
+    assert message in error["message"]
+
+
 def test_missing_upstream_artifact_exits_4(tmp_path, capsys):
     assert cli.main(args("calibrate", tmp_path / "empty")) == 4
     error = error_of(capsys)

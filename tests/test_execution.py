@@ -7,10 +7,13 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlexec.execution import (
     Fill,
     LiquidationError,
+    _walk_books,
     execute_schedule,
     implementation_shortfall,
     walk_book,
@@ -81,6 +84,101 @@ class TestWalkBook:
             walk_book(*BOOK_A, 10, cap=0.0)
         with pytest.raises(ValueError):
             walk_book(*BOOK_A, 10, cap=1.5)
+
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_volume_is_rejected(self, volume):
+        with pytest.raises(ValueError, match="non-finite volume"):
+            walk_book(*BOOK_A, volume)
+
+
+def scalar_walk(prices, volumes, volume: float, cap: float) -> tuple[float, float, float, int]:
+    """Reference: the per-request walk, one level after another in Python
+    floats (executed, vwap, residual, levels consumed)."""
+    prices = np.asarray(prices, dtype=float)
+    volumes = np.asarray(volumes, dtype=float)
+    total_depth = float(volumes.sum())
+    executable = min(float(volume), float(math.floor(cap * total_depth)))
+    remaining = executable
+    value = 0.0
+    levels = 0
+    for price, avail in zip(prices, volumes):
+        if remaining <= 0.0:
+            break
+        take = min(remaining, float(avail))
+        if take > 0.0:
+            value += take * float(price)
+            levels += 1
+            remaining -= take
+    if 0.0 < remaining < 1e-9:
+        remaining = 0.0
+    executed = executable - remaining
+    return executed, value / executed if executed > 0.0 else 0.0, float(volume) - executed, levels
+
+
+def bits(executed, vwap, residual, levels) -> tuple:
+    return float(executed).hex(), float(vwap).hex(), float(residual).hex(), int(levels)
+
+
+# level depth: empty, whole shares, or a mean over a few snapshots
+DEPTH = st.one_of(
+    st.just(0.0),
+    st.integers(0, 30000).map(float),
+    st.tuples(st.integers(0, 150000), st.sampled_from([3, 5, 7])).map(lambda kn: kn[0] / kn[1]),
+)
+CAPS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+# whole-share requests: none, inside the book, and far beyond it
+REQUESTS = st.one_of(st.just(0), st.integers(0, 200000), st.just(10**9)).map(float)
+
+
+@st.composite
+def books(draw, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """n books of `levels` ascending price levels."""
+    base = np.array([draw(st.floats(1.0, 200.0)) for _ in range(n)])
+    steps = np.array([[draw(st.sampled_from([0.01, 0.05, 0.3])) for _ in range(levels)] for _ in range(n)])
+    volumes = np.array([[draw(DEPTH) for _ in range(levels)] for _ in range(n)])
+    return base[:, None] + np.cumsum(steps, axis=1), volumes
+
+
+class TestBlockWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 7), CAPS)
+    def test_matches_scalar_reference_bit_for_bit(self, data, n, levels, cap):
+        prices, volumes = data.draw(books(n, levels))
+        requests = np.array(data.draw(st.lists(REQUESTS, min_size=n * 3, max_size=n * 3))).reshape(n, 3)
+        expected = [
+            [bits(*scalar_walk(prices[b], volumes[b], requests[b, r], cap)) for r in range(3)]
+            for b in range(n)
+        ]
+        # a stack of books, each with its own column of requests
+        stack = _walk_books(prices[:, None, :], volumes[:, None, :], requests, cap)
+        assert [[bits(*(part[b, r] for part in stack)) for r in range(3)] for b in range(n)] == expected
+        # one book at a time, its requests as one block and through walk_book
+        for b in range(n):
+            block = _walk_books(prices[b], volumes[b], requests[b], cap)
+            assert [bits(*(part[r] for part in block)) for r in range(3)] == expected[b]
+            for r in range(3):
+                fill = walk_book(prices[b], volumes[b], requests[b, r], cap)
+                assert bits(fill.executed, fill.vwap, fill.residual, fill.levels_consumed) == expected[b][r]
+                assert fill.executed + fill.residual == fill.requested == requests[b, r]
+                assert fill.executed == int(fill.executed)  # whole shares
+        assert np.array_equal(stack.executed + stack.residual, requests)
+
+    @pytest.mark.parametrize(
+        "volumes",
+        [
+            [1 / 3, 2 / 3],  # sums to 1.0; walking it leaves 1.1e-16 of dust
+            [0.1, 0.2, 0.7],  # sums to 1.0000000000000002, dust again
+            [0.7, 0.2, 0.1],  # sums to 0.9999999999999999: floors to no share
+        ],
+    )
+    def test_rounding_edges_match_scalar_reference(self, volumes):
+        prices = 100.0 + 0.1 * np.arange(len(volumes))
+        requests = np.array([0.0, 1.0, 5.0])
+        block = _walk_books(prices, volumes, requests)
+        expected = [bits(*scalar_walk(prices, volumes, r, 1.0)) for r in requests]
+        assert [bits(*(part[r] for part in block)) for r in range(3)] == expected
+        assert expected[2][0] == (0.0 if volumes[0] == 0.7 else 1.0).hex()
 
 
 class TestImplementationShortfall:
