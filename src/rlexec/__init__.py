@@ -27,7 +27,6 @@ from .almgren_chriss import (
 )
 from .backtest import (
     ISStatistics,
-    RunConfig,
     StrategyRuns,
     compare,
     run_ac,
@@ -35,6 +34,7 @@ from .backtest import (
     write_report,
     write_runs_csv,
 )
+from .config import ExperimentConfig
 from .execution import (
     Fill,
     ISRecord,

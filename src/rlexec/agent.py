@@ -232,7 +232,6 @@ def train(
     grid: ActionGrid,
     dists: dict[int, HistoricalDistribution],
     *,
-    total_shares: int,
     cap: float,
     side: Side = Side.BUY,
     learning: LearningSchedule | None = None,
@@ -240,7 +239,8 @@ def train(
 ) -> TrainingResult:
     """Sweep-train the Q table over the training windows.
 
-    Per episode, periods run from the horizon down to 1 and every inventory
+    The state grid is the table's shape and the program size the trade
+    list's sum. Per episode, periods run from the horizon down to 1 and every inventory
     bucket and action are visited. The hypothetical inventory for bucket i is
     the bucket midpoint; the child volume is that inventory rescaled by the
     trade list's remaining-weight for the period. The final period walks the
@@ -264,7 +264,7 @@ def train(
     if len(sched) != periods:
         raise ValueError("trade list length does not match the horizon")
     learning = learning if learning is not None else LearningSchedule()
-    total = int(total_shares)
+    total = int(sched.sum())
     suffix = np.cumsum(sched[::-1])[::-1]  # shares still planned from period j on
     # bucket midpoints as a column against the actions' row of betas
     midpoints = np.array(

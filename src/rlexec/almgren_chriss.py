@@ -26,6 +26,11 @@ import numpy as np
 from .execution import _walk_books, walk_book  # noqa: F401
 from .market_data import IntervalBar, Side
 
+#: Probe volumes for the impact fit, as fractions of the median visible depth.
+PROBE_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8)
+#: eta when the impact fit is flat, negative or has too few points.
+ETA_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class ACParams:
@@ -152,16 +157,14 @@ def calibrate(
     total_shares: float,
     periods: int,
     side: Side = Side.BUY,
-    tau: float = 1.0,
-    probe_fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8),
-    eta_floor: float = 1e-9,
 ) -> ACParams:
     """Estimate sigma and eta from training bars; rho is pinned at zero.
 
     sigma is the std of mid-price changes between consecutive bars (gaps are
     skipped). eta is the slope of simulated temporary impact, book-walk VWAP
-    minus pre-trade mid, against trade rate for a grid of probe volumes walked
-    through every bar. A flat or negative fit floors eta with a warning.
+    minus pre-trade mid, against trade rate (shares per bar, tau = 1) for
+    PROBE_FRACTIONS of the median depth walked through every bar. A flat or
+    negative fit floors eta at ETA_FLOOR with a warning.
     """
     if len(bars) < 2:
         raise ValueError("need at least 2 bars to calibrate")
@@ -179,22 +182,22 @@ def calibrate(
     prices = np.array([p for p, _ in books])
     volumes = np.array([v for _, v in books])
     depth = float(np.median(volumes.sum(axis=-1)))
-    probes = sorted({max(int(round(f * depth)), 1) for f in probe_fractions})
+    probes = sorted({max(int(round(f * depth)), 1) for f in PROBE_FRACTIONS})
     # every bar walks every probe, bar-major, probe-minor; probes that fill
     # nothing give no point
     walk = _walk_books(prices[:, None, :], volumes[:, None, :], probes, cap=1.0)
     filled = walk.executed > 0
     move = walk.vwap - mids[:, None] if side is Side.BUY else mids[:, None] - walk.vwap
-    rates = (walk.executed / tau)[filled]
+    rates = walk.executed[filled]
     impacts = move[filled]
-    eta = eta_floor
+    eta = ETA_FLOOR
     if len(rates) >= 2 and np.ptp(rates) > 0.0:
         slope, _ = fit_temporary_impact(rates, impacts)
         if math.isfinite(slope) and slope > 0.0:
             eta = slope
-    if eta == eta_floor:
+    if eta == ETA_FLOOR:
         warnings.warn(
-            f"temporary impact fit degenerate; eta floored at {eta_floor:g}",
+            f"temporary impact fit degenerate; eta floored at {ETA_FLOOR:g}",
             stacklevel=2,
         )
     return ACParams(
@@ -203,6 +206,4 @@ def calibrate(
         lam=lam,
         total_shares=total_shares,
         periods=periods,
-        tau=tau,
-        rho=0.0,
     )

@@ -4,58 +4,29 @@ Each test day supplies one window of bars at the configured hour. The static
 strategy replays the rounded trade list through the execution engine; the
 adaptive strategy runs the same engine with each child order scaled by the
 greedy beta of the Q table for the live state. Runs are scored by
-implementation shortfall and compared by medians and dispersion.
+implementation shortfall and compared by medians and dispersion. Every run
+and report function takes the experiment as the pipeline's own
+`ExperimentConfig`: its hour, horizon, bar length, cap, side, reference and
+beta grid drive the runs, and its (V, T, I/B/W, H) key the report tables.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .agent import ActionGrid, QTable, encode_state, greedy_beta
+from .agent import QTable, encode_state, greedy_beta
+from .config import ExperimentConfig
 # walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
 from .execution import ISRecord, LiquidationError, _schedule_total, execute_schedule, walk_book  # noqa: F401
 from .market_data import HistoricalDistribution, IntervalBar, Side, arrival_reference, day_windows
 
 REPORT_HOURS = tuple(range(9, 17))
-
-
-@dataclass
-class RunConfig:
-    """One experiment: program size, horizon, hour, state dims, and engine knobs."""
-
-    total_shares: int
-    periods: int
-    hour: int
-    inv_buckets: int = 5
-    spread_buckets: int = 5
-    vol_buckets: int = 5
-    grid: ActionGrid = field(default_factory=ActionGrid.from_bounds)
-    tau: float = 300.0  # bar length in seconds
-    cap: float = 0.2
-    side: Side = Side.BUY
-    reference: str = "mid"  # arrival benchmark: mid | ask
-
-    def __post_init__(self) -> None:
-        if self.total_shares <= 0:
-            raise ValueError("total shares must be > 0")
-        if self.periods < 1:
-            raise ValueError("periods must be >= 1")
-        if not 0 <= self.hour <= 23:
-            raise ValueError("hour outside the trading day")
-        if min(self.inv_buckets, self.spread_buckets, self.vol_buckets) < 2:
-            raise ValueError("bucket counts must be >= 2")
-        if not 0.0 < self.cap <= 1.0:
-            raise ValueError("cap must be in (0, 1]")
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if self.reference not in ("mid", "ask"):
-            raise ValueError("reference must be mid or ask")
 
 
 @dataclass
@@ -65,15 +36,16 @@ class StrategyRuns:
 
 
 def _run_days(
-    cfg: RunConfig,
+    cfg: ExperimentConfig,
     test_bars: list[IntervalBar],
     schedule_shares: np.ndarray,
     beta: Callable[[int, IntervalBar, float], float] | None = None,
 ) -> StrategyRuns:
     """Execute the trade list, re-sized by `beta` when given, on every test
     day; liquidation failures and days without a state are skipped days."""
-    _schedule_total(np.asarray(schedule_shares), cfg.periods)
-    windows, skipped = day_windows(test_bars, cfg.hour, cfg.periods, cfg.tau)
+    _schedule_total(np.asarray(schedule_shares), cfg.T)
+    side = Side(cfg.side)
+    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
     records: dict[date, ISRecord] = {}
     for window in windows:
         try:
@@ -81,8 +53,8 @@ def _run_days(
                 list(window.bars),
                 schedule_shares,
                 cfg.cap,
-                cfg.side,
-                reference=arrival_reference(window, cfg.side, cfg.reference),
+                side,
+                reference=arrival_reference(window, side, cfg.reference),
                 beta=beta,
             )
         except (LiquidationError, ValueError) as exc:  # ValueError: no distribution for an hour
@@ -90,20 +62,23 @@ def _run_days(
     return StrategyRuns(records=records, skipped=skipped)
 
 
-def run_ac(cfg: RunConfig, test_bars: list[IntervalBar], schedule_shares: np.ndarray) -> StrategyRuns:
+def run_ac(cfg: ExperimentConfig, test_bars: list[IntervalBar], schedule_shares: np.ndarray) -> StrategyRuns:
     """Replay the static trade list on every test day at the configured hour."""
     return _run_days(cfg, test_bars, schedule_shares)
 
 
 def run_rl(
-    cfg: RunConfig,
+    cfg: ExperimentConfig,
     test_bars: list[IntervalBar],
     schedule_shares: np.ndarray,
     q: QTable,
     dists: dict[int, HistoricalDistribution],
 ) -> StrategyRuns:
-    """Execute the Q-modulated trade list on every test day."""
+    """Execute the Q-modulated trade list on every test day; the state grid
+    is the Q table's own."""
     total = int(np.sum(schedule_shares))
+    _, inv_buckets, spread_buckets, vol_buckets, _ = q.values.shape
+    grid = cfg.grid()
 
     def beta(remaining_periods: int, bar: IntervalBar, remaining_shares: float) -> float:
         x = encode_state(
@@ -112,11 +87,11 @@ def run_rl(
             bar,
             dists.get(bar.hour),
             total_shares=total,
-            inv_buckets=cfg.inv_buckets,
-            spread_buckets=cfg.spread_buckets,
-            vol_buckets=cfg.vol_buckets,
+            inv_buckets=inv_buckets,
+            spread_buckets=spread_buckets,
+            vol_buckets=vol_buckets,
         )
-        return greedy_beta(q, x, cfg.grid)
+        return greedy_beta(q, x, grid)
 
     return _run_days(cfg, test_bars, schedule_shares, beta)
 
@@ -177,10 +152,10 @@ def _std_pct(bps: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ibw_label(cfg: RunConfig) -> str:
-    if cfg.inv_buckets == cfg.spread_buckets == cfg.vol_buckets:
-        return str(cfg.inv_buckets)
-    return f"{cfg.inv_buckets}/{cfg.spread_buckets}/{cfg.vol_buckets}"
+def _ibw_label(cfg: ExperimentConfig) -> str:
+    if cfg.I == cfg.B == cfg.W:
+        return str(cfg.I)
+    return f"{cfg.I}/{cfg.B}/{cfg.W}"
 
 
 def _config_comment_lines(config_echo: dict | None) -> list[str]:
@@ -189,9 +164,9 @@ def _config_comment_lines(config_echo: dict | None) -> list[str]:
     return [f"# config {key}={config_echo[key]}" for key in sorted(config_echo)]
 
 
-def write_runs_csv(path: str | Path, cfg: RunConfig, runs_by_model: dict[str, StrategyRuns]) -> None:
+def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[str, StrategyRuns]) -> None:
     """Per-run rows: id, date, hour, model, shortfall, per-period fills."""
-    periods = cfg.periods
+    periods = cfg.T
     header = ["run_id", "date", "hour", "model", "shortfall_bps"]
     header += [f"executed_{p}" for p in range(1, periods + 1)]
     header += [f"vwap_{p}" for p in range(1, periods + 1)]
@@ -206,7 +181,7 @@ def write_runs_csv(path: str | Path, cfg: RunConfig, runs_by_model: dict[str, St
                 row = [
                     f"{model}-{day.isoformat()}",
                     day.isoformat(),
-                    cfg.hour,
+                    cfg.H,
                     model,
                     repr(record.shortfall_bps),
                 ]
@@ -217,7 +192,7 @@ def write_runs_csv(path: str | Path, cfg: RunConfig, runs_by_model: dict[str, St
 
 def write_report(
     out_dir: str | Path,
-    entries: list[tuple[RunConfig, ISStatistics]],
+    entries: list[tuple[ExperimentConfig, ISStatistics]],
     trace: list[tuple[int, float | None]] | None = None,
     config_echo: dict | None = None,
 ) -> dict[str, Path]:
@@ -236,8 +211,8 @@ def write_report(
 
     grouped: dict[tuple, dict[int, ISStatistics]] = {}
     for cfg, stats in entries:
-        key = (cfg.total_shares, cfg.periods, _ibw_label(cfg))
-        grouped.setdefault(key, {})[cfg.hour] = stats
+        key = (cfg.V, cfg.T, _ibw_label(cfg))
+        grouped.setdefault(key, {})[cfg.H] = stats
 
     def fmt(value: float | None) -> str:
         return "NA" if value is None else f"{value:.4f}"

@@ -1,9 +1,9 @@
 """Config-driven pipeline: ingest/synth -> calibrate -> train -> backtest -> report.
 
 Each stage reads its upstream artifact from the output directory and writes
-its own, so runs are resumable and, given a fixed seed, byte-identical. The
-config is a plain key=value file; command-line flags named after the model
-parameters override it.
+its own, so runs are resumable and, given a fixed seed, byte-identical. Every
+stage takes the same `ExperimentConfig` (see `rlexec.config`): a key = value
+file, overridden by command-line flags named after the model parameters.
 """
 
 from __future__ import annotations
@@ -11,196 +11,34 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-import typing
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from datetime import date, datetime
+from dataclasses import fields
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .agent import (
-    ActionGrid,
-    LearningSchedule,
-    QTable,
-    load_qtable,
-    save_qtable,
-    train,
-)
+from .agent import LearningSchedule, QTable, load_qtable, save_qtable, train
 from .almgren_chriss import compute_trajectory, calibrate
-from .backtest import ISStatistics, RunConfig, compare, run_ac, run_rl, write_report, write_runs_csv
+from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write_runs_csv
+from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
 from .execution import LiquidationError
 from .market_data import (
     DataSplit,
     IngestResult,
     Side,
-    SyntheticConfig,
     aggregate_intervals,
     build_distributions,
     day_windows,
     generate_synthetic,
     ingest_csv,
-    planted_regime_config,
     write_snapshots_csv,
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class MissingArtifactError(FileNotFoundError):
     pass
-
-
-_PRESETS = ("planted", "uniform")
-
-
-def _key(default, help: str | None = None):
-    """A config key; one with help text is also a command-line flag."""
-    return field(default=default, metadata={"help": help} if help else {})
-
-
-@dataclass
-class ExperimentConfig:
-    data: str = _key("synthetic", "synthetic | csv")
-    csv: str = _key("", "raw depth CSV path")
-    days: int = _key(45, "synthetic days")
-    preset: str = _key("planted", "synthetic regime preset")
-    split: str = _key("", "train/test boundary (ISO datetime)")  # bars before train, rest test
-    V: int = _key(10000, "volume to trade")
-    T: int = _key(4, "trading periods")
-    H: int = _key(10, "trading hour")
-    I: int = _key(2, "inventory buckets")
-    B: int = _key(2, "spread buckets")
-    W: int = _key(2, "volume buckets")
-    beta_lb: float = _key(0.0, "lowest beta")
-    beta_ub: float = _key(2.0, "highest beta")
-    beta_incr: float = _key(0.25, "beta grid step")
-    lam: float = _key(0.01, "risk aversion")
-    tau: float = _key(300.0, "bar length, seconds")
-    gamma: float = 1.0
-    alpha0: float = _key(1.0, "initial learning rate")
-    cap: float = _key(0.2, "participation cap")
-    side: str = _key("buy", "buy | sell")
-    reference: str = _key("mid", "arrival benchmark: mid | ask")
-    seed: int = _key(42, "experiment seed")
-    base_price: float = 100.0
-    walk_sigma: float = 0.02
-    out: str = _key("out", "output directory")
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"bad value for {_FLAG_NAMES.get(f.name, f.name)}: {value!r} is not finite")
-        if self.data not in ("synthetic", "csv"):
-            raise ConfigError(f"data must be synthetic or csv, got {self.data!r}")
-        if self.data == "csv" and not self.csv:
-            raise ConfigError("data=csv requires a csv path")
-        if self.preset not in _PRESETS:
-            raise ConfigError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
-        if not self.split:
-            raise ConfigError("split boundary datetime is required")
-        try:
-            self.split_datetime()
-        except ValueError as exc:
-            raise ConfigError(f"bad split datetime: {exc}") from exc
-        if self.side not in ("buy", "sell"):
-            raise ConfigError("side must be buy or sell")
-        if self.gamma != 1.0:
-            # finite-horizon convergence requires an undiscounted update
-            warnings.warn("gamma must be 1 for the finite-horizon update; overriding to 1")
-            self.gamma = 1.0
-        try:
-            self.run_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def split_datetime(self) -> datetime:
-        ts = datetime.fromisoformat(self.split.replace("Z", "+00:00"))
-        if ts.tzinfo is None:
-            raise ValueError("split must carry a timezone")
-        return ts
-
-    def grid(self) -> ActionGrid:
-        return ActionGrid.from_bounds(self.beta_lb, self.beta_ub, self.beta_incr)
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(
-            total_shares=self.V,
-            periods=self.T,
-            hour=self.H,
-            inv_buckets=self.I,
-            spread_buckets=self.B,
-            vol_buckets=self.W,
-            grid=self.grid(),
-            tau=self.tau,
-            cap=self.cap,
-            side=Side.BUY if self.side == "buy" else Side.SELL,
-            reference=self.reference,
-        )
-
-    def synthetic_config(self) -> SyntheticConfig:
-        if self.preset == "planted":
-            cfg = planted_regime_config(hour=self.H)
-        else:
-            cfg = SyntheticConfig()
-        cfg.base_price = self.base_price
-        cfg.walk_sigma = self.walk_sigma
-        cfg.tau = self.tau
-        return cfg
-
-    def out_dir(self) -> Path:
-        return Path(self.out)
-
-    def echo(self) -> dict:
-        """Resolved key=value pairs for provenance; `out` is a location, not an
-        input, and is excluded so reruns into different directories compare
-        byte-identical."""
-        items = {f.name: getattr(self, f.name) for f in fields(self)}
-        items.pop("out")
-        items["lambda"] = items.pop("lam")
-        return {k: str(v) for k, v in items.items()}
-
-
-_KEY_ALIASES = {"lambda": "lam"}
-_FLAG_NAMES = {name: key for key, name in _KEY_ALIASES.items()}
-_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = text.partition("=")
-        raw[key.strip()] = value.strip()
-    return raw
-
-
-def load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    merged: dict[str, str] = {}
-    if path:
-        merged.update(parse_config_file(path))
-    merged.update(overrides)
-    for key, value in merged.items():
-        name = _KEY_ALIASES.get(key, key)
-        if name not in _KEY_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            setattr(cfg, name, _KEY_TYPES[name](value))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +56,6 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_store(cfg: ExperimentConfig, result: IngestResult) -> Path:
     """Write the snapshot store and its ingest_meta.json."""
     out = cfg.out_dir()
@@ -232,7 +66,7 @@ def _write_store(cfg: ExperimentConfig, result: IngestResult) -> Path:
         "rows": len(result.snapshots),
         "rejected": result.rejected_rows,
         "row_errors": dict(result.row_errors),
-        "sha256": _sha256(path),
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
     }
     (out / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
     return path
@@ -254,8 +88,7 @@ def cmd_ingest(cfg: ExperimentConfig) -> Path:
 def _load_split(cfg: ExperimentConfig) -> DataSplit:
     path = _require(_snapshots_path(cfg), "ingest")
     result = ingest_csv(path)
-    side = Side.BUY if cfg.side == "buy" else Side.SELL
-    bars = aggregate_intervals(result.snapshots, cfg.tau, side=side)
+    bars = aggregate_intervals(result.snapshots, cfg.tau, side=Side(cfg.side))
     split = DataSplit.at_boundary(bars, cfg.split_datetime())
     if not split.training:
         raise ValueError("no training bars before the split boundary")
@@ -267,8 +100,7 @@ def _load_split(cfg: ExperimentConfig) -> DataSplit:
 def cmd_calibrate(cfg: ExperimentConfig) -> Path:
     """Fit sigma/eta on the training bars and write the trajectory."""
     split = _load_split(cfg)
-    run = cfg.run_config()
-    params = calibrate(split.training, cfg.lam, cfg.V, cfg.T, side=run.side)
+    params = calibrate(split.training, cfg.lam, cfg.V, cfg.T, side=Side(cfg.side))
     trajectory = compute_trajectory(params)
     payload = {
         "sigma": params.sigma,
@@ -300,27 +132,26 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     """Sweep-train the Q table on the training windows."""
     split = _load_split(cfg)
     schedule = _load_schedule(cfg)
-    run = cfg.run_config()
+    grid = cfg.grid()
     dists = build_distributions(split.training)
     episodes, _ = day_windows(split.training, cfg.H, cfg.T, cfg.tau)
     if not episodes:
         raise ValueError(f"no training windows at hour {cfg.H}")
-    q = QTable.zeros(cfg.T, cfg.I, cfg.B, cfg.W, len(run.grid))
+    q = QTable.zeros(cfg.T, cfg.I, cfg.B, cfg.W, len(grid))
     learning = LearningSchedule(alpha0=cfg.alpha0, gamma=cfg.gamma)
     result = train(
         q,
         episodes,
         schedule,
-        run.grid,
+        grid,
         dists,
-        total_shares=cfg.V,
         cap=cfg.cap,
-        side=run.side,
+        side=Side(cfg.side),
         learning=learning,
         reference_kind=cfg.reference,
     )
     path = cfg.out_dir() / "qtable.csv"
-    save_qtable(path, q, run.grid, learning)
+    save_qtable(path, q, grid, learning)
     trace_path = cfg.out_dir() / "train_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("tuple_visit_index,pct_correct_actions\n")
@@ -336,16 +167,15 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
     split = _load_split(cfg)
     schedule = _load_schedule(cfg)
     q, grid, _ = load_qtable(_require(cfg.out_dir() / "qtable.csv", "train"))
-    run = cfg.run_config()
-    if grid.betas != run.grid.betas:
+    if grid.betas != cfg.grid().betas:
         raise ValueError("q-table action grid does not match the config")
     if q.values.shape[:4] != (cfg.T, cfg.I, cfg.B, cfg.W):
         raise ValueError(f"q-table dims {q.values.shape[:4]} do not match the config's (T, I, B, W)")
     dists = build_distributions(split.training)
-    ac_runs = run_ac(run, split.testing, schedule)
-    rl_runs = run_rl(run, split.testing, schedule, q, dists)
+    ac_runs = run_ac(cfg, split.testing, schedule)
+    rl_runs = run_rl(cfg, split.testing, schedule, q, dists)
     stats = compare(ac_runs.records, rl_runs.records)
-    write_runs_csv(cfg.out_dir() / "runs.csv", run, {"ac": ac_runs, "rl": rl_runs})
+    write_runs_csv(cfg.out_dir() / "runs.csv", cfg, {"ac": ac_runs, "rl": rl_runs})
     payload = {f.name: getattr(stats, f.name) for f in fields(ISStatistics)}
     payload["dates"] = [d.isoformat() for d in stats.dates]
     payload["skipped_ac"] = [[d.isoformat(), why] for d, why in ac_runs.skipped]
@@ -370,17 +200,10 @@ def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
     for line in trace_path.read_text(encoding="utf-8").splitlines()[1:]:
         visit, fraction = line.split(",")
         trace.append((int(visit), float(fraction)))
-    paths = write_report(
-        cfg.out_dir(),
-        [(cfg.run_config(), stats)],
-        trace=trace,
-        config_echo=cfg.echo(),
-    )
-    resolved = cfg.out_dir() / "resolved_config.txt"
     echo = cfg.echo()
-    resolved.write_text(
-        "".join(f"{key} = {echo[key]}\n" for key in sorted(echo)), encoding="utf-8"
-    )
+    paths = write_report(cfg.out_dir(), [(cfg, stats)], trace=trace, config_echo=echo)
+    resolved = cfg.out_dir() / "resolved_config.txt"
+    resolved.write_text("".join(f"{key} = {echo[key]}\n" for key in sorted(echo)), encoding="utf-8")
     paths["resolved_config"] = resolved
     return paths
 
@@ -410,17 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="stage", required=True)
     for stage in _STAGES:
-        sp = sub.add_parser(stage, help=(_STAGES[stage].__doc__ or "").strip())
-        sp.add_argument("--config", dest="config_path", type=str, default=None, help="key = value experiment file")
-        for f in fields(ExperimentConfig):
-            if "help" in f.metadata:
-                flag = "--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
-                sp.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name], default=None, help=f.metadata["help"])
+        add_flags(sub.add_parser(stage, help=(_STAGES[stage].__doc__ or "").strip()))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(join_negative_values(sys.argv[1:] if argv is None else argv))
     overrides = {
         key: str(value)
         for key, value in vars(args).items()

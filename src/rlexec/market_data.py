@@ -264,8 +264,8 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts
 
 
-def ingest_csv(path: str | Path, columns: tuple[str, ...] = DEPTH_CSV_COLUMNS) -> IngestResult:
-    """Read a depth CSV into validated snapshots sorted by timestamp.
+def ingest_csv(path: str | Path) -> IngestResult:
+    """Read a DEPTH_CSV_COLUMNS file into validated snapshots sorted by timestamp.
 
     Rows that fail parsing or book invariants are skipped and tallied per
     reason in ``row_errors``, under the first failing of: column count,
@@ -283,12 +283,12 @@ def ingest_csv(path: str | Path, columns: tuple[str, ...] = DEPTH_CSV_COLUMNS) -
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, no header") from None
-        if header != list(columns):
+        if header != list(DEPTH_CSV_COLUMNS):
             raise ValueError(f"{path}: malformed header {header!r}")
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(columns):
+            if len(row) != len(DEPTH_CSV_COLUMNS):
                 errors["wrong column count"] += 1
                 continue
             mark = len(flat)
@@ -489,21 +489,23 @@ class MixedRegime:
     lead_in: int = 0
 
 
+#: Synthetic days run from START_DAY, one UTC session of SESSION_HOURS each,
+#: with SNAPSHOTS_PER_INTERVAL evenly spaced snapshots per tau-interval.
+START_DAY = date(2024, 1, 1)
+SESSION_HOURS = range(9, 17)
+SNAPSHOTS_PER_INTERVAL = 5
+
+
 @dataclass
 class SyntheticConfig:
-    """Synthetic market: arithmetic random-walk mid plus per-hour book regimes."""
+    """Synthetic market: random-walk mid, a default book and mixed hours."""
 
     base_price: float = 100.0
     walk_sigma: float = 0.02  # mid-price std per tau interval
     tau: float = 300.0
-    snapshots_per_interval: int = 5
-    session_start_hour: int = 9
-    session_end_hour: int = 17
-    start_day: date = date(2024, 1, 1)
     default_regime: BookRegime = field(
         default_factory=lambda: BookRegime(spread=0.12, level_volume=8000.0, level_step=0.06)
     )
-    hourly: dict[int, BookRegime] = field(default_factory=dict)
     mixed_hours: dict[int, MixedRegime] = field(default_factory=dict)
 
 
@@ -516,6 +518,10 @@ def planted_regime_config(hour: int = 10) -> SyntheticConfig:
     sitting strictly between the two regimes. The unfavorable book stays deep
     enough (5 levels x 3500) that a full terminal order for the default demo
     volume always liquidates.
+
+    Its walk_sigma of 0.015 holds only for direct callers: the CLI's
+    `ExperimentConfig.synthetic_config` overwrites it with the config's
+    walk_sigma (0.02 by default) in every run.
     """
     favorable = BookRegime(
         spread=0.04, level_volume=30000.0, level_step=0.02,
@@ -538,7 +544,7 @@ def _interval_regime(
     mixed = config.mixed_hours.get(hour)
     if mixed is not None and interval >= mixed.lead_in:
         return mixed.favorable if rng.random() < mixed.p_favorable else mixed.unfavorable
-    return config.hourly.get(hour, config.default_regime)
+    return config.default_regime
 
 
 def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = None) -> BookFrame:
@@ -553,22 +559,19 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = No
     cfg = config if config is not None else SyntheticConfig()
     rng = np.random.default_rng(seed)
     intervals_per_hour = int(round(3600.0 / cfg.tau))
-    snap_step = cfg.tau / cfg.snapshots_per_interval
-    step_sigma = cfg.walk_sigma / math.sqrt(cfg.snapshots_per_interval)
+    snap_step = cfg.tau / SNAPSHOTS_PER_INTERVAL
+    step_sigma = cfg.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
     offsets = np.arange(N_LEVELS, dtype=float)
     mid = cfg.base_price
-    hours = cfg.session_end_hour - cfg.session_start_hour
-    values = np.empty((days * hours * intervals_per_hour * cfg.snapshots_per_interval, 4 * N_LEVELS))
+    values = np.empty((days * len(SESSION_HOURS) * intervals_per_hour * SNAPSHOTS_PER_INTERVAL, 4 * N_LEVELS))
     stamps: list[datetime] = []
     for d in range(days):
-        day_start = datetime.combine(
-            cfg.start_day + timedelta(days=d), time(0), tzinfo=timezone.utc
-        )
-        for hour in range(cfg.session_start_hour, cfg.session_end_hour):
+        day_start = datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc)
+        for hour in SESSION_HOURS:
             for k in range(intervals_per_hour):
                 regime = _interval_regime(cfg, hour, k, rng)
                 t0 = day_start + timedelta(hours=hour, seconds=k * cfg.tau)
-                for s in range(cfg.snapshots_per_interval):
+                for s in range(SNAPSHOTS_PER_INTERVAL):
                     mid = max(mid + rng.normal(0.0, step_sigma), 1.0)
                     spread = max(
                         regime.spread + regime.spread_jitter * rng.uniform(-1.0, 1.0),

@@ -327,8 +327,7 @@ class TestTrain:
         dists = build_distributions(list(episode.bars))
         q = QTable.zeros(1, 1, 2, 2, 1)
         grid = ActionGrid(betas=(1.0,))
-        result = train(q, [episode], np.array([100]), grid, dists,
-                       total_shares=100, cap=0.2)
+        result = train(q, [episode], np.array([100]), grid, dists, cap=0.2)
         assert result.updates == 1
         assert q.visit_counts.sum() == 1
 
@@ -336,8 +335,7 @@ class TestTrain:
         episode = self.make_episode(2)
         dists = build_distributions(list(episode.bars))
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(),
-                       dists, total_shares=100, cap=0.2)
+        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
         assert result.updates == 2 * 2 * 9
         assert q.visit_counts.sum() == 36
 
@@ -345,8 +343,7 @@ class TestTrain:
         episode = self.make_episode(3)
         dists = build_distributions(list(episode.bars))
         q = QTable.zeros(3, 2, 2, 2, 9)
-        train(q, [episode], np.array([40, 30, 30]), ActionGrid.from_bounds(),
-              dists, total_shares=100, cap=0.2)
+        train(q, [episode], np.array([40, 30, 30]), ActionGrid.from_bounds(), dists, cap=0.2)
         # identical bars: one (s, v) cell per period; T*I*A pairs visited once
         visited = q.visit_counts > 0
         assert visited.sum() == 3 * 2 * 9
@@ -358,7 +355,7 @@ class TestTrain:
         dists = build_distributions(list(good.bars))
         q = QTable.zeros(2, 2, 2, 2, 9)
         result = train(q, [short, good], np.array([50, 50]), ActionGrid.from_bounds(),
-                       dists, total_shares=100, cap=0.2)
+                       dists, cap=0.2)
         assert result.episodes_skipped == 1
         assert result.episodes_trained == 1
 
@@ -366,8 +363,7 @@ class TestTrain:
         episode = self.make_episode(2, hour=12)
         other = build_distributions(list(self.make_episode(2, hour=9).bars))
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(),
-                       other, total_shares=100, cap=0.2)
+        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(), other, cap=0.2)
         assert result.episodes_skipped == 1
         assert result.updates == 0
 
@@ -375,8 +371,7 @@ class TestTrain:
         episodes = [self.make_episode(2) for _ in range(3)]
         dists = build_distributions(list(episodes[0].bars))
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, episodes, np.array([50, 50]), ActionGrid.from_bounds(),
-                       dists, total_shares=100, cap=0.2)
+        result = train(q, episodes, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
         assert [v for v, _ in result.trace] == [36, 72, 108]
 
     def test_rewards_bounded_by_horizon(self):
@@ -387,7 +382,7 @@ class TestTrain:
         dists = build_distributions(bars)
         q = QTable.zeros(4, 2, 2, 2, 9)
         train(q, [episode] * 10, np.array([2500, 2500, 2500, 2500]),
-              ActionGrid.from_bounds(), dists, total_shares=10000, cap=1.0)
+              ActionGrid.from_bounds(), dists, cap=1.0)
         worst_single = -10000 * (bars[0].avg_ask_prices[-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
         assert np.all(q.values <= 0.0 + 1e-12)
         assert np.all(q.values >= 4 * worst_single)

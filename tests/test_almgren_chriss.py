@@ -234,9 +234,9 @@ class TestCalibrate:
                 fill = walk_book(*bar.levels(side), probe, cap=1.0)
                 if fill.executed <= 0:
                     continue
-                rates.append(fill.executed / 2.0)
+                rates.append(fill.executed)
                 impacts.append(fill.vwap - bar.mid if side is Side.BUY else bar.mid - fill.vwap)
         assert len(rates) < 5 * len(bars)  # the empty books gave no point
         slope, _ = fit_temporary_impact(np.array(rates), np.array(impacts))
-        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=side, tau=2.0)
+        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=side)
         assert p.eta.hex() == slope.hex()

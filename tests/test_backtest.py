@@ -9,16 +9,16 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from rlexec.agent import ActionGrid, QTable
+from rlexec.agent import QTable
 from rlexec.backtest import (
     ISStatistics,
-    RunConfig,
     compare,
     run_ac,
     run_rl,
     write_report,
     write_runs_csv,
 )
+from rlexec.config import ExperimentConfig
 from rlexec.execution import Fill, ISRecord, walk_book
 from rlexec.market_data import (
     DataSplit,
@@ -32,21 +32,10 @@ from rlexec.market_data import (
 from conftest import T0, make_bar, make_bar_sequence
 
 
-def config(**kwargs) -> RunConfig:
-    base = dict(
-        total_shares=10000,
-        periods=4,
-        hour=10,
-        inv_buckets=2,
-        spread_buckets=3,
-        vol_buckets=3,
-        grid=ActionGrid.from_bounds(),
-        tau=300.0,
-        cap=0.2,
-        side=Side.BUY,
-    )
+def config(**kwargs) -> ExperimentConfig:
+    base = dict(V=10000, T=4, H=10, I=2, B=3, W=3, tau=300.0, cap=0.2, side="buy")
     base.update(kwargs)
-    return RunConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def record_with_bps(bps: float) -> ISRecord:
@@ -180,7 +169,7 @@ def test_day(tmp_path):
     rl = run_rl(cfg, bars, schedule, q, build_distributions(bars))
 
     days = sorted(
-        {bar.start.astimezone(timezone.utc).date() for bar in bars if bar.hour == cfg.hour}
+        {bar.start.astimezone(timezone.utc).date() for bar in bars if bar.hour == cfg.H}
     )
     assert len(days) == 4
     for runs in (ac, rl):
@@ -284,7 +273,7 @@ class TestReport:
         assert row[-1] == "12.5000"
 
     def test_hour_sweep_fills_eight_columns(self, tmp_path):
-        entries = [(config(hour=h), stats_with(float(h))) for h in range(9, 17)]
+        entries = [(config(H=h), stats_with(float(h))) for h in range(9, 17)]
         paths = write_report(tmp_path, entries)
         rows, _ = read_csv(paths["table1"])
         assert len(rows) == 2
@@ -298,8 +287,7 @@ class TestReport:
                 for ibw in (5, 10):
                     entries.append(
                         (
-                            config(total_shares=v, periods=t, inv_buckets=ibw,
-                                   spread_buckets=ibw, vol_buckets=ibw),
+                            config(V=v, T=t, I=ibw, B=ibw, W=ibw),
                             stats_with(1.0),
                         )
                     )
@@ -341,7 +329,7 @@ class TestReport:
 
 class TestRunsCsv:
     def test_layout(self, tmp_path):
-        cfg = config(periods=2)
+        cfg = config(T=2)
         record = ISRecord(
             reference_price=100.0,
             total_volume=200,

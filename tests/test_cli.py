@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 
@@ -25,6 +26,25 @@ ARTIFACTS = (
     "fig2_trace.csv",
     "resolved_config.txt",
 )
+# sha256 of the demo run at seed 42 (DEMO_FLAGS); a change that moves a result
+# re-pins these and names each changed file
+DEMO_FLAGS = (
+    "--days", "45", "--split", "2024-02-01T00:00:00+00:00",
+    "--V", "10000", "--T", "4", "--I", "2", "--B", "2", "--W", "2", "--seed", "42",
+)
+DEMO_SHA256 = {
+    "snapshots.csv": "347b34196e9b7844b8f72f7d0b452e01a867b7e491a97359634d61e243335c61",
+    "ingest_meta.json": "4fe441a7259898b5935379178704cf1f1dffcdec9405e614d126f6b77feebfc6",
+    "params.json": "e0f190d9da721dc7540d1ef36c0dfe76e24fd441fbeca6e180f4f981bc075037",
+    "qtable.csv": "87ed79f7f5cdd1fefcd534ff853d2a7db9f69ae6be4baa3baed72747e636ef30",
+    "train_trace.csv": "d326572b4cf46d28c3ff0f8ff7460d7e630a3ce260e512cb4f2ec223fa0bdc1c",
+    "runs.csv": "d8361d7b9de009f3007ac9dbdd23bf9072d436c8249cd79607b1769bc60849a1",
+    "stats.json": "96230c055a947283dc522f7fbc3ee86512ee1627e8f906dc32ed1d22674411b7",
+    "table1.csv": "b9518abbe2833e7e21211f35fbb1980bb88544e412c2b0ad07b30c374a327f47",
+    "table2.csv": "ab9e9bd074d8fd5b696593d9ef3fbd45af0d72f56a2e8c37997134b81e0f9efb",
+    "fig2_trace.csv": "f20f3d7ffee399e9ee6b286073ef9d2799f1e20798ff2cec39201d19883d8aa8",
+    "resolved_config.txt": "f7c91a0c9787fc5c58915535fc08381635c9dbed914824137ba2fcea99f7f4ca",
+}
 # every stage's flags: name, dest, type, help
 FLAGS = [
     ("--config", "config_path", str, "key = value experiment file"),
@@ -97,7 +117,18 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("T = four", "bad value for T"), ("colour = red", "unknown config key 'colour'")],
+    [
+        ("T = four", "bad value for T"),
+        ("colour = red", "unknown config key 'colour'"),
+        ("V = 0", "total shares must be > 0"),
+        ("T = 0", "periods must be >= 1"),
+        ("H = 24", "hour outside the trading day"),
+        ("I = 1", "bucket counts must be >= 2"),
+        ("cap = 0", "cap must be in (0, 1]"),
+        ("tau = 0", "tau must be > 0"),
+        ("reference = close", "reference must be mid or ask"),
+        ("lambda = -0.001", "lambda must be >= 0"),
+    ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, line, message):
     path = tmp_path / "exp.cfg"
@@ -121,6 +152,22 @@ def test_bad_config_exits_2(tmp_path, capsys, line, message):
 )
 def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, message):
     assert cli.main(args("train", tmp_path / "out", f"{flag}={value}")) == 2
+    error = error_of(capsys)
+    assert error["error"] == "config-error"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "stage, flag, value, message",
+    [
+        ("train", "--beta-lb", "-inf", "bad value for beta_lb: -inf is not finite"),
+        ("train", "--lam", "-1e-3", "lambda must be >= 0"),  # a prefix argparse accepts
+    ]
+    + [(stage, "--lambda", "-1e-3", "lambda must be >= 0") for stage in cli._STAGES],
+)
+def test_negative_value_after_a_space_exits_2(tmp_path, capsys, stage, flag, value, message):
+    # argparse alone reads "-inf" and "-1e-3" as options ("expected one argument")
+    assert cli.main(args(stage, tmp_path / "out", flag, value)) == 2
     error = error_of(capsys)
     assert error["error"] == "config-error"
     assert message in error["message"]
@@ -211,3 +258,11 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
     run_pipeline(other)
     for name in ARTIFACTS:
         assert (other / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def test_demo_artifacts_at_seed_42_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    for stage in STAGES:
+        assert cli.main([stage, *DEMO_FLAGS, "--out", str(out)]) == 0, stage
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert digests == DEMO_SHA256

@@ -533,16 +533,6 @@ class TestSynthetic:
         for snap in snaps:
             assert snap.ask_prices[0] - snap.bid_prices[0] == pytest.approx(0.10, abs=1e-9)
 
-    def test_planted_tight_hour_has_lower_mean_spread(self):
-        tight = BookRegime(spread=0.02, level_volume=9000.0, level_step=0.01)
-        cfg = SyntheticConfig(hourly={11: tight})
-        snaps = generate_synthetic(8, days=3, config=cfg)
-        by_hour = defaultdict(list)
-        for snap in snaps:
-            by_hour[snap.timestamp.hour].append(snap.ask_prices[0] - snap.bid_prices[0])
-        means = {h: float(np.mean(v)) for h, v in by_hour.items()}
-        assert all(means[11] < means[h] for h in means if h != 11)
-
     def test_mixed_hour_lead_in_keeps_default_book(self):
         cfg = planted_regime_config(hour=10)
         snaps = generate_synthetic(4, days=1, config=cfg)

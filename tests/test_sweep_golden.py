@@ -61,7 +61,6 @@ def sweep(tmp_path, side: Side, reference: str) -> tuple[str, str, str, str]:
         compute_trajectory(params).share_schedule(),
         grid,
         build_distributions(bars),
-        total_shares=TOTAL,
         cap=0.2,
         side=side,
         reference_kind=reference,
