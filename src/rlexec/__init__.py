@@ -46,7 +46,6 @@ from .execution import (
 from .market_data import (
     BookFrame,
     BookRegime,
-    BookSnapshot,
     DataSplit,
     DayWindow,
     HistoricalDistribution,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 # walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
-from .execution import _walk_books, walk_book  # noqa: F401
+from .execution import _child_volume, _walk_books, walk_book  # noqa: F401
 from .market_data import (
     DayWindow,
     HistoricalDistribution,
@@ -242,8 +242,9 @@ def train(
     The state grid is the table's shape and the program size the trade
     list's sum. Per episode, periods run from the horizon down to 1 and every inventory
     bucket and action are visited. The hypothetical inventory for bucket i is
-    the bucket midpoint; the child volume is that inventory rescaled by the
-    trade list's remaining-weight for the period. The final period walks the
+    the bucket midpoint; the child volume is beta times that inventory rescaled
+    by the trade list's remaining weight for the period, the rule
+    execute_schedule sizes children by (_child_volume). The final period walks the
     whole remaining inventory cap-free, mirroring the terminal market order.
 
     Each period is one block: the I x A child volumes walk the period's book
@@ -305,8 +306,7 @@ def train(
                 walk = _walk_books(prices, volumes, midpoints, cap=1.0)
                 next_states = [[None] * n_actions] * inv_buckets  # absorbing
             else:
-                weight = sched[j] / suffix[j] if suffix[j] > 0 else 0.0
-                volume = np.minimum(np.maximum(np.rint(betas * (midpoints * weight)), 0.0), midpoints)
+                volume = _child_volume(betas, midpoints, sched[j], suffix[j])
                 walk = _walk_books(prices, volumes, volume, cap=cap)
                 s1, v1 = states[j + 1].s, states[j + 1].v
                 next_states = [
@@ -336,6 +336,8 @@ def _period_reward(walk, reference: float, total: int) -> np.ndarray:
 
 QTABLE_FORMAT = 1
 _QTABLE_COLUMNS = ("t", "i", "s", "v", "action", "beta", "q", "visits")
+#: The shortest data row a table file can hold, in bytes.
+_MIN_ROW_BYTES = len("1,1,1,1,0,0,0,0")
 #: File lines load_qtable parses and checks per array pass; bounds its memory.
 _LOAD_BLOCK = 8192
 
@@ -443,6 +445,10 @@ def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]
             alpha0=float(header.get("alpha0", "1.0")),
             gamma=float(header.get("gamma", "1.0")),
         )
+        # refuse dims the file cannot fill before allocating anything sized by them
+        cells, size = math.prod(dims) * len(betas), Path(path).stat().st_size
+        if cells * _MIN_ROW_BYTES > size:
+            raise ValueError(f"{path}: dims {dims} with {len(betas)} actions need {cells} rows, more than {size} bytes hold")
         q = QTable.zeros(*dims, len(betas))
         columns = next(csv.reader([fh.readline()]), None)
         if columns != list(_QTABLE_COLUMNS):

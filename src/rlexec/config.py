@@ -96,6 +96,8 @@ class ExperimentConfig:
             (self.tau > 0, "tau must be > 0"),
             (self.reference in ("mid", "ask"), "reference must be mid or ask"),
             (self.lam >= 0, "lambda must be >= 0"),
+            (self.days >= 1, "days must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
         ):
             if not ok:
                 raise ConfigError(message)

@@ -133,6 +133,14 @@ def implementation_shortfall(
     return (target - cost) / target * 1e4
 
 
+def _child_volume(beta, inventory, planned, still_planned):
+    """beta x the list's remaining weight (planned / still_planned) x the
+    planned inventory, rounded half to even, clipped to [0, inventory];
+    elementwise. At beta = 1 on the list's own inventory it gives `planned`."""
+    weight = planned / still_planned if still_planned > 0 else 0.0
+    return np.minimum(np.maximum(np.rint(beta * (inventory * weight)), 0.0), inventory)
+
+
 def _schedule_total(schedule: np.ndarray, periods: int) -> int:
     """Shares a trade list plans over `periods`; raises on a list no run can execute."""
     if len(schedule) != periods:
@@ -162,11 +170,10 @@ def execute_schedule(
     (terminal market order). If the final book cannot absorb what remains the
     run has failed its liquidation guarantee and raises LiquidationError.
 
-    With `beta(remaining_periods, bar, remaining_shares)`, each non-final
-    child is beta times the list's remaining weight for the period applied to
-    the inventory still planned, and the final period plans all of that
-    inventory. Carried residual is re-requested, not re-scaled, so beta = 1
-    everywhere replays the list fill for fill.
+    Each non-final child is sized by _child_volume at beta(remaining_periods,
+    bar, remaining_shares), 1 without `beta`; the final period plans all the
+    inventory still planned. Carried residual is re-requested, not re-scaled,
+    so beta = 1 everywhere replays the list fill for fill.
     """
     schedule = np.asarray(schedule)
     total = _schedule_total(schedule, len(bars))
@@ -178,14 +185,12 @@ def execute_schedule(
     carry = 0.0
     fills: list[tuple[int, Fill]] = []
     for period, (bar, planned) in enumerate(zip(bars, schedule), start=1):
-        if beta is not None:
-            if period == last:
-                planned = planned_remaining
-            else:
-                weight = planned / suffix[period - 1] if suffix[period - 1] > 0 else 0.0
-                b = beta(last - period + 1, bar, remaining)
-                planned = min(max(int(round(b * (planned_remaining * weight))), 0), planned_remaining)
-            planned_remaining -= planned
+        if period == last:
+            planned = planned_remaining
+        else:
+            b = 1.0 if beta is None else beta(last - period + 1, bar, remaining)
+            planned = int(_child_volume(b, planned_remaining, planned, suffix[period - 1]))
+        planned_remaining -= planned
         request = float(planned) + carry
         prices, volumes = bar.levels(side)
         fill = walk_book(prices, volumes, request, cap=1.0 if period == last else cap)

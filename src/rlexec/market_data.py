@@ -1,13 +1,14 @@
 """Order book market data: depth-CSV ingestion, interval bars, synthetic books.
 
-Raw 5-level depth snapshots are held as one `BookFrame`: a timestamp list and
-one (rows, 20) float array in the depth CSV's column order. Ingestion parses
-the CSV into that array, validates every row with one vectorized check and
-tallies rejects per reason; aggregation averages the rows into fixed-length
-interval bars (mean level prices and volumes) with one grouped sum. The bars
-are the time grid for everything downstream: hour-conditioned spread/volume
-percentile distributions for state encoding, calibration inputs, and the
-execution substrate for book walks.
+Depth has one layout from CSV to bar: a row of 20 floats in the CSV's column
+order, sliced by BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES. Raw
+snapshots are one `BookFrame` (timestamps and a (rows, 20) array); ingestion
+validates every row with one vectorized check and tallies rejects per reason;
+aggregation averages the rows into fixed-length interval bars with one
+grouped sum, each bar holding its row of the means. The bars are the time
+grid for everything downstream: hour-conditioned spread/volume percentile
+distributions for state encoding, calibration inputs, and the execution
+substrate for book walks.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import csv
 import math
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,54 +76,12 @@ class Side(Enum):
 
 
 @dataclass
-class BookSnapshot:
-    """One timestamped 5-level depth observation, best level first per side."""
-
-    timestamp: datetime
-    bid_prices: np.ndarray
-    bid_volumes: np.ndarray
-    ask_prices: np.ndarray
-    ask_volumes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.timestamp.tzinfo is None:
-            raise ValueError("naive timestamp")
-        self.bid_prices = np.asarray(self.bid_prices, dtype=float)
-        self.bid_volumes = np.asarray(self.bid_volumes, dtype=float)
-        self.ask_prices = np.asarray(self.ask_prices, dtype=float)
-        self.ask_volumes = np.asarray(self.ask_volumes, dtype=float)
-        for name in ("bid_prices", "bid_volumes", "ask_prices", "ask_volumes"):
-            if getattr(self, name).shape != (N_LEVELS,):
-                raise ValueError(f"{name} must hold exactly {N_LEVELS} levels")
-        failure = first_book_failure(self.row()[np.newaxis])[0]
-        if failure >= 0:
-            raise ValueError(BOOK_CHECKS[failure])
-
-    def row(self) -> np.ndarray:
-        """The snapshot's levels as one depth row."""
-        row = np.empty(4 * N_LEVELS)
-        row[BID_PRICES], row[BID_VOLUMES] = self.bid_prices, self.bid_volumes
-        row[ASK_PRICES], row[ASK_VOLUMES] = self.ask_prices, self.ask_volumes
-        return row
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.ask_prices[0] + self.bid_prices[0])
-
-    def levels(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
-        """Price/volume levels of the side a `side` order consumes, in order."""
-        if side is Side.BUY:
-            return self.ask_prices, self.ask_volumes
-        return self.bid_prices, self.bid_volumes
-
-
-@dataclass
 class BookFrame:
-    """The snapshot store as columns: one timestamp per row and a (rows, 20)
-    float array of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded).
+    """The snapshot store: one timestamp per row and a (rows, 20) float array
+    of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded), whose levels
+    BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES slice.
 
-    Every row passes BOOK_CHECKS. Indexing a frame gives the row as a
-    `BookSnapshot` viewing the array.
+    Every timestamp carries a timezone and every row passes BOOK_CHECKS.
     """
 
     timestamps: list[datetime]
@@ -130,45 +90,34 @@ class BookFrame:
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.timestamps), 4 * N_LEVELS):
             raise ValueError(f"values must be ({len(self.timestamps)}, {4 * N_LEVELS}), got {self.values.shape}")
+        naive = next((k for k, ts in enumerate(self.timestamps) if ts.tzinfo is None), None)
+        if naive is not None:
+            raise ValueError(f"row {naive}: naive timestamp")
         failure = first_book_failure(self.values)
         bad = np.flatnonzero(failure >= 0)
         if len(bad):
             raise ValueError(f"row {bad[0]}: {BOOK_CHECKS[failure[bad[0]]]}")
 
-    @classmethod
-    def from_snapshots(cls, snapshots: Sequence[BookSnapshot]) -> "BookFrame":
-        values = np.empty((len(snapshots), 4 * N_LEVELS))
-        for k, snap in enumerate(snapshots):
-            values[k] = snap.row()
-        return cls(timestamps=[snap.timestamp for snap in snapshots], values=values)
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, k: int) -> BookSnapshot:
-        row = self.values[k]
-        return BookSnapshot(
-            timestamp=self.timestamps[k],
-            bid_prices=row[BID_PRICES],
-            bid_volumes=row[BID_VOLUMES],
-            ask_prices=row[ASK_PRICES],
-            ask_volumes=row[ASK_VOLUMES],
-        )
-
-    def __iter__(self) -> Iterator[BookSnapshot]:
-        return (self[k] for k in range(len(self)))
+    def __iter__(self) -> Iterator[SimpleNamespace]:
+        """Each row's timestamp and level views, for perfbench's ingest test;
+        the pipeline reads `values` whole."""
+        for ts, r in zip(self.timestamps, self.values):
+            yield SimpleNamespace(timestamp=ts, bid_prices=r[BID_PRICES], bid_volumes=r[BID_VOLUMES],
+                                  ask_prices=r[ASK_PRICES], ask_volumes=r[ASK_VOLUMES])
 
 
 @dataclass
 class IntervalBar:
-    """A tau-length aggregate of snapshots: per-level mean prices and volumes."""
+    """A tau-length aggregate of snapshots: their mean depth row, in the
+    BookFrame layout, with its level-1 spread and the level-1 volume of the
+    side the bar was aggregated for."""
 
     start: datetime
     duration: float
-    avg_bid_prices: np.ndarray
-    avg_bid_volumes: np.ndarray
-    avg_ask_prices: np.ndarray
-    avg_ask_volumes: np.ndarray
+    row: np.ndarray
     spread: float
     quote_volume: float
     hour: int
@@ -184,12 +133,13 @@ class IntervalBar:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.avg_ask_prices[0] + self.avg_bid_prices[0])
+        return 0.5 * (self.row[ASK_PRICES.start] + self.row[BID_PRICES.start])
 
     def levels(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
+        """Price/volume levels of the side a `side` order consumes, best first."""
         if side is Side.BUY:
-            return self.avg_ask_prices, self.avg_ask_volumes
-        return self.avg_bid_prices, self.avg_bid_volumes
+            return self.row[ASK_PRICES], self.row[ASK_VOLUMES]
+        return self.row[BID_PRICES], self.row[BID_VOLUMES]
 
 
 @dataclass
@@ -343,9 +293,9 @@ def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
 def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY) -> list[IntervalBar]:
     """Aggregate snapshots into tau-second bars aligned to the epoch grid.
 
-    Each bar holds the simple mean of per-level prices and volumes over the
-    snapshots whose timestamps fall in [start, start + tau); empty intervals
-    are omitted. A bar's start carries the tz of its first snapshot in input
+    Each bar's row is the simple mean of the depth rows whose timestamps fall
+    in [start, start + tau), a view of one means array; empty intervals are
+    omitted. A bar's start carries the tz of its first snapshot in input
     order. ``quote_volume`` is the averaged level-1 volume of the side a
     `side` order consumes.
     """
@@ -362,26 +312,14 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
     means = sums / counts[:, np.newaxis]
-    bars: list[IntervalBar] = []
-    for start_epoch, k, mean, n in zip(starts.tolist(), first.tolist(), means, counts.tolist()):
-        start = datetime.fromtimestamp(start_epoch, tz=snapshots.timestamps[k].tzinfo)
-        bid_p, bid_v = mean[BID_PRICES].copy(), mean[BID_VOLUMES].copy()
-        ask_p, ask_v = mean[ASK_PRICES].copy(), mean[ASK_VOLUMES].copy()
-        bars.append(
-            IntervalBar(
-                start=start,
-                duration=tau,
-                avg_bid_prices=bid_p,
-                avg_bid_volumes=bid_v,
-                avg_ask_prices=ask_p,
-                avg_ask_volumes=ask_v,
-                spread=float(ask_p[0] - bid_p[0]),
-                quote_volume=float(ask_v[0] if side is Side.BUY else bid_v[0]),
-                hour=start.hour,
-                n_snapshots=n,
-            )
-        )
-    return bars
+    spreads = (means[:, ASK_PRICES.start] - means[:, BID_PRICES.start]).tolist()
+    quote_volumes = means[:, (ASK_VOLUMES if side is Side.BUY else BID_VOLUMES).start].tolist()
+    zones = [snapshots.timestamps[k].tzinfo for k in first.tolist()]
+    bar_starts = [datetime.fromtimestamp(epoch, tz=zone) for epoch, zone in zip(starts.tolist(), zones)]
+    return [
+        IntervalBar(start=start, duration=tau, row=row, spread=spread, quote_volume=volume, hour=start.hour, n_snapshots=n)
+        for start, row, spread, volume, n in zip(bar_starts, means, spreads, quote_volumes, counts.tolist())
+    ]
 
 
 def build_distributions(bars: list[IntervalBar]) -> dict[int, HistoricalDistribution]:

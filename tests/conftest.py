@@ -1,4 +1,4 @@
-"""Shared builders: the two worked-example books and quick bar/snapshot factories."""
+"""Shared builders: the two worked-example books and quick depth-row, frame and bar factories."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from rlexec.market_data import BookSnapshot, IntervalBar
+from rlexec.market_data import ASK_PRICES, ASK_VOLUMES, BID_PRICES, N_LEVELS, BookFrame, IntervalBar
 
 # Five-level ask books from the worked reward example: walking 10000 shares
 # through BOOK_A gives VWAP 100.89 (displayed 100.9 at source precision) and
@@ -26,21 +26,22 @@ PAPER_REFERENCE = 99.5
 T0 = datetime(2024, 3, 4, 10, 0, tzinfo=timezone.utc)
 
 
-def make_snapshot(
-    ts: datetime = T0,
+def make_row(
     mid: float = 100.0,
     spread: float = 0.10,
     level_volume: float = 5000.0,
     step: float = 0.05,
-) -> BookSnapshot:
+) -> np.ndarray:
+    """The depth row, in DEPTH_CSV_COLUMNS order, of an evenly stepped book."""
     offsets = step * np.arange(5)
-    return BookSnapshot(
-        timestamp=ts,
-        bid_prices=mid - spread / 2 - offsets,
-        bid_volumes=np.full(5, level_volume),
-        ask_prices=mid + spread / 2 + offsets,
-        ask_volumes=np.full(5, level_volume),
-    )
+    row = np.full(4 * N_LEVELS, float(level_volume))
+    row[BID_PRICES] = mid - spread / 2 - offsets
+    row[ASK_PRICES] = mid + spread / 2 + offsets
+    return row
+
+
+def make_frame(stamps: list[datetime], rows: list[np.ndarray]) -> BookFrame:
+    return BookFrame(timestamps=list(stamps), values=np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
 
 
 def make_bar(
@@ -52,24 +53,15 @@ def make_bar(
     step: float = 0.05,
     ask_levels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> IntervalBar:
-    offsets = step * np.arange(5)
-    bid_p = mid - spread / 2 - offsets
-    bid_v = np.full(5, float(level_volume))
-    if ask_levels is None:
-        ask_p = mid + spread / 2 + offsets
-        ask_v = np.full(5, float(level_volume))
-    else:
-        ask_p = np.asarray(ask_levels[0], dtype=float)
-        ask_v = np.asarray(ask_levels[1], dtype=float)
+    row = make_row(mid, spread, level_volume, step)
+    if ask_levels is not None:
+        row[ASK_PRICES], row[ASK_VOLUMES] = ask_levels
     return IntervalBar(
         start=start,
         duration=duration,
-        avg_bid_prices=bid_p,
-        avg_bid_volumes=bid_v,
-        avg_ask_prices=ask_p,
-        avg_ask_volumes=ask_v,
-        spread=float(ask_p[0] - bid_p[0]),
-        quote_volume=float(ask_v[0]),
+        row=row,
+        spread=float(row[ASK_PRICES.start] - row[BID_PRICES.start]),
+        quote_volume=float(row[ASK_VOLUMES.start]),
         hour=start.hour,
         n_snapshots=1,
     )

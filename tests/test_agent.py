@@ -26,6 +26,7 @@ from rlexec.agent import (
 from rlexec.market_data import (
     DayWindow,
     HistoricalDistribution,
+    Side,
     build_distributions,
     day_windows,
 )
@@ -383,7 +384,7 @@ class TestTrain:
         q = QTable.zeros(4, 2, 2, 2, 9)
         train(q, [episode] * 10, np.array([2500, 2500, 2500, 2500]),
               ActionGrid.from_bounds(), dists, cap=1.0)
-        worst_single = -10000 * (bars[0].avg_ask_prices[-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
+        worst_single = -10000 * (bars[0].levels(Side.BUY)[0][-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
         assert np.all(q.values <= 0.0 + 1e-12)
         assert np.all(q.values >= 4 * worst_single)
 

@@ -90,8 +90,7 @@ class TestRunAC:
             executed_total = 0.0
             for k, bar in enumerate(window):
                 request = float(schedule[k]) + carry
-                prices = list(bar.avg_ask_prices)
-                vols = list(bar.avg_ask_volumes)
+                prices, vols = map(list, bar.levels(Side.BUY))
                 cap_limit = float(np.floor((cfg.cap if k < 3 else 1.0) * sum(vols)))
                 todo = min(request, cap_limit)
                 done = 0.0

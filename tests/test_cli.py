@@ -26,8 +26,9 @@ ARTIFACTS = (
     "fig2_trace.csv",
     "resolved_config.txt",
 )
-# sha256 of the demo run at seed 42 (DEMO_FLAGS); a change that moves a result
-# re-pins these and names each changed file
+# sha256 of the demo run (DEMO_FLAGS) and of the fine_grid benchmark workload
+# (FINE_GRID_FLAGS: 20 inventory buckets x 41 actions) at seed 42; a change
+# that moves a result re-pins these and names each changed file
 DEMO_FLAGS = (
     "--days", "45", "--split", "2024-02-01T00:00:00+00:00",
     "--V", "10000", "--T", "4", "--I", "2", "--B", "2", "--W", "2", "--seed", "42",
@@ -44,6 +45,23 @@ DEMO_SHA256 = {
     "table2.csv": "ab9e9bd074d8fd5b696593d9ef3fbd45af0d72f56a2e8c37997134b81e0f9efb",
     "fig2_trace.csv": "f20f3d7ffee399e9ee6b286073ef9d2799f1e20798ff2cec39201d19883d8aa8",
     "resolved_config.txt": "f7c91a0c9787fc5c58915535fc08381635c9dbed914824137ba2fcea99f7f4ca",
+}
+FINE_GRID_FLAGS = (
+    "--days", "30", "--split", "2024-01-21T00:00:00+00:00", "--V", "10000", "--T", "8",
+    "--I", "20", "--B", "5", "--W", "5", "--beta-incr", "0.05", "--seed", "42",
+)
+FINE_GRID_SHA256 = {
+    "snapshots.csv": "c0e12051978cd1c98c44a95cace98a0ec9bdddd8e2d635a7d9952e1cdc6c62b1",
+    "ingest_meta.json": "65774b356d7cf8fb49803a2185d68e5c295be6013e0152929daeec914a4e2896",
+    "params.json": "d253d88ab2d5ea7f83816fb5c1f60c8d45a57031a371d95bdc46b657e42d477c",
+    "qtable.csv": "74ffbe95c7159dc64f3c403647c527ea4af29b549aa8ec63970440266a021b77",
+    "train_trace.csv": "c0d443a8f0999a15abea6c00c4882f4e68e6c3b6c42323b0d3c34519e967cf22",
+    "runs.csv": "fdf21dc7514eef7e2bcc89ad3e17bcdcd23c5f12cc2c39c11937c6020f1b5845",
+    "stats.json": "f30a17bd634426fc6bede56dcaf4a4bf8d2cbfef77a9aa9f90f289df1f6fa41e",
+    "table1.csv": "ebd709d20b1c6a5e3ad810e47f9397dd2ba9256c5f12d55af8298646d9c78d91",
+    "table2.csv": "4d1a1497a06c6b4a55b72879f51446bab1fad64b3f302c0d71805d2935dca692",
+    "fig2_trace.csv": "15ea5e0cd2ca12649325a58fcfd4d5358002db363da6c0b3e4a8f286c1873f0d",
+    "resolved_config.txt": "9d7f6f37c1ff141885e82408fd94ea8471154d129e1c92bec6faaae50a725499",
 }
 # every stage's flags: name, dest, type, help
 FLAGS = [
@@ -128,6 +146,8 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
         ("tau = 0", "tau must be > 0"),
         ("reference = close", "reference must be mid or ask"),
         ("lambda = -0.001", "lambda must be >= 0"),
+        ("days = 0", "days must be >= 1"),
+        ("seed = -1", "seed must be >= 0"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, line, message):
@@ -218,6 +238,12 @@ def three_dims(path):
     path.write_text(path.read_text(encoding="utf-8").replace("# dims: 4 2 2 2", "# dims: 4 2 2"), encoding="utf-8")
 
 
+def huge_dims(path):
+    path.write_text(
+        path.read_text(encoding="utf-8").replace("# dims: 4 2 2 2", "# dims: 1000000 1000000 10 10"), encoding="utf-8"
+    )
+
+
 def drop_key(key):
     def damage(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -238,6 +264,7 @@ def drop_key(key):
         ("backtest", "params.json", drop_key("share_schedule"), (), "missing key 'share_schedule'"),
         ("report", "stats.json", drop_key("n_days"), (), "missing keys ['n_days']"),
         ("backtest", "qtable.csv", duplicate_first_row, (), "line 8: duplicate cell"),
+        ("backtest", "qtable.csv", huge_dims, (), "need 900000000000000 rows, more than"),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -260,9 +287,13 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
         assert (other / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
-def test_demo_artifacts_at_seed_42_are_pinned(tmp_path):
+@pytest.mark.parametrize(
+    "flags, pinned",
+    [pytest.param(DEMO_FLAGS, DEMO_SHA256, id="demo"), pytest.param(FINE_GRID_FLAGS, FINE_GRID_SHA256, id="fine_grid")],
+)
+def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
     out = tmp_path / "out"
     for stage in STAGES:
-        assert cli.main([stage, *DEMO_FLAGS, "--out", str(out)]) == 0, stage
+        assert cli.main([stage, *flags, "--out", str(out)]) == 0, stage
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
-    assert digests == DEMO_SHA256
+    assert digests == pinned

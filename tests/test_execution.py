@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from rlexec.execution import (
     Fill,
     LiquidationError,
+    _child_volume,
     _walk_books,
     execute_schedule,
     implementation_shortfall,
     walk_book,
 )
-from rlexec.market_data import Side
+from rlexec.market_data import BID_PRICES, BID_VOLUMES, Side
 
 from conftest import BOOK_A, BOOK_B, PAPER_REFERENCE, T0, make_bar
 
@@ -211,6 +212,20 @@ class TestImplementationShortfall:
 
 
 class TestExecuteSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**12), min_size=1, max_size=12).filter(any))
+    def test_unit_beta_sizing_replays_the_list(self, schedule):
+        # the rule train and execute_schedule size children by: at beta = 1
+        # each child of the list's own inventory is the list's entry
+        sched = np.array(schedule, dtype=np.int64)
+        suffix = np.cumsum(sched[::-1])[::-1]
+        inventory = int(suffix[0])
+        for planned, still_planned in zip(sched[:-1], suffix[:-1]):
+            child = _child_volume(1.0, inventory, planned, still_planned)
+            assert child == planned
+            inventory -= int(child)
+        assert inventory == sched[-1]
+
     def test_worked_example_two_periods(self, paper_bars):
         record = execute_schedule(paper_bars, [10000, 10000], cap=1.0, reference=PAPER_REFERENCE)
         assert record.shortfall_bps == pytest.approx(-101.0, abs=0.5)
@@ -276,8 +291,8 @@ class TestExecuteSchedule:
             buy_bar = make_bar(mid=mid, spread=spread, ask_levels=(ask_p, vols))
             # mirror: bids at prices symmetric to the asks around the mid
             sell_bar = make_bar(mid=mid, spread=spread)
-            sell_bar.avg_bid_prices = 2 * mid - ask_p
-            sell_bar.avg_bid_volumes = vols.copy()
+            sell_bar.row[BID_PRICES] = 2 * mid - ask_p
+            sell_bar.row[BID_VOLUMES] = vols
             buy = execute_schedule([buy_bar], [4000], cap=1.0, side=Side.BUY, reference=mid)
             sell = execute_schedule([sell_bar], [4000], cap=1.0, side=Side.SELL, reference=mid)
             assert buy.shortfall_bps == pytest.approx(-sell.shortfall_bps, abs=1e-9)

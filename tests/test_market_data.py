@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlexec.market_data import (
+    ASK_PRICES,
+    ASK_VOLUMES,
+    BID_PRICES,
+    BID_VOLUMES,
     BOOK_CHECKS,
     DEPTH_CSV_COLUMNS,
-    BookFrame,
     BookRegime,
-    BookSnapshot,
     DataSplit,
     HistoricalDistribution,
     MixedRegime,
@@ -35,7 +37,7 @@ from rlexec.market_data import (
     write_snapshots_csv,
 )
 
-from conftest import T0, make_bar, make_bar_sequence, make_snapshot
+from conftest import T0, make_bar, make_bar_sequence, make_frame, make_row
 
 HEADER = ",".join(DEPTH_CSV_COLUMNS)
 
@@ -49,36 +51,27 @@ def row(ts: str, bid0: float = 99.95, ask0: float = 100.05) -> str:
     return ",".join(cells)
 
 
-class TestBookSnapshot:
+class TestBookFrame:
     def test_rejects_crossed_book(self):
-        with pytest.raises(ValueError, match="crossed"):
-            make_snapshot(spread=-0.02)
+        with pytest.raises(ValueError, match="row 0: crossed book"):
+            make_frame([T0], [make_row(spread=-0.02)])
 
     def test_rejects_naive_timestamp(self):
-        with pytest.raises(ValueError, match="naive"):
-            make_snapshot(ts=datetime(2024, 3, 4, 10, 0))
+        # a naive frame would put its bars in the host's local zone
+        with pytest.raises(ValueError, match="row 1: naive timestamp"):
+            make_frame([T0, datetime(2024, 3, 4, 10, 0)], [make_row(), make_row()])
 
     def test_rejects_negative_volume(self):
-        snap = make_snapshot()
-        with pytest.raises(ValueError, match="negative volume"):
-            BookSnapshot(
-                timestamp=snap.timestamp,
-                bid_prices=snap.bid_prices,
-                bid_volumes=np.array([100.0, -1.0, 100.0, 100.0, 100.0]),
-                ask_prices=snap.ask_prices,
-                ask_volumes=snap.ask_volumes,
-            )
+        row = make_row()
+        row[BID_VOLUMES] = [100.0, -1.0, 100.0, 100.0, 100.0]
+        with pytest.raises(ValueError, match="row 0: negative volume"):
+            make_frame([T0], [row])
 
     def test_rejects_unsorted_levels(self):
-        snap = make_snapshot()
-        with pytest.raises(ValueError, match="ascending"):
-            BookSnapshot(
-                timestamp=snap.timestamp,
-                bid_prices=snap.bid_prices,
-                bid_volumes=snap.bid_volumes,
-                ask_prices=snap.ask_prices[::-1].copy(),
-                ask_volumes=snap.ask_volumes,
-            )
+        row = make_row()
+        row[ASK_PRICES] = row[ASK_PRICES][::-1].copy()
+        with pytest.raises(ValueError, match="row 0: ask prices not strictly ascending"):
+            make_frame([T0], [row])
 
 
 def scalar_first_failure(row: list[float]) -> int:
@@ -127,18 +120,11 @@ class TestBookValidator:
         expected = [scalar_first_failure(r) for r in rows]
         assert first_book_failure(np.array(rows)).tolist() == expected
         for r, code in zip(rows, expected):
-            snap = dict(
-                timestamp=T0,
-                bid_prices=r[0:10:2],
-                bid_volumes=r[1:10:2],
-                ask_prices=r[10:20:2],
-                ask_volumes=r[11:20:2],
-            )
             if code < 0:
-                BookSnapshot(**snap)
+                make_frame([T0], [r])
             else:
-                with pytest.raises(ValueError, match=BOOK_CHECKS[code]):
-                    BookSnapshot(**snap)
+                with pytest.raises(ValueError, match=f"row 0: {BOOK_CHECKS[code]}"):
+                    make_frame([T0], [r])
 
 
 class TestIngest:
@@ -158,7 +144,7 @@ class TestIngest:
         result = ingest_csv(src)
         assert len(result.snapshots) == 3
         assert result.rejected_rows == 0
-        stamps = [s.timestamp for s in result.snapshots]
+        stamps = result.snapshots.timestamps
         assert stamps == sorted(stamps)
 
     def test_crossed_book_row_skipped_with_diagnostic(self, tmp_path):
@@ -201,7 +187,7 @@ class TestIngest:
         src.write_text("\n".join([HEADER] + [row(ts) for ts in reversed(stamps)]), encoding="utf-8")
         result = ingest_csv(src)
         expected = sorted(datetime.fromisoformat(ts) for ts in stamps)
-        assert [s.timestamp for s in result.snapshots] == expected
+        assert result.snapshots.timestamps == expected
 
     def test_malformed_header(self, tmp_path):
         src = tmp_path / "depth.csv"
@@ -220,15 +206,12 @@ class TestIngest:
             ingest_csv(tmp_path / "absent.csv")
 
     def test_roundtrip_via_writer(self, tmp_path):
-        snaps = [make_snapshot(ts=T0 + timedelta(seconds=30 * k)) for k in range(4)]
+        frame = make_frame([T0 + timedelta(seconds=30 * k) for k in range(4)], [make_row()] * 4)
         path = tmp_path / "store.csv"
-        write_snapshots_csv(path, BookFrame.from_snapshots(snaps))
+        write_snapshots_csv(path, frame)
         back = ingest_csv(path)
-        assert len(back.snapshots) == 4
-        for a, b in zip(snaps, back.snapshots):
-            assert a.timestamp == b.timestamp
-            assert np.array_equal(a.ask_prices, b.ask_prices)
-            assert np.array_equal(a.bid_volumes, b.bid_volumes)
+        assert back.snapshots.timestamps == frame.timestamps
+        assert np.array_equal(back.snapshots.values, frame.values)
 
 
     def test_synthetic_store_bytes_are_pinned(self, tmp_path):
@@ -240,18 +223,18 @@ class TestIngest:
 
 class TestAggregate:
     def test_single_snapshot_bar_equals_snapshot(self):
-        snap = make_snapshot()
-        (bar,) = aggregate_intervals(BookFrame.from_snapshots([snap]), 300.0)
-        assert np.array_equal(bar.avg_ask_prices, snap.ask_prices)
-        assert np.array_equal(bar.avg_bid_volumes, snap.bid_volumes)
+        row = make_row()
+        (bar,) = aggregate_intervals(make_frame([T0], [row]), 300.0)
+        assert np.array_equal(bar.row, row)
+        assert np.array_equal(bar.levels(Side.BUY)[0], row[ASK_PRICES])
+        assert np.array_equal(bar.levels(Side.SELL)[1], row[BID_VOLUMES])
         assert bar.n_snapshots == 1
         assert bar.hour == 10
 
     def test_two_snapshot_mean(self):
-        s1 = make_snapshot(mid=100.0, spread=0.10)
-        s2 = make_snapshot(ts=T0 + timedelta(seconds=60), mid=102.0, spread=0.10)
-        (bar,) = aggregate_intervals(BookFrame.from_snapshots([s1, s2]), 300.0)
-        assert bar.avg_ask_prices[0] == pytest.approx(101.05)
+        frame = make_frame([T0, T0 + timedelta(seconds=60)], [make_row(mid=100.0), make_row(mid=102.0)])
+        (bar,) = aggregate_intervals(frame, 300.0)
+        assert bar.levels(Side.BUY)[0][0] == pytest.approx(101.05)
         assert bar.mid == pytest.approx(101.0)
 
     def test_random_hour_matches_bruteforce_grouping(self):
@@ -259,69 +242,60 @@ class TestAggregate:
         snaps = []
         for _ in range(1000):
             offset = float(rng.uniform(0, 3600))
-            snaps.append(
-                make_snapshot(
-                    ts=T0 + timedelta(seconds=offset),
-                    mid=float(rng.uniform(95, 105)),
-                    level_volume=float(rng.integers(100, 9000)),
-                )
-            )
-        snaps.sort(key=lambda s: s.timestamp)
-        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0)
+            row = make_row(mid=float(rng.uniform(95, 105)), level_volume=float(rng.integers(100, 9000)))
+            snaps.append((T0 + timedelta(seconds=offset), row))
+        snaps.sort(key=lambda s: s[0])
+        bars = aggregate_intervals(make_frame(*zip(*snaps)), 300.0)
         assert len(bars) == 12
 
         # brute-force oracle: group by floor(epoch / tau) and average
         groups = defaultdict(list)
-        for snap in snaps:
-            groups[math.floor(snap.timestamp.timestamp() / 300.0)].append(snap)
+        for ts, row in snaps:
+            groups[math.floor(ts.timestamp() / 300.0)].append(row)
         assert len(groups) == len(bars)
         for bar in bars:
             key = math.floor(bar.start.timestamp() / 300.0)
             members = groups[key]
             assert bar.n_snapshots == len(members)
-            expected_ask = np.mean([m.ask_prices for m in members], axis=0)
-            expected_vol = np.mean([m.ask_volumes for m in members], axis=0)
-            assert np.allclose(bar.avg_ask_prices, expected_ask, rtol=0, atol=1e-12)
-            assert np.allclose(bar.avg_ask_volumes, expected_vol, rtol=0, atol=1e-12)
+            expected_ask = np.mean([m[ASK_PRICES] for m in members], axis=0)
+            expected_vol = np.mean([m[ASK_VOLUMES] for m in members], axis=0)
+            prices, volumes = bar.levels(Side.BUY)
+            assert np.allclose(prices, expected_ask, rtol=0, atol=1e-12)
+            assert np.allclose(volumes, expected_vol, rtol=0, atol=1e-12)
 
     def test_count_conservation(self):
         rng = np.random.default_rng(5)
-        snaps = sorted(
-            (
-                make_snapshot(ts=T0 + timedelta(seconds=float(rng.uniform(0, 7200))))
-                for _ in range(333)
-            ),
-            key=lambda s: s.timestamp,
-        )
-        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0)
-        assert sum(b.n_snapshots for b in bars) == len(snaps)
+        stamps = sorted(T0 + timedelta(seconds=float(rng.uniform(0, 7200))) for _ in range(333))
+        bars = aggregate_intervals(make_frame(stamps, [make_row()] * len(stamps)), 300.0)
+        assert sum(b.n_snapshots for b in bars) == len(stamps)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            aggregate_intervals(BookFrame.from_snapshots([]), 300.0)
+            aggregate_intervals(make_frame([], []), 300.0)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            aggregate_intervals(BookFrame.from_snapshots([make_snapshot()]), 0.0)
+            aggregate_intervals(make_frame([T0], [make_row()]), 0.0)
 
     def test_quote_volume_follows_side(self):
-        snap = make_snapshot()
-        frame = BookFrame.from_snapshots([snap])
+        row = make_row()
+        row[ASK_VOLUMES.start] = 700.0
+        frame = make_frame([T0], [row])
         (buy_bar,) = aggregate_intervals(frame, 300.0, side=Side.BUY)
         (sell_bar,) = aggregate_intervals(frame, 300.0, side=Side.SELL)
-        assert buy_bar.quote_volume == snap.ask_volumes[0]
-        assert sell_bar.quote_volume == snap.bid_volumes[0]
+        assert buy_bar.quote_volume == 700.0
+        assert sell_bar.quote_volume == row[BID_VOLUMES.start] == 5000.0
 
     def test_deterministic(self):
-        snaps = BookFrame.from_snapshots(
-            [make_snapshot(ts=T0 + timedelta(seconds=17 * k), mid=100 + 0.01 * k) for k in range(50)]
+        snaps = make_frame(
+            [T0 + timedelta(seconds=17 * k) for k in range(50)], [make_row(mid=100 + 0.01 * k) for k in range(50)]
         )
         a = aggregate_intervals(snaps, 300.0)
         b = aggregate_intervals(snaps, 300.0)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.start == y.start
-            assert np.array_equal(x.avg_ask_prices, y.avg_ask_prices)
+            assert np.array_equal(x.row, y.row)
             assert x.spread == y.spread
 
 
@@ -331,35 +305,39 @@ class TestAggregate:
         rng = np.random.default_rng(11)
         zones = (timezone.utc, timezone(timedelta(hours=2)))
         snaps = [
-            make_snapshot(
-                ts=(T0 + timedelta(seconds=float(rng.uniform(0, 7200)))).astimezone(zones[rng.integers(2)]),
-                mid=float(rng.uniform(95, 105)),
-                spread=float(rng.uniform(0.01, 0.3)),
-                level_volume=float(rng.uniform(1, 9000)),
+            (
+                (T0 + timedelta(seconds=float(rng.uniform(0, 7200)))).astimezone(zones[rng.integers(2)]),
+                make_row(
+                    mid=float(rng.uniform(95, 105)),
+                    spread=float(rng.uniform(0.01, 0.3)),
+                    level_volume=float(rng.uniform(1, 9000)),
+                ),
             )
             for _ in range(2000)
         ]
         # alone in its bar: np.mean sums onto +0.0, so its -0.0 volumes average to +0.0
-        snaps.append(make_snapshot(ts=T0 + timedelta(hours=3), level_volume=-0.0))
-        bars = aggregate_intervals(BookFrame.from_snapshots(snaps), 300.0, side=Side.SELL)
+        snaps.append((T0 + timedelta(hours=3), make_row(level_volume=-0.0)))
+        bars = aggregate_intervals(make_frame(*zip(*snaps)), 300.0, side=Side.SELL)
 
         groups = defaultdict(list)
-        for snap in snaps:
-            groups[math.floor(snap.timestamp.timestamp() / 300.0) * 300.0].append(snap)
+        for ts, row in snaps:
+            groups[math.floor(ts.timestamp() / 300.0) * 300.0].append((ts, row))
         assert [bar.start.timestamp() for bar in bars] == sorted(groups)
         for bar in bars:
             members = groups[bar.start.timestamp()]
-            assert bar.start.tzinfo == members[0].timestamp.tzinfo
+            assert bar.start.tzinfo == members[0][0].tzinfo
             assert bar.n_snapshots == len(members)
-            for got, name in (
-                (bar.avg_bid_prices, "bid_prices"),
-                (bar.avg_bid_volumes, "bid_volumes"),
-                (bar.avg_ask_prices, "ask_prices"),
-                (bar.avg_ask_volumes, "ask_volumes"),
+            buy, sell = bar.levels(Side.BUY), bar.levels(Side.SELL)
+            for got, levels in (
+                (sell[0], BID_PRICES),
+                (sell[1], BID_VOLUMES),
+                (buy[0], ASK_PRICES),
+                (buy[1], ASK_VOLUMES),
             ):
-                want = np.mean([getattr(m, name) for m in members], axis=0)
+                want = np.mean([row[levels] for _, row in members], axis=0)
                 assert got.tobytes() == want.tobytes()
-            assert bar.quote_volume == bar.avg_bid_volumes[0]
+                assert bar.row[levels].tobytes() == want.tobytes()
+            assert bar.quote_volume == sell[1][0]
 
 class TestDistributions:
     def test_single_hour_key(self):
@@ -509,41 +487,31 @@ class TestSynthetic:
         cfg = planted_regime_config()
         a = generate_synthetic(123, days=2, config=cfg)
         b = generate_synthetic(123, days=2, config=cfg)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.timestamp == y.timestamp
-            assert np.array_equal(x.bid_prices, y.bid_prices)
-            assert np.array_equal(x.bid_volumes, y.bid_volumes)
-            assert np.array_equal(x.ask_prices, y.ask_prices)
-            assert np.array_equal(x.ask_volumes, y.ask_volumes)
+        assert a.timestamps == b.timestamps
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_different_seed_differs(self):
         cfg = SyntheticConfig()
         a = generate_synthetic(1, days=1, config=cfg)
         b = generate_synthetic(2, days=1, config=cfg)
-        assert any(
-            not np.array_equal(x.ask_prices, y.ask_prices) for x, y in zip(a, b)
-        )
+        assert not np.array_equal(a.values[:, ASK_PRICES], b.values[:, ASK_PRICES])
 
     def test_constant_spread_regime(self):
         cfg = SyntheticConfig(
             default_regime=BookRegime(spread=0.10, level_volume=500.0, level_step=0.05)
         )
-        snaps = generate_synthetic(0, days=1, config=cfg)
-        for snap in snaps:
-            assert snap.ask_prices[0] - snap.bid_prices[0] == pytest.approx(0.10, abs=1e-9)
+        values = generate_synthetic(0, days=1, config=cfg).values
+        spreads = values[:, ASK_PRICES.start] - values[:, BID_PRICES.start]
+        assert np.allclose(spreads, 0.10, rtol=0, atol=1e-9)
 
     def test_mixed_hour_lead_in_keeps_default_book(self):
         cfg = planted_regime_config(hour=10)
         snaps = generate_synthetic(4, days=1, config=cfg)
-        lead = [
-            s
-            for s in snaps
-            if s.timestamp.hour == 10 and s.timestamp.minute < 5
-        ]
-        default_spread = cfg.default_regime.spread
-        for snap in lead:
-            assert snap.ask_prices[0] - snap.bid_prices[0] == pytest.approx(default_spread, abs=1e-9)
+        lead = [k for k, ts in enumerate(snaps.timestamps) if ts.hour == 10 and ts.minute < 5]
+        values = snaps.values[lead]
+        spreads = values[:, ASK_PRICES.start] - values[:, BID_PRICES.start]
+        assert len(lead) == 5
+        assert np.allclose(spreads, cfg.default_regime.spread, rtol=0, atol=1e-9)
 
     def test_days_validated(self):
         with pytest.raises(ValueError):
