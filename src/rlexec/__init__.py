@@ -61,7 +61,9 @@ from .market_data import (
     day_windows,
     generate_synthetic,
     ingest_csv,
+    load_bars,
     planted_regime_config,
+    save_bars,
     write_snapshots_csv,
 )
 

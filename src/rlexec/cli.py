@@ -4,6 +4,13 @@ Each stage reads its upstream artifact from the output directory and writes
 its own, so runs are resumable and, given a fixed seed, byte-identical. Every
 stage takes the same `ExperimentConfig` (see `rlexec.config`): a key = value
 file, overridden by command-line flags named after the model parameters.
+
+Ingest (or synth) is the only stage that parses depth CSV. It writes the
+snapshot store `snapshots.csv`, the readable export, with its sha256 in
+`ingest_meta.json`, and aggregates the store once into `bars.npz`, its
+tau-second bars. Calibrate, train and backtest load `bars.npz` and never
+open `snapshots.csv`; a `bars.npz` of another tau, or of a store other than
+the one `ingest_meta.json` hashes, is a data error.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import argparse
 import hashlib
 import json
 import sys
-from collections import Counter
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -25,6 +31,7 @@ from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
 from .execution import LiquidationError
 from .market_data import (
+    BookFrame,
     DataSplit,
     IngestResult,
     Side,
@@ -33,6 +40,8 @@ from .market_data import (
     day_windows,
     generate_synthetic,
     ingest_csv,
+    load_bars,
+    save_bars,
     write_snapshots_csv,
 )
 
@@ -50,45 +59,72 @@ def _snapshots_path(cfg: ExperimentConfig) -> Path:
     return cfg.out_dir() / "snapshots.csv"
 
 
+def _bars_path(cfg: ExperimentConfig) -> Path:
+    return cfg.out_dir() / "bars.npz"
+
+
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(f"{path} missing; run `rlexec {producer}` first")
     return path
 
 
-def _write_store(cfg: ExperimentConfig, result: IngestResult) -> Path:
-    """Write the snapshot store and its ingest_meta.json."""
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+def _write_store(cfg: ExperimentConfig, snapshots: BookFrame) -> Path:
+    """Write the snapshot store, snapshots.csv."""
+    cfg.out_dir().mkdir(parents=True, exist_ok=True)
     path = _snapshots_path(cfg)
-    write_snapshots_csv(path, result.snapshots)
+    write_snapshots_csv(path, snapshots)
+    return path
+
+
+def _write_bars(cfg: ExperimentConfig, result: IngestResult) -> Path:
+    """Write ingest_meta.json for the store on disk, whose snapshots `result`
+    holds, and bars.npz, the store aggregated at the config's tau."""
+    path = _snapshots_path(cfg)
+    with open(path, "rb") as fh:
+        sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     meta = {
         "rows": len(result.snapshots),
         "rejected": result.rejected_rows,
         "row_errors": dict(result.row_errors),
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "sha256": sha256,
     }
-    (out / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    (cfg.out_dir() / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    save_bars(_bars_path(cfg), aggregate_intervals(result.snapshots, cfg.tau), sha256)
     return path
 
 
 def cmd_synth(cfg: ExperimentConfig) -> Path:
     """Generate the synthetic snapshot store."""
-    snapshots = generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config())
-    return _write_store(cfg, IngestResult(snapshots=snapshots, rejected_rows=0, row_errors=Counter()))
+    # (the docstring is the stage's --help line.) Writes snapshots.csv,
+    # ingest_meta.json and bars.npz, which calibrate, train and backtest
+    # load. The generated frame is dropped once written, and the store is
+    # read back through the validate-and-sort path a raw CSV takes.
+    path = _write_store(cfg, generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config()))
+    return _write_bars(cfg, ingest_csv(path))
 
 
 def cmd_ingest(cfg: ExperimentConfig) -> Path:
     """Normalize a raw depth CSV into the snapshot store."""
+    # (the docstring is the stage's --help line.) Writes snapshots.csv,
+    # ingest_meta.json and bars.npz, which calibrate, train and backtest
+    # load, aggregating the frame parsed from the raw CSV.
     if cfg.data != "csv":
         return cmd_synth(cfg)
-    return _write_store(cfg, ingest_csv(cfg.csv))
+    result = ingest_csv(cfg.csv)
+    _write_store(cfg, result.snapshots)
+    return _write_bars(cfg, result)
 
 
 def _load_split(cfg: ExperimentConfig) -> DataSplit:
-    path = _require(_snapshots_path(cfg), "ingest")
-    result = ingest_csv(path)
-    bars = aggregate_intervals(result.snapshots, cfg.tau, side=Side(cfg.side))
+    """The bars ingest wrote to bars.npz, split at the config's boundary;
+    snapshots.csv is not read."""
+    path = _require(_bars_path(cfg), "ingest")
+    meta_path = _require(cfg.out_dir() / "ingest_meta.json", "ingest")
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if "sha256" not in meta:
+        raise ValueError(f"{meta_path}: missing key 'sha256'")
+    bars = load_bars(path, cfg.tau, meta["sha256"], side=Side(cfg.side))
     split = DataSplit.at_boundary(bars, cfg.split_datetime())
     if not split.training:
         raise ValueError("no training bars before the split boundary")

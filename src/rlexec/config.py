@@ -17,7 +17,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .agent import ActionGrid
-from .market_data import SyntheticConfig, planted_regime_config
+from .market_data import SyntheticConfig, planted_regime_config, synthetic_rows
 
 
 class ConfigError(ValueError):
@@ -101,6 +101,11 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ConfigError(message)
+        if self.data == "synthetic":
+            try:
+                synthetic_rows(self.days, self.tau)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def split_datetime(self) -> datetime:
         ts = datetime.fromisoformat(self.split.replace("Z", "+00:00"))

@@ -5,16 +5,18 @@ order, sliced by BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES. Raw
 snapshots are one `BookFrame` (timestamps and a (rows, 20) array); ingestion
 validates every row with one vectorized check and tallies rejects per reason;
 aggregation averages the rows into fixed-length interval bars with one
-grouped sum, each bar holding its row of the means. The bars are the time
-grid for everything downstream: hour-conditioned spread/volume percentile
-distributions for state encoding, calibration inputs, and the execution
-substrate for book walks.
+grouped sum, each bar holding its row of the means. `save_bars` writes the
+bars as arrays and `load_bars` reads them back, building each bar the way
+aggregation does. The bars are the time grid for everything downstream:
+hour-conditioned spread/volume percentile distributions for state encoding,
+calibration inputs, and the execution substrate for book walks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -303,23 +305,113 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
         raise ValueError("tau must be positive")
     if not len(snapshots):
         raise ValueError("no snapshots to aggregate")
-    epochs = np.array([ts.timestamp() for ts in snapshots.timestamps])
-    starts, first, group = np.unique(np.floor(epochs / tau) * tau, return_index=True, return_inverse=True)
+    epochs = np.fromiter((ts.timestamp() for ts in snapshots.timestamps), dtype=float, count=len(snapshots))
+    with np.errstate(over="ignore"):
+        grid = np.floor(epochs / tau) * tau
+    if not np.isfinite(grid).all():
+        raise ValueError(f"tau {tau!r} is too short to put the timestamps on a bar grid")
+    starts, first, group = np.unique(grid, return_index=True, return_inverse=True)
     # np.add.at adds each group's rows onto +0.0 in input order, as np.mean
     # over the group's stacked rows does, so the means are bit-identical to
     # it (np.add.reduceat's are not: they differ in the last bit in places).
     sums = np.zeros((len(starts), 4 * N_LEVELS))
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
-    means = sums / counts[:, np.newaxis]
+    zones = [snapshots.timestamps[k].tzinfo for k in first.tolist()]
+    return _bars_from_columns(starts, zones, sums / counts[:, np.newaxis], counts, tau, side)
+
+
+def _bars_from_columns(
+    starts: np.ndarray, zones: list, means: np.ndarray, counts: np.ndarray, tau: float, side: Side
+) -> list[IntervalBar]:
+    """The bars of start epochs, start zones, mean depth rows and snapshot
+    counts, one per position; the one place bars are built, from
+    aggregation and from a saved file alike. ``spread`` and ``quote_volume``
+    (for `side`) are column operations on the means."""
     spreads = (means[:, ASK_PRICES.start] - means[:, BID_PRICES.start]).tolist()
     quote_volumes = means[:, (ASK_VOLUMES if side is Side.BUY else BID_VOLUMES).start].tolist()
-    zones = [snapshots.timestamps[k].tzinfo for k in first.tolist()]
     bar_starts = [datetime.fromtimestamp(epoch, tz=zone) for epoch, zone in zip(starts.tolist(), zones)]
     return [
         IntervalBar(start=start, duration=tau, row=row, spread=spread, quote_volume=volume, hour=start.hour, n_snapshots=n)
         for start, row, spread, volume, n in zip(bar_starts, means, spreads, quote_volumes, counts.tolist())
     ]
+
+
+#: The arrays of a bars file, each with its dtype kind and shape (-1 stands
+#: for the bar count): per bar its start epoch, its start's UTC offset in
+#: seconds, its snapshot count and its mean depth row; then the bar length
+#: and the sha256 of the snapshot store the bars were aggregated from.
+_BARS_ARRAYS = {
+    "start": ("f", (-1,)),
+    "utc_offset": ("f", (-1,)),
+    "n_snapshots": ("i", (-1,)),
+    "row": ("f", (-1, 4 * N_LEVELS)),
+    "tau": ("f", ()),
+    "source_sha256": ("U", ()),
+}
+
+
+def save_bars(path: str | Path, bars: list[IntervalBar], source_sha256: str) -> None:
+    """Write the bars of one `aggregate_intervals` call to an .npz file,
+    with the sha256 of the snapshot store they came from.
+
+    The file holds no side-dependent field, and the same bars give the same
+    bytes (the zip entries carry a fixed date).
+    """
+    if not bars:
+        raise ValueError("no bars to save")
+    n = len(bars)
+    np.savez(
+        path,
+        start=np.fromiter((bar.start.timestamp() for bar in bars), dtype=float, count=n),
+        utc_offset=np.fromiter((bar.start.utcoffset().total_seconds() for bar in bars), dtype=float, count=n),
+        n_snapshots=np.fromiter((bar.n_snapshots for bar in bars), dtype=np.int64, count=n),
+        row=np.stack([bar.row for bar in bars]),
+        tau=np.float64(bars[0].duration),
+        source_sha256=np.str_(source_sha256),
+    )
+
+
+def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Side.BUY) -> list[IntervalBar]:
+    """The bars `save_bars` wrote, with ``spread`` and ``quote_volume`` for
+    `side`; each start keeps its saved UTC offset as a fixed zone.
+
+    A file that is not a readable .npz, lacks an array, has one of the
+    wrong dtype or shape, or holds bars of another tau or of another
+    snapshot store is a ValueError naming `path`.
+    """
+    try:
+        # np.load given a path leaks the file it opened when the zip is damaged
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                missing = [name for name in _BARS_ARRAYS if name not in npz.files]
+                if missing:
+                    raise ValueError(f"missing arrays {missing}")
+                arrays = {name: npz[name] for name in _BARS_ARRAYS}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable bars file: {exc}") from None
+    n = len(arrays["start"]) if arrays["start"].ndim == 1 else -1
+    for name, (kind, shape) in _BARS_ARRAYS.items():
+        array = arrays[name]
+        if array.dtype.kind != kind or array.shape != tuple(n if d == -1 else d for d in shape):
+            raise ValueError(f"{path}: array {name!r} has dtype {array.dtype} and shape {array.shape}")
+    if n == 0:
+        raise ValueError(f"{path}: no bars")
+    if float(arrays["tau"]) != tau:
+        raise ValueError(f"{path}: bars are {float(arrays['tau'])!r} s long, not tau = {tau!r}")
+    if arrays["source_sha256"].item() != source_sha256:
+        raise ValueError(f"{path}: bars of snapshot store sha256 {arrays['source_sha256'].item()}, not {source_sha256}")
+    offsets = arrays["utc_offset"].tolist()
+    try:
+        zone_of = {offset: timezone(timedelta(seconds=offset)) for offset in set(offsets)}
+        return _bars_from_columns(
+            arrays["start"], [zone_of[offset] for offset in offsets], arrays["row"], arrays["n_snapshots"], tau, side
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def build_distributions(bars: list[IntervalBar]) -> dict[int, HistoricalDistribution]:
@@ -432,6 +524,8 @@ class MixedRegime:
 START_DAY = date(2024, 1, 1)
 SESSION_HOURS = range(9, 17)
 SNAPSHOTS_PER_INTERVAL = 5
+#: Most rows generate_synthetic builds; it allocates them all up front.
+MAX_SYNTHETIC_ROWS = 1_000_000
 
 
 @dataclass
@@ -485,6 +579,19 @@ def _interval_regime(
     return config.default_regime
 
 
+def synthetic_rows(days: int, tau: float) -> int:
+    """Rows generate_synthetic builds for `days` days of `tau`-second bars,
+    checked against MAX_SYNTHETIC_ROWS before any row exists."""
+    per_hour = 3600.0 / tau  # inf for a subnormal tau, which round() refuses
+    per_hour = round(per_hour) if math.isfinite(per_hour) else per_hour
+    rows = days * len(SESSION_HOURS) * per_hour * SNAPSHOTS_PER_INTERVAL
+    if not rows <= MAX_SYNTHETIC_ROWS:  # also catches inf and nan
+        raise ValueError(
+            f"{days} days of {tau!r} s bars need {rows:,.0f} synthetic rows, more than {MAX_SYNTHETIC_ROWS:,}"
+        )
+    return rows
+
+
 def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = None) -> BookFrame:
     """Deterministic synthetic depth stream: same seed, same snapshots.
 
@@ -495,13 +602,14 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = No
     if days < 1:
         raise ValueError("days must be >= 1")
     cfg = config if config is not None else SyntheticConfig()
+    rows = synthetic_rows(days, cfg.tau)
     rng = np.random.default_rng(seed)
     intervals_per_hour = int(round(3600.0 / cfg.tau))
     snap_step = cfg.tau / SNAPSHOTS_PER_INTERVAL
     step_sigma = cfg.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
     offsets = np.arange(N_LEVELS, dtype=float)
     mid = cfg.base_price
-    values = np.empty((days * len(SESSION_HOURS) * intervals_per_hour * SNAPSHOTS_PER_INTERVAL, 4 * N_LEVELS))
+    values = np.empty((rows, 4 * N_LEVELS))
     stamps: list[datetime] = []
     for d in range(days):
         day_start = datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc)

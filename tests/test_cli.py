@@ -7,9 +7,11 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from rlexec import cli
+from rlexec.market_data import generate_synthetic, write_snapshots_csv
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
@@ -168,6 +170,8 @@ def test_bad_config_exits_2(tmp_path, capsys, line, message):
         ("--lambda", "nan", "bad value for lambda: nan is not finite"),
         ("--cap", "inf", "bad value for cap: inf is not finite"),
         ("--beta-incr", "1e-300", "exceeds 10000 actions"),
+        ("--days", "1000000000", "need 480,000,000,000 synthetic rows, more than 1,000,000"),
+        ("--tau", "5e-324", "need inf synthetic rows, more than 1,000,000"),
     ],
 )
 def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, message):
@@ -191,6 +195,16 @@ def test_negative_value_after_a_space_exits_2(tmp_path, capsys, stage, flag, val
     error = error_of(capsys)
     assert error["error"] == "config-error"
     assert message in error["message"]
+
+
+def test_runaway_synthetic_store_is_refused_before_generation(tmp_path, capsys, monkeypatch):
+    def generate(*_):
+        raise AssertionError("generated a store the config refuses")
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate)
+    assert cli.main(args("ingest", tmp_path / "out", "--days", "1000000000")) == 2
+    assert error_of(capsys)["error"] == "config-error"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_upstream_artifact_exits_4(tmp_path, capsys):
@@ -244,6 +258,24 @@ def huge_dims(path):
     )
 
 
+def rewrite_bars(**changes):
+    def damage(path):
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays.update(changes)
+        np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
+
+    return damage
+
+
+def truncate_half(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def not_a_zip(path):
+    path.write_text("ts,bp1\n", encoding="utf-8")
+
+
 def drop_key(key):
     def damage(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -265,6 +297,12 @@ def drop_key(key):
         ("report", "stats.json", drop_key("n_days"), (), "missing keys ['n_days']"),
         ("backtest", "qtable.csv", duplicate_first_row, (), "line 8: duplicate cell"),
         ("backtest", "qtable.csv", huge_dims, (), "need 900000000000000 rows, more than"),
+        ("calibrate", "bars.npz", truncate_half, (), "unreadable bars file: File is not a zip file"),
+        ("train", "bars.npz", not_a_zip, (), "unreadable bars file"),
+        ("backtest", "bars.npz", rewrite_bars(row=None), (), "missing arrays ['row']"),
+        ("calibrate", "bars.npz", rewrite_bars(row=np.zeros((3, 19))), (), "array 'row' has dtype float64 and shape"),
+        ("calibrate", "bars.npz", None, ("--tau", "600"), "bars are 300.0 s long, not tau = 600.0"),
+        ("train", "bars.npz", rewrite_bars(source_sha256=np.str_("0" * 64)), (), "bars of snapshot store sha256 0000"),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -283,8 +321,33 @@ def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stag
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     other = tmp_path / "other"
     run_pipeline(other)
-    for name in ARTIFACTS:
+    for name in (*ARTIFACTS, "bars.npz"):
         assert (other / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("data", ["synthetic", "csv"])
+def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
+    extra: tuple[str, ...] = ()
+    if data == "csv":
+        write_snapshots_csv(tmp_path / "raw.csv", generate_synthetic(3, 6))
+        extra = ("--data", "csv", "--csv", str(tmp_path / "raw.csv"))
+    parses = []
+    ingest_csv = cli.ingest_csv
+
+    def counted(path):
+        parses.append(path)
+        return ingest_csv(path)
+
+    monkeypatch.setattr(cli, "ingest_csv", counted)
+    out = tmp_path / "out"
+    calls = {}
+    for stage in STAGES:
+        before = len(parses)
+        assert cli.main(args(stage, out, *extra)) == 0, stage
+        calls[stage] = len(parses) - before
+        if stage == "ingest":  # later stages load bars.npz, not the store
+            (out / "snapshots.csv").rename(tmp_path / "snapshots.csv")
+    assert calls == {"ingest": 1, "calibrate": 0, "train": 0, "backtest": 0, "report": 0}
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,9 @@ from rlexec.market_data import (
     first_book_failure,
     generate_synthetic,
     ingest_csv,
+    load_bars,
     planted_regime_config,
+    save_bars,
     write_snapshots_csv,
 )
 
@@ -277,6 +279,11 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate_intervals(make_frame([T0], [make_row()]), 0.0)
 
+    def test_tau_too_short_for_the_epoch_grid(self):
+        # epoch / 5e-324 overflows, so no bar start would be finite
+        with pytest.raises(ValueError, match="too short"):
+            aggregate_intervals(make_frame([T0], [make_row()]), 5e-324)
+
     def test_quote_volume_follows_side(self):
         row = make_row()
         row[ASK_VOLUMES.start] = 700.0
@@ -338,6 +345,49 @@ class TestAggregate:
                 assert got.tobytes() == want.tobytes()
                 assert bar.row[levels].tobytes() == want.tobytes()
             assert bar.quote_volume == sell[1][0]
+
+
+SOURCE_SHA256 = hashlib.sha256(b"store").hexdigest()
+
+
+@st.composite
+def mixed_zone_frames(draw):
+    """Unsorted snapshots over two hours, each stamped in UTC or +02:00."""
+    zones = (timezone.utc, timezone(timedelta(hours=2)))
+    stamps, rows = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        offset = draw(st.floats(0.0, 7200.0, exclude_max=True))
+        stamps.append((T0 + timedelta(seconds=offset)).astimezone(draw(st.sampled_from(zones))))
+        rows.append(
+            make_row(
+                mid=draw(st.floats(50.0, 150.0)),
+                spread=draw(st.floats(0.01, 0.5)),
+                level_volume=draw(st.sampled_from([-0.0, 1.0, 333.0, 5000.5])),
+            )
+        )
+    return make_frame(stamps, rows)
+
+
+class TestSavedBars:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_zone_frames(), st.sampled_from([7.5, 60.0, 300.0, 1234.567]))
+    def test_load_gives_the_aggregated_bars(self, tmp_path_factory, frame, tau):
+        path = tmp_path_factory.mktemp("bars") / "bars.npz"
+        save_bars(path, aggregate_intervals(frame, tau), SOURCE_SHA256)
+        for side in Side:
+            want = aggregate_intervals(frame, tau, side=side)
+            got = load_bars(path, tau, SOURCE_SHA256, side=side)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.start == b.start
+                assert a.start.utcoffset() == b.start.utcoffset()
+                assert a.start.isoformat() == b.start.isoformat()
+                assert a.duration == b.duration == tau
+                assert a.row.tobytes() == b.row.tobytes()
+                assert a.spread == b.spread
+                assert a.quote_volume == b.quote_volume
+                assert (a.hour, a.n_snapshots) == (b.hour, b.n_snapshots)
+
 
 class TestDistributions:
     def test_single_hour_key(self):
@@ -503,6 +553,12 @@ class TestSynthetic:
         values = generate_synthetic(0, days=1, config=cfg).values
         spreads = values[:, ASK_PRICES.start] - values[:, BID_PRICES.start]
         assert np.allclose(spreads, 0.10, rtol=0, atol=1e-9)
+
+    def test_runaway_store_is_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="synthetic rows, more than 1,000,000"):
+            generate_synthetic(0, days=10**9)
+        with pytest.raises(ValueError, match="need inf synthetic rows"):
+            generate_synthetic(0, days=1, config=SyntheticConfig(tau=5e-324))
 
     def test_mixed_hour_lead_in_keeps_default_book(self):
         cfg = planted_regime_config(hour=10)
