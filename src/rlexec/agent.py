@@ -17,14 +17,15 @@ basis points (costs negative), so the greedy argmax minimizes total IS.
 Training sweeps every inventory bucket and every action at each period of
 each training window, the exploration scheme that guarantees every reachable
 pair keeps being visited.
+
+A trained table is saved twice: a CSV export with one row per cell, for
+reading, and an .npz hand-off of its arrays, which is what `load_qtable`
+reads back.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -38,6 +39,7 @@ from .market_data import (
     HistoricalDistribution,
     IntervalBar,
     Side,
+    _load_npz,
     arrival_reference,
     bucket_of,
 )
@@ -331,28 +333,33 @@ def _period_reward(walk, reference: float, total: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Q-table persistence (versioned CSV, exact float round-trip)
+# Q-table persistence: a CSV export to read, an .npz hand-off to load
 # ---------------------------------------------------------------------------
 
-QTABLE_FORMAT = 1
-_QTABLE_COLUMNS = ("t", "i", "s", "v", "action", "beta", "q", "visits")
-#: The shortest data row a table file can hold, in bytes.
-_MIN_ROW_BYTES = len("1,1,1,1,0,0,0,0")
-#: File lines load_qtable parses and checks per array pass; bounds its memory.
-_LOAD_BLOCK = 8192
+#: The arrays of the hand-off, each with its dtype kind and shape over the
+#: table's dimensions.
+_QTABLE_ARRAYS = {
+    "values": ("f", ("T", "I", "B", "W", "A")),
+    "visits": ("i", ("T", "I", "B", "W", "A")),
+    "betas": ("f", ("A",)),
+}
 
 
 def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
+    """Write the table to `path` as the export, a versioned CSV with one row
+    per cell and every float's repr, and beside it, with suffix .npz, as the
+    hand-off `load_qtable` reads. Both repeat byte for byte for the same
+    table (the zip entries carry a fixed date)."""
     periods, inv, spread, vol, _ = q.values.shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# rlexec-qtable: {QTABLE_FORMAT}\n")
+        fh.write("# rlexec-qtable: 1\n")
         fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
         fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
         fh.write(f"# alpha0: {learning.alpha0!r}\n")
         fh.write(f"# gamma: {learning.gamma!r}\n")
         # rows as csv.writer's default dialect writes them: CRLF-terminated,
         # and no cell needs quoting
-        fh.write(",".join(_QTABLE_COLUMNS) + "\r\n")
+        fh.write("t,i,s,v,action,beta,q,visits\r\n")
         actions = [f"{a},{beta!r}" for a, beta in enumerate(grid.betas)]
         for state in np.ndindex(q.values.shape[:4]):
             prefix = ",".join(str(k + 1) for k in state)
@@ -362,120 +369,16 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
                     actions, q.values[state].tolist(), q.visit_counts[state].tolist(), strict=True
                 )
             )
+    np.savez(Path(path).with_suffix(".npz"), values=q.values, visits=q.visit_counts, betas=np.asarray(grid.betas))
 
 
-_ROW_DTYPE = np.dtype([(name, np.float64 if name in ("beta", "q") else np.int64) for name in _QTABLE_COLUMNS])
-
-
-def _parse_rows(path: str | Path, lines: list[str], first_line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `lines` (file lines from `first_line` on) one by one, as the
-    csv module reads them; blank lines are skipped and the first bad row is a
-    ValueError naming its file line. The slow path of _row_blocks."""
-    rows = np.zeros(len(lines), dtype=_ROW_DTYPE)
-    numbers = np.zeros(len(lines), dtype=np.int64)
-    reader = csv.reader(lines)
-    n = 0
-    for row in reader:
-        if not row:
-            continue
-        numbers[n] = first_line - 1 + reader.line_num
-        try:
-            if len(row) != len(_QTABLE_COLUMNS):
-                raise ValueError(f"{len(row)} cells, expected {len(_QTABLE_COLUMNS)}")
-            rows[n] = (*map(int, row[:5]), 0.0, float(row[6]), int(row[7]))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: bad row on line {numbers[n]}: {exc!r}") from None
-        n += 1
-    return rows[:n], numbers[:n]
-
-
-def _row_blocks(path: str | Path, fh, first_line: int):
-    """The table's data rows, up to _LOAD_BLOCK file lines at a time, as a
-    structured array with each row's file line. A block np.loadtxt parses
-    into one row per line takes one vectorized parse; any other block (a bad
-    row, a blank line, a quoted cell) goes through the per-row parser, which
-    accepts and rejects what the csv module does. Any warning loadtxt raises
-    also sends the block there: NumPy releases that deprecate rather than
-    reject a float in an int64 column ('1.0', '1.7') warn and truncate it."""
-    while True:
-        lines = list(itertools.islice(fh, _LOAD_BLOCK))
-        if not lines:
-            return
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_ROW_DTYPE, ndmin=1)
-        except (ValueError, Warning):
-            rows = None
-        if rows is not None and len(rows) == len(lines):
-            yield rows, np.arange(first_line, first_line + len(lines))
-        else:
-            yield _parse_rows(path, lines, first_line)
-        first_line += len(lines)
-
-
-def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid, LearningSchedule]:
-    """Read a table save_qtable wrote. Every cell must appear exactly once,
-    with t, i, s, v in 1..T, I, B, W and the action in 0..A-1; a damaged
-    file is a ValueError naming its first bad line."""
-    header: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        position = fh.tell()
-        header_lines = 0
-        while True:
-            line = fh.readline()
-            if not line.startswith("#"):
-                fh.seek(position)
-                break
-            key, _, value = line[1:].partition(":")
-            header[key.strip()] = value.strip()
-            position = fh.tell()
-            header_lines += 1
-        if header.get("rlexec-qtable") != str(QTABLE_FORMAT):
-            raise ValueError(f"{path}: not a version-{QTABLE_FORMAT} q-table file")
-        for key in ("dims", "betas"):
-            if key not in header:
-                raise ValueError(f"{path}: missing header line {key!r}")
-        dims = tuple(int(tok) for tok in header["dims"].split())
-        if len(dims) != 4:
-            raise ValueError(f"{path}: dims must list T I B W, got {header['dims']!r}")
-        betas = tuple(float(tok) for tok in header["betas"].split())
-        grid = ActionGrid(betas=betas)
-        learning = LearningSchedule(
-            alpha0=float(header.get("alpha0", "1.0")),
-            gamma=float(header.get("gamma", "1.0")),
-        )
-        # refuse dims the file cannot fill before allocating anything sized by them
-        cells, size = math.prod(dims) * len(betas), Path(path).stat().st_size
-        if cells * _MIN_ROW_BYTES > size:
-            raise ValueError(f"{path}: dims {dims} with {len(betas)} actions need {cells} rows, more than {size} bytes hold")
-        q = QTable.zeros(*dims, len(betas))
-        columns = next(csv.reader([fh.readline()]), None)
-        if columns != list(_QTABLE_COLUMNS):
-            raise ValueError(f"{path}: line {header_lines + 1} is not the column header {','.join(_QTABLE_COLUMNS)}")
-        seen = np.zeros(q.values.shape, dtype=bool)
-        rows = 0
-        for block, lines in _row_blocks(path, fh, header_lines + 2):
-            raw = np.stack([block[name] for name in _QTABLE_COLUMNS[:5]], axis=1)
-            index = raw - (1, 1, 1, 1, 0)
-            outside = np.flatnonzero(((index < 0) | (index >= q.values.shape)).any(axis=1))
-            if len(outside):
-                k = outside[0]
-                raise ValueError(
-                    f"{path}: line {lines[k]}: cell (t, i, s, v, action) = {tuple(raw[k].tolist())} "
-                    f"outside dims {dims} with {len(betas)} actions"
-                )
-            cell = tuple(index.T)
-            later = np.ones(len(lines), dtype=bool)  # not the block's first row of its cell
-            later[np.unique(np.ravel_multi_index(cell, q.values.shape), return_index=True)[1]] = False
-            repeated = seen[cell] | later
-            if repeated.any():
-                k = int(np.argmax(repeated))
-                raise ValueError(f"{path}: line {lines[k]}: duplicate cell (t, i, s, v, action) = {tuple(raw[k].tolist())}")
-            seen[cell] = True
-            q.values[cell] = block["q"]
-            q.visit_counts[cell] = block["visits"]
-            rows += len(lines)
-    if rows != q.values.size:
-        raise ValueError(f"{path}: {rows} rows, expected {q.values.size}")
-    return q, grid, learning
+def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid]:
+    """The table and action grid in the .npz hand-off `save_qtable` wrote;
+    the CSV export is never read back. A file `_load_npz` refuses, or betas
+    `ActionGrid` refuses, is a ValueError naming `path`."""
+    arrays = _load_npz(path, _QTABLE_ARRAYS, "q-table")
+    try:
+        grid = ActionGrid(betas=tuple(arrays["betas"].tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return QTable(values=arrays["values"], visit_counts=arrays["visits"]), grid

@@ -10,7 +10,10 @@ snapshot store `snapshots.csv`, the readable export, with its sha256 in
 `ingest_meta.json`, and aggregates the store once into `bars.npz`, its
 tau-second bars. Calibrate, train and backtest load `bars.npz` and never
 open `snapshots.csv`; a `bars.npz` of another tau, or of a store other than
-the one `ingest_meta.json` hashes, is a data error.
+the one `ingest_meta.json` hashes, is a data error. Train likewise writes
+`qtable.csv`, the readable export, and `qtable.npz`, the arrays backtest
+loads; backtest never opens `qtable.csv`. A JSON hand-off lacking a key, or
+with a value of the wrong type, is a data error as well.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -67,6 +71,48 @@ def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(f"{path} missing; run `rlexec {producer}` first")
     return path
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value: Any) -> bool:
+    return _is_number(value) and isinstance(value, int) and 0 <= value < 2**63
+
+
+def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+#: The JSON form of each type a hand-off value has, as (description, check):
+#: an int is a count, a non-negative integer within int64, a float is any
+#: number, and a date is an ISO date string. No bool passes for a number.
+_JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
+    str: ("a string", lambda value: isinstance(value, str)),
+    int: ("a non-negative integer", _is_count),
+    float: ("a number", _is_number),
+    float | None: ("a number or null", lambda value: value is None or _is_number(value)),
+    list[int]: ("a list of non-negative integers", _list_of(_is_count)),
+    list[float]: ("a list of numbers", _list_of(_is_number)),
+    list[date]: ("a list of ISO dates", _list_of(lambda value: isinstance(value, str))),
+}
+
+
+def _load_json(path: Path, types: dict[str, Any]) -> dict:
+    """The JSON object in `path`, holding each key of `types` with a value
+    of that key's type in JSON form (_JSON_TYPES)."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [key for key in types if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
+    for key, hint in types.items():
+        description, check = _JSON_TYPES[hint]
+        if not check(payload[key]):
+            raise ValueError(f"{path}: {key!r} is not {description}")
+    return payload
 
 
 def _write_store(cfg: ExperimentConfig, snapshots: BookFrame) -> Path:
@@ -120,10 +166,7 @@ def _load_split(cfg: ExperimentConfig) -> DataSplit:
     """The bars ingest wrote to bars.npz, split at the config's boundary;
     snapshots.csv is not read."""
     path = _require(_bars_path(cfg), "ingest")
-    meta_path = _require(cfg.out_dir() / "ingest_meta.json", "ingest")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if "sha256" not in meta:
-        raise ValueError(f"{meta_path}: missing key 'sha256'")
+    meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
     bars = load_bars(path, cfg.tau, meta["sha256"], side=Side(cfg.side))
     split = DataSplit.at_boundary(bars, cfg.split_datetime())
     if not split.training:
@@ -157,10 +200,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> Path:
 
 
 def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
-    path = _require(cfg.out_dir() / "params.json", "calibrate")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if "share_schedule" not in payload:
-        raise ValueError(f"{path}: missing key 'share_schedule'")
+    payload = _load_json(_require(cfg.out_dir() / "params.json", "calibrate"), {"share_schedule": list[int]})
     return np.asarray(payload["share_schedule"], dtype=np.int64)
 
 
@@ -187,7 +227,7 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
         reference_kind=cfg.reference,
     )
     path = cfg.out_dir() / "qtable.csv"
-    save_qtable(path, q, grid, learning)
+    save_qtable(path, q, grid, learning)  # and qtable.npz, which backtest loads
     trace_path = cfg.out_dir() / "train_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("tuple_visit_index,pct_correct_actions\n")
@@ -202,7 +242,7 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
     """Run both strategies over the test days and write records and stats."""
     split = _load_split(cfg)
     schedule = _load_schedule(cfg)
-    q, grid, _ = load_qtable(_require(cfg.out_dir() / "qtable.csv", "train"))
+    q, grid = load_qtable(_require(cfg.out_dir() / "qtable.npz", "train"))
     if grid.betas != cfg.grid().betas:
         raise ValueError("q-table action grid does not match the config")
     if q.values.shape[:4] != (cfg.T, cfg.I, cfg.B, cfg.W):
@@ -223,12 +263,9 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
 
 def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
     """Render the comparison tables and the training trace."""
-    stats_path = _require(cfg.out_dir() / "stats.json", "backtest")
-    payload = json.loads(stats_path.read_text(encoding="utf-8"))
-    missing = [f.name for f in fields(ISStatistics) if f.name not in payload]
-    if missing:
-        raise ValueError(f"{stats_path}: missing keys {missing}")
-    values = {f.name: payload[f.name] for f in fields(ISStatistics)}
+    types = get_type_hints(ISStatistics)
+    payload = _load_json(_require(cfg.out_dir() / "stats.json", "backtest"), types)
+    values = {name: payload[name] for name in types}
     values["dates"] = [date.fromisoformat(d) for d in values["dates"]]
     stats = ISStatistics(**values)
     trace_path = _require(cfg.out_dir() / "train_trace.csv", "train")

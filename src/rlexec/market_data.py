@@ -337,15 +337,54 @@ def _bars_from_columns(
     ]
 
 
-#: The arrays of a bars file, each with its dtype kind and shape (-1 stands
-#: for the bar count): per bar its start epoch, its start's UTC offset in
-#: seconds, its snapshot count and its mean depth row; then the bar length
-#: and the sha256 of the snapshot store the bars were aggregated from.
+def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
+    """The arrays `spec` names in the .npz file at `path`, each checked
+    against its dtype kind and shape, where a str is a named dimension that
+    every array naming it shares. A member whose header declares more bytes
+    than the file holds is refused before NumPy allocates them. A file that
+    is not a readable .npz, lacks an array or has one of the wrong dtype or
+    shape is a ValueError naming `path` as a `what` file."""
+    try:
+        # np.load given a path leaks the file it opened when the zip is damaged
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                missing = [name for name in spec if name not in npz.files]
+                if missing:
+                    raise ValueError(f"missing arrays {missing}")
+                size = Path(path).stat().st_size
+                for name in spec:
+                    with npz.zip.open(f"{name}.npy") as member:
+                        major, _ = np.lib.format.read_magic(member)
+                        read_header = np.lib.format.read_array_header_1_0 if major == 1 else np.lib.format.read_array_header_2_0
+                        shape, _, dtype = read_header(member)
+                    if math.prod(shape) * dtype.itemsize > size:
+                        raise ValueError(f"array {name!r} of shape {shape} needs more than the file's {size} bytes")
+                arrays = {name: npz[name] for name in spec}
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: an array not saved as .npy
+        raise ValueError(f"{path}: unreadable {what} file: {exc}") from None
+    sizes: dict[str, int] = {}
+    for name, (kind, shape) in spec.items():
+        array = arrays[name]
+        for dim, length in zip(shape, array.shape):
+            if isinstance(dim, str):
+                sizes.setdefault(dim, length)
+        if array.dtype.kind != kind or array.shape != tuple(sizes.get(dim, dim) for dim in shape):
+            raise ValueError(f"{path}: array {name!r} has dtype {array.dtype} and shape {array.shape}")
+    return arrays
+
+
+#: The arrays of a bars file, each with its dtype kind and shape over the
+#: bar count n: per bar its start epoch, its start's UTC offset in seconds,
+#: its snapshot count and its mean depth row; then the bar length and the
+#: sha256 of the snapshot store the bars were aggregated from.
 _BARS_ARRAYS = {
-    "start": ("f", (-1,)),
-    "utc_offset": ("f", (-1,)),
-    "n_snapshots": ("i", (-1,)),
-    "row": ("f", (-1, 4 * N_LEVELS)),
+    "start": ("f", ("n",)),
+    "utc_offset": ("f", ("n",)),
+    "n_snapshots": ("i", ("n",)),
+    "row": ("f", ("n", 4 * N_LEVELS)),
     "tau": ("f", ()),
     "source_sha256": ("U", ()),
 }
@@ -376,29 +415,11 @@ def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Sid
     """The bars `save_bars` wrote, with ``spread`` and ``quote_volume`` for
     `side`; each start keeps its saved UTC offset as a fixed zone.
 
-    A file that is not a readable .npz, lacks an array, has one of the
-    wrong dtype or shape, or holds bars of another tau or of another
-    snapshot store is a ValueError naming `path`.
+    A file `_load_npz` refuses, or one that holds bars of another tau or of
+    another snapshot store, is a ValueError naming `path`.
     """
-    try:
-        # np.load given a path leaks the file it opened when the zip is damaged
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                missing = [name for name in _BARS_ARRAYS if name not in npz.files]
-                if missing:
-                    raise ValueError(f"missing arrays {missing}")
-                arrays = {name: npz[name] for name in _BARS_ARRAYS}
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable bars file: {exc}") from None
-    n = len(arrays["start"]) if arrays["start"].ndim == 1 else -1
-    for name, (kind, shape) in _BARS_ARRAYS.items():
-        array = arrays[name]
-        if array.dtype.kind != kind or array.shape != tuple(n if d == -1 else d for d in shape):
-            raise ValueError(f"{path}: array {name!r} has dtype {array.dtype} and shape {array.shape}")
-    if n == 0:
+    arrays = _load_npz(path, _BARS_ARRAYS, "bars")
+    if len(arrays["start"]) == 0:
         raise ValueError(f"{path}: no bars")
     if float(arrays["tau"]) != tau:
         raise ValueError(f"{path}: bars are {float(arrays['tau'])!r} s long, not tau = {tau!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import csv
 from datetime import timedelta
 
 import numpy as np
@@ -390,136 +390,62 @@ class TestTrain:
 
 
 class TestPersistence:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        q = QTable.zeros(2, 2, 3, 3, 9)
-        q.values[:] = rng.standard_normal(q.values.shape) * 17.3
-        q.visit_counts[:] = rng.integers(0, 900, size=q.values.shape)
-        grid = ActionGrid.from_bounds()
-        sched = LearningSchedule(alpha0=1.0, gamma=1.0)
-        path = tmp_path / "qtable.csv"
-        save_qtable(path, q, grid, sched)
-        q2, grid2, sched2 = load_qtable(path)
-        assert np.array_equal(q.values, q2.values)  # exact decimal round trip
-        assert np.array_equal(q.visit_counts, q2.visit_counts)
-        assert grid2.betas == grid.betas
-        assert (sched2.alpha0, sched2.gamma) == (1.0, 1.0)
-
-    def test_version_guard(self, tmp_path):
-        path = tmp_path / "qtable.csv"
-        path.write_text("# something-else: 9\nt,i,s,v,action,beta,q,visits\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            load_qtable(path)
-
-
     @staticmethod
-    def saved_lines(tmp_path):
+    def extreme_table() -> QTable:
         q = QTable.zeros(2, 2, 2, 2, 3)
-        q.values[:] = np.arange(q.values.size).reshape(q.values.shape) * 0.5
-        path = tmp_path / "qtable.csv"
-        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
-        return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
-
-    @pytest.mark.parametrize(
-        "column, value, message",
-        [
-            (0, "0", "outside dims (2, 2, 2, 2) with 3 actions"),
-            (3, "3", "outside dims (2, 2, 2, 2) with 3 actions"),
-            (4, "3", "outside dims (2, 2, 2, 2) with 3 actions"),
-            (4, "-1", "outside dims (2, 2, 2, 2) with 3 actions"),
-            (0, "1.0", "bad row on line 17"),
-        ],
-    )
-    def test_out_of_range_or_bad_index_names_the_line(self, tmp_path, column, value, message):
-        path, lines = self.saved_lines(tmp_path)
-        cells = lines[16].split(",")  # line 17: the 11th row, cell (1, 2, 1, 1, 2)
-        cells[column] = value
-        lines[16] = ",".join(cells)
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"line 17\b") as info:
-            load_qtable(path)
-        assert message in str(info.value)
-
-    @pytest.mark.parametrize(
-        "column, value",
-        [(c, v) for c in (0, 3, 4, 7) for v in ("1.0", "1.5", "2e0")]
-        + [(7, "9223372036854775808"), (0, "-9223372036854775809")],
-    )
-    def test_non_integer_index_or_visits_is_a_bad_row_with_warnings_ignored(self, tmp_path, column, value):
-        # as a CLI run sees it: no filter turns a NumPy DeprecationWarning into an error
-        path, lines = self.saved_lines(tmp_path)
-        cells = lines[16].split(",")
-        cells[column] = value + ("\r\n" if column == 7 else "")
-        lines[16] = ",".join(cells)
-        path.write_text("".join(lines), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match=r"bad row on line 17\b"):
-                load_qtable(path)
-
-    def test_a_block_loadtxt_warns_on_goes_through_the_row_parser(self, tmp_path, monkeypatch):
-        # NumPy releases that warn and truncate a float in an int64 column
-        # instead of rejecting it: the warned parse must not be used
-        real = np.loadtxt
-
-        def warn_and_truncate(*args, **kwargs):
-            rows = real(*args, **kwargs)
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
-            rows["q"] = np.trunc(rows["q"])
-            return rows
-
-        monkeypatch.setattr(agent.np, "loadtxt", warn_and_truncate)
-        path, _ = self.saved_lines(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            q, _, _ = load_qtable(path)
-        assert q.values.ravel().tolist() == (np.arange(q.values.size) * 0.5).tolist()
-
-    @pytest.mark.parametrize("block", [4, 8192])  # rows 4 and 15: other or same array pass
-    def test_duplicate_cell_names_the_line(self, tmp_path, monkeypatch, block):
-        # the table keeps its row count, so only the duplicate check sees it
-        monkeypatch.setattr(agent, "_LOAD_BLOCK", block)
-        path, lines = self.saved_lines(tmp_path)
-        lines[20] = lines[9]
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"line 21: duplicate cell \(t, i, s, v, action\) = \(1, 1, 1, 2, 0\)"):
-            load_qtable(path)
-
-    def test_round_trip_is_bit_exact_at_the_float_and_count_extremes(self, tmp_path):
-        q = QTable.zeros(2, 2, 2, 2, 3)
+        q.values[:] = np.random.default_rng(8).standard_normal(q.values.shape) * 17.3
         extremes = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, 1 / 3]
         q.values.flat[: len(extremes)] = extremes
         q.visit_counts.flat[:4] = [2**63 - 1, 2**53 + 1, 2**31, 1]
-        path = tmp_path / "qtable.csv"
-        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
-        q2, _, _ = load_qtable(path)
+        return q
+
+    def test_round_trip_is_bit_exact_at_the_float_and_count_extremes(self, tmp_path):
+        q = self.extreme_table()
+        save_qtable(tmp_path / "qtable.csv", q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        q2, grid2 = load_qtable(tmp_path / "qtable.npz")
+        assert q2.values.dtype == np.float64 and q2.visit_counts.dtype == np.int64
         assert q2.values.tobytes() == q.values.tobytes()  # -0.0 keeps its sign bit
         assert q2.visit_counts.tobytes() == q.visit_counts.tobytes()
+        assert grid2.betas == (0.5, 1.0, 1.5)
 
-    @pytest.mark.parametrize("block", [4, agent._LOAD_BLOCK])
-    def test_bad_first_row_of_the_second_block_names_its_line(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(agent, "_LOAD_BLOCK", block)
-        q = QTable.zeros(4, 4, 4, 4, 41)  # 10,496 rows: more than one block either way
+    def test_csv_export_holds_the_table_bit_for_bit(self, tmp_path):
+        q = self.extreme_table()
         path = tmp_path / "qtable.csv"
-        save_qtable(path, q, ActionGrid.from_bounds(0.0, 2.0, 0.05), LearningSchedule())
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        line = 6 + block + 1  # 5 header lines, the column header, then block rows
-        cells = lines[line - 1].split(",")
-        cells[6] = "zero"  # the q cell
-        lines[line - 1] = ",".join(cells)
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"bad row on line {line}:"):
-            load_qtable(path)
+        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule(alpha0=0.5))
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert [next(fh) for _ in range(5)] == [
+                "# rlexec-qtable: 1\n", "# dims: 2 2 2 2\n", "# betas: 0.5 1.0 1.5\n", "# alpha0: 0.5\n", "# gamma: 1.0\n",
+            ]
+            rows = list(csv.DictReader(fh))
+        cells = [tuple(int(row[k]) for k in ("t", "i", "s", "v", "action")) for row in rows]
+        assert cells == [(t + 1, i + 1, s + 1, v + 1, a) for t, i, s, v, a in np.ndindex(q.values.shape)]
+        assert np.array([float(row["q"]) for row in rows]).tobytes() == q.values.tobytes()
+        assert [int(row["visits"]) for row in rows] == q.visit_counts.ravel().tolist()
+        assert [float(row["beta"]) for row in rows] == [0.5, 1.0, 1.5] * 16
 
-    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
-        lines.insert(10, "\r\n")  # blank line 11 pushes the 11th row to line 18
-        cells = lines[17].split(",")
-        cells[0] = "0"
-        lines[17] = ",".join(cells)
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"line 18: cell .* outside dims"):
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"betas": np.array([0.5, 1.0])}, "array 'betas' has dtype float64 and shape (2,)"),
+            ({"visits": np.zeros((2, 2, 2, 2, 3))}, "array 'visits' has dtype float64"),
+            ({"values": np.zeros((2, 2, 2, 2))}, "array 'values' has dtype float64 and shape (2, 2, 2, 2)"),
+            ({"betas": np.array([0.5, 1.5, 1.0])}, "betas must be strictly increasing"),
+            ({"betas": np.array([0.5, 1.0, np.nan])}, "non-finite beta"),
+            ({"values": None}, "unreadable q-table file: missing arrays ['values']"),
+        ],
+    )
+    def test_damaged_arrays_are_a_value_error_naming_the_file(self, tmp_path, changes, message):
+        save_qtable(tmp_path / "qtable.csv", QTable.zeros(2, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        path = tmp_path / "qtable.npz"
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays.update(changes)
+        np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
+        with pytest.raises(ValueError) as info:
             load_qtable(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
 
 class TestDPEquivalenceSmall:
     def test_two_period_policy_matches_backward_induction(self):

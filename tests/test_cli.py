@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -224,46 +226,28 @@ def test_horizon_longer_than_trade_list(pipeline, tmp_path, capsys):
     }
 
 
-def drop_dims_line(path):
-    path.write_text(
-        "".join(line for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
-                if not line.startswith("# dims")),
-        encoding="utf-8",
-    )
-
-
-def truncate_last_row(path):
-    text = path.read_text(encoding="utf-8").rstrip("\n")
-    path.write_text(text[: text.rindex(",")] + "\n", encoding="utf-8")
-
-
-def drop_last_row(path):
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]), encoding="utf-8")
-
-
-def duplicate_first_row(path):
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[7] = lines[6]
-    path.write_text("".join(lines), encoding="utf-8")
-
-
-def three_dims(path):
-    path.write_text(path.read_text(encoding="utf-8").replace("# dims: 4 2 2 2", "# dims: 4 2 2"), encoding="utf-8")
-
-
-def huge_dims(path):
-    path.write_text(
-        path.read_text(encoding="utf-8").replace("# dims: 4 2 2 2", "# dims: 1000000 1000000 10 10"), encoding="utf-8"
-    )
-
-
-def rewrite_bars(**changes):
+def rewrite_arrays(**changes):
     def damage(path):
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         arrays.update(changes)
         np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
+
+    return damage
+
+
+def oversized_header(name, shape):
+    """Give array `name` a header declaring `shape` and keep its data short."""
+
+    def damage(path):
+        with zipfile.ZipFile(path) as zf:
+            members = {member: zf.read(member) for member in zf.namelist()}
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        members[f"{name}.npy"] = header.getvalue() + bytes(64)
+        with zipfile.ZipFile(path, "w") as zf:
+            for member, data in members.items():
+                zf.writestr(member, data)
 
     return damage
 
@@ -285,24 +269,67 @@ def drop_key(key):
     return damage
 
 
+def set_key(key, value):
+    def damage(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key] = value(payload[key]) if callable(value) else value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    return damage
+
+
+def write_json(value):
+    def damage(path):
+        path.write_text(json.dumps(value), encoding="utf-8")
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "stage, artifact, damage, extra, message",
     [
         ("backtest", None, None, ("--I", "5"), "q-table dims (4, 2, 2, 2)"),
-        ("backtest", "qtable.csv", drop_dims_line, (), "missing header line 'dims'"),
-        ("backtest", "qtable.csv", truncate_last_row, (), "bad row on line"),
-        ("backtest", "qtable.csv", drop_last_row, (), "287 rows, expected 288"),
-        ("backtest", "qtable.csv", three_dims, (), "dims must list T I B W"),
-        ("backtest", "params.json", drop_key("share_schedule"), (), "missing key 'share_schedule'"),
+        ("backtest", "qtable.npz", truncate_half, (), "unreadable q-table file: File is not a zip file"),
+        ("backtest", "qtable.npz", not_a_zip, (), "unreadable q-table file"),
+        ("backtest", "qtable.npz", rewrite_arrays(visits=None), (), "missing arrays ['visits']"),
+        (
+            "backtest", "qtable.npz", rewrite_arrays(visits=np.zeros((4, 2, 2, 2, 8), dtype=np.int64)), (),
+            "array 'visits' has dtype int64 and shape (4, 2, 2, 2, 8)",
+        ),
+        ("backtest", "params.json", drop_key("share_schedule"), (), "missing keys ['share_schedule']"),
         ("report", "stats.json", drop_key("n_days"), (), "missing keys ['n_days']"),
-        ("backtest", "qtable.csv", duplicate_first_row, (), "line 8: duplicate cell"),
-        ("backtest", "qtable.csv", huge_dims, (), "need 900000000000000 rows, more than"),
+        (
+            "backtest", "qtable.npz", rewrite_arrays(betas=np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.5, 1.75, 2.0])), (),
+            "betas must be strictly increasing",
+        ),
+        (
+            "backtest", "qtable.npz", oversized_header("values", (10**6, 10**6, 10, 10, 9)), (),
+            "array 'values' of shape (1000000, 1000000, 10, 10, 9) needs more than the file's",
+        ),
         ("calibrate", "bars.npz", truncate_half, (), "unreadable bars file: File is not a zip file"),
         ("train", "bars.npz", not_a_zip, (), "unreadable bars file"),
-        ("backtest", "bars.npz", rewrite_bars(row=None), (), "missing arrays ['row']"),
-        ("calibrate", "bars.npz", rewrite_bars(row=np.zeros((3, 19))), (), "array 'row' has dtype float64 and shape"),
+        ("backtest", "bars.npz", rewrite_arrays(row=None), (), "missing arrays ['row']"),
+        ("calibrate", "bars.npz", rewrite_arrays(row=np.zeros((3, 19))), (), "array 'row' has dtype float64 and shape"),
         ("calibrate", "bars.npz", None, ("--tau", "600"), "bars are 300.0 s long, not tau = 600.0"),
-        ("train", "bars.npz", rewrite_bars(source_sha256=np.str_("0" * 64)), (), "bars of snapshot store sha256 0000"),
+        ("train", "bars.npz", rewrite_arrays(source_sha256=np.str_("0" * 64)), (), "bars of snapshot store sha256 0000"),
+        (
+            "calibrate", "bars.npz", oversized_header("row", (10**12, 20)), (),
+            "unreadable bars file: array 'row' of shape (1000000000000, 20) needs more than the file's",
+        ),
+        ("train", "params.json", set_key("share_schedule", 5), (), "'share_schedule' is not a list of non-negative integers"),
+        ("backtest", "params.json", set_key("share_schedule", None), (), "'share_schedule' is not a list of non-negative"),
+        (
+            "backtest", "params.json", set_key("share_schedule", lambda s: [s[0] + 0.7, *s[1:]]), (),
+            "'share_schedule' is not a list of non-negative integers",
+        ),
+        ("train", "params.json", set_key("share_schedule", lambda s: [True, *s[1:]]), (), "'share_schedule' is not a list"),
+        ("train", "params.json", set_key("share_schedule", lambda s: [-1, *s[1:]]), (), "'share_schedule' is not a list"),
+        ("report", "stats.json", set_key("dates", 5), (), "'dates' is not a list of ISO dates"),
+        ("report", "stats.json", set_key("std_ac_pct", "0.1"), (), "'std_ac_pct' is not a number"),
+        ("report", "stats.json", set_key("median_improvement_pct", [1.0]), (), "'median_improvement_pct' is not a number or null"),
+        ("report", "stats.json", set_key("n_days", 2.5), (), "'n_days' is not a non-negative integer"),
+        ("calibrate", "ingest_meta.json", write_json(["sha256"]), (), "not a JSON object"),
+        ("calibrate", "ingest_meta.json", set_key("sha256", 5), (), "'sha256' is not a string"),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -318,10 +345,31 @@ def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stag
         assert artifact in error["message"]
 
 
+def test_missing_qtable_npz_exits_4(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    (out / "qtable.npz").unlink()
+    assert cli.main(args("backtest", out)) == 4
+    error = error_of(capsys)
+    assert error["error"] == "missing-artifact"
+    assert "qtable.npz" in error["message"] and "rlexec train" in error["message"]
+
+
+def test_backtest_and_report_never_read_qtable_csv(pipeline, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    for name in ("qtable.csv", "runs.csv", "stats.json"):
+        (out / name).unlink()
+    for stage in ("backtest", "report"):
+        assert cli.main(args(stage, out)) == 0, stage
+    for name in ("runs.csv", "stats.json"):
+        assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     other = tmp_path / "other"
     run_pipeline(other)
-    for name in (*ARTIFACTS, "bars.npz"):
+    for name in (*ARTIFACTS, "bars.npz", "qtable.npz"):
         assert (other / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
