@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import zipfile
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -26,6 +28,7 @@ from rlexec.market_data import (
     MixedRegime,
     Side,
     SyntheticConfig,
+    _load_npz,
     aggregate_intervals,
     bucket_of,
     build_distributions,
@@ -387,6 +390,61 @@ class TestSavedBars:
                 assert a.spread == b.spread
                 assert a.quote_volume == b.quote_volume
                 assert (a.hour, a.n_snapshots) == (b.hour, b.n_snapshots)
+
+
+class TestLoadNpz:
+    SPEC = {"a": ("f", ("n",)), "b": ("i", ("n", 2))}
+
+    def refused(self, path, spec=SPEC) -> str:
+        with pytest.raises(ValueError) as info:
+            _load_npz(path, spec, "test")
+        assert str(info.value).startswith(f"{path}: ")
+        return str(info.value)
+
+    def test_named_dimension_is_read_from_the_first_array_naming_it(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, a=np.arange(3.0), b=np.zeros((3, 2), dtype=np.int64), extra=np.zeros(5))
+        arrays = _load_npz(path, self.SPEC, "test")
+        assert sorted(arrays) == ["a", "b"]
+        assert arrays["a"].tolist() == [0.0, 1.0, 2.0]
+
+    def test_named_dimension_must_agree_across_arrays(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, a=np.arange(3.0), b=np.zeros((4, 2), dtype=np.int64))
+        assert "array 'b' has dtype int64 and shape (4, 2)" in self.refused(path)
+
+    def test_dtype_kind_is_checked(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, a=np.arange(3), b=np.zeros((3, 2), dtype=np.int64))
+        assert "array 'a' has dtype int64 and shape (3,)" in self.refused(path)
+
+    @pytest.mark.parametrize("write_header", ["write_array_header_1_0", "write_array_header_2_0"])
+    def test_oversized_header_is_refused_before_allocation(self, tmp_path, write_header):
+        path = tmp_path / "x.npz"
+        header = io.BytesIO()
+        getattr(np.lib.format, write_header)(header, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("a.npy", header.getvalue() + bytes(64))
+            zf.writestr("b.npy", b"")
+        assert "unreadable test file: array 'a' of shape (1000000000000,) needs more than the file's" in self.refused(path)
+
+    def test_a_plain_npy_is_not_an_npz_archive(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3.0))
+        assert "unreadable test file: not an .npz archive" in self.refused(path)
+
+    def test_an_object_array_is_refused_without_unpickling(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, a=np.array([{"x": 1}, None], dtype=object), b=np.zeros((2, 2), dtype=np.int64))
+        assert "unreadable test file: Object arrays cannot be loaded when allow_pickle=False" in self.refused(path)
+
+    def test_a_member_not_saved_as_npy_is_unreadable(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("a", b"raw bytes")
+            zf.writestr("b.npy", b"")
+        assert "unreadable test file: " in self.refused(path)
 
 
 class TestDistributions:
