@@ -44,13 +44,11 @@ from .execution import (
     walk_book,
 )
 from .market_data import (
+    Bars,
     BookFrame,
     BookRegime,
-    DataSplit,
-    DayWindow,
     HistoricalDistribution,
     IngestResult,
-    IntervalBar,
     MixedRegime,
     Side,
     SyntheticConfig,

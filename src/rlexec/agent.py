@@ -34,15 +34,7 @@ import numpy as np
 
 # walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
 from .execution import _child_volume, _walk_books, walk_book  # noqa: F401
-from .market_data import (
-    DayWindow,
-    HistoricalDistribution,
-    IntervalBar,
-    Side,
-    _load_npz,
-    arrival_reference,
-    bucket_of,
-)
+from .market_data import Bars, HistoricalDistribution, Side, _load_npz, arrival_reference, bucket_of
 
 
 class StateTuple(NamedTuple):
@@ -131,7 +123,7 @@ def _inventory_bucket(remaining, total: int, buckets: int) -> np.ndarray:
 def encode_state(
     remaining_periods: int,
     remaining_shares: float,
-    bar: IntervalBar,
+    bar: Bars,
     dist: HistoricalDistribution | None,
     *,
     total_shares: int,
@@ -139,7 +131,8 @@ def encode_state(
     spread_buckets: int,
     vol_buckets: int,
 ) -> StateTuple:
-    """Bucket the live execution state against the hour's historical samples."""
+    """Bucket the live execution state, in `bar` (the bars at one index),
+    against the hour's historical samples."""
     if remaining_periods < 1:
         raise ValueError("remaining periods must be >= 1")
     if not 0 <= remaining_shares <= total_shares:
@@ -229,7 +222,7 @@ class TrainingResult:
 
 def train(
     q: QTable,
-    episodes: list[DayWindow],
+    episodes: Bars,
     schedule_shares: np.ndarray,
     grid: ActionGrid,
     dists: dict[int, HistoricalDistribution],
@@ -239,7 +232,8 @@ def train(
     learning: LearningSchedule | None = None,
     reference_kind: str = "mid",
 ) -> TrainingResult:
-    """Sweep-train the Q table over the training windows.
+    """Sweep-train the Q table over the training windows, `episodes` indexed
+    (windows, periods) as day_windows gives them.
 
     The state grid is the table's shape and the program size the trade
     list's sum. Per episode, periods run from the horizon down to 1 and every inventory
@@ -277,7 +271,7 @@ def train(
     betas = np.asarray(grid.betas)
     result = TrainingResult()
     for episode in episodes:
-        if len(episode.bars) != periods:
+        if len(episode) != periods:
             result.episodes_skipped += 1
             continue
         try:
@@ -292,7 +286,7 @@ def train(
                     spread_buckets=spread_buckets,
                     vol_buckets=vol_buckets,
                 )
-                for j, bar in enumerate(episode.bars)
+                for j, bar in enumerate(episode)
             ]
         except ValueError:  # no historical distribution for a bar's hour
             result.episodes_skipped += 1
@@ -301,7 +295,7 @@ def train(
         ref = arrival_reference(episode, side, reference_kind)
         for t in range(periods, 0, -1):
             j = periods - t  # 0-based period index
-            prices, volumes = episode.bars[j].levels(side)
+            prices, volumes = episode[j].levels(side)
             if t == 1:
                 # liquidation guarantee: the last period executes all
                 # remaining inventory cap-free, whatever beta says

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
 # walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
 from .execution import _walk_books, walk_book  # noqa: F401
-from .market_data import IntervalBar, Side
+from .market_data import Bars, Side
 
 #: Probe volumes for the impact fit, as fractions of the median visible depth.
 PROBE_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8)
@@ -152,7 +151,7 @@ def fit_temporary_impact(rates: np.ndarray, impacts: np.ndarray) -> tuple[float,
 
 
 def calibrate(
-    bars: list[IntervalBar],
+    bars: Bars,
     lam: float,
     total_shares: float,
     periods: int,
@@ -168,19 +167,13 @@ def calibrate(
     """
     if len(bars) < 2:
         raise ValueError("need at least 2 bars to calibrate")
-    mids = np.array([bar.mid for bar in bars])
-    diffs = [
-        mids[k + 1] - mids[k]
-        for k in range(len(bars) - 1)
-        if bars[k + 1].start - bars[k].start == timedelta(seconds=bars[k].duration)
-    ]
-    if not diffs:
+    mids = bars.mid
+    diffs = np.diff(mids)[bars.follows(bars.tau)]
+    if not len(diffs):
         raise ValueError("no consecutive bar pairs for sigma")
     sigma = float(np.std(diffs))
 
-    books = [bar.levels(side) for bar in bars]
-    prices = np.array([p for p, _ in books])
-    volumes = np.array([v for _, v in books])
+    prices, volumes = bars.levels(side)
     depth = float(np.median(volumes.sum(axis=-1)))
     probes = sorted({max(int(round(f * depth)), 1) for f in PROBE_FRACTIONS})
     # every bar walks every probe, bar-major, probe-minor; probes that fill

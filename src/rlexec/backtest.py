@@ -1,13 +1,14 @@
 """Day-by-day execution of the static and Q-modulated strategies.
 
-Each test day supplies one window of bars at the configured hour. The static
-strategy replays the rounded trade list through the execution engine; the
-adaptive strategy runs the same engine with each child order scaled by the
-greedy beta of the Q table for the live state. Runs are scored by
-implementation shortfall and compared by medians and dispersion. Every run
-and report function takes the experiment as the pipeline's own
-`ExperimentConfig`: its hour, horizon, bar length, cap, side, reference and
-beta grid drive the runs, and its (V, T, I/B/W, H) key the report tables.
+Each test day supplies one window of bars at the configured hour: a row of
+the test bars indexed (days, periods) by day_windows. The static strategy
+replays the rounded trade list through the execution engine; the adaptive
+strategy runs the same engine with each child order scaled by the greedy
+beta of the Q table for the live state. Runs are scored by implementation
+shortfall and compared by medians and dispersion. Every run and report
+function takes the experiment as the pipeline's own `ExperimentConfig`: its
+hour, horizon, bar length, cap, side, reference and beta grid drive the
+runs, and its (V, T, I/B/W, H) key the report tables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .agent import QTable, encode_state, greedy_beta
 from .config import ExperimentConfig
 # walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
 from .execution import ISRecord, LiquidationError, _schedule_total, execute_schedule, walk_book  # noqa: F401
-from .market_data import HistoricalDistribution, IntervalBar, Side, arrival_reference, day_windows
+from .market_data import Bars, HistoricalDistribution, Side, arrival_reference, day_windows
 
 REPORT_HOURS = tuple(range(9, 17))
 
@@ -37,9 +38,9 @@ class StrategyRuns:
 
 def _run_days(
     cfg: ExperimentConfig,
-    test_bars: list[IntervalBar],
+    test_bars: Bars,
     schedule_shares: np.ndarray,
-    beta: Callable[[int, IntervalBar, float], float] | None = None,
+    beta: Callable[[int, Bars, float], float] | None = None,
 ) -> StrategyRuns:
     """Execute the trade list, re-sized by `beta` when given, on every test
     day; liquidation failures and days without a state are skipped days."""
@@ -47,10 +48,10 @@ def _run_days(
     side = Side(cfg.side)
     windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
     records: dict[date, ISRecord] = {}
-    for window in windows:
+    for day, window in zip(windows.day[:, 0].tolist(), windows):
         try:
-            records[window.day] = execute_schedule(
-                list(window.bars),
+            records[day] = execute_schedule(
+                window,
                 schedule_shares,
                 cfg.cap,
                 side,
@@ -58,18 +59,18 @@ def _run_days(
                 beta=beta,
             )
         except (LiquidationError, ValueError) as exc:  # ValueError: no distribution for an hour
-            skipped.append((window.day, str(exc)))
+            skipped.append((day, str(exc)))
     return StrategyRuns(records=records, skipped=skipped)
 
 
-def run_ac(cfg: ExperimentConfig, test_bars: list[IntervalBar], schedule_shares: np.ndarray) -> StrategyRuns:
+def run_ac(cfg: ExperimentConfig, test_bars: Bars, schedule_shares: np.ndarray) -> StrategyRuns:
     """Replay the static trade list on every test day at the configured hour."""
     return _run_days(cfg, test_bars, schedule_shares)
 
 
 def run_rl(
     cfg: ExperimentConfig,
-    test_bars: list[IntervalBar],
+    test_bars: Bars,
     schedule_shares: np.ndarray,
     q: QTable,
     dists: dict[int, HistoricalDistribution],
@@ -80,7 +81,7 @@ def run_rl(
     _, inv_buckets, spread_buckets, vol_buckets, _ = q.values.shape
     grid = cfg.grid()
 
-    def beta(remaining_periods: int, bar: IntervalBar, remaining_shares: float) -> float:
+    def beta(remaining_periods: int, bar: Bars, remaining_shares: float) -> float:
         x = encode_state(
             remaining_periods,
             remaining_shares,

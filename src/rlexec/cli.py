@@ -8,12 +8,14 @@ file, overridden by command-line flags named after the model parameters.
 Ingest (or synth) is the only stage that parses depth CSV. It writes the
 snapshot store `snapshots.csv`, the readable export, with its sha256 in
 `ingest_meta.json`, and aggregates the store once into `bars.npz`, its
-tau-second bars. Calibrate, train and backtest load `bars.npz` and never
-open `snapshots.csv`; a `bars.npz` of another tau, or of a store other than
-the one `ingest_meta.json` hashes, is a data error. Train likewise writes
-`qtable.csv`, the readable export, and `qtable.npz`, the arrays backtest
-loads; backtest never opens `qtable.csv`. A JSON hand-off lacking a key, or
-with a value of the wrong type, is a data error as well.
+tau-second bars as the columns of one `Bars` table. Calibrate, train and
+backtest load `bars.npz` and never open `snapshots.csv`; the split is a mask
+on the bar starts. A `bars.npz` of another tau, of a store other than the
+one `ingest_meta.json` hashes, or with a bar no aggregation gives, is a data
+error. Train likewise writes `qtable.csv`, the readable export, and
+`qtable.npz`, the arrays backtest loads; backtest never opens `qtable.csv`.
+A JSON hand-off lacking a key, with a value of the wrong type, or with a
+trade list that does not plan V shares, is a data error as well.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import json
 import sys
 from dataclasses import fields
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
@@ -35,8 +37,8 @@ from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
 from .execution import LiquidationError
 from .market_data import (
+    Bars,
     BookFrame,
-    DataSplit,
     IngestResult,
     Side,
     aggregate_intervals,
@@ -162,24 +164,25 @@ def cmd_ingest(cfg: ExperimentConfig) -> Path:
     return _write_bars(cfg, result)
 
 
-def _load_split(cfg: ExperimentConfig) -> DataSplit:
-    """The bars ingest wrote to bars.npz, split at the config's boundary;
-    snapshots.csv is not read."""
+def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
+    """The bars ingest wrote to bars.npz, split at the config's boundary:
+    those starting before it train, the rest test. snapshots.csv is not read."""
     path = _require(_bars_path(cfg), "ingest")
     meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
     bars = load_bars(path, cfg.tau, meta["sha256"], side=Side(cfg.side))
-    split = DataSplit.at_boundary(bars, cfg.split_datetime())
-    if not split.training:
+    boundary = (cfg.split_datetime() - datetime.fromtimestamp(0, timezone.utc)) // timedelta(microseconds=1)
+    training = bars.start_us < boundary
+    if not training.any():
         raise ValueError("no training bars before the split boundary")
-    if not split.testing:
+    if training.all():
         raise ValueError("no testing bars after the split boundary")
-    return split
+    return bars[training], bars[~training]
 
 
 def cmd_calibrate(cfg: ExperimentConfig) -> Path:
     """Fit sigma/eta on the training bars and write the trajectory."""
-    split = _load_split(cfg)
-    params = calibrate(split.training, cfg.lam, cfg.V, cfg.T, side=Side(cfg.side))
+    training, _ = _load_split(cfg)
+    params = calibrate(training, cfg.lam, cfg.V, cfg.T, side=Side(cfg.side))
     trajectory = compute_trajectory(params)
     payload = {
         "sigma": params.sigma,
@@ -200,17 +203,22 @@ def cmd_calibrate(cfg: ExperimentConfig) -> Path:
 
 
 def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
-    payload = _load_json(_require(cfg.out_dir() / "params.json", "calibrate"), {"share_schedule": list[int]})
-    return np.asarray(payload["share_schedule"], dtype=np.int64)
+    """The trade list in params.json, which must plan the config's V shares."""
+    path = _require(cfg.out_dir() / "params.json", "calibrate")
+    shares = _load_json(path, {"share_schedule": list[int]})["share_schedule"]
+    total = sum(shares)  # Python ints, which cannot wrap
+    if total != cfg.V:
+        raise ValueError(f"{path}: share_schedule plans {total} shares, not V = {cfg.V}")
+    return np.asarray(shares, dtype=np.int64)
 
 
 def cmd_train(cfg: ExperimentConfig) -> Path:
     """Sweep-train the Q table on the training windows."""
-    split = _load_split(cfg)
+    training, _ = _load_split(cfg)
     schedule = _load_schedule(cfg)
     grid = cfg.grid()
-    dists = build_distributions(split.training)
-    episodes, _ = day_windows(split.training, cfg.H, cfg.T, cfg.tau)
+    dists = build_distributions(training)
+    episodes, _ = day_windows(training, cfg.H, cfg.T, cfg.tau)
     if not episodes:
         raise ValueError(f"no training windows at hour {cfg.H}")
     q = QTable.zeros(cfg.T, cfg.I, cfg.B, cfg.W, len(grid))
@@ -240,16 +248,16 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
 
 def cmd_backtest(cfg: ExperimentConfig) -> Path:
     """Run both strategies over the test days and write records and stats."""
-    split = _load_split(cfg)
+    training, testing = _load_split(cfg)
     schedule = _load_schedule(cfg)
     q, grid = load_qtable(_require(cfg.out_dir() / "qtable.npz", "train"))
     if grid.betas != cfg.grid().betas:
         raise ValueError("q-table action grid does not match the config")
     if q.values.shape[:4] != (cfg.T, cfg.I, cfg.B, cfg.W):
         raise ValueError(f"q-table dims {q.values.shape[:4]} do not match the config's (T, I, B, W)")
-    dists = build_distributions(split.training)
-    ac_runs = run_ac(cfg, split.testing, schedule)
-    rl_runs = run_rl(cfg, split.testing, schedule, q, dists)
+    dists = build_distributions(training)
+    ac_runs = run_ac(cfg, testing, schedule)
+    rl_runs = run_rl(cfg, testing, schedule, q, dists)
     stats = compare(ac_runs.records, rl_runs.records)
     write_runs_csv(cfg.out_dir() / "runs.csv", cfg, {"ac": ac_runs, "rl": rl_runs})
     payload = {f.name: getattr(stats, f.name) for f in fields(ISStatistics)}

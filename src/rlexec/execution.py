@@ -7,9 +7,10 @@ one book or a stack of books, and walk_book is its validated scalar view, so
 the training sweep and the calibration probes walk each block at once and
 still fill every order exactly as walk_book would. An optional per-period
 multiplier beta re-sizes each non-final child order; beta = 1 everywhere
-replays the trade list fill for fill. Scoring is Perold-style implementation
-shortfall against the arrival price, in signed basis points (negative = cost
-for a buy).
+replays the trade list fill for fill. A run executes over a run of `Bars`,
+one bar per period, walking the levels of each period's row. Scoring is
+Perold-style implementation shortfall against the arrival price, in signed
+basis points (negative = cost for a buy).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market_data import IntervalBar, Side
+from .market_data import Bars, Side
 
 
 class LiquidationError(RuntimeError):
@@ -156,14 +157,14 @@ def _schedule_total(schedule: np.ndarray, periods: int) -> int:
 
 
 def execute_schedule(
-    bars: list[IntervalBar],
+    bars: Bars,
     schedule: np.ndarray,
     cap: float,
     side: Side = Side.BUY,
     reference: float | None = None,
-    beta: Callable[[int, IntervalBar, float], float] | None = None,
+    beta: Callable[[int, Bars, float], float] | None = None,
 ) -> ISRecord:
-    """Execute a per-period share schedule against per-period books.
+    """Execute a per-period share schedule against a run of bars, one per period.
 
     Each period walks its bar for the scheduled volume plus any carried
     residual, capped at `cap` of visible depth; the final period lifts the cap
@@ -171,29 +172,30 @@ def execute_schedule(
     run has failed its liquidation guarantee and raises LiquidationError.
 
     Each non-final child is sized by _child_volume at beta(remaining_periods,
-    bar, remaining_shares), 1 without `beta`; the final period plans all the
-    inventory still planned. Carried residual is re-requested, not re-scaled,
-    so beta = 1 everywhere replays the list fill for fill.
+    bar, remaining_shares), `bar` being `bars` at the period's index, 1 without
+    `beta`; the final period plans all the inventory still planned. Carried
+    residual is re-requested, not re-scaled, so beta = 1 everywhere replays
+    the list fill for fill.
     """
     schedule = np.asarray(schedule)
     total = _schedule_total(schedule, len(bars))
-    ref = bars[0].mid if reference is None else float(reference)
+    ref = bars.mid[0] if reference is None else float(reference)
     last = len(bars)
     suffix = np.cumsum(schedule[::-1])[::-1]  # shares still planned from each period on
+    prices, volumes = bars.levels(side)
     planned_remaining = total  # inventory net of carried residual
     remaining = total  # inventory not yet executed
     carry = 0.0
     fills: list[tuple[int, Fill]] = []
-    for period, (bar, planned) in enumerate(zip(bars, schedule), start=1):
+    for period, planned in enumerate(schedule, start=1):
         if period == last:
             planned = planned_remaining
         else:
-            b = 1.0 if beta is None else beta(last - period + 1, bar, remaining)
+            b = 1.0 if beta is None else beta(last - period + 1, bars[period - 1], remaining)
             planned = int(_child_volume(b, planned_remaining, planned, suffix[period - 1]))
         planned_remaining -= planned
         request = float(planned) + carry
-        prices, volumes = bar.levels(side)
-        fill = walk_book(prices, volumes, request, cap=1.0 if period == last else cap)
+        fill = walk_book(prices[period - 1], volumes[period - 1], request, cap=1.0 if period == last else cap)
         carry = fill.residual
         remaining -= fill.executed
         fills.append((period, fill))

@@ -3,13 +3,18 @@
 Depth has one layout from CSV to bar: a row of 20 floats in the CSV's column
 order, sliced by BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES. Raw
 snapshots are one `BookFrame` (timestamps and a (rows, 20) array); ingestion
-validates every row with one vectorized check and tallies rejects per reason;
-aggregation averages the rows into fixed-length interval bars with one
-grouped sum, each bar holding its row of the means. `save_bars` writes the
-bars as arrays and `load_bars` reads them back, building each bar the way
-aggregation does. The bars are the time grid for everything downstream:
-hour-conditioned spread/volume percentile distributions for state encoding,
-calibration inputs, and the execution substrate for book walks.
+validates every row with one vectorized check and tallies rejects per reason.
+
+Interval bars are one column table, `Bars`, from aggregation to execution:
+per bar its start epoch, its start's UTC offset, its snapshot count and its
+row of the means, which aggregation computes with one grouped sum. Hour,
+local day, mid, spread, quote volume and book levels are column expressions;
+a mask, an index or an (n, T) index array gives a split, a window or a stack
+of windows. `save_bars` writes the columns as they are and `load_bars` reads
+them back, refusing a table no aggregation gives. The bars are the time grid
+for everything downstream: hour-conditioned spread/volume percentile
+distributions for state encoding, calibration inputs, and the execution
+substrate for book walks.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import csv
 import math
 import zipfile
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
@@ -111,37 +116,106 @@ class BookFrame:
                                   ask_prices=r[ASK_PRICES], ask_volumes=r[ASK_VOLUMES])
 
 
-@dataclass
-class IntervalBar:
-    """A tau-length aggregate of snapshots: their mean depth row, in the
-    BookFrame layout, with its level-1 spread and the level-1 volume of the
-    side the bar was aggregated for."""
+def _microseconds(seconds):
+    """Whole microseconds in `seconds`, elementwise, the fraction rounded half
+    to even as datetime.fromtimestamp and timedelta round it."""
+    whole = np.floor(seconds)
+    return whole.astype(np.int64) * 1_000_000 + np.rint((seconds - whole) * 1e6).astype(np.int64)
 
-    start: datetime
-    duration: float
+
+@dataclass(frozen=True)
+class Bars:
+    """Tau-second bars as columns: per bar its start epoch in seconds, the UTC
+    offset in seconds of its start (the zone of its first snapshot), its
+    snapshot count and its mean depth row in the BookFrame layout. ``side`` is
+    the side a `side` order consumes, whose level-1 volume is ``quote_volume``.
+
+    The columns share their leading axes: (n,) for a run of bars, (n, T) for
+    a stack of windows. Indexing indexes every column at once, so a mask gives
+    a split, an index one bar, and iteration runs over the first axis. Starts
+    count in whole microseconds, rounded as datetime rounds them; hour and day
+    (a datetime64[D]) are the start's on its own zone's clock.
+    """
+
+    tau: float
+    side: Side
+    start: np.ndarray
+    utc_offset: np.ndarray
+    n_snapshots: np.ndarray
     row: np.ndarray
-    spread: float
-    quote_volume: float
-    hour: int
-    n_snapshots: int
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("non-positive duration")
-        if self.spread <= 0:
-            raise ValueError("non-positive spread")
-        if not 0 <= self.hour <= 23:
-            raise ValueError("hour outside 0..23")
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, index) -> Bars:
+        columns = (self.start, self.utc_offset, self.n_snapshots, self.row)
+        return Bars(self.tau, self.side, *(column[index] for column in columns))
 
     @property
-    def mid(self) -> float:
-        return 0.5 * (self.row[ASK_PRICES.start] + self.row[BID_PRICES.start])
+    def start_us(self) -> np.ndarray:
+        return _microseconds(self.start)
+
+    @property
+    def _local_us(self) -> np.ndarray:
+        return self.start_us + _microseconds(self.utc_offset)
+
+    @property
+    def hour(self) -> np.ndarray:
+        return self._local_us // 3_600_000_000 % 24
+
+    @property
+    def day(self) -> np.ndarray:
+        return (self._local_us // 86_400_000_000).astype("datetime64[D]")
+
+    def follows(self, tau: float) -> np.ndarray:
+        """Whether each bar after the first on the last axis starts `tau`
+        seconds after the one before it."""
+        return np.diff(self.start_us, axis=-1) == _microseconds(tau)
+
+    @property
+    def mid(self) -> np.ndarray:
+        return 0.5 * (self.row[..., ASK_PRICES.start] + self.row[..., BID_PRICES.start])
+
+    @property
+    def spread(self) -> np.ndarray:
+        return self.row[..., ASK_PRICES.start] - self.row[..., BID_PRICES.start]
+
+    @property
+    def quote_volume(self) -> np.ndarray:
+        return self.row[..., (ASK_VOLUMES if self.side is Side.BUY else BID_VOLUMES).start]
 
     def levels(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
         """Price/volume levels of the side a `side` order consumes, best first."""
         if side is Side.BUY:
-            return self.row[ASK_PRICES], self.row[ASK_VOLUMES]
-        return self.row[BID_PRICES], self.row[BID_VOLUMES]
+            return self.row[..., ASK_PRICES], self.row[..., ASK_VOLUMES]
+        return self.row[..., BID_PRICES], self.row[..., BID_VOLUMES]
+
+
+#: Bar starts a date can hold in any zone: from a day into year 1 to a day before year 10000.
+_START_RANGE = tuple(datetime(*ymd, tzinfo=timezone.utc).timestamp() for ymd in ((1, 1, 2), (9999, 12, 31)))
+
+
+def _check_bars(bars: Bars, source: str = "") -> Bars:
+    """`bars`, a run of bars, unless one is a bar no aggregation of valid
+    snapshots gives: then a ValueError, prefixed by `source`, naming the first
+    such bar and why. Means of valid rows fail only by a rounded-away spread
+    or an overflow."""
+    row, start, offset = bars.row, bars.start, bars.utc_offset
+    volumes, prices = row[:, 1::2], row[:, ::2]  # the depth row alternates price, volume
+    checks = {
+        "non-finite cell": ~(np.isfinite(row).all(axis=1) & np.isfinite(start) & np.isfinite(offset)),
+        "negative volume": (volumes < 0).any(axis=1),
+        "non-positive price": (prices <= 0).any(axis=1),
+        "non-positive spread": ~(bars.spread > 0),
+        "no snapshots": bars.n_snapshots < 1,
+        "UTC offset of a day or more": ~(np.abs(offset) < 86_400),
+        "start outside the datetime range": ~((start >= _START_RANGE[0]) & (start <= _START_RANGE[1])),
+        "start not after the previous bar's": np.r_[False, ~(np.diff(start) > 0)],
+    }
+    for reason, failed in checks.items():
+        if failed.any():
+            raise ValueError(f"{source}bar {int(failed.argmax())}: {reason}")
+    return bars
 
 
 @dataclass
@@ -180,26 +254,6 @@ def bucket_of(dist: HistoricalDistribution, field_name: str, value: float, bucke
         raise ValueError(f"empty {field_name} distribution for hour {dist.hour}")
     count = max(int(np.searchsorted(samples, value, side="right")), 1)
     return (count * buckets + n - 1) // n
-
-
-@dataclass
-class DataSplit:
-    """Chronological train/test partition of interval bars."""
-
-    training: list[IntervalBar]
-    testing: list[IntervalBar]
-
-    def __post_init__(self) -> None:
-        if self.training and self.testing:
-            if max(b.start for b in self.training) >= min(b.start for b in self.testing):
-                raise ValueError("training bars must strictly pre-date testing bars")
-
-    @classmethod
-    def at_boundary(cls, bars: list[IntervalBar], boundary: datetime) -> "DataSplit":
-        """Bars starting before `boundary` train; the rest test."""
-        training = [b for b in bars if b.start < boundary]
-        testing = [b for b in bars if b.start >= boundary]
-        return cls(training=training, testing=testing)
 
 
 @dataclass
@@ -292,14 +346,13 @@ def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
             )
 
 
-def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY) -> list[IntervalBar]:
+def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY) -> Bars:
     """Aggregate snapshots into tau-second bars aligned to the epoch grid.
 
     Each bar's row is the simple mean of the depth rows whose timestamps fall
-    in [start, start + tau), a view of one means array; empty intervals are
-    omitted. A bar's start carries the tz of its first snapshot in input
-    order. ``quote_volume`` is the averaged level-1 volume of the side a
-    `side` order consumes.
+    in [start, start + tau); empty intervals are omitted. A bar's UTC offset
+    is its first snapshot's in input order. ``quote_volume`` is the averaged
+    level-1 volume of the side a `side` order consumes.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -317,24 +370,9 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
     sums = np.zeros((len(starts), 4 * N_LEVELS))
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
-    zones = [snapshots.timestamps[k].tzinfo for k in first.tolist()]
-    return _bars_from_columns(starts, zones, sums / counts[:, np.newaxis], counts, tau, side)
-
-
-def _bars_from_columns(
-    starts: np.ndarray, zones: list, means: np.ndarray, counts: np.ndarray, tau: float, side: Side
-) -> list[IntervalBar]:
-    """The bars of start epochs, start zones, mean depth rows and snapshot
-    counts, one per position; the one place bars are built, from
-    aggregation and from a saved file alike. ``spread`` and ``quote_volume``
-    (for `side`) are column operations on the means."""
-    spreads = (means[:, ASK_PRICES.start] - means[:, BID_PRICES.start]).tolist()
-    quote_volumes = means[:, (ASK_VOLUMES if side is Side.BUY else BID_VOLUMES).start].tolist()
-    bar_starts = [datetime.fromtimestamp(epoch, tz=zone) for epoch, zone in zip(starts.tolist(), zones)]
-    return [
-        IntervalBar(start=start, duration=tau, row=row, spread=spread, quote_volume=volume, hour=start.hour, n_snapshots=n)
-        for start, row, spread, volume, n in zip(bar_starts, means, spreads, quote_volumes, counts.tolist())
-    ]
+    zones = (snapshots.timestamps[k].utcoffset() for k in first.tolist())
+    offsets = np.fromiter((zone.total_seconds() for zone in zones), float, len(first))
+    return _check_bars(Bars(tau, side, starts, offsets, counts, sums / counts[:, np.newaxis]))
 
 
 def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
@@ -377,9 +415,8 @@ def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -
 
 
 #: The arrays of a bars file, each with its dtype kind and shape over the
-#: bar count n: per bar its start epoch, its start's UTC offset in seconds,
-#: its snapshot count and its mean depth row; then the bar length and the
-#: sha256 of the snapshot store the bars were aggregated from.
+#: bar count n: the columns of `Bars`, then the bar length and the sha256 of
+#: the snapshot store the bars were aggregated from.
 _BARS_ARRAYS = {
     "start": ("f", ("n",)),
     "utc_offset": ("f", ("n",)),
@@ -390,33 +427,27 @@ _BARS_ARRAYS = {
 }
 
 
-def save_bars(path: str | Path, bars: list[IntervalBar], source_sha256: str) -> None:
-    """Write the bars of one `aggregate_intervals` call to an .npz file,
+def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
+    """Write the columns of one `aggregate_intervals` call to an .npz file,
     with the sha256 of the snapshot store they came from.
 
     The file holds no side-dependent field, and the same bars give the same
     bytes (the zip entries carry a fixed date).
     """
-    if not bars:
+    if not len(bars):
         raise ValueError("no bars to save")
-    n = len(bars)
-    np.savez(
-        path,
-        start=np.fromiter((bar.start.timestamp() for bar in bars), dtype=float, count=n),
-        utc_offset=np.fromiter((bar.start.utcoffset().total_seconds() for bar in bars), dtype=float, count=n),
-        n_snapshots=np.fromiter((bar.n_snapshots for bar in bars), dtype=np.int64, count=n),
-        row=np.stack([bar.row for bar in bars]),
-        tau=np.float64(bars[0].duration),
-        source_sha256=np.str_(source_sha256),
-    )
+    columns = {name: getattr(bars, name) for name in ("start", "utc_offset", "n_snapshots", "row")}
+    np.savez(path, **columns, tau=np.float64(bars.tau), source_sha256=np.str_(source_sha256))
 
 
-def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Side.BUY) -> list[IntervalBar]:
-    """The bars `save_bars` wrote, with ``spread`` and ``quote_volume`` for
-    `side`; each start keeps its saved UTC offset as a fixed zone.
+def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Side.BUY) -> Bars:
+    """The bars `save_bars` wrote, with ``quote_volume`` for `side`.
 
-    A file `_load_npz` refuses, or one that holds bars of another tau or of
-    another snapshot store, is a ValueError naming `path`.
+    A file `_load_npz` refuses, one that holds bars of another tau or of
+    another snapshot store, or one with a bar no aggregation gives (a
+    non-finite cell, a negative volume, a non-positive price or spread, no
+    snapshots, an offset of a day or more, starts out of datetime's range or
+    not strictly increasing) is a ValueError naming `path`.
     """
     arrays = _load_npz(path, _BARS_ARRAYS, "bars")
     if len(arrays["start"]) == 0:
@@ -425,88 +456,58 @@ def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Sid
         raise ValueError(f"{path}: bars are {float(arrays['tau'])!r} s long, not tau = {tau!r}")
     if arrays["source_sha256"].item() != source_sha256:
         raise ValueError(f"{path}: bars of snapshot store sha256 {arrays['source_sha256'].item()}, not {source_sha256}")
-    offsets = arrays["utc_offset"].tolist()
-    try:
-        zone_of = {offset: timezone(timedelta(seconds=offset)) for offset in set(offsets)}
-        return _bars_from_columns(
-            arrays["start"], [zone_of[offset] for offset in offsets], arrays["row"], arrays["n_snapshots"], tau, side
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    bars = Bars(tau, side, arrays["start"], arrays["utc_offset"], arrays["n_snapshots"], arrays["row"])
+    return _check_bars(bars, f"{path}: ")
 
 
-def build_distributions(bars: list[IntervalBar]) -> dict[int, HistoricalDistribution]:
+def build_distributions(bars: Bars) -> dict[int, HistoricalDistribution]:
     """Per-hour sorted spread and quote-volume samples from training bars."""
-    if not bars:
+    if not len(bars):
         raise ValueError("no bars")
-    spreads: dict[int, list[float]] = defaultdict(list)
-    volumes: dict[int, list[float]] = defaultdict(list)
-    for bar in bars:
-        spreads[bar.hour].append(bar.spread)
-        volumes[bar.hour].append(bar.quote_volume)
-    return {
-        hour: HistoricalDistribution(
-            hour=hour,
-            spread_samples=np.asarray(spreads[hour]),
-            volume_samples=np.asarray(volumes[hour]),
-        )
-        for hour in sorted(spreads)
-    }
+    hours, spreads, volumes = bars.hour, bars.spread, bars.quote_volume
+    return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in np.unique(hours).tolist()}
 
 
-@dataclass(frozen=True)
-class DayWindow:
-    """T consecutive bars of one day, anchored at the trading hour."""
-
-    day: date
-    bars: tuple[IntervalBar, ...]
-
-
-def arrival_reference(window: DayWindow, side: Side, kind: str = "mid") -> float:
-    """Benchmark price at t=0 of a run: the arrival mid, or with kind="ask"
-    the level-1 price of the consumed side (the stricter buy benchmark)."""
+def arrival_reference(window: Bars, side: Side, kind: str = "mid") -> float:
+    """Benchmark price at t=0 of a run over `window`: the arrival mid, or with
+    kind="ask" the level-1 price of the consumed side (the stricter buy
+    benchmark)."""
     if kind == "mid":
-        return window.bars[0].mid
+        return window.mid[0]
     if kind == "ask":
-        prices, _ = window.bars[0].levels(side)
-        return float(prices[0])
+        prices, _ = window.levels(side)
+        return float(prices[0, 0])
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-def day_windows(
-    bars: list[IntervalBar], hour: int, periods: int, tau: float
-) -> tuple[list[DayWindow], list[tuple[date, str]]]:
-    """Per-day windows of `periods` consecutive bars starting at `hour`.
+def day_windows(bars: Bars, hour: int, periods: int, tau: float) -> tuple[Bars, list[tuple[date, str]]]:
+    """Per-day windows of `periods` consecutive bars starting at `hour`, as
+    the bars indexed (windows, periods), one window per day in day order.
 
-    Days without a bar at the hour, or with a gap inside the window, are
-    skipped and reported with a reason.
+    A day is a start's date in its own zone. Days without a bar at the hour,
+    or with a gap inside the window, are skipped and reported with a reason.
     """
-    by_day: dict[date, list[IntervalBar]] = defaultdict(list)
-    for bar in bars:
-        by_day[bar.start.date()].append(bar)
-    windows: list[DayWindow] = []
+    day = bars.day
+    order = np.lexsort((bars.start_us, day))  # by day, then by start
+    days, firsts = np.unique(day[order], return_index=True)
+    at_hour = bars.hour[order] == hour
+    picked: list[np.ndarray] = []
     skipped: list[tuple[date, str]] = []
-    step = timedelta(seconds=tau)
-    for day in sorted(by_day):
-        day_bars = sorted(by_day[day], key=lambda b: b.start)
-        anchor = next((k for k, b in enumerate(day_bars) if b.hour == hour), None)
-        if anchor is None:
+    for day, lo, hi in zip(days.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(order)]):
+        hits = np.flatnonzero(at_hour[lo:hi])
+        if not len(hits):
             skipped.append((day, f"no bars at hour {hour}"))
             continue
-        if anchor + periods > len(day_bars):
+        anchor = lo + int(hits[0])
+        if anchor + periods > hi:
             skipped.append((day, f"fewer than {periods} bars from hour {hour}"))
             continue
-        window = day_bars[anchor : anchor + periods]
-        gaps = [
-            k
-            for k in range(1, periods)
-            if window[k].start != window[k - 1].start + step
-        ]
-        if gaps:
+        window = order[anchor : anchor + periods]
+        if not bars[window].follows(tau).all():
             skipped.append((day, "gap inside window"))
             continue
-        windows.append(DayWindow(day=day, bars=tuple(window)))
-    return windows, skipped
+        picked.append(window)
+    return bars[np.array(picked, dtype=np.intp).reshape(len(picked), periods)], skipped
 
 
 # ---------------------------------------------------------------------------

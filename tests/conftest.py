@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from rlexec.market_data import ASK_PRICES, ASK_VOLUMES, BID_PRICES, N_LEVELS, BookFrame, IntervalBar
+from rlexec.market_data import ASK_PRICES, ASK_VOLUMES, BID_PRICES, N_LEVELS, Bars, BookFrame, Side
 
 # Five-level ask books from the worked reward example: walking 10000 shares
 # through BOOK_A gives VWAP 100.89 (displayed 100.9 at source precision) and
@@ -31,12 +31,16 @@ def make_row(
     spread: float = 0.10,
     level_volume: float = 5000.0,
     step: float = 0.05,
+    ask_levels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The depth row, in DEPTH_CSV_COLUMNS order, of an evenly stepped book."""
+    """The depth row, in DEPTH_CSV_COLUMNS order, of an evenly stepped book,
+    with `ask_levels` (prices, volumes) in place of its ask side if given."""
     offsets = step * np.arange(5)
     row = np.full(4 * N_LEVELS, float(level_volume))
     row[BID_PRICES] = mid - spread / 2 - offsets
     row[ASK_PRICES] = mid + spread / 2 + offsets
+    if ask_levels is not None:
+        row[ASK_PRICES], row[ASK_VOLUMES] = ask_levels
     return row
 
 
@@ -44,37 +48,30 @@ def make_frame(stamps: list[datetime], rows: list[np.ndarray]) -> BookFrame:
     return BookFrame(timestamps=list(stamps), values=np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
 
 
-def make_bar(
-    start: datetime = T0,
-    duration: float = 300.0,
-    mid: float = 100.0,
-    spread: float = 0.10,
-    level_volume: float = 5000.0,
-    step: float = 0.05,
-    ask_levels: tuple[np.ndarray, np.ndarray] | None = None,
-) -> IntervalBar:
-    row = make_row(mid, spread, level_volume, step)
-    if ask_levels is not None:
-        row[ASK_PRICES], row[ASK_VOLUMES] = ask_levels
-    return IntervalBar(
-        start=start,
-        duration=duration,
-        row=row,
-        spread=float(row[ASK_PRICES.start] - row[BID_PRICES.start]),
-        quote_volume=float(row[ASK_VOLUMES.start]),
-        hour=start.hour,
-        n_snapshots=1,
+def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0) -> Bars:
+    """Consecutive tau-second buy-side bars from `start`, one per depth row,
+    each of one snapshot."""
+    n = len(rows)
+    return Bars(
+        tau=tau,
+        side=Side.BUY,
+        start=start.timestamp() + tau * np.arange(n),
+        utc_offset=np.full(n, start.utcoffset().total_seconds()),
+        n_snapshots=np.ones(n, dtype=np.int64),
+        row=np.array(rows, dtype=float).reshape(n, 4 * N_LEVELS),
     )
 
 
-def make_bar_sequence(n: int, start: datetime = T0, tau: float = 300.0, **kwargs) -> list[IntervalBar]:
-    return [make_bar(start=start + timedelta(seconds=k * tau), duration=tau, **kwargs) for k in range(n)]
+def make_bar_sequence(n: int, start: datetime = T0, tau: float = 300.0, **kwargs) -> Bars:
+    return make_bars([make_row(**kwargs)] * n, start, tau)
+
+
+def make_bar(start: datetime = T0, **kwargs) -> Bars:
+    """One bar: the bars at one index."""
+    return make_bar_sequence(1, start, **kwargs)[0]
 
 
 @pytest.fixture
-def paper_bars() -> list[IntervalBar]:
+def paper_bars() -> Bars:
     """Two periods whose ask sides are the worked-example books."""
-    return [
-        make_bar(start=T0, ask_levels=BOOK_A),
-        make_bar(start=T0 + timedelta(seconds=300), mid=99.75, ask_levels=BOOK_B),
-    ]
+    return make_bars([make_row(ask_levels=BOOK_A), make_row(mid=99.75, ask_levels=BOOK_B)])

@@ -24,7 +24,8 @@ from rlexec.agent import (
     train,
 )
 from rlexec.market_data import (
-    DayWindow,
+    ASK_VOLUMES,
+    Bars,
     HistoricalDistribution,
     Side,
     build_distributions,
@@ -95,7 +96,7 @@ class TestEncodeState:
         samples = np.arange(1.0, 101.0)
         d = HistoricalDistribution(hour=10, spread_samples=samples, volume_samples=samples)
         bar = make_bar(spread=41.0)
-        bar.quote_volume = 41.0
+        bar.row[ASK_VOLUMES.start] = 41.0
         x = encode_state(2, 10, bar, d, total_shares=100,
                          inv_buckets=5, spread_buckets=5, vol_buckets=5)
         assert x.s == 3
@@ -319,58 +320,59 @@ class TestCorrectActionFraction:
 
 
 class TestTrain:
-    def make_episode(self, periods: int, hour: int = 10) -> DayWindow:
-        bars = make_bar_sequence(periods, start=T0.replace(hour=hour))
-        return DayWindow(day=bars[0].start.date(), bars=tuple(bars))
+    def make_episode(self, periods: int, hour: int = 10) -> Bars:
+        """One window of `periods` bars from `hour`: the bars indexed (1, periods)."""
+        return make_bar_sequence(periods, start=T0.replace(hour=hour))[np.newaxis]
 
     def test_single_update_for_minimal_dims(self):
         episode = self.make_episode(1)
-        dists = build_distributions(list(episode.bars))
+        dists = build_distributions(episode[0])
         q = QTable.zeros(1, 1, 2, 2, 1)
         grid = ActionGrid(betas=(1.0,))
-        result = train(q, [episode], np.array([100]), grid, dists, cap=0.2)
+        result = train(q, episode, np.array([100]), grid, dists, cap=0.2)
         assert result.updates == 1
         assert q.visit_counts.sum() == 1
 
     def test_update_count_is_t_times_i_times_a(self):
         episode = self.make_episode(2)
-        dists = build_distributions(list(episode.bars))
+        dists = build_distributions(episode[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        result = train(q, episode, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
         assert result.updates == 2 * 2 * 9
         assert q.visit_counts.sum() == 36
 
     def test_exhaustive_visitation_of_reachable_pairs(self):
         episode = self.make_episode(3)
-        dists = build_distributions(list(episode.bars))
+        dists = build_distributions(episode[0])
         q = QTable.zeros(3, 2, 2, 2, 9)
-        train(q, [episode], np.array([40, 30, 30]), ActionGrid.from_bounds(), dists, cap=0.2)
+        train(q, episode, np.array([40, 30, 30]), ActionGrid.from_bounds(), dists, cap=0.2)
         # identical bars: one (s, v) cell per period; T*I*A pairs visited once
         visited = q.visit_counts > 0
         assert visited.sum() == 3 * 2 * 9
         assert np.all(q.visit_counts[visited] == 1)
 
     def test_short_episode_skipped(self):
+        # windows of one bar against a two-period table: each is skipped
         good = self.make_episode(2)
-        short = self.make_episode(1)
-        dists = build_distributions(list(good.bars))
+        dists = build_distributions(good[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, [short, good], np.array([50, 50]), ActionGrid.from_bounds(),
-                       dists, cap=0.2)
-        assert result.episodes_skipped == 1
+        short = train(q, self.make_episode(1), np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        assert (short.episodes_skipped, short.episodes_trained, short.updates) == (1, 0, 0)
+        result = train(q, good, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        assert result.episodes_skipped == 0
         assert result.episodes_trained == 1
 
     def test_missing_hour_distribution_skips_episode(self):
         episode = self.make_episode(2, hour=12)
-        other = build_distributions(list(self.make_episode(2, hour=9).bars))
+        other = build_distributions(self.make_episode(2, hour=9)[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, [episode], np.array([50, 50]), ActionGrid.from_bounds(), other, cap=0.2)
+        result = train(q, episode, np.array([50, 50]), ActionGrid.from_bounds(), other, cap=0.2)
         assert result.episodes_skipped == 1
         assert result.updates == 0
 
     def test_trace_records_episode_boundaries(self):
-        episodes = [self.make_episode(2) for _ in range(3)]
-        dists = build_distributions(list(episodes[0].bars))
+        episodes = self.make_episode(2)[[0, 0, 0]]
+        dists = build_distributions(episodes[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
         result = train(q, episodes, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
         assert [v for v, _ in result.trace] == [36, 72, 108]
@@ -379,10 +381,9 @@ class TestTrain:
         # with gamma = 1 and per-period rewards in [lo, 0], Q stays within
         # [T * lo, 0]
         bars = make_bar_sequence(4, level_volume=1500.0, spread=0.3, step=0.2)
-        episode = DayWindow(day=bars[0].start.date(), bars=tuple(bars))
         dists = build_distributions(bars)
         q = QTable.zeros(4, 2, 2, 2, 9)
-        train(q, [episode] * 10, np.array([2500, 2500, 2500, 2500]),
+        train(q, bars[np.tile(np.arange(4), (10, 1))], np.array([2500, 2500, 2500, 2500]),
               ActionGrid.from_bounds(), dists, cap=1.0)
         worst_single = -10000 * (bars[0].levels(Side.BUY)[0][-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
         assert np.all(q.values <= 0.0 + 1e-12)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import timedelta
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from rlexec.almgren_chriss import (
 from rlexec.execution import walk_book
 from rlexec.market_data import Side
 
-from conftest import T0, make_bar, make_bar_sequence
+from conftest import make_bar_sequence, make_bars, make_row
 
 # mpmath oracle values (50 digits), frozen:
 #   acosh(1.025) for lambda=0.01, sigma=0.5, eta=0.05, rho=0, tau=1
@@ -176,10 +174,7 @@ class TestCalibrate:
             np.array([100.05, 100.10, 100.15, 100.20, 100.25]),
             np.array([1e9, 1.0, 1.0, 1.0, 1.0]),
         )
-        bars = [
-            make_bar(start=T0 + timedelta(seconds=300 * k), ask_levels=deep_l1)
-            for k in range(6)
-        ]
+        bars = make_bars([make_row(ask_levels=deep_l1)] * 6)
         with pytest.warns(UserWarning, match="floored"):
             p = calibrate(bars, lam=0.01, total_shares=1000, periods=4)
         assert p.eta == 1e-9
@@ -196,10 +191,9 @@ class TestCalibrate:
             fit_temporary_impact(np.array([5.0, 5.0]), np.array([1.0, 2.0]))
 
     def test_sigma_uses_consecutive_bars_only(self):
-        first = make_bar_sequence(3, mid=100.0)
-        # a gap, then a far-away mid that would distort sigma if included
-        jump = make_bar(start=T0 + timedelta(seconds=3600), mid=150.0)
-        p = calibrate(first + [jump], lam=0.01, total_shares=1000, periods=4)
+        # three bars, a gap, then a far-away mid that would distort sigma if included
+        bars = make_bars([make_row(mid=100.0)] * 12 + [make_row(mid=150.0)])[[0, 1, 2, 12]]
+        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4)
         assert p.sigma == 0.0
 
     def test_sloped_depth_recovers_positive_eta(self):
@@ -211,7 +205,7 @@ class TestCalibrate:
 
     def test_needs_two_bars(self):
         with pytest.raises(ValueError):
-            calibrate([make_bar()], lam=0.01, total_shares=100, periods=2)
+            calibrate(make_bar_sequence(1), lam=0.01, total_shares=100, periods=2)
 
     def test_sell_side_calibration(self):
         bars = make_bar_sequence(8, level_volume=900.0, step=0.10)

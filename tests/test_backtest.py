@@ -21,7 +21,6 @@ from rlexec.backtest import (
 from rlexec.config import ExperimentConfig
 from rlexec.execution import Fill, ISRecord, walk_book
 from rlexec.market_data import (
-    DataSplit,
     Side,
     aggregate_intervals,
     build_distributions,
@@ -29,7 +28,7 @@ from rlexec.market_data import (
     planted_regime_config,
 )
 
-from conftest import T0, make_bar, make_bar_sequence
+from conftest import T0, make_bar_sequence
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -79,11 +78,12 @@ class TestRunAC:
         assert len(runs.records) == 10
 
         by_day = {}
-        for bar in bars:
-            if bar.start.hour == 10:
-                by_day.setdefault(bar.start.date(), []).append(bar)
+        for k, start in enumerate(bars.start.tolist()):
+            stamp = datetime.fromtimestamp(start, timezone.utc)
+            if stamp.hour == 10:
+                by_day.setdefault(stamp.date(), []).append(k)
         for day, record in runs.records.items():
-            window = sorted(by_day[day], key=lambda b: b.start)[:4]
+            window = [bars[k] for k in sorted(by_day[day], key=lambda k: bars.start[k])[:4]]
             ref = window[0].mid
             carry = 0.0
             cash = 0.0
@@ -117,17 +117,16 @@ class TestRunRL:
     def setup_env(self, seed=11, days=12):
         snaps = generate_synthetic(seed, days=days, config=planted_regime_config(hour=10))
         bars = aggregate_intervals(snaps, 300.0)
-        split = DataSplit.at_boundary(bars, datetime(2024, 1, 1 + days // 2, tzinfo=timezone.utc))
-        dists = build_distributions(split.training)
-        return split, dists
+        training = bars.start < datetime(2024, 1, 1 + days // 2, tzinfo=timezone.utc).timestamp()
+        return bars[~training], build_distributions(bars[training])
 
     def test_identity_policy_equals_static_runs(self):
-        split, dists = self.setup_env()
+        testing, dists = self.setup_env()
         cfg = config(cap=0.15)
         schedule = np.array([3000, 3000, 2000, 2000])
         q = QTable.zeros(4, 2, 3, 3, 9)  # all zeros: greedy beta = 1 everywhere
-        ac = run_ac(cfg, split.testing, schedule)
-        rl = run_rl(cfg, split.testing, schedule, q, dists)
+        ac = run_ac(cfg, testing, schedule)
+        rl = run_rl(cfg, testing, schedule, q, dists)
         assert ac.records.keys() == rl.records.keys()
         for day in ac.records:
             left, right = ac.records[day], rl.records[day]
@@ -135,12 +134,12 @@ class TestRunRL:
             assert left.fills == right.fills
 
     def test_all_deferral_policy_hits_terminal_order(self):
-        split, dists = self.setup_env()
+        testing, dists = self.setup_env()
         cfg = config()
         schedule = np.array([2500, 2500, 2500, 2500])
         q = QTable.zeros(4, 2, 3, 3, 9)
         q.values[:, :, :, :, 1:] = -1.0  # beta = 0 strictly best everywhere
-        rl = run_rl(cfg, split.testing, schedule, q, dists)
+        rl = run_rl(cfg, testing, schedule, q, dists)
         assert rl.records
         for record in rl.records.values():
             for period, fill in record.fills[:-1]:
@@ -148,10 +147,10 @@ class TestRunRL:
             assert record.fills[-1][1].executed == 10000
 
     def test_conservation(self):
-        split, dists = self.setup_env(seed=5)
+        testing, dists = self.setup_env(seed=5)
         cfg = config()
         q = QTable.zeros(4, 2, 3, 3, 9)
-        rl = run_rl(cfg, split.testing, np.array([4000, 3000, 2000, 1000]), q, dists)
+        rl = run_rl(cfg, testing, np.array([4000, 3000, 2000, 1000]), q, dists)
         for record in rl.records.values():
             assert record.executed_total == 10000
 
@@ -168,7 +167,7 @@ def test_day(tmp_path):
     rl = run_rl(cfg, bars, schedule, q, build_distributions(bars))
 
     days = sorted(
-        {bar.start.astimezone(timezone.utc).date() for bar in bars if bar.hour == cfg.H}
+        {stamp.date() for stamp in (datetime.fromtimestamp(s, timezone.utc) for s in bars.start.tolist()) if stamp.hour == cfg.H}
     )
     assert len(days) == 4
     for runs in (ac, rl):

@@ -8,12 +8,22 @@ import io
 import json
 import shutil
 import zipfile
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from rlexec import cli
-from rlexec.market_data import generate_synthetic, write_snapshots_csv
+from rlexec.config import ExperimentConfig
+from rlexec.market_data import (
+    ASK_PRICES,
+    ASK_VOLUMES,
+    BID_PRICES,
+    BID_VOLUMES,
+    BookFrame,
+    generate_synthetic,
+    write_snapshots_csv,
+)
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
@@ -226,12 +236,42 @@ def test_horizon_longer_than_trade_list(pipeline, tmp_path, capsys):
     }
 
 
+def test_split_at_the_boundary(pipeline):
+    # 11:00 on the +02:00 clock is 09:00 UTC, when day 4's first bar starts:
+    # that bar and all later ones test, the three days before train
+    cfg = ExperimentConfig(days=6, seed=3, split="2024-01-04T11:00:00+02:00", out=str(pipeline))
+    training, testing = cli._load_split(cfg)
+    boundary = datetime(2024, 1, 4, 9, tzinfo=timezone.utc).timestamp()
+    assert (len(training), len(testing)) == (3 * 96, 3 * 96)
+    assert training.start.max() < boundary == testing.start.min()
+
+
 def rewrite_arrays(**changes):
     def damage(path):
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         arrays.update(changes)
         np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
+
+    return damage
+
+
+def set_cell(name, index, value):
+    def damage(path):
+        with np.load(path, allow_pickle=False) as npz:
+            array = npz[name].copy()
+        array[index] = value
+        rewrite_arrays(**{name: array})(path)
+
+    return damage
+
+
+def swap_starts(j, k):
+    def damage(path):
+        with np.load(path, allow_pickle=False) as npz:
+            start = npz["start"].copy()
+        start[[j, k]] = start[[k, j]]
+        rewrite_arrays(start=start)(path)
 
     return damage
 
@@ -330,6 +370,16 @@ def write_json(value):
         ("report", "stats.json", set_key("n_days", 2.5), (), "'n_days' is not a non-negative integer"),
         ("calibrate", "ingest_meta.json", write_json(["sha256"]), (), "not a JSON object"),
         ("calibrate", "ingest_meta.json", set_key("sha256", 5), (), "'sha256' is not a string"),
+        ("calibrate", "bars.npz", set_cell("row", (5, BID_VOLUMES.start), np.nan), (), "bar 5: non-finite cell"),
+        ("train", "bars.npz", set_cell("row", (0, ASK_VOLUMES.start), -5000.0), (), "bar 0: negative volume"),
+        ("backtest", "bars.npz", swap_starts(3, 4), (), "bar 4: start not after the previous bar's"),
+        ("calibrate", "bars.npz", set_cell("row", (7, ASK_PRICES.start + 2), 0.0), (), "bar 7: non-positive price"),
+        ("train", "bars.npz", set_cell("row", (2, BID_PRICES.start), 200.0), (), "bar 2: non-positive spread"),
+        ("calibrate", "bars.npz", set_cell("n_snapshots", 9, 0), (), "bar 9: no snapshots"),
+        ("backtest", "bars.npz", set_cell("utc_offset", 1, 86400.0), (), "bar 1: UTC offset of a day or more"),
+        ("calibrate", "bars.npz", set_cell("start", 0, -1e300), (), "bar 0: start outside the datetime range"),
+        ("train", "params.json", set_key("share_schedule", [2**62] * 4), (), "plans 18446744073709551616 shares, not V = 10000"),
+        ("backtest", "params.json", set_key("share_schedule", [3000, 3000, 3000, 3001]), (), "plans 12001 shares, not V = 10000"),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -408,3 +458,48 @@ def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
         assert cli.main([stage, *flags, "--out", str(out)]) == 0, stage
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert digests == pinned
+
+
+# sha256 of a raw-CSV run at seed 42 on local clocks (write_local_clock_csv),
+# trading at 20:00 on the +10:00 clock, the planted hour 10:00 UTC
+LOCAL_CLOCK_FLAGS = (
+    "--data", "csv", "--csv", "raw.csv", "--split", "2024-01-05T00:00:00+10:00", "--H", "20", "--seed", "42",
+)
+LOCAL_CLOCK_SHA256 = {
+    "snapshots.csv": "54c1ba8152aa42033dbe16bffc5c89179bd3894887ae46d7b36f5b68446efb8e",
+    "ingest_meta.json": "7f30a40f369f353557f31a505cecebd1a8f7e3b3efde837a90c64dddb11c936c",
+    "params.json": "d629f4c287a3f34928d33ce518fd496cf41556a787347146dbca6c81f59accb1",
+    "qtable.csv": "11a8b9749f4328213a468ea52838751345a77905a7a9651b0ac6837654034fdb",
+    "train_trace.csv": "b1f9379423bd4758cd457a923e4cc9d5d80cdc5db08cad698cbcf91f338a5f1c",
+    "runs.csv": "dd856be96a5956c9c09e40a2c7f01c4d9291bbde45da8e4a39a31e6bc7d72fea",
+    "stats.json": "1c89a2d0c5af5959863175684516c934245661565fe015fd46c9b34ce8a75373",
+    "table1.csv": "7e5dd8d60be34b9fc90d2c09b09ba7b4de2a429a41edd6eda1a31442977afa93",
+    "table2.csv": "7af0f81c97ee0c14f7de15ec52ba97a0c954773e7f7c730708d310a4d1f44918",
+    "fig2_trace.csv": "82eb88a28db477f5056df18c4d8df63176739edcf354850581bffeeaffaf9772",
+    "resolved_config.txt": "b98dfd311589b153c1390a0373d8c6dd3184391b7ea0b5e17b0ab60d06c166de",
+}
+
+
+def write_local_clock_csv(path) -> None:
+    """Eight synthetic days at seed 42, stamped on the +10:00 clock, so each
+    09:00-17:00 UTC session crosses local midnight. Every 97th row keeps its
+    UTC stamp, as do rows 545 and 2945, which open the 10:05 UTC bar, inside
+    the traded window, on a training and a test day. Three pairs of adjacent
+    rows are swapped."""
+    frame = generate_synthetic(42, 8, ExperimentConfig(H=10, seed=42).synthetic_config())
+    zone = timezone(timedelta(hours=10))
+    utc = {*range(0, len(frame), 97), 545, 2945}
+    stamps = [ts if k in utc else ts.astimezone(zone) for k, ts in enumerate(frame.timestamps)]
+    order = list(range(len(stamps)))
+    for k in (7, 300, 2001):
+        order[k], order[k + 1] = order[k + 1], order[k]
+    write_snapshots_csv(path, BookFrame(timestamps=[stamps[k] for k in order], values=frame.values[order]))
+
+
+def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config echo holds the csv path
+    write_local_clock_csv(tmp_path / "raw.csv")
+    for stage in STAGES:
+        assert cli.main([stage, *LOCAL_CLOCK_FLAGS, "--out", "out"]) == 0, stage
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert digests == LOCAL_CLOCK_SHA256

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from rlexec.execution import (
 )
 from rlexec.market_data import BID_PRICES, BID_VOLUMES, Side
 
-from conftest import BOOK_A, BOOK_B, PAPER_REFERENCE, T0, make_bar
+from conftest import BOOK_A, BOOK_B, PAPER_REFERENCE, make_bar_sequence, make_bars, make_row
 
 
 class TestWalkBook:
@@ -257,15 +256,16 @@ class TestExecuteSchedule:
         rng = np.random.default_rng(31)
         for _ in range(60):
             periods = int(rng.integers(1, 8))
-            bars = [
-                make_bar(
-                    start=T0 + timedelta(seconds=300 * k),
-                    mid=float(rng.uniform(95, 105)),
-                    spread=float(rng.uniform(0.02, 0.5)),
-                    level_volume=float(rng.integers(2000, 30000)),
-                )
-                for k in range(periods)
-            ]
+            bars = make_bars(
+                [
+                    make_row(
+                        mid=float(rng.uniform(95, 105)),
+                        spread=float(rng.uniform(0.02, 0.5)),
+                        level_volume=float(rng.integers(2000, 30000)),
+                    )
+                    for _ in range(periods)
+                ]
+            )
             total = int(rng.integers(1, 20000))
             cuts = np.sort(rng.integers(0, total + 1, size=periods - 1))
             schedule = np.diff(np.concatenate(([0], cuts, [total])))
@@ -277,9 +277,9 @@ class TestExecuteSchedule:
                 assert fill.executed <= cap * volumes.sum() + 1e-9
 
     def test_terminal_shortage_fails_run(self):
-        thin = make_bar(level_volume=100.0)
+        thin = make_bar_sequence(1, level_volume=100.0)
         with pytest.raises(LiquidationError):
-            execute_schedule([thin], [10000], cap=1.0)
+            execute_schedule(thin, [10000], cap=1.0)
 
     def test_sign_symmetry_under_book_mirror(self):
         rng = np.random.default_rng(77)
@@ -288,13 +288,13 @@ class TestExecuteSchedule:
             spread = float(rng.uniform(0.02, 0.4))
             vols = rng.integers(1000, 9000, size=5).astype(float)
             ask_p = mid + spread / 2 + np.cumsum(np.full(5, 0.07)) - 0.07
-            buy_bar = make_bar(mid=mid, spread=spread, ask_levels=(ask_p, vols))
+            buy_row = make_row(mid=mid, spread=spread, ask_levels=(ask_p, vols))
             # mirror: bids at prices symmetric to the asks around the mid
-            sell_bar = make_bar(mid=mid, spread=spread)
-            sell_bar.row[BID_PRICES] = 2 * mid - ask_p
-            sell_bar.row[BID_VOLUMES] = vols
-            buy = execute_schedule([buy_bar], [4000], cap=1.0, side=Side.BUY, reference=mid)
-            sell = execute_schedule([sell_bar], [4000], cap=1.0, side=Side.SELL, reference=mid)
+            sell_row = make_row(mid=mid, spread=spread)
+            sell_row[BID_PRICES] = 2 * mid - ask_p
+            sell_row[BID_VOLUMES] = vols
+            buy = execute_schedule(make_bars([buy_row]), [4000], cap=1.0, side=Side.BUY, reference=mid)
+            sell = execute_schedule(make_bars([sell_row]), [4000], cap=1.0, side=Side.SELL, reference=mid)
             assert buy.shortfall_bps == pytest.approx(-sell.shortfall_bps, abs=1e-9)
 
     def test_validation(self, paper_bars):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
+import warnings
 import zipfile
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
@@ -15,6 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlexec.almgren_chriss import calibrate
+from rlexec.cli import _load_split
+from rlexec.config import ExperimentConfig
 from rlexec.market_data import (
     ASK_PRICES,
     ASK_VOLUMES,
@@ -23,7 +28,6 @@ from rlexec.market_data import (
     BOOK_CHECKS,
     DEPTH_CSV_COLUMNS,
     BookRegime,
-    DataSplit,
     HistoricalDistribution,
     MixedRegime,
     Side,
@@ -42,7 +46,7 @@ from rlexec.market_data import (
     write_snapshots_csv,
 )
 
-from conftest import T0, make_bar, make_bar_sequence, make_frame, make_row
+from conftest import T0, make_bar_sequence, make_bars, make_frame, make_row
 
 HEADER = ",".join(DEPTH_CSV_COLUMNS)
 
@@ -259,7 +263,7 @@ class TestAggregate:
             groups[math.floor(ts.timestamp() / 300.0)].append(row)
         assert len(groups) == len(bars)
         for bar in bars:
-            key = math.floor(bar.start.timestamp() / 300.0)
+            key = math.floor(bar.start / 300.0)
             members = groups[key]
             assert bar.n_snapshots == len(members)
             expected_ask = np.mean([m[ASK_PRICES] for m in members], axis=0)
@@ -332,10 +336,10 @@ class TestAggregate:
         groups = defaultdict(list)
         for ts, row in snaps:
             groups[math.floor(ts.timestamp() / 300.0) * 300.0].append((ts, row))
-        assert [bar.start.timestamp() for bar in bars] == sorted(groups)
+        assert bars.start.tolist() == sorted(groups)
         for bar in bars:
-            members = groups[bar.start.timestamp()]
-            assert bar.start.tzinfo == members[0][0].tzinfo
+            members = groups[bar.start]
+            assert bar.utc_offset == members[0][0].utcoffset().total_seconds()
             assert bar.n_snapshots == len(members)
             buy, sell = bar.levels(Side.BUY), bar.levels(Side.SELL)
             for got, levels in (
@@ -380,16 +384,127 @@ class TestSavedBars:
         for side in Side:
             want = aggregate_intervals(frame, tau, side=side)
             got = load_bars(path, tau, SOURCE_SHA256, side=side)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.start == b.start
-                assert a.start.utcoffset() == b.start.utcoffset()
-                assert a.start.isoformat() == b.start.isoformat()
-                assert a.duration == b.duration == tau
-                assert a.row.tobytes() == b.row.tobytes()
-                assert a.spread == b.spread
-                assert a.quote_volume == b.quote_volume
-                assert (a.hour, a.n_snapshots) == (b.hour, b.n_snapshots)
+            assert (got.tau, got.side) == (want.tau, want.side) == (tau, side)
+            for column in ("start", "utc_offset", "n_snapshots", "row", "hour", "day", "spread", "quote_volume"):
+                a, b = getattr(got, column), getattr(want, column)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
+
+ZONES = (timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5)))
+DAY0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def clock_frames(draw):
+    """Sorted snapshots of one to three 20:00-04:00 UTC sessions, one or two
+    per bar interval, each stamped in UTC, +02:00 or -05:00, with intervals
+    and whole hours dropped; so local days change inside a session, and
+    some lack a given hour. Returns the frame and its bar length."""
+    tau = draw(st.sampled_from([600.0, 900.0, 1234.567]))
+    slots = int(8 * 3600 // tau)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stamps, rows = [], []
+    for day in range(draw(st.integers(1, 3))):
+        session = DAY0 + timedelta(days=day, hours=20)
+        dropped = draw(st.sets(st.integers(0, slots - 1), max_size=slots // 8))
+        dropped_hours = draw(st.sets(st.integers(0, 7), max_size=2))
+        zones = draw(st.lists(st.sampled_from(ZONES), min_size=2 * slots, max_size=2 * slots))
+        for k in range(slots):
+            if k in dropped or int(k * tau // 3600) in dropped_hours:
+                continue
+            for s in range(1 + k % 2):
+                stamps.append((session + timedelta(seconds=k * tau + s * tau / 3)).astimezone(zones[2 * k + s]))
+                rows.append(make_row(mid=float(rng.uniform(95, 105)), spread=float(rng.uniform(0.01, 0.3))))
+    return make_frame(stamps, rows), tau
+
+
+def reference_windows(starts: list[datetime], hour: int, periods: int, tau: float):
+    """day_windows over datetime starts, as (day, bar indices) windows and
+    skipped days: the per-bar loop the column arithmetic replaced."""
+    by_day = defaultdict(list)
+    for k, start in enumerate(starts):
+        by_day[start.date()].append(k)
+    windows, skipped = [], []
+    for day in sorted(by_day):
+        ks = sorted(by_day[day], key=starts.__getitem__)
+        anchor = next((i for i, k in enumerate(ks) if starts[k].hour == hour), None)
+        if anchor is None:
+            skipped.append((day, f"no bars at hour {hour}"))
+        elif anchor + periods > len(ks):
+            skipped.append((day, f"fewer than {periods} bars from hour {hour}"))
+        elif any(starts[ks[anchor + i]] != starts[ks[anchor + i - 1]] + timedelta(seconds=tau) for i in range(1, periods)):
+            skipped.append((day, "gap inside window"))
+        else:
+            windows.append((day, ks[anchor : anchor + periods]))
+    return windows, skipped
+
+
+class TestBarClock:
+    """Hour, local day, gaps and the split from the columns equal a loop over
+    each bar's start as a datetime in its own zone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clock_frames(),
+        st.integers(0, 23),
+        st.integers(1, 4),
+        st.sampled_from(list(Side)),
+        st.integers(0, 4 * 24),
+        st.sampled_from(ZONES),
+    )
+    def test_columns_match_a_datetime_reference(self, tmp_path_factory, drawn, hour, periods, side, boundary_hour, zone):
+        frame, tau = drawn
+        bars = aggregate_intervals(frame, tau, side=side)
+        starts = [
+            datetime.fromtimestamp(start, timezone(timedelta(seconds=offset)))
+            for start, offset in zip(bars.start.tolist(), bars.utc_offset.tolist())
+        ]
+
+        # the split, as the stages load it
+        boundary = (DAY0 + timedelta(hours=boundary_hour)).astimezone(zone)
+        out = tmp_path_factory.mktemp("split")
+        save_bars(out / "bars.npz", bars, SOURCE_SHA256)
+        (out / "ingest_meta.json").write_text(json.dumps({"sha256": SOURCE_SHA256}), encoding="utf-8")
+        cfg = ExperimentConfig(split=boundary.isoformat(), tau=tau, side=side.value, out=str(out))
+        training = [start < boundary for start in starts]
+        if any(training) and not all(training):
+            got = _load_split(cfg)
+            assert [part.start.tolist() for part in got] == [bars.start[np.array(training) == t].tolist() for t in (True, False)]
+        else:
+            with pytest.raises(ValueError, match="no (training|testing) bars"):
+                _load_split(cfg)
+
+        # build_distributions' per-hour samples
+        spreads, volumes = defaultdict(list), defaultdict(list)
+        for k, start in enumerate(starts):
+            spreads[start.hour].append(bars.spread[k])
+            volumes[start.hour].append(bars.quote_volume[k])
+        dists = build_distributions(bars)
+        assert list(dists) == sorted(spreads)
+        for h, dist in dists.items():
+            assert dist.spread_samples.tolist() == sorted(spreads[h])
+            assert dist.volume_samples.tolist() == sorted(volumes[h])
+
+        # day_windows' days, window starts and skip reasons
+        windows, skipped = day_windows(bars, hour, periods, tau)
+        want, want_skipped = reference_windows(starts, hour, periods, tau)
+        assert skipped == want_skipped
+        assert windows.day[:, 0].tolist() == [day for day, _ in want]
+        assert windows.start.tolist() == [bars.start[ks].tolist() for _, ks in want]
+
+        # calibrate's sigma over bars that follow one another by tau
+        diffs = [
+            bars.mid[k + 1] - bars.mid[k]
+            for k in range(len(bars) - 1)
+            if starts[k + 1] - starts[k] == timedelta(seconds=tau)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a flat impact fit floors eta
+            if diffs:
+                assert calibrate(bars, 0.01, 1000, 2, side=side).sigma == float(np.std(diffs))
+            else:
+                with pytest.raises(ValueError):
+                    calibrate(bars, 0.01, 1000, 2, side=side)
 
 
 class TestLoadNpz:
@@ -454,18 +569,19 @@ class TestDistributions:
         assert sorted(dists) == [9]
 
     def test_membership(self):
-        bar = make_bar(spread=0.05)
-        dists = build_distributions([bar])
+        bars = make_bar_sequence(1, spread=0.05)
+        bar = bars[0]
+        dists = build_distributions(bars)
         assert bar.spread in dists[10].spread_samples
         assert bar.spread == pytest.approx(0.05)
 
     def test_per_hour_counts_match_tally(self):
         rng = np.random.default_rng(11)
-        bars = []
+        hours = rng.integers(9, 17, size=100).tolist()
+        bars = make_bars([make_row(spread=float(rng.uniform(0.01, 0.5))) for _ in hours])
+        bars.start[:] = [T0.replace(hour=hour).timestamp() for hour in hours]
         tally = defaultdict(int)
-        for _ in range(100):
-            hour = int(rng.integers(9, 17))
-            bars.append(make_bar(start=T0.replace(hour=hour), spread=float(rng.uniform(0.01, 0.5))))
+        for hour in hours:
             tally[hour] += 1
         dists = build_distributions(bars)
         assert sorted(dists) == sorted(tally)
@@ -476,7 +592,7 @@ class TestDistributions:
 
     def test_empty_bars(self):
         with pytest.raises(ValueError):
-            build_distributions([])
+            build_distributions(make_bar_sequence(0))
 
 
 class TestPercentile:
@@ -545,34 +661,17 @@ class TestPercentile:
             bucket_of(d, "depth", 1.0, 3)
 
 
-class TestDataSplit:
-    def test_boundary_split(self):
-        bars = make_bar_sequence(10)
-        boundary = bars[6].start
-        split = DataSplit.at_boundary(bars, boundary)
-        assert len(split.training) == 6
-        assert len(split.testing) == 4
-        assert max(b.start for b in split.training) < min(b.start for b in split.testing)
-
-    def test_overlap_rejected(self):
-        bars = make_bar_sequence(4)
-        with pytest.raises(ValueError, match="pre-date"):
-            DataSplit(training=bars[1:], testing=bars[:1])
-
-
 class TestDayWindows:
     def test_window_at_hour(self):
         bars = make_bar_sequence(16, start=T0.replace(hour=9))
         windows, skipped = day_windows(bars, 10, 4, 300.0)
         assert not skipped
-        assert len(windows) == 1
-        assert windows[0].bars[0].start.hour == 10
-        assert windows[0].bars[0].start.minute == 0
-        assert len(windows[0].bars) == 4
+        assert windows.start.shape == (1, 4)
+        assert windows.start[0, 0] == T0.timestamp()  # 10:00
+        assert windows.hour[0].tolist() == [10] * 4
 
     def test_gap_skips_day(self):
-        bars = make_bar_sequence(6, start=T0)
-        del bars[2]
+        bars = make_bar_sequence(6, start=T0)[[0, 1, 3, 4, 5]]
         windows, skipped = day_windows(bars, 10, 4, 300.0)
         assert not windows
         assert skipped and skipped[0][1] == "gap inside window"
