@@ -21,6 +21,7 @@ from rlexec.backtest import (
 from rlexec.config import ExperimentConfig
 from rlexec.execution import Fill, ISRecord, walk_book
 from rlexec.market_data import (
+    Bars,
     Side,
     aggregate_intervals,
     build_distributions,
@@ -29,6 +30,8 @@ from rlexec.market_data import (
 )
 
 from conftest import T0, make_bar_sequence
+
+BARS_COLUMNS = ("start", "utc_offset", "n_snapshots", "row")
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -153,6 +156,29 @@ class TestRunRL:
         rl = run_rl(cfg, testing, np.array([4000, 3000, 2000, 1000]), q, dists)
         for record in rl.records.values():
             assert record.executed_total == 10000
+
+    def test_skip_reasons_and_their_order(self):
+        # five days, each a run of bars starting at the given minute past
+        # 10:00: a full window; one whose final bar is at 11:00; one with a
+        # non-final bar at 11:00; one whose book is too thin to liquidate;
+        # and one too short to hold a window
+        day = lambda n, minute, bars, **kwargs: make_bar_sequence(bars, T0 + timedelta(days=n, minutes=minute), **kwargs)
+        runs = [day(0, 0, 4), day(1, 45, 4), day(2, 50, 4), day(3, 0, 4, level_volume=500.0), day(4, 0, 2)]
+        bars = Bars(300.0, Side.BUY, *(np.concatenate([getattr(r, c) for r in runs]) for c in BARS_COLUMNS))
+        dists = build_distributions(bars)
+        del dists[11]  # the final bar's hour is never encoded: its child is the remainder
+        schedule = np.array([2500, 2500, 2500, 2500])
+        ac = run_ac(config(), bars, schedule)
+        rl = run_rl(config(), bars, schedule, QTable.zeros(4, 2, 3, 3, 9), dists)
+        dates = [(T0 + timedelta(days=n)).date() for n in range(5)]
+        short = (dates[4], "fewer than 4 bars from hour 10")
+        thin = (dates[3], "6000 shares unexecuted after the terminal order")
+        assert ac.skipped == [short, thin]
+        assert rl.skipped == [short, (dates[2], "no historical distribution for hour 11"), thin]
+        assert sorted(ac.records) == dates[:3]
+        assert sorted(rl.records) == dates[:2]
+        for n in range(2):
+            assert rl.records[dates[n]].shortfall_bps == ac.records[dates[n]].shortfall_bps
 
 
 def test_day(tmp_path):

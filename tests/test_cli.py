@@ -460,6 +460,30 @@ def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
     assert digests == pinned
 
 
+
+# sha256 of a seed-42 run in which both strategies fail to liquidate one test
+# day: on 2024-01-11 the terminal order leaves shares unfilled, 24578 under
+# the static list and 44985 under the Q-modulated one
+FAILURE_FLAGS = (
+    "--days", "12", "--split", "2024-01-08T00:00:00+00:00", "--V", "60000", "--T", "4", "--cap", "0.1", "--seed", "42",
+)
+FAILURE_SHA256 = {
+    "runs.csv": "5c0ec24aa5f1c14b7eb709c78c60943d188d4f89c8347e0252f64169f3ff6f17",
+    "stats.json": "f01720810c4a63fd03168dcb8b5619ed6f471ea87d01a1e8493cc8bac49cf976",
+}
+
+
+def test_liquidation_failures_at_seed_42_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    for stage in STAGES:
+        assert cli.main([stage, *FAILURE_FLAGS, "--out", str(out)]) == 0, stage
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["skipped_ac"] == [["2024-01-11", "24578 shares unexecuted after the terminal order"]]
+    assert stats["skipped_rl"] == [["2024-01-11", "44985 shares unexecuted after the terminal order"]]
+    assert stats["n_days"] == 4
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FAILURE_SHA256}
+    assert digests == FAILURE_SHA256
+
 # sha256 of a raw-CSV run at seed 42 on local clocks (write_local_clock_csv),
 # trading at 20:00 on the +10:00 clock, the planted hour 10:00 UTC
 LOCAL_CLOCK_FLAGS = (
