@@ -9,9 +9,7 @@ from .agent import (
     StateTuple,
     TrainingResult,
     correct_action_fraction,
-    encode_state,
     extract_policy,
-    greedy_beta,
     load_qtable,
     q_update,
     save_qtable,
@@ -38,7 +36,6 @@ from .config import ExperimentConfig
 from .execution import (
     Fill,
     ISRecord,
-    LiquidationError,
     execute_schedule,
     implementation_shortfall,
     walk_book,
@@ -62,6 +59,7 @@ from .market_data import (
     load_bars,
     planted_regime_config,
     save_bars,
+    state_buckets,
     write_snapshots_csv,
 )
 

@@ -4,7 +4,11 @@ The agent modulates a static trade list: at each period the greedy action is a
 multiplier beta applied to the list's child volume rescaled to the remaining
 inventory. States discretize remaining periods, remaining inventory, and the
 percentile bucket of the current bar's spread and level-1 volume against the
-training-set distribution for that hour.
+training-set distribution for that hour. The market buckets of every bar come
+from one elementwise encoder, market_data.state_buckets, in training and in
+the backtest alike; the inventory bucket is execution._inventory_bucket. The
+backtest reads the learnt policy as extract_policy's (T, I, B, W) table of
+greedy betas, indexed by those buckets inside execute_schedule.
 
 The horizon is handled by an artificial reward-free absorbing state after the
 final period: interior updates bootstrap off max_b Q(next, b), final-period
@@ -32,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
-from .execution import _child_volume, _walk_books, walk_book  # noqa: F401
-from .market_data import Bars, HistoricalDistribution, Side, _load_npz, arrival_reference, bucket_of
+# walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
+from .execution import _child_volume, _inventory_bucket, _walk_books, walk_book  # noqa: F401
+from .market_data import Bars, HistoricalDistribution, Side, _load_npz, arrival_reference, state_buckets
 
 
 class StateTuple(NamedTuple):
@@ -109,44 +113,6 @@ class QTable:
         return (x.t - 1, x.i - 1, x.s - 1, x.v - 1)
 
 
-def _inventory_bucket(remaining, total: int, buckets: int) -> np.ndarray:
-    """ceil(remaining / total * buckets) in integer arithmetic, elementwise,
-    after rounding to whole shares (half to even); zero shares map to bucket
-    1 by convention. Shares past `total` are clipped to it (they take the top
-    bucket either way), so the largest intermediate is total * (buckets + 1) - 1."""
-    if total * (buckets + 1) > 2**63:
-        raise ValueError(f"{total} shares in {buckets} inventory buckets overflow int64 bucket arithmetic")
-    shares = np.minimum(np.rint(remaining).astype(np.int64), total)
-    return np.where(shares <= 0, 1, np.minimum(buckets, (shares * buckets + total - 1) // total))
-
-
-def encode_state(
-    remaining_periods: int,
-    remaining_shares: float,
-    bar: Bars,
-    dist: HistoricalDistribution | None,
-    *,
-    total_shares: int,
-    inv_buckets: int,
-    spread_buckets: int,
-    vol_buckets: int,
-) -> StateTuple:
-    """Bucket the live execution state, in `bar` (the bars at one index),
-    against the hour's historical samples."""
-    if remaining_periods < 1:
-        raise ValueError("remaining periods must be >= 1")
-    if not 0 <= remaining_shares <= total_shares:
-        raise ValueError("remaining shares outside [0, total]")
-    if dist is None:
-        raise ValueError(f"no historical distribution for hour {bar.hour}")
-    return StateTuple(
-        t=remaining_periods,
-        i=int(_inventory_bucket(remaining_shares, int(total_shares), inv_buckets)),
-        s=bucket_of(dist, "spread", bar.spread, spread_buckets),
-        v=bucket_of(dist, "volume", bar.quote_volume, vol_buckets),
-    )
-
-
 def q_update(
     q: QTable,
     x: StateTuple,
@@ -179,10 +145,6 @@ def _greedy_actions(values: np.ndarray, betas: tuple[float, ...]) -> np.ndarray:
     first hit is the tie-break."""
     order = np.array(sorted(range(len(betas)), key=lambda a: (abs(betas[a] - 1.0), betas[a])))
     return order[np.argmax(values[..., order], axis=-1)]
-
-
-def greedy_beta(q: QTable, x: StateTuple, grid: ActionGrid) -> float:
-    return grid.betas[int(_greedy_actions(q.values[q.state_index(x)], grid.betas))]
 
 
 def extract_policy(q: QTable, grid: ActionGrid) -> np.ndarray:
@@ -239,9 +201,10 @@ def train(
     list's sum. Per episode, periods run from the horizon down to 1 and every inventory
     bucket and action are visited. The hypothetical inventory for bucket i is
     the bucket midpoint; the child volume is beta times that inventory rescaled
-    by the trade list's remaining weight for the period, the rule
-    execute_schedule sizes children by (_child_volume). The final period walks the
-    whole remaining inventory cap-free, mirroring the terminal market order.
+    by the trade list's remaining weight for the period, the rule the
+    backtest's execute_schedule sizes children by (_child_volume). The final
+    period walks the whole remaining inventory cap-free, mirroring the
+    terminal market order.
 
     Each period is one block: the I x A child volumes walk the period's book
     in one array pass, which gives their rewards and next inventory buckets,
@@ -250,9 +213,11 @@ def train(
     bootstraps off period t - 1 only, and the block arithmetic is the
     per-request arithmetic, so the table is the one per-request walks give.
 
-    The correct-action trace records (cumulative tuple visits, fraction) after
-    every episode, when the table holds a consistent policy. An episode with
-    a bar whose hour has no historical distribution is skipped.
+    The spread and volume buckets of every bar of every episode come from one
+    state_buckets call. The correct-action trace records (cumulative tuple
+    visits, fraction) after every episode, when the table holds a consistent
+    policy. An episode shorter or longer than the horizon, or with a bar
+    whose hour has no historical distribution, is skipped.
     """
     periods, inv_buckets, spread_buckets, vol_buckets, n_actions = q.values.shape
     if n_actions != len(grid):
@@ -270,47 +235,30 @@ def train(
     )
     betas = np.asarray(grid.betas)
     result = TrainingResult()
-    for episode in episodes:
-        if len(episode) != periods:
-            result.episodes_skipped += 1
-            continue
-        try:
-            states = [
-                encode_state(
-                    periods - j,
-                    total,
-                    bar,
-                    dists.get(bar.hour),
-                    total_shares=total,
-                    inv_buckets=inv_buckets,
-                    spread_buckets=spread_buckets,
-                    vol_buckets=vol_buckets,
-                )
-                for j, bar in enumerate(episode)
-            ]
-        except ValueError:  # no historical distribution for a bar's hour
-            result.episodes_skipped += 1
-            continue
+    s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
+    kept = s_bucket.all(axis=1) if episodes.start.shape[1] == periods else np.zeros(len(episodes), dtype=bool)
+    result.episodes_skipped = int((~kept).sum())
+    episodes, s_bucket, v_bucket = episodes[kept], s_bucket[kept].tolist(), v_bucket[kept].tolist()
+    prices, volumes = episodes.levels(side)
+    for e, ref in enumerate(arrival_reference(episodes, side, reference_kind).tolist()):
         result.episodes_trained += 1
-        ref = arrival_reference(episode, side, reference_kind)
         for t in range(periods, 0, -1):
             j = periods - t  # 0-based period index
-            prices, volumes = episode[j].levels(side)
             if t == 1:
                 # liquidation guarantee: the last period executes all
                 # remaining inventory cap-free, whatever beta says
-                walk = _walk_books(prices, volumes, midpoints, cap=1.0)
+                walk = _walk_books(prices[e, j], volumes[e, j], midpoints, cap=1.0)
                 next_states = [[None] * n_actions] * inv_buckets  # absorbing
             else:
                 volume = _child_volume(betas, midpoints, sched[j], suffix[j])
-                walk = _walk_books(prices, volumes, volume, cap=cap)
-                s1, v1 = states[j + 1].s, states[j + 1].v
+                walk = _walk_books(prices[e, j], volumes[e, j], volume, cap=cap)
+                s1, v1 = s_bucket[e][j + 1], v_bucket[e][j + 1]
                 next_states = [
                     [StateTuple(t - 1, i1, s1, v1) for i1 in row]
                     for row in _inventory_bucket(midpoints - walk.executed, total, inv_buckets).tolist()
                 ]
             rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).tolist()
-            s, v = states[j].s, states[j].v
+            s, v = s_bucket[e][j], v_bucket[e][j]
             for i, (row_rewards, row_next) in enumerate(zip(rewards, next_states), start=1):
                 x = StateTuple(t, i, s, v)
                 for action, (reward, nxt) in enumerate(zip(row_rewards, row_next)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
+# walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _walk_books, walk_book  # noqa: F401
 from .market_data import Bars, Side
 

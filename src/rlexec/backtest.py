@@ -1,31 +1,33 @@
-"""Day-by-day execution of the static and Q-modulated strategies.
+"""The static and Q-modulated strategies over every test day, and the report.
 
 Each test day supplies one window of bars at the configured hour: a row of
-the test bars indexed (days, periods) by day_windows. The static strategy
-replays the rounded trade list through the execution engine; the adaptive
-strategy runs the same engine with each child order scaled by the greedy
-beta of the Q table for the live state. Runs are scored by implementation
-shortfall and compared by medians and dispersion. Every run and report
-function takes the experiment as the pipeline's own `ExperimentConfig`: its
-hour, horizon, bar length, cap, side, reference and beta grid drive the
-runs, and its (V, T, I/B/W, H) key the report tables.
+the test bars indexed (days, periods) by day_windows. Both strategies are one
+execute_schedule call over all the windows: the static strategy at beta = 1,
+the adaptive one at the greedy beta extract_policy reads from the Q table for
+each day's live state. A day is skipped, with its reason, when it has no
+window, when a non-final bar's hour has no historical distribution to encode
+its state (adaptive only), or when its terminal order leaves shares
+unexecuted. Runs are scored by implementation shortfall and compared by
+medians and dispersion. Every run and report function takes the experiment
+as the pipeline's own `ExperimentConfig`: its hour, horizon, bar length, cap,
+side, reference and beta grid drive the runs, and its (V, T, I/B/W, H) key
+the report tables.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .agent import QTable, encode_state, greedy_beta
+from .agent import QTable, extract_policy
 from .config import ExperimentConfig
-# walk_book stays bound here: perfbench/tests/test_bench_tracer.py checks the tracer wraps this binding
-from .execution import ISRecord, LiquidationError, _schedule_total, execute_schedule, walk_book  # noqa: F401
-from .market_data import Bars, HistoricalDistribution, Side, arrival_reference, day_windows
+# walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
+from .execution import ISRecord, execute_schedule, walk_book  # noqa: F401
+from .market_data import Bars, HistoricalDistribution, Side, arrival_reference, day_windows, state_buckets
 
 REPORT_HOURS = tuple(range(9, 17))
 
@@ -36,36 +38,33 @@ class StrategyRuns:
     skipped: list[tuple[date, str]]
 
 
-def _run_days(
-    cfg: ExperimentConfig,
-    test_bars: Bars,
-    schedule_shares: np.ndarray,
-    beta: Callable[[int, Bars, float], float] | None = None,
+def _strategy_runs(
+    windows: Bars, skipped: list[tuple[date, str]], records: list[ISRecord], reasons: list[str | None]
 ) -> StrategyRuns:
-    """Execute the trade list, re-sized by `beta` when given, on every test
-    day; liquidation failures and days without a state are skipped days."""
-    _schedule_total(np.asarray(schedule_shares), cfg.T)
-    side = Side(cfg.side)
-    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
-    records: dict[date, ISRecord] = {}
-    for day, window in zip(windows.day[:, 0].tolist(), windows):
-        try:
-            records[day] = execute_schedule(
-                window,
-                schedule_shares,
-                cfg.cap,
-                side,
-                reference=arrival_reference(window, side, cfg.reference),
-                beta=beta,
-            )
-        except (LiquidationError, ValueError) as exc:  # ValueError: no distribution for an hour
-            skipped.append((day, str(exc)))
-    return StrategyRuns(records=records, skipped=skipped)
+    """Key the runs by day. A day with a reason was not run (`records` holds
+    the other days' runs, in order); a run whose terminal order left shares
+    unexecuted is skipped too. Both follow the window skips, in day order."""
+    runs = StrategyRuns(records={}, skipped=skipped)
+    pending = iter(records)
+    for day, why in zip(windows.day[:, 0].tolist(), reasons):
+        if why is None:
+            record = next(pending)
+            if not record.unexecuted > 0.0:
+                runs.records[day] = record
+                continue
+            why = f"{record.unexecuted:g} shares unexecuted after the terminal order"
+        runs.skipped.append((day, why))
+    return runs
 
 
 def run_ac(cfg: ExperimentConfig, test_bars: Bars, schedule_shares: np.ndarray) -> StrategyRuns:
     """Replay the static trade list on every test day at the configured hour."""
-    return _run_days(cfg, test_bars, schedule_shares)
+    side = Side(cfg.side)
+    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
+    records = execute_schedule(
+        windows, schedule_shares, cfg.cap, side, reference=arrival_reference(windows, side, cfg.reference)
+    )
+    return _strategy_runs(windows, skipped, records, [None] * len(windows))
 
 
 def run_rl(
@@ -76,25 +75,27 @@ def run_rl(
     dists: dict[int, HistoricalDistribution],
 ) -> StrategyRuns:
     """Execute the Q-modulated trade list on every test day; the state grid
-    is the Q table's own."""
-    total = int(np.sum(schedule_shares))
-    _, inv_buckets, spread_buckets, vol_buckets, _ = q.values.shape
-    grid = cfg.grid()
-
-    def beta(remaining_periods: int, bar: Bars, remaining_shares: float) -> float:
-        x = encode_state(
-            remaining_periods,
-            remaining_shares,
-            bar,
-            dists.get(bar.hour),
-            total_shares=total,
-            inv_buckets=inv_buckets,
-            spread_buckets=spread_buckets,
-            vol_buckets=vol_buckets,
-        )
-        return greedy_beta(q, x, grid)
-
-    return _run_days(cfg, test_bars, schedule_shares, beta)
+    is the Q table's own. Only non-final bars need a state: the final
+    period's child is the whole remainder."""
+    side = Side(cfg.side)
+    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
+    _, _, spread_buckets, vol_buckets, _ = q.values.shape
+    s_bucket, v_bucket = state_buckets(windows, dists, spread_buckets, vol_buckets)
+    unknown = s_bucket[:, :-1] == 0  # a non-final bar whose hour has no distribution
+    hours = np.where(unknown, windows.hour[:, :-1], -1).tolist()
+    reasons = [next((f"no historical distribution for hour {h}" for h in row if h >= 0), None) for row in hours]
+    run = ~unknown.any(axis=1)
+    known = windows[run]
+    records = execute_schedule(
+        known,
+        schedule_shares,
+        cfg.cap,
+        side,
+        reference=arrival_reference(known, side, cfg.reference),
+        policy=extract_policy(q, cfg.grid()),
+        buckets=(s_bucket[run], v_bucket[run]),
+    )
+    return _strategy_runs(windows, skipped, records, reasons)
 
 
 @dataclass
@@ -178,7 +179,6 @@ def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[
             runs = runs_by_model[model]
             for day in sorted(runs.records):
                 record = runs.records[day]
-                by_period = {p: f for p, f in record.fills}
                 row = [
                     f"{model}-{day.isoformat()}",
                     day.isoformat(),
@@ -186,8 +186,8 @@ def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[
                     model,
                     repr(record.shortfall_bps),
                 ]
-                row += [repr(by_period[p].executed) for p in range(1, periods + 1)]
-                row += [repr(by_period[p].vwap) for p in range(1, periods + 1)]
+                row += [repr(x) for x in record.executed.tolist()]
+                row += [repr(x) for x in record.vwap.tolist()]
                 writer.writerow(row)
 
 

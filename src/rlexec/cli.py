@@ -35,7 +35,6 @@ from .agent import LearningSchedule, QTable, load_qtable, save_qtable, train
 from .almgren_chriss import compute_trajectory, calibrate
 from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write_runs_csv
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
-from .execution import LiquidationError
 from .market_data import (
     Bars,
     BookFrame,
@@ -301,7 +300,6 @@ _STAGES = {
 _ERROR_CATEGORIES = (
     (ConfigError, "config-error", 2),
     (MissingArtifactError, "missing-artifact", 4),
-    (LiquidationError, "data-error", 5),
     (ValueError, "data-error", 5),
     (OSError, "io-error", 3),
 )

@@ -1,22 +1,21 @@
 """Market-order execution against visible depth.
 
 Child orders walk the book level by level under a participation cap; residual
-volume rolls into the next period and a cap-free terminal order guarantees
-complete liquidation. One level loop walks a whole block of orders, against
-one book or a stack of books, and walk_book is its validated scalar view, so
-the training sweep and the calibration probes walk each block at once and
-still fill every order exactly as walk_book would. An optional per-period
-multiplier beta re-sizes each non-final child order; beta = 1 everywhere
-replays the trade list fill for fill. A run executes over a run of `Bars`,
-one bar per period, walking the levels of each period's row. Scoring is
-Perold-style implementation shortfall against the arrival price, in signed
-basis points (negative = cost for a buy).
+volume rolls into the next period and a cap-free terminal order liquidates
+what is left, or reports how much the book could not absorb. One level loop,
+_walk_books, walks a whole block of orders against one book or a stack of
+books; walk_book is its validated scalar view. execute_schedule is the one
+run engine: it walks period j of every day in a (days, periods) stack of bars
+as one block, so the static trade list and the Q-modulated one are the same
+call, the first at beta = 1 everywhere and the second at the beta a (T, I, B,
+W) policy table gives each day's state. Scoring is Perold-style
+implementation shortfall against the arrival price, in signed basis points
+(negative = cost for a buy).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,12 +24,10 @@ import numpy as np
 from .market_data import Bars, Side
 
 
-class LiquidationError(RuntimeError):
-    """The run could not execute its full volume (terminal book too thin)."""
-
-
 @dataclass(frozen=True)
 class Fill:
+    """One order's fill, as walk_book returns it."""
+
     requested: float
     executed: float
     vwap: float
@@ -40,16 +37,20 @@ class Fill:
 
 @dataclass
 class ISRecord:
-    """Per-run implementation shortfall with its fill breakdown."""
+    """One run's implementation shortfall with its per-period fills: shares
+    executed and their vwap (0 where none), and the shares the terminal order
+    left unexecuted (0 when the run liquidated)."""
 
     reference_price: float
     total_volume: int
-    fills: list[tuple[int, Fill]]
+    executed: np.ndarray
+    vwap: np.ndarray
     shortfall_bps: float
+    unexecuted: float
 
     @property
     def executed_total(self) -> float:
-        return math.fsum(fill.executed for _, fill in self.fills)
+        return math.fsum(self.executed.tolist())
 
 
 class _Walk(NamedTuple):
@@ -117,10 +118,9 @@ def walk_book(prices: np.ndarray, volumes: np.ndarray, volume: float, cap: float
     )
 
 
-def implementation_shortfall(
-    reference: float, fills: list[tuple[int, Fill]], total: float
-) -> float:
-    """(V * S_ref - sum executed * vwap) / (V * S_ref) in basis points.
+def implementation_shortfall(reference: float, executed, vwap, total: float) -> float:
+    """(V * S_ref - sum executed * vwap) / (V * S_ref) in basis points, over
+    one run's per-period fills.
 
     The sign convention is fixed to the buy side: paying above the reference
     comes out negative. Mirroring the book and flipping the side negates it.
@@ -129,7 +129,7 @@ def implementation_shortfall(
         raise ValueError("reference price must be positive")
     if total <= 0:
         raise ValueError("total volume must be positive")
-    cost = math.fsum(fill.executed * fill.vwap for _, fill in fills)
+    cost = math.fsum((np.asarray(executed, dtype=float) * np.asarray(vwap, dtype=float)).tolist())
     target = total * reference
     return (target - cost) / target * 1e4
 
@@ -142,8 +142,46 @@ def _child_volume(beta, inventory, planned, still_planned):
     return np.minimum(np.maximum(np.rint(beta * (inventory * weight)), 0.0), inventory)
 
 
-def _schedule_total(schedule: np.ndarray, periods: int) -> int:
-    """Shares a trade list plans over `periods`; raises on a list no run can execute."""
+def _inventory_bucket(remaining, total: int, buckets: int) -> np.ndarray:
+    """ceil(remaining / total * buckets) in integer arithmetic, elementwise,
+    after rounding to whole shares (half to even); zero shares map to bucket
+    1 by convention. Shares past `total` are clipped to it (they take the top
+    bucket either way), so the largest intermediate is total * (buckets + 1) - 1."""
+    if total * (buckets + 1) > 2**63:
+        raise ValueError(f"{total} shares in {buckets} inventory buckets overflow int64 bucket arithmetic")
+    shares = np.minimum(np.rint(remaining).astype(np.int64), total)
+    return np.where(shares <= 0, 1, np.minimum(buckets, (shares * buckets + total - 1) // total))
+
+
+def execute_schedule(
+    windows: Bars,
+    schedule: np.ndarray,
+    cap: float,
+    side: Side = Side.BUY,
+    reference: np.ndarray | None = None,
+    policy: np.ndarray | None = None,
+    buckets: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[ISRecord]:
+    """Execute a per-period share schedule on every window of `windows`, the
+    bars indexed (days, periods) as day_windows gives them: one record per day.
+
+    Period j of every day is one block: each day walks its bar for the
+    scheduled volume plus any carried residual, capped at `cap` of visible
+    depth. The final period lifts the cap (terminal market order); what its
+    book cannot absorb is the record's `unexecuted`. `reference` holds each
+    day's arrival price, by default its first bar's mid.
+
+    Each non-final child is sized by _child_volume at beta 1 without a
+    policy, else at the entry of `policy`, a (T, I, B, W) table of betas, for
+    the day's state: the remaining periods, the inventory bucket of the
+    shares not yet executed, and the bar's spread and volume buckets from
+    `buckets`, the two (days, periods) arrays state_buckets gives. The final
+    period plans all the inventory still planned. Carried residual is
+    re-requested, not re-scaled, so beta = 1 everywhere replays the list
+    fill for fill.
+    """
+    schedule = np.asarray(schedule)
+    days, periods = windows.start.shape
     if len(schedule) != periods:
         raise ValueError("schedule length must match the number of periods")
     if periods == 0:
@@ -153,57 +191,28 @@ def _schedule_total(schedule: np.ndarray, periods: int) -> int:
     total = int(schedule.sum())
     if total <= 0:
         raise ValueError("empty schedule")
-    return total
-
-
-def execute_schedule(
-    bars: Bars,
-    schedule: np.ndarray,
-    cap: float,
-    side: Side = Side.BUY,
-    reference: float | None = None,
-    beta: Callable[[int, Bars, float], float] | None = None,
-) -> ISRecord:
-    """Execute a per-period share schedule against a run of bars, one per period.
-
-    Each period walks its bar for the scheduled volume plus any carried
-    residual, capped at `cap` of visible depth; the final period lifts the cap
-    (terminal market order). If the final book cannot absorb what remains the
-    run has failed its liquidation guarantee and raises LiquidationError.
-
-    Each non-final child is sized by _child_volume at beta(remaining_periods,
-    bar, remaining_shares), `bar` being `bars` at the period's index, 1 without
-    `beta`; the final period plans all the inventory still planned. Carried
-    residual is re-requested, not re-scaled, so beta = 1 everywhere replays
-    the list fill for fill.
-    """
-    schedule = np.asarray(schedule)
-    total = _schedule_total(schedule, len(bars))
-    ref = bars.mid[0] if reference is None else float(reference)
-    last = len(bars)
+    refs = windows.mid[:, 0] if reference is None else np.asarray(reference, dtype=float)
     suffix = np.cumsum(schedule[::-1])[::-1]  # shares still planned from each period on
-    prices, volumes = bars.levels(side)
-    planned_remaining = total  # inventory net of carried residual
-    remaining = total  # inventory not yet executed
-    carry = 0.0
-    fills: list[tuple[int, Fill]] = []
-    for period, planned in enumerate(schedule, start=1):
-        if period == last:
+    prices, volumes = windows.levels(side)
+    planned_remaining = np.full(days, total)  # inventory net of carried residual
+    remaining = np.full(days, float(total))  # inventory not yet executed
+    carry = np.zeros(days)
+    executed, vwap = np.zeros((2, days, periods))
+    for j in range(periods):
+        if j == periods - 1:
             planned = planned_remaining
         else:
-            b = 1.0 if beta is None else beta(last - period + 1, bars[period - 1], remaining)
-            planned = int(_child_volume(b, planned_remaining, planned, suffix[period - 1]))
-        planned_remaining -= planned
-        request = float(planned) + carry
-        fill = walk_book(prices[period - 1], volumes[period - 1], request, cap=1.0 if period == last else cap)
-        carry = fill.residual
-        remaining -= fill.executed
-        fills.append((period, fill))
-    if carry > 0.0:
-        raise LiquidationError(f"{carry:g} shares unexecuted after the terminal order")
-    return ISRecord(
-        reference_price=ref,
-        total_volume=total,
-        fills=fills,
-        shortfall_bps=implementation_shortfall(ref, fills, total),
-    )
+            beta = 1.0
+            if policy is not None:
+                inventory = _inventory_bucket(remaining, total, policy.shape[1])
+                beta = policy[periods - 1 - j, inventory - 1, buckets[0][:, j] - 1, buckets[1][:, j] - 1]
+            planned = _child_volume(beta, planned_remaining, schedule[j], suffix[j]).astype(np.int64)
+        planned_remaining = planned_remaining - planned
+        walk = _walk_books(prices[:, j], volumes[:, j], planned + carry, cap=1.0 if j == periods - 1 else cap)
+        carry = walk.residual
+        remaining = remaining - walk.executed
+        executed[:, j], vwap[:, j] = walk.executed, walk.vwap
+    return [
+        ISRecord(ref, total, executed[d], vwap[d], implementation_shortfall(ref, executed[d], vwap[d], total), left)
+        for d, (ref, left) in enumerate(zip(refs.tolist(), carry.tolist()))
+    ]

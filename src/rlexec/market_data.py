@@ -238,8 +238,9 @@ class HistoricalDistribution:
         raise ValueError(f"unknown field {field_name!r}")
 
 
-def bucket_of(dist: HistoricalDistribution, field_name: str, value: float, buckets: int) -> int:
-    """Percentile bucket ceil(p * buckets) in 1..buckets, computed exactly.
+def bucket_of(dist: HistoricalDistribution, field_name: str, value, buckets: int):
+    """Percentile bucket ceil(p * buckets) in 1..buckets of each value,
+    elementwise, computed exactly.
 
     p is the inclusive empirical percentile (count <= value) / n, clamped
     below at 1/n so the map onto 1..buckets is total. Uses integer arithmetic
@@ -252,8 +253,28 @@ def bucket_of(dist: HistoricalDistribution, field_name: str, value: float, bucke
     n = len(samples)
     if n == 0:
         raise ValueError(f"empty {field_name} distribution for hour {dist.hour}")
-    count = max(int(np.searchsorted(samples, value, side="right")), 1)
+    if n * (buckets + 1) > 2**63:  # the largest intermediate is n * (buckets + 1) - 1
+        raise ValueError(f"{n} samples in {buckets} buckets overflow int64 bucket arithmetic")
+    count = np.maximum(np.searchsorted(samples, value, side="right"), 1)
     return (count * buckets + n - 1) // n
+
+
+def state_buckets(
+    bars: Bars, dists: dict[int, HistoricalDistribution], spread_buckets: int, vol_buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spread and volume buckets of every bar, in the shape of `bars`,
+    against the historical distribution of the bar's hour: the market half
+    of the agent's state. A bar whose hour has no distribution in `dists`
+    gets bucket 0."""
+    hours, spread, volume = bars.hour, bars.spread, bars.quote_volume
+    spread_bucket = np.zeros(hours.shape, dtype=np.int64)
+    volume_bucket = np.zeros(hours.shape, dtype=np.int64)
+    for hour in np.unique(hours).tolist():
+        if hour in dists:
+            at = hours == hour
+            spread_bucket[at] = bucket_of(dists[hour], "spread", spread[at], spread_buckets)
+            volume_bucket[at] = bucket_of(dists[hour], "volume", volume[at], vol_buckets)
+    return spread_bucket, volume_bucket
 
 
 @dataclass
@@ -468,15 +489,15 @@ def build_distributions(bars: Bars) -> dict[int, HistoricalDistribution]:
     return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in np.unique(hours).tolist()}
 
 
-def arrival_reference(window: Bars, side: Side, kind: str = "mid") -> float:
-    """Benchmark price at t=0 of a run over `window`: the arrival mid, or with
-    kind="ask" the level-1 price of the consumed side (the stricter buy
-    benchmark)."""
+def arrival_reference(windows: Bars, side: Side, kind: str = "mid") -> np.ndarray:
+    """Benchmark price at t=0 of a run over each window, periods on the last
+    axis of `windows`: the arrival mid, or with kind="ask" the level-1 price
+    of the consumed side (the stricter buy benchmark)."""
     if kind == "mid":
-        return window.mid[0]
+        return windows.mid[..., 0]
     if kind == "ask":
-        prices, _ = window.levels(side)
-        return float(prices[0, 0])
+        prices, _ = windows.levels(side)
+        return prices[..., 0, 0]
     raise ValueError(f"unknown reference kind {kind!r}")
 
 

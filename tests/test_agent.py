@@ -15,14 +15,15 @@ from rlexec.agent import (
     QTable,
     StateTuple,
     correct_action_fraction,
-    encode_state,
     extract_policy,
-    greedy_beta,
     load_qtable,
     q_update,
     save_qtable,
     train,
 )
+from rlexec.backtest import run_rl
+from rlexec.config import ExperimentConfig
+from rlexec.execution import _inventory_bucket, execute_schedule
 from rlexec.market_data import (
     ASK_VOLUMES,
     Bars,
@@ -30,9 +31,10 @@ from rlexec.market_data import (
     Side,
     build_distributions,
     day_windows,
+    state_buckets,
 )
 
-from conftest import T0, make_bar, make_bar_sequence
+from conftest import T0, make_bar_sequence
 
 
 def dist(samples=(0.02, 0.04, 0.06, 0.08, 0.10)) -> HistoricalDistribution:
@@ -72,40 +74,47 @@ class TestActionGrid:
 
 
 class TestEncodeState:
+    """The state execute_schedule reads the policy at: remaining periods, the
+    inventory bucket of the shares not yet executed, and the bar's spread and
+    volume buckets from state_buckets."""
+
     def test_full_inventory_maps_to_top_bucket(self):
-        bar = make_bar(spread=0.06)
-        x = encode_state(4, 100000, bar, dist(), total_shares=100000,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
-        assert x.i == 5
-        assert x.t == 4
+        assert _inventory_bucket(100000, 100000, 5) == 5
+        # the first child of a 4-period run holds all 100000 shares: it reads
+        # the policy at t = 4, i = 5, and beta 0 there alone defers it
+        windows = make_bar_sequence(4, spread=0.06, level_volume=1e5)[np.newaxis]
+        buckets = state_buckets(windows, {10: dist()}, 5, 5)
+        for i, first in ((5, 0.0), (4, 25000.0)):
+            policy = np.ones((4, 5, 5, 5))
+            policy[3, i - 1] = 0.0
+            (record,) = execute_schedule(windows, [25000] * 4, 1.0, policy=policy, buckets=buckets)
+            assert record.executed[0] == first
+            assert record.executed_total == 100000
 
     def test_max_spread_maps_to_top_bucket(self):
-        bar = make_bar(spread=0.10)
+        bars = make_bar_sequence(1, spread=0.10)
         d = HistoricalDistribution(
             hour=10,
-            spread_samples=np.array([0.02, 0.04, 0.06, 0.08, bar.spread]),
-            volume_samples=np.array([1e3, 2e3, 3e3, 4e3, bar.quote_volume]),
+            spread_samples=np.array([0.02, 0.04, 0.06, 0.08, bars.spread[0]]),
+            volume_samples=np.array([1e3, 2e3, 3e3, 4e3, bars.quote_volume[0]]),
         )
-        x = encode_state(1, 50, bar, d, total_shares=100,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
-        assert x.s == 5
-        assert x.v == 5
+        spread, volume = state_buckets(bars, {10: d}, 5, 5)
+        assert spread.tolist() == [5]
+        assert volume.tolist() == [5]
 
     def test_percentile_041_lands_in_bucket_3(self):
         # 41 of 100 samples at or below the value: ceil(0.41 * 5) = 3
         samples = np.arange(1.0, 101.0)
         d = HistoricalDistribution(hour=10, spread_samples=samples, volume_samples=samples)
-        bar = make_bar(spread=41.0)
-        bar.row[ASK_VOLUMES.start] = 41.0
-        x = encode_state(2, 10, bar, d, total_shares=100,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
-        assert x.s == 3
-        assert x.v == 3
+        bars = make_bar_sequence(1, spread=41.0)
+        bars.row[0, ASK_VOLUMES.start] = 41.0
+        spread, volume = state_buckets(bars, {10: d}, 5, 5)
+        assert spread.tolist() == [3]
+        assert volume.tolist() == [3]
 
     def test_zero_inventory_maps_to_bucket_one(self):
-        x = encode_state(1, 0, make_bar(spread=0.06), dist(), total_shares=100,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
-        assert x.i == 1
+        assert _inventory_bucket(0, 100, 5) == 1
+        assert _inventory_bucket(np.zeros((2, 3)), 100, 5).tolist() == [[1, 1, 1]] * 2
 
     def test_inventory_buckets_match_python_int_arithmetic(self):
         def reference(remaining: float, total: int, buckets: int) -> int:
@@ -116,21 +125,27 @@ class TestEncodeState:
         # the last two sit on the int64 bound: total * (buckets + 1) == 2**63
         for total, buckets in [(100, 5), (10000, 20), (2**62 // 3, 3), (2**61, 3), (2**62, 1)]:
             remaining = np.concatenate([rng.uniform(0, total, 200), np.arange(0.5, 40.5), [0.0, total]])
-            got = agent._inventory_bucket(remaining, total, buckets).tolist()
+            got = _inventory_bucket(remaining, total, buckets).tolist()
             assert got == [reference(r, total, buckets) for r in remaining.tolist()]
         for total, buckets in [(2**61 + 1, 3), ((2**63 - 1) // 3, 3), (2**62, 2)]:
             with pytest.raises(ValueError, match="overflow int64"):
-                agent._inventory_bucket(float(total), total, buckets)
+                _inventory_bucket(float(total), total, buckets)
 
     def test_missing_distribution(self):
-        with pytest.raises(ValueError, match="no historical distribution"):
-            encode_state(1, 10, make_bar(), None, total_shares=100,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
+        # a bar whose hour has no distribution has bucket 0, and a test day
+        # with such a bar before its final period is skipped with the hour
+        bars = make_bar_sequence(2)
+        spread, volume = state_buckets(bars, {9: dist()}, 5, 5)
+        assert spread.tolist() == volume.tolist() == [0, 0]
+        cfg = ExperimentConfig(V=100, T=2, H=10, I=5, B=5, W=5, cap=1.0)
+        runs = run_rl(cfg, bars, np.array([50, 50]), QTable.zeros(2, 5, 5, 5, 9), {9: dist()})
+        assert runs.skipped == [(T0.date(), "no historical distribution for hour 10")]
+        assert not runs.records
 
     def test_remaining_bounds(self):
-        with pytest.raises(ValueError):
-            encode_state(1, 101, make_bar(), dist(), total_shares=100,
-                         inv_buckets=5, spread_buckets=5, vol_buckets=5)
+        # the map is total: shares below 0 or past the program still land
+        # in 1..buckets, at the ends
+        assert _inventory_bucket(np.array([-5.0, -0.4, 101.0, 1e6]), 100, 5).tolist() == [1, 1, 5, 5]
 
 
 class TestQUpdate:
@@ -180,18 +195,18 @@ class TestPolicies:
         q = QTable.zeros(1, 1, 1, 1, 3)
         q.values[0, 0, 0, 0] = [-10.0, -5.0, -20.0]
         grid = ActionGrid(betas=(0.0, 1.0, 2.0))
-        assert greedy_beta(q, StateTuple(1, 1, 1, 1), grid) == 1.0
+        assert extract_policy(q, grid)[0, 0, 0, 0] == 1.0
 
     def test_unvisited_row_falls_back_to_identity(self):
         q = QTable.zeros(1, 1, 1, 1, 9)
         grid = ActionGrid.from_bounds()
-        assert greedy_beta(q, StateTuple(1, 1, 1, 1), grid) == 1.0
+        assert extract_policy(q, grid)[0, 0, 0, 0] == 1.0
 
     def test_tie_breaks_prefer_one_then_smaller(self):
         grid = ActionGrid(betas=(0.75, 1.25, 1.5))
         q = QTable.zeros(1, 1, 1, 1, 3)
         q.values[0, 0, 0, 0] = [7.0, 7.0, 0.0]  # 0.75 and 1.25 equidistant from 1
-        assert greedy_beta(q, StateTuple(1, 1, 1, 1), grid) == 0.75
+        assert extract_policy(q, grid)[0, 0, 0, 0] == 0.75
 
     def test_extract_policy_matches_row_scan(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlexec.almgren_chriss import (
     ACParams,
@@ -147,6 +149,23 @@ class TestShareSchedule:
             shares = compute_trajectory(p).share_schedule()
             assert shares.sum() == p.total_shares
             assert np.all(shares >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma=st.one_of(st.just(0.0), st.floats(1e-6, 50.0)),
+        eta=st.floats(1e-9, 10.0),
+        lam=st.one_of(st.just(0.0), st.floats(1e-9, 10.0)),
+        shares=st.integers(1, 10**12),
+        periods=st.integers(1, 64),
+    )
+    def test_schedule_plans_exactly_v_in_non_negative_shares(self, sigma, eta, lam, shares, periods):
+        # from the equal-slice limit (kappa = 0) to a program that trades
+        # almost everything in its first period
+        p = params(sigma=sigma, eta=eta, lam=lam, X=shares, N=periods)
+        schedule = compute_trajectory(p).share_schedule()
+        assert len(schedule) == periods
+        assert np.all(schedule >= 0)
+        assert int(schedule.sum()) == shares
 
     def test_rounding_residual_lands_late(self):
         # equal real trades of 0.6 shares would each round to 1 and overdraw;

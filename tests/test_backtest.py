@@ -19,7 +19,7 @@ from rlexec.backtest import (
     write_runs_csv,
 )
 from rlexec.config import ExperimentConfig
-from rlexec.execution import Fill, ISRecord, walk_book
+from rlexec.execution import ISRecord, walk_book
 from rlexec.market_data import (
     Bars,
     Side,
@@ -44,8 +44,10 @@ def record_with_bps(bps: float) -> ISRecord:
     return ISRecord(
         reference_price=100.0,
         total_volume=100,
-        fills=[(1, Fill(100, 100, 100.0, 0, 1))],
+        executed=np.array([100.0]),
+        vwap=np.array([100.0]),
         shortfall_bps=bps,
+        unexecuted=0.0,
     )
 
 
@@ -134,7 +136,8 @@ class TestRunRL:
         for day in ac.records:
             left, right = ac.records[day], rl.records[day]
             assert left.shortfall_bps == right.shortfall_bps
-            assert left.fills == right.fills
+            assert left.executed.tobytes() == right.executed.tobytes()
+            assert left.vwap.tobytes() == right.vwap.tobytes()
 
     def test_all_deferral_policy_hits_terminal_order(self):
         testing, dists = self.setup_env()
@@ -145,9 +148,7 @@ class TestRunRL:
         rl = run_rl(cfg, testing, schedule, q, dists)
         assert rl.records
         for record in rl.records.values():
-            for period, fill in record.fills[:-1]:
-                assert fill.executed == 0
-            assert record.fills[-1][1].executed == 10000
+            assert record.executed.tolist() == [0, 0, 0, 10000]
 
     def test_conservation(self):
         testing, dists = self.setup_env(seed=5)
@@ -357,8 +358,10 @@ class TestRunsCsv:
         record = ISRecord(
             reference_price=100.0,
             total_volume=200,
-            fills=[(1, Fill(100, 100, 100.5, 0, 1)), (2, Fill(100, 100, 100.25, 0, 1))],
+            executed=np.array([100.0, 100.0]),
+            vwap=np.array([100.5, 100.25]),
             shortfall_bps=-37.5,
+            unexecuted=0.0,
         )
         from rlexec.backtest import StrategyRuns
 

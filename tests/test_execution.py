@@ -1,4 +1,4 @@
-"""Book walks, shortfall arithmetic, and schedule execution mechanics."""
+"""Book walks, shortfall arithmetic, and the run engine against a per-day reference."""
 
 from __future__ import annotations
 
@@ -10,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlexec.execution import (
-    Fill,
-    LiquidationError,
     _child_volume,
     _walk_books,
     execute_schedule,
     implementation_shortfall,
     walk_book,
 )
-from rlexec.market_data import BID_PRICES, BID_VOLUMES, Side
+from rlexec.market_data import ASK_PRICES, ASK_VOLUMES, BID_PRICES, BID_VOLUMES, N_LEVELS, Bars, Side
 
 from conftest import BOOK_A, BOOK_B, PAPER_REFERENCE, make_bar_sequence, make_bars, make_row
 
@@ -183,31 +181,23 @@ class TestBlockWalk:
 
 class TestImplementationShortfall:
     def test_worked_example(self):
-        fills = [
-            (1, walk_book(*BOOK_A, 10000)),
-            (2, walk_book(*BOOK_B, 10000)),
-        ]
-        bps = implementation_shortfall(PAPER_REFERENCE, fills, 20000)
+        a, b = walk_book(*BOOK_A, 10000), walk_book(*BOOK_B, 10000)
+        bps = implementation_shortfall(PAPER_REFERENCE, [a.executed, b.executed], [a.vwap, b.vwap], 20000)
         assert bps == pytest.approx(-101.0, abs=0.5)
 
     def test_worked_example_shifted_schedule(self):
-        fills = [
-            (1, walk_book(*BOOK_A, 8000)),
-            (2, walk_book(*BOOK_B, 12000)),
-        ]
-        bps = implementation_shortfall(PAPER_REFERENCE, fills, 20000)
+        a, b = walk_book(*BOOK_A, 8000), walk_book(*BOOK_B, 12000)
+        bps = implementation_shortfall(PAPER_REFERENCE, [a.executed, b.executed], [a.vwap, b.vwap], 20000)
         assert bps == pytest.approx(-91.0, abs=0.5)
 
     def test_zero_at_reference(self):
-        fills = [(1, Fill(requested=100, executed=100, vwap=50.0, residual=0, levels_consumed=1))]
-        assert implementation_shortfall(50.0, fills, 100) == 0.0
+        assert implementation_shortfall(50.0, [100.0], [50.0], 100) == 0.0
 
     def test_validation(self):
-        fills = [(1, Fill(100, 100, 50.0, 0, 1))]
         with pytest.raises(ValueError):
-            implementation_shortfall(0.0, fills, 100)
+            implementation_shortfall(0.0, [100.0], [50.0], 100)
         with pytest.raises(ValueError):
-            implementation_shortfall(50.0, fills, 0)
+            implementation_shortfall(50.0, [100.0], [50.0], 0)
 
 
 class TestExecuteSchedule:
@@ -226,30 +216,25 @@ class TestExecuteSchedule:
         assert inventory == sched[-1]
 
     def test_worked_example_two_periods(self, paper_bars):
-        record = execute_schedule(paper_bars, [10000, 10000], cap=1.0, reference=PAPER_REFERENCE)
+        (record,) = execute_schedule(paper_bars[None], [10000, 10000], cap=1.0, reference=[PAPER_REFERENCE])
         assert record.shortfall_bps == pytest.approx(-101.0, abs=0.5)
         assert record.executed_total == 20000
 
     def test_single_period_full_depth(self, paper_bars):
-        record = execute_schedule(paper_bars[:1], [15000], cap=1.0)
-        (period, fill), = record.fills
-        assert period == 1
-        assert fill.executed == 15000
-        assert fill.residual == 0
+        (record,) = execute_schedule(paper_bars[None, :1], [15000], cap=1.0)
+        assert record.executed.tolist() == [15000]
+        assert record.unexecuted == 0
 
     def test_residual_rolls_forward(self, paper_bars):
         # period-1 cap 0.3 of 20000 depth = 6000 executed; 2000 rolls into the
-        # terminal order, total executed stays 20000
-        record = execute_schedule(paper_bars, [8000, 12000], cap=0.3, reference=PAPER_REFERENCE)
-        fills = dict(record.fills)
-        assert fills[1].executed == 6000
-        assert fills[1].residual == 2000
-        assert fills[2].requested == 14000
-        assert fills[2].executed == 14000
+        # terminal order of 12000 + 2000, total executed stays 20000
+        (record,) = execute_schedule(paper_bars[None], [8000, 12000], cap=0.3, reference=[PAPER_REFERENCE])
+        assert record.executed.tolist() == [6000, 14000]
+        assert record.unexecuted == 0
         assert record.executed_total == 20000
 
     def test_default_reference_is_first_bar_mid(self, paper_bars):
-        record = execute_schedule(paper_bars, [10000, 10000], cap=1.0)
+        (record,) = execute_schedule(paper_bars[None], [10000, 10000], cap=1.0)
         assert record.reference_price == paper_bars[0].mid
 
     def test_conservation_over_random_runs(self):
@@ -270,16 +255,17 @@ class TestExecuteSchedule:
             cuts = np.sort(rng.integers(0, total + 1, size=periods - 1))
             schedule = np.diff(np.concatenate(([0], cuts, [total])))
             cap = float(rng.uniform(0.1, 1.0))
-            record = execute_schedule(bars, schedule, cap=cap)
+            (record,) = execute_schedule(bars[None], schedule, cap=cap)
             assert record.executed_total == total
-            for period, fill in record.fills[:-1]:
-                _, volumes = bars[period - 1].levels(Side.BUY)
-                assert fill.executed <= cap * volumes.sum() + 1e-9
+            _, volumes = bars.levels(Side.BUY)
+            assert np.all(record.executed[:-1] <= cap * volumes[:-1].sum(axis=1) + 1e-9)
 
     def test_terminal_shortage_fails_run(self):
+        # 500 shares of depth: the terminal order leaves 9500 of 10000 unexecuted
         thin = make_bar_sequence(1, level_volume=100.0)
-        with pytest.raises(LiquidationError):
-            execute_schedule(thin, [10000], cap=1.0)
+        (record,) = execute_schedule(thin[None], [10000], cap=1.0)
+        assert record.executed.tolist() == [500]
+        assert record.unexecuted == 9500
 
     def test_sign_symmetry_under_book_mirror(self):
         rng = np.random.default_rng(77)
@@ -293,14 +279,106 @@ class TestExecuteSchedule:
             sell_row = make_row(mid=mid, spread=spread)
             sell_row[BID_PRICES] = 2 * mid - ask_p
             sell_row[BID_VOLUMES] = vols
-            buy = execute_schedule(make_bars([buy_row]), [4000], cap=1.0, side=Side.BUY, reference=mid)
-            sell = execute_schedule(make_bars([sell_row]), [4000], cap=1.0, side=Side.SELL, reference=mid)
+            (buy,) = execute_schedule(make_bars([buy_row])[None], [4000], cap=1.0, side=Side.BUY, reference=[mid])
+            (sell,) = execute_schedule(make_bars([sell_row])[None], [4000], cap=1.0, side=Side.SELL, reference=[mid])
             assert buy.shortfall_bps == pytest.approx(-sell.shortfall_bps, abs=1e-9)
 
     def test_validation(self, paper_bars):
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars, [100], cap=1.0)
+            execute_schedule(paper_bars[None], [100], cap=1.0)
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars, [-5, 105], cap=1.0)
+            execute_schedule(paper_bars[None], [-5, 105], cap=1.0)
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars, [0, 0], cap=1.0)
+            execute_schedule(paper_bars[None], [0, 0], cap=1.0)
+
+
+def reference_run(bars, schedule, cap, side, policy=None, buckets=None):
+    """Reference: one day's run as a per-period loop of walk_book calls, its
+    state read in Python ints (executed, vwap, shortfall, unexecuted)."""
+    periods, total = len(schedule), int(sum(schedule))
+    prices, volumes = bars.levels(side)
+    planned_remaining, remaining, carry = total, total, 0.0
+    executed, vwap = [], []
+    for j in range(periods):
+        if j == periods - 1:
+            planned = planned_remaining
+        else:
+            beta = 1.0
+            if policy is not None:
+                inv_buckets = policy.shape[1]
+                shares = min(round(remaining), total)
+                i = 1 if shares <= 0 else min(inv_buckets, (shares * inv_buckets + total - 1) // total)
+                beta = float(policy[periods - 1 - j, i - 1, buckets[0][j] - 1, buckets[1][j] - 1])
+            still_planned = int(sum(schedule[j:]))
+            weight = int(schedule[j]) / still_planned if still_planned > 0 else 0.0
+            planned = int(min(max(round(beta * (planned_remaining * weight)), 0), planned_remaining))
+        planned_remaining -= planned
+        fill = walk_book(prices[j], volumes[j], float(planned) + carry, cap=1.0 if j == periods - 1 else cap)
+        carry = fill.residual
+        remaining -= fill.executed
+        executed.append(fill.executed)
+        vwap.append(fill.vwap)
+    reference = float(bars.mid[0])
+    cost = math.fsum(e * v for e, v in zip(executed, vwap))
+    return executed, vwap, (total * reference - cost) / (total * reference) * 1e4, carry
+
+
+def run_bits(executed, vwap, shortfall, unexecuted) -> tuple:
+    return [float(x).hex() for x in executed], [float(x).hex() for x in vwap], float(shortfall).hex(), float(unexecuted).hex()
+
+
+def random_windows(rng, days: int, periods: int) -> Bars:
+    """A (days, periods) stack of books: random mids, spreads and level
+    steps, with empty, whole-share and fractional (averaged) level depth."""
+    shape = (days, periods)
+    mid = rng.uniform(50.0, 150.0, shape)[..., None]
+    half_spread = rng.uniform(0.005, 0.25, shape)[..., None]
+    steps = np.cumsum(rng.choice([0.01, 0.05, 0.3], (*shape, N_LEVELS)), axis=-1)
+    offsets = half_spread + steps - steps[..., :1]
+
+    def depth():
+        kind = rng.integers(0, 3, (*shape, N_LEVELS))
+        whole = rng.integers(0, 30000, kind.shape).astype(float)
+        averaged = rng.integers(0, 150000, kind.shape) / rng.choice([3, 5, 7], kind.shape)
+        return np.select([kind == 0, kind == 1], [0.0, whole], averaged)
+
+    row = np.empty((*shape, 4 * N_LEVELS))
+    row[..., BID_PRICES], row[..., ASK_PRICES] = mid - offsets, mid + offsets
+    row[..., BID_VOLUMES], row[..., ASK_VOLUMES] = depth(), depth()
+    start = 1.7e9 + 300.0 * np.arange(days * periods, dtype=float).reshape(shape)
+    return Bars(300.0, Side.BUY, start, np.zeros(shape), np.ones(shape, dtype=np.int64), row)
+
+
+class TestBlockEngine:
+    """execute_schedule against the per-day loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 8),
+        CAPS,
+        st.sampled_from([Side.BUY, Side.SELL]),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_per_day_walk_book_loop(self, days, periods, cap, side, inv, spread, vol, seed):
+        rng = np.random.default_rng(seed)
+        windows = random_windows(rng, days, periods)
+        total = int(rng.choice([1, 100, 10000, 200000, 10**6]))
+        schedule = np.diff(np.concatenate(([0], np.sort(rng.integers(0, total + 1, periods - 1)), [total])))
+        policy = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0], (periods, inv, spread, vol))
+        buckets = (rng.integers(1, spread + 1, (days, periods)), rng.integers(1, vol + 1, (days, periods)))
+
+        ac = execute_schedule(windows, schedule, cap, side)
+        rl = execute_schedule(windows, schedule, cap, side, policy=policy, buckets=buckets)
+        unit = execute_schedule(windows, schedule, cap, side, policy=np.ones_like(policy), buckets=buckets)
+        for d in range(days):
+            day_buckets = (buckets[0][d].tolist(), buckets[1][d].tolist())
+            expected_rl = run_bits(*reference_run(windows[d], schedule, cap, side, policy, day_buckets))
+            expected_ac = run_bits(*reference_run(windows[d], schedule, cap, side))
+            for record, expected in ((rl[d], expected_rl), (ac[d], expected_ac), (unit[d], expected_ac)):
+                assert run_bits(record.executed, record.vwap, record.shortfall_bps, record.unexecuted) == expected
+                assert math.fsum([*record.executed.tolist(), record.unexecuted]) == total
+                assert record.total_volume == total

@@ -35,6 +35,7 @@ from rlexec.market_data import (
     _load_npz,
     aggregate_intervals,
     bucket_of,
+    state_buckets,
     build_distributions,
     day_windows,
     first_book_failure,
@@ -649,6 +650,49 @@ class TestPercentile:
                 got = bucket_of(d, "spread", float(value), buckets)
                 assert got == expected
                 assert 1 <= got <= buckets
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(st.integers(0, 20).map(lambda k: k / 4), min_size=1, max_size=40),
+        extra=st.lists(st.floats(-10.0, 10.0), max_size=20),
+        buckets=st.integers(1, 50),
+    )
+    def test_array_call_is_a_total_map_matching_the_integer_formula(self, samples, extra, buckets):
+        # values below the minimum, above the maximum, on every sample (ties
+        # included, the grid is coarse) and in between
+        d = self.dist(samples)
+        values = np.array([min(samples) - 1.0, max(samples) + 1.0, *samples, *extra])
+        got = bucket_of(d, "spread", values, buckets)
+        assert got.shape == values.shape
+        for value, bucket in zip(values.tolist(), got.tolist()):
+            count = max(sum(1 for x in samples if x <= value), 1)
+            assert bucket == math.ceil(Fraction(count * buckets, len(samples)))
+            assert bucket == bucket_of(d, "spread", value, buckets)
+            assert 1 <= bucket <= buckets
+
+    def test_state_buckets_match_per_bar_calls(self):
+        # a (days, periods) stack over three hours, one of them without a
+        # distribution: its bars take bucket 0
+        rng = np.random.default_rng(12)
+        bars = make_bars([make_row(spread=float(s), level_volume=float(v)) for s, v in zip(rng.uniform(0.01, 0.3, 36), rng.integers(1, 9000, 36))])
+        bars = bars[np.arange(36).reshape(3, 12)]  # 10:00 to 12:55 in 5-minute bars
+        dists = {
+            10: HistoricalDistribution(10, rng.uniform(0.01, 0.3, 17), rng.integers(1, 9000, 17)),
+            12: HistoricalDistribution(12, rng.uniform(0.01, 0.3, 5), rng.integers(1, 9000, 5)),
+        }
+        spread, volume = state_buckets(bars, dists, 4, 3)
+        for index in np.ndindex(bars.start.shape):
+            dist = dists.get(int(bars.hour[index]))
+            assert spread[index] == (0 if dist is None else bucket_of(dist, "spread", bars.spread[index], 4))
+            assert volume[index] == (0 if dist is None else bucket_of(dist, "volume", bars.quote_volume[index], 3))
+        assert (spread == 0).sum() == 12
+
+    def test_bucket_arithmetic_stays_within_int64(self):
+        # the same bound as the inventory buckets: n * (buckets + 1) <= 2**63
+        d = self.dist([1.0, 2.0, 3.0, 4.0])
+        assert bucket_of(d, "spread", np.array([0.0, 2.0, 9.0]), 2**61 - 1).tolist() == [2**59, 2**60, 2**61 - 1]
+        with pytest.raises(ValueError, match="overflow int64"):
+            bucket_of(d, "spread", 1.0, 2**61)
 
     def test_empty_distribution(self):
         d = HistoricalDistribution(hour=10, spread_samples=np.array([]), volume_samples=np.array([1.0]))
