@@ -5,15 +5,17 @@ its own, so runs are resumable and, given a fixed seed, byte-identical. Every
 stage takes the same `ExperimentConfig` (see `rlexec.config`): a key = value
 file, overridden by command-line flags named after the model parameters.
 
-Ingest (or synth) is the only stage that parses depth CSV. It writes the
-snapshot store `snapshots.csv`, the readable export, with its sha256 in
-`ingest_meta.json`, and aggregates the store once into `bars.npz`, its
-tau-second bars as the columns of one `Bars` table. Calibrate, train and
-backtest load `bars.npz` and never open `snapshots.csv`; the split is a mask
-on the bar starts. A `bars.npz` of another tau, of a store other than the
-one `ingest_meta.json` hashes, or with a bar no aggregation gives, is a data
-error. Train likewise writes `qtable.csv`, the readable export, and
-`qtable.npz`, the arrays backtest loads; backtest never opens `qtable.csv`.
+Ingest (or synth) is the only stage that parses depth CSV. Ingest parses the
+user's raw depth CSV once and writes `ingest_meta.json`, with that file's
+sha256, and `bars.npz`, its tau-second bars as the columns of one `Bars`
+table. Synth writes its generated store `snapshots.csv`, the readable export,
+reads it back the way ingest reads a raw file, and writes the same two files
+for it. Calibrate, train and backtest load `bars.npz` and never open a depth
+CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
+source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
+no aggregation gives, is a data error. Train likewise writes `qtable.csv`, the
+readable export, and `qtable.npz`, the arrays backtest loads; backtest never
+opens `qtable.csv`.
 A JSON hand-off lacking a key, with a value of the wrong type, or with a
 trade list that does not plan V shares, is a data error as well.
 """
@@ -37,7 +39,6 @@ from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
 from .market_data import (
     Bars,
-    BookFrame,
     IngestResult,
     Side,
     aggregate_intervals,
@@ -58,10 +59,6 @@ class MissingArtifactError(FileNotFoundError):
 # ---------------------------------------------------------------------------
 # Stage artifacts
 # ---------------------------------------------------------------------------
-
-
-def _snapshots_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir() / "snapshots.csv"
 
 
 def _bars_path(cfg: ExperimentConfig) -> Path:
@@ -116,19 +113,11 @@ def _load_json(path: Path, types: dict[str, Any]) -> dict:
     return payload
 
 
-def _write_store(cfg: ExperimentConfig, snapshots: BookFrame) -> Path:
-    """Write the snapshot store, snapshots.csv."""
-    cfg.out_dir().mkdir(parents=True, exist_ok=True)
-    path = _snapshots_path(cfg)
-    write_snapshots_csv(path, snapshots)
-    return path
-
-
-def _write_bars(cfg: ExperimentConfig, result: IngestResult) -> Path:
-    """Write ingest_meta.json for the store on disk, whose snapshots `result`
-    holds, and bars.npz, the store aggregated at the config's tau."""
-    path = _snapshots_path(cfg)
-    with open(path, "rb") as fh:
+def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Path:
+    """Write ingest_meta.json for the depth CSV at `source`, whose snapshots
+    `result` holds, and bars.npz, those snapshots aggregated at the config's
+    tau; both carry the sha256 of `source`."""
+    with open(source, "rb") as fh:
         sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     meta = {
         "rows": len(result.snapshots),
@@ -136,36 +125,38 @@ def _write_bars(cfg: ExperimentConfig, result: IngestResult) -> Path:
         "row_errors": dict(result.row_errors),
         "sha256": sha256,
     }
+    cfg.out_dir().mkdir(parents=True, exist_ok=True)
     (cfg.out_dir() / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-    save_bars(_bars_path(cfg), aggregate_intervals(result.snapshots, cfg.tau), sha256)
+    path = _bars_path(cfg)
+    save_bars(path, aggregate_intervals(result.snapshots, cfg.tau), sha256)
     return path
 
 
 def cmd_synth(cfg: ExperimentConfig) -> Path:
     """Generate the synthetic snapshot store."""
-    # (the docstring is the stage's --help line.) Writes snapshots.csv,
-    # ingest_meta.json and bars.npz, which calibrate, train and backtest
-    # load. The generated frame is dropped once written, and the store is
-    # read back through the validate-and-sort path a raw CSV takes.
-    path = _write_store(cfg, generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config()))
-    return _write_bars(cfg, ingest_csv(path))
+    # (the docstring is the stage's --help line.) Writes snapshots.csv, then
+    # ingest_meta.json and bars.npz for it. The generated frame is dropped
+    # once written, and the store is read back through the validate-and-sort
+    # path a raw CSV takes.
+    cfg.out_dir().mkdir(parents=True, exist_ok=True)
+    store = cfg.out_dir() / "snapshots.csv"
+    write_snapshots_csv(store, generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config()))
+    return _write_bars(cfg, store, ingest_csv(store))
 
 
 def cmd_ingest(cfg: ExperimentConfig) -> Path:
-    """Normalize a raw depth CSV into the snapshot store."""
-    # (the docstring is the stage's --help line.) Writes snapshots.csv,
-    # ingest_meta.json and bars.npz, which calibrate, train and backtest
-    # load, aggregating the frame parsed from the raw CSV.
+    """Normalize a raw depth CSV into interval bars."""
+    # (the docstring is the stage's --help line.) Parses the raw CSV once and
+    # writes ingest_meta.json and bars.npz for it, which calibrate, train and
+    # backtest load; no copy of the parsed rows is written.
     if cfg.data != "csv":
         return cmd_synth(cfg)
-    result = ingest_csv(cfg.csv)
-    _write_store(cfg, result.snapshots)
-    return _write_bars(cfg, result)
+    return _write_bars(cfg, Path(cfg.csv), ingest_csv(cfg.csv))
 
 
 def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
     """The bars ingest wrote to bars.npz, split at the config's boundary:
-    those starting before it train, the rest test. snapshots.csv is not read."""
+    those starting before it train, the rest test. No depth CSV is read."""
     path = _require(_bars_path(cfg), "ingest")
     meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
     bars = load_bars(path, cfg.tau, meta["sha256"], side=Side(cfg.side))

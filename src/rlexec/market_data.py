@@ -126,7 +126,7 @@ def _microseconds(seconds):
 @dataclass(frozen=True)
 class Bars:
     """Tau-second bars as columns: per bar its start epoch in seconds, the UTC
-    offset in seconds of its start (the zone of its first snapshot), its
+    offset in seconds of its start (the zone most of its snapshots carry), its
     snapshot count and its mean depth row in the BookFrame layout. ``side`` is
     the side a `side` order consumes, whose level-1 volume is ``quote_volume``.
 
@@ -372,8 +372,9 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
 
     Each bar's row is the simple mean of the depth rows whose timestamps fall
     in [start, start + tau); empty intervals are omitted. A bar's UTC offset
-    is its first snapshot's in input order. ``quote_volume`` is the averaged
-    level-1 volume of the side a `side` order consumes.
+    is the one most of its snapshots carry; a tie goes to the tied offset
+    that comes first in the bar in input order. ``quote_volume`` is the
+    averaged level-1 volume of the side a `side` order consumes.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -384,16 +385,31 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
         grid = np.floor(epochs / tau) * tau
     if not np.isfinite(grid).all():
         raise ValueError(f"tau {tau!r} is too short to put the timestamps on a bar grid")
-    starts, first, group = np.unique(grid, return_index=True, return_inverse=True)
+    starts, group = np.unique(grid, return_inverse=True)
     # np.add.at adds each group's rows onto +0.0 in input order, as np.mean
     # over the group's stacked rows does, so the means are bit-identical to
     # it (np.add.reduceat's are not: they differ in the last bit in places).
     sums = np.zeros((len(starts), 4 * N_LEVELS))
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
-    zones = (snapshots.timestamps[k].utcoffset() for k in first.tolist())
-    offsets = np.fromiter((zone.total_seconds() for zone in zones), float, len(first))
+    zones = np.fromiter((ts.utcoffset().total_seconds() for ts in snapshots.timestamps), float, len(snapshots))
+    # a store in one zone (every synthetic one) needs no vote; skipping
+    # it keeps the vote's temporaries out of the stage's peak RSS
+    offsets = np.full(len(starts), zones[0]) if (zones == zones[0]).all() else _majority(group, zones)
     return _check_bars(Bars(tau, side, starts, offsets, counts, sums / counts[:, np.newaxis]))
+
+
+def _majority(group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per group 0..max(group), the value most of its rows carry; a tie goes
+    to the tied value whose first row comes first in input order."""
+    distinct, code = np.unique(values, return_inverse=True)
+    # one entry per (group, value) pair, with its first row (np.unique sorts
+    # stably, so that is the first in input order) and its row count
+    pairs, first, count = np.unique(group * len(distinct) + code, return_index=True, return_counts=True)
+    owner = pairs // len(distinct)
+    order = np.lexsort((first, -count, owner))  # by group, most rows first, then earliest
+    lead = np.r_[True, owner[order][1:] != owner[order][:-1]]
+    return distinct[pairs[order[lead]] % len(distinct)]
 
 
 def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
@@ -437,7 +453,7 @@ def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -
 
 #: The arrays of a bars file, each with its dtype kind and shape over the
 #: bar count n: the columns of `Bars`, then the bar length and the sha256 of
-#: the snapshot store the bars were aggregated from.
+#: the source depth CSV the bars were aggregated from.
 _BARS_ARRAYS = {
     "start": ("f", ("n",)),
     "utc_offset": ("f", ("n",)),
@@ -450,7 +466,7 @@ _BARS_ARRAYS = {
 
 def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
     """Write the columns of one `aggregate_intervals` call to an .npz file,
-    with the sha256 of the snapshot store they came from.
+    with the sha256 of the source depth CSV they came from.
 
     The file holds no side-dependent field, and the same bars give the same
     bytes (the zip entries carry a fixed date).
@@ -465,7 +481,7 @@ def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Sid
     """The bars `save_bars` wrote, with ``quote_volume`` for `side`.
 
     A file `_load_npz` refuses, one that holds bars of another tau or of
-    another snapshot store, or one with a bar no aggregation gives (a
+    another source depth CSV, or one with a bar no aggregation gives (a
     non-finite cell, a negative volume, a non-positive price or spread, no
     snapshots, an offset of a day or more, starts out of datetime's range or
     not strictly increasing) is a ValueError naming `path`.
@@ -476,7 +492,7 @@ def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Sid
     if float(arrays["tau"]) != tau:
         raise ValueError(f"{path}: bars are {float(arrays['tau'])!r} s long, not tau = {tau!r}")
     if arrays["source_sha256"].item() != source_sha256:
-        raise ValueError(f"{path}: bars of snapshot store sha256 {arrays['source_sha256'].item()}, not {source_sha256}")
+        raise ValueError(f"{path}: bars of source depth CSV sha256 {arrays['source_sha256'].item()}, not {source_sha256}")
     bars = Bars(tau, side, arrays["start"], arrays["utc_offset"], arrays["n_snapshots"], arrays["row"])
     return _check_bars(bars, f"{path}: ")
 

@@ -9,6 +9,7 @@ import json
 import shutil
 import zipfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +22,16 @@ from rlexec.market_data import (
     BID_PRICES,
     BID_VOLUMES,
     BookFrame,
+    day_windows,
     generate_synthetic,
+    load_bars,
     write_snapshots_csv,
 )
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
+# what every pipeline writes; synth also writes its generated store
 ARTIFACTS = (
-    "snapshots.csv",
     "ingest_meta.json",
     "params.json",
     "qtable.csv",
@@ -40,6 +43,7 @@ ARTIFACTS = (
     "fig2_trace.csv",
     "resolved_config.txt",
 )
+SYNTH_ARTIFACTS = ("snapshots.csv", *ARTIFACTS)
 # sha256 of the demo run (DEMO_FLAGS) and of the fine_grid benchmark workload
 # (FINE_GRID_FLAGS: 20 inventory buckets x 41 actions) at seed 42; a change
 # that moves a result re-pins these and names each changed file
@@ -351,7 +355,7 @@ def write_json(value):
         ("backtest", "bars.npz", rewrite_arrays(row=None), (), "missing arrays ['row']"),
         ("calibrate", "bars.npz", rewrite_arrays(row=np.zeros((3, 19))), (), "array 'row' has dtype float64 and shape"),
         ("calibrate", "bars.npz", None, ("--tau", "600"), "bars are 300.0 s long, not tau = 600.0"),
-        ("train", "bars.npz", rewrite_arrays(source_sha256=np.str_("0" * 64)), (), "bars of snapshot store sha256 0000"),
+        ("train", "bars.npz", rewrite_arrays(source_sha256=np.str_("0" * 64)), (), "bars of source depth CSV sha256 0000"),
         (
             "calibrate", "bars.npz", oversized_header("row", (10**12, 20)), (),
             "unreadable bars file: array 'row' of shape (1000000000000, 20) needs more than the file's",
@@ -419,16 +423,23 @@ def test_backtest_and_report_never_read_qtable_csv(pipeline, tmp_path):
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     other = tmp_path / "other"
     run_pipeline(other)
-    for name in (*ARTIFACTS, "bars.npz", "qtable.npz"):
+    for name in (*SYNTH_ARTIFACTS, "bars.npz", "qtable.npz"):
         assert (other / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("data", ["synthetic", "csv"])
 def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
+    out = tmp_path / "out"
+    source = out / "snapshots.csv"  # synth parses the store it generated
     extra: tuple[str, ...] = ()
     if data == "csv":
-        write_snapshots_csv(tmp_path / "raw.csv", generate_synthetic(3, 6))
-        extra = ("--data", "csv", "--csv", str(tmp_path / "raw.csv"))
+        source = tmp_path / "raw.csv"
+        write_snapshots_csv(source, generate_synthetic(3, 6))
+        extra = ("--data", "csv", "--csv", str(source))
     parses = []
     ingest_csv = cli.ingest_csv
 
@@ -437,15 +448,32 @@ def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
         return ingest_csv(path)
 
     monkeypatch.setattr(cli, "ingest_csv", counted)
-    out = tmp_path / "out"
     calls = {}
     for stage in STAGES:
         before = len(parses)
         assert cli.main(args(stage, out, *extra)) == 0, stage
         calls[stage] = len(parses) - before
-        if stage == "ingest":  # later stages load bars.npz, not the store
-            (out / "snapshots.csv").rename(tmp_path / "snapshots.csv")
+        if stage == "ingest" and data == "csv":  # the bars and meta of the raw file, and nothing else
+            assert sorted(path.name for path in out.iterdir()) == ["bars.npz", "ingest_meta.json"]
+            meta = json.loads((out / "ingest_meta.json").read_text(encoding="utf-8"))
+            with np.load(out / "bars.npz", allow_pickle=False) as npz:
+                assert meta["sha256"] == sha256_of(source) == npz["source_sha256"].item()
+        elif stage == "ingest":  # later stages load bars.npz, not the store
+            source.rename(tmp_path / "snapshots.csv")
+    assert [Path(path) for path in parses] == [source]
     assert calls == {"ingest": 1, "calibrate": 0, "train": 0, "backtest": 0, "report": 0}
+
+
+def test_bars_of_another_raw_csv_exit_5(tmp_path, capsys):
+    for name, seed in (("a", 3), ("b", 4)):
+        write_snapshots_csv(tmp_path / f"{name}.csv", generate_synthetic(seed, 6))
+        assert cli.main(args("ingest", tmp_path / name, "--data", "csv", "--csv", str(tmp_path / f"{name}.csv"))) == 0
+    shutil.copy(tmp_path / "b" / "bars.npz", tmp_path / "a" / "bars.npz")
+    assert cli.main(args("calibrate", tmp_path / "a")) == 5
+    error = error_of(capsys)
+    assert error["error"] == "data-error"
+    want = f"bars of source depth CSV sha256 {sha256_of(tmp_path / 'b.csv')}, not {sha256_of(tmp_path / 'a.csv')}"
+    assert want in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -456,7 +484,7 @@ def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
     out = tmp_path / "out"
     for stage in STAGES:
         assert cli.main([stage, *flags, "--out", str(out)]) == 0, stage
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SYNTH_ARTIFACTS}
     assert digests == pinned
 
 
@@ -490,15 +518,14 @@ LOCAL_CLOCK_FLAGS = (
     "--data", "csv", "--csv", "raw.csv", "--split", "2024-01-05T00:00:00+10:00", "--H", "20", "--seed", "42",
 )
 LOCAL_CLOCK_SHA256 = {
-    "snapshots.csv": "54c1ba8152aa42033dbe16bffc5c89179bd3894887ae46d7b36f5b68446efb8e",
-    "ingest_meta.json": "7f30a40f369f353557f31a505cecebd1a8f7e3b3efde837a90c64dddb11c936c",
+    "ingest_meta.json": "c5a71d914295a866edc5e374973bf129b8501f79472a293f2a2c400463ecc64c",
     "params.json": "d629f4c287a3f34928d33ce518fd496cf41556a787347146dbca6c81f59accb1",
-    "qtable.csv": "11a8b9749f4328213a468ea52838751345a77905a7a9651b0ac6837654034fdb",
+    "qtable.csv": "9cfb854e16b68a83b59fe6363fef0435a59bcd77ab809e00deaa3275f5e694d5",
     "train_trace.csv": "b1f9379423bd4758cd457a923e4cc9d5d80cdc5db08cad698cbcf91f338a5f1c",
-    "runs.csv": "dd856be96a5956c9c09e40a2c7f01c4d9291bbde45da8e4a39a31e6bc7d72fea",
-    "stats.json": "1c89a2d0c5af5959863175684516c934245661565fe015fd46c9b34ce8a75373",
+    "runs.csv": "a187cff42d1000410ebc0f37441d37b25eefb464f83ca244f16b85bc9a6cb374",
+    "stats.json": "18e7d46528c99f2362a1f7bc9b4f0954fcb6f91c5600ccf6291274c20118fa49",
     "table1.csv": "7e5dd8d60be34b9fc90d2c09b09ba7b4de2a429a41edd6eda1a31442977afa93",
-    "table2.csv": "7af0f81c97ee0c14f7de15ec52ba97a0c954773e7f7c730708d310a4d1f44918",
+    "table2.csv": "b93aaa9af649667c23a94aed9e6c6f9f9d5f7cbd062c1b6595da59068099f1f2",
     "fig2_trace.csv": "82eb88a28db477f5056df18c4d8df63176739edcf354850581bffeeaffaf9772",
     "resolved_config.txt": "b98dfd311589b153c1390a0373d8c6dd3184391b7ea0b5e17b0ab60d06c166de",
 }
@@ -508,8 +535,9 @@ def write_local_clock_csv(path) -> None:
     """Eight synthetic days at seed 42, stamped on the +10:00 clock, so each
     09:00-17:00 UTC session crosses local midnight. Every 97th row keeps its
     UTC stamp, as do rows 545 and 2945, which open the 10:05 UTC bar, inside
-    the traded window, on a training and a test day. Three pairs of adjacent
-    rows are swapped."""
+    the traded window, on a training and a test day; the bar's other four rows
+    carry +10:00, so it reads hour 20. Three pairs of adjacent rows are
+    swapped."""
     frame = generate_synthetic(42, 8, ExperimentConfig(H=10, seed=42).synthetic_config())
     zone = timezone(timedelta(hours=10))
     utc = {*range(0, len(frame), 97), 545, 2945}
@@ -525,5 +553,10 @@ def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):
     write_local_clock_csv(tmp_path / "raw.csv")
     for stage in STAGES:
         assert cli.main([stage, *LOCAL_CLOCK_FLAGS, "--out", "out"]) == 0, stage
+    # every day's traded window reads the local hour 20, stray UTC rows and all
+    meta = json.loads((tmp_path / "out" / "ingest_meta.json").read_text(encoding="utf-8"))
+    windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"]), 20, 4, 300.0)
+    assert len(windows) == 8
+    assert (windows.hour == 20).all()
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert digests == LOCAL_CLOCK_SHA256

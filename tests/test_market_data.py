@@ -8,7 +8,7 @@ import json
 import math
 import warnings
 import zipfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -316,7 +316,8 @@ class TestAggregate:
 
     def test_unsorted_two_offsets_match_mean_bit_for_bit(self):
         # oracle: group in input order, np.mean(axis=0) per group; the bar's
-        # start carries the tz of the group's first member in input order
+        # start carries the tz most of the group's members carry, a tie going
+        # to the tied tz whose first member comes first in input order
         rng = np.random.default_rng(11)
         zones = (timezone.utc, timezone(timedelta(hours=2)))
         snaps = [
@@ -340,7 +341,8 @@ class TestAggregate:
         assert bars.start.tolist() == sorted(groups)
         for bar in bars:
             members = groups[bar.start]
-            assert bar.utc_offset == members[0][0].utcoffset().total_seconds()
+            tally = Counter(ts.utcoffset() for ts, _ in members)  # most_common breaks ties by first occurrence
+            assert bar.utc_offset == tally.most_common(1)[0][0].total_seconds()
             assert bar.n_snapshots == len(members)
             buy, sell = bar.levels(Side.BUY), bar.levels(Side.SELL)
             for got, levels in (
@@ -353,6 +355,33 @@ class TestAggregate:
                 assert got.tobytes() == want.tobytes()
                 assert bar.row[levels].tobytes() == want.tobytes()
             assert bar.quote_volume == sell[1][0]
+
+
+@st.composite
+def zone_votes(draw):
+    """Snapshots over a few bars, each stamped in one of three zones, so
+    bars have clear majorities and ties of two or three zones; and a tau."""
+    zones = (timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30)))
+    tau = draw(st.sampled_from([60.0, 300.0, 1234.567]))
+    stamps = [
+        (T0 + timedelta(seconds=draw(st.floats(0.0, 4 * tau, exclude_max=True)))).astimezone(draw(st.sampled_from(zones)))
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    return make_frame(stamps, [make_row()] * len(stamps)), tau
+
+
+class TestBarOffset:
+    @settings(max_examples=200, deadline=None)
+    @given(zone_votes())
+    def test_majority_offset_matches_a_counter_reference(self, drawn):
+        # reference: per bar, Counter over its snapshots' offsets in input
+        # order; most_common lists equal counts in first-occurrence order
+        frame, tau = drawn
+        members = defaultdict(list)
+        for ts in frame.timestamps:
+            members[math.floor(ts.timestamp() / tau) * tau].append(ts.utcoffset().total_seconds())
+        want = [Counter(members[start]).most_common(1)[0][0] for start in sorted(members)]
+        assert aggregate_intervals(frame, tau).utc_offset.tolist() == want
 
 
 SOURCE_SHA256 = hashlib.sha256(b"store").hexdigest()
