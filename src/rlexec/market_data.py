@@ -393,23 +393,22 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
     zones = np.fromiter((ts.utcoffset().total_seconds() for ts in snapshots.timestamps), float, len(snapshots))
-    # a store in one zone (every synthetic one) needs no vote; skipping
-    # it keeps the vote's temporaries out of the stage's peak RSS
-    offsets = np.full(len(starts), zones[0]) if (zones == zones[0]).all() else _majority(group, zones)
-    return _check_bars(Bars(tau, side, starts, offsets, counts, sums / counts[:, np.newaxis]))
+    return _check_bars(Bars(tau, side, starts, _majority(group, zones), counts, sums / counts[:, np.newaxis]))
 
 
 def _majority(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per group 0..max(group), the value most of its rows carry; a tie goes
     to the tied value whose first row comes first in input order."""
-    distinct, code = np.unique(values, return_inverse=True)
-    # one entry per (group, value) pair, with its first row (np.unique sorts
-    # stably, so that is the first in input order) and its row count
-    pairs, first, count = np.unique(group * len(distinct) + code, return_index=True, return_counts=True)
-    owner = pairs // len(distinct)
-    order = np.lexsort((first, -count, owner))  # by group, most rows first, then earliest
-    lead = np.r_[True, owner[order][1:] != owner[order][:-1]]
-    return distinct[pairs[order[lead]] % len(distinct)]
+    # one stable sort by group, then value, lays each (group, value) pair's
+    # rows out as one run in input order, so a run's first entry is its first row
+    order = np.lexsort((values, group))
+    g, v = group[order], values[order]
+    start = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]) | (v[1:] != v[:-1])])
+    count = np.diff(np.r_[start, len(order)])
+    owner = g[start]
+    pick = np.lexsort((order[start], -count, owner))  # by group, most rows first, then earliest
+    lead = np.r_[True, owner[pick][1:] != owner[pick][:-1]]
+    return v[start][pick[lead]]
 
 
 def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
