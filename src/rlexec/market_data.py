@@ -582,7 +582,9 @@ class MixedRegime:
 START_DAY = date(2024, 1, 1)
 SESSION_HOURS = range(9, 17)
 SNAPSHOTS_PER_INTERVAL = 5
-#: Most rows generate_synthetic builds; it allocates them all up front.
+#: Most rows generate_synthetic builds. It allocates them all up front: per
+#: row the 20 float64 values, an 11-float draw buffer and the mid, 256 bytes,
+#: plus the row's datetime; no temporary it makes is as large as the values.
 MAX_SYNTHETIC_ROWS = 1_000_000
 
 
@@ -628,15 +630,6 @@ def planted_regime_config(hour: int = 10) -> SyntheticConfig:
     )
 
 
-def _interval_regime(
-    config: SyntheticConfig, hour: int, interval: int, rng: np.random.Generator
-) -> BookRegime:
-    mixed = config.mixed_hours.get(hour)
-    if mixed is not None and interval >= mixed.lead_in:
-        return mixed.favorable if rng.random() < mixed.p_favorable else mixed.unfavorable
-    return config.default_regime
-
-
 def synthetic_rows(days: int, tau: float) -> int:
     """Rows generate_synthetic builds for `days` days of `tau`-second bars,
     checked against MAX_SYNTHETIC_ROWS before any row exists."""
@@ -653,9 +646,18 @@ def synthetic_rows(days: int, tau: float) -> int:
 def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = None) -> BookFrame:
     """Deterministic synthetic depth stream: same seed, same snapshots.
 
-    The mid price follows a discrete arithmetic random walk; each tau-interval
-    draws a book regime from the schedule and renders snapshots around the
-    walking mid.
+    The mid price follows a discrete arithmetic random walk, floored at 1.0;
+    each tau-interval takes a book regime from the schedule and renders
+    snapshots around the walking mid.
+
+    The stream contract, which the tests pin bit for bit: `seed` seeds one
+    `np.random.default_rng`, and the rows draw from it in time order. A
+    mixed hour's interval at or past its `lead_in` first draws one
+    ``random()``, below `p_favorable` for the favorable book. Then each of
+    the interval's snapshots draws one standard normal, the mid's step
+    (times walk_sigma / sqrt(SNAPSHOTS_PER_INTERVAL)), then 11 uniforms on
+    [-1, 1): the spread jitter, the five bid-level and the five ask-level
+    volume jitters, best level first.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -665,33 +667,53 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = No
     intervals_per_hour = int(round(3600.0 / cfg.tau))
     snap_step = cfg.tau / SNAPSHOTS_PER_INTERVAL
     step_sigma = cfg.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
-    offsets = np.arange(N_LEVELS, dtype=float)
-    mid = cfg.base_price
+
+    # per interval of a day, the mixed regime that draws its book, else None
+    plan = [
+        mixed if mixed is not None and k >= mixed.lead_in else None
+        for mixed in map(cfg.mixed_hours.get, SESSION_HOURS)
+        for k in range(intervals_per_hour)
+    ]
+    regimes: list[BookRegime] = []  # each interval's book
+    mid, mids = cfg.base_price, np.empty(rows)
+    draws = np.empty((rows, 1 + 2 * N_LEVELS))
+    for interval, mixed in enumerate(plan * days):
+        regime = cfg.default_regime
+        if mixed is not None:
+            regime = mixed.favorable if rng.random() < mixed.p_favorable else mixed.unfavorable
+        regimes.append(regime)
+        for row in range(interval * SNAPSHOTS_PER_INTERVAL, (interval + 1) * SNAPSHOTS_PER_INTERVAL):
+            # 0 + sigma * z here and -1 + 2 * u below are what normal(0, sigma)
+            # and uniform(-1, 1) compute from the same draws
+            mid = max(mid + (0.0 + step_sigma * rng.standard_normal()), 1.0)
+            mids[row] = mid
+            rng.random(out=draws[row])
+    draws *= 2.0
+    draws -= 1.0
+
+    # each row's book as (rows, 1) columns; the arithmetic keeps a per-row
+    # loop's operation order, so every value is bit-identical to that loop's
+    params = np.array([(r.spread, r.spread_jitter, r.level_volume, r.volume_jitter, r.level_step) for r in regimes])
+    spread, spread_jitter, level_volume, volume_jitter, level_step = np.hsplit(
+        np.repeat(params.reshape(len(regimes), 5), SNAPSHOTS_PER_INTERVAL, axis=0), 5
+    )
+    mids = mids[:, np.newaxis]
+    half = 0.5 * np.maximum(spread + spread_jitter * draws[:, :1], 0.01)
+    steps = level_step * np.arange(N_LEVELS, dtype=float)
     values = np.empty((rows, 4 * N_LEVELS))
-    stamps: list[datetime] = []
-    for d in range(days):
-        day_start = datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc)
-        for hour in SESSION_HOURS:
-            for k in range(intervals_per_hour):
-                regime = _interval_regime(cfg, hour, k, rng)
-                t0 = day_start + timedelta(hours=hour, seconds=k * cfg.tau)
-                for s in range(SNAPSHOTS_PER_INTERVAL):
-                    mid = max(mid + rng.normal(0.0, step_sigma), 1.0)
-                    spread = max(
-                        regime.spread + regime.spread_jitter * rng.uniform(-1.0, 1.0),
-                        0.01,
-                    )
-                    half = 0.5 * spread
-                    bid_v = regime.level_volume * (
-                        1.0 + regime.volume_jitter * rng.uniform(-1.0, 1.0, size=N_LEVELS)
-                    )
-                    ask_v = regime.level_volume * (
-                        1.0 + regime.volume_jitter * rng.uniform(-1.0, 1.0, size=N_LEVELS)
-                    )
-                    row = values[len(stamps)]
-                    row[BID_PRICES] = mid - half - regime.level_step * offsets
-                    row[BID_VOLUMES] = np.maximum(np.rint(bid_v), 1.0)
-                    row[ASK_PRICES] = mid + half + regime.level_step * offsets
-                    row[ASK_VOLUMES] = np.maximum(np.rint(ask_v), 1.0)
-                    stamps.append(t0 + timedelta(seconds=s * snap_step))
-    return BookFrame(timestamps=stamps, values=values)
+    values[:, BID_PRICES] = mids - half - steps
+    values[:, ASK_PRICES] = mids + half + steps
+    for levels, jitter in ((BID_VOLUMES, draws[:, 1 : 1 + N_LEVELS]), (ASK_VOLUMES, draws[:, 1 + N_LEVELS :])):
+        values[:, levels] = np.maximum(np.rint(level_volume * (1.0 + volume_jitter * jitter)), 1.0)
+
+    # one day's snapshot offsets from midnight, each the sum of the interval's
+    # and the snapshot's rounded timedelta (exact: timedeltas add integer
+    # microseconds)
+    pattern = [
+        timedelta(hours=hour, seconds=k * cfg.tau) + timedelta(seconds=s * snap_step)
+        for hour in SESSION_HOURS
+        for k in range(intervals_per_hour)
+        for s in range(SNAPSHOTS_PER_INTERVAL)
+    ]
+    starts = (datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc) for d in range(days))
+    return BookFrame(timestamps=[start + offset for start in starts for offset in pattern], values=values)

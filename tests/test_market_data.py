@@ -9,7 +9,8 @@ import math
 import warnings
 import zipfile
 from collections import Counter, defaultdict
-from datetime import datetime, timedelta, timezone
+from dataclasses import replace
+from datetime import datetime, time, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,10 @@ from rlexec.market_data import (
     BID_VOLUMES,
     BOOK_CHECKS,
     DEPTH_CSV_COLUMNS,
+    N_LEVELS,
+    SESSION_HOURS,
+    SNAPSHOTS_PER_INTERVAL,
+    START_DAY,
     BookRegime,
     HistoricalDistribution,
     MixedRegime,
@@ -762,7 +767,92 @@ class TestDayWindows:
         assert "no bars at hour 14" in skipped[0][1]
 
 
+def reference_synthetic(seed: int, days: int, cfg: SyntheticConfig) -> tuple[list[datetime], np.ndarray, list[float]]:
+    """generate_synthetic as a per-snapshot loop making the RNG calls one at
+    a time: the timestamps, the depth rows and the walking mid of each row."""
+    rng = np.random.default_rng(seed)
+    intervals_per_hour = int(round(3600.0 / cfg.tau))
+    snap_step = cfg.tau / SNAPSHOTS_PER_INTERVAL
+    step_sigma = cfg.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
+    offsets = np.arange(N_LEVELS, dtype=float)
+    mid = cfg.base_price
+    stamps, rows, mids = [], [], []
+    for d in range(days):
+        day_start = datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc)
+        for hour in SESSION_HOURS:
+            for k in range(intervals_per_hour):
+                regime = cfg.default_regime
+                mixed = cfg.mixed_hours.get(hour)
+                if mixed is not None and k >= mixed.lead_in:
+                    regime = mixed.favorable if rng.random() < mixed.p_favorable else mixed.unfavorable
+                t0 = day_start + timedelta(hours=hour, seconds=k * cfg.tau)
+                for s in range(SNAPSHOTS_PER_INTERVAL):
+                    mid = max(mid + rng.normal(0.0, step_sigma), 1.0)
+                    spread = max(regime.spread + regime.spread_jitter * rng.uniform(-1.0, 1.0), 0.01)
+                    half = 0.5 * spread
+                    bid_v = regime.level_volume * (1.0 + regime.volume_jitter * rng.uniform(-1.0, 1.0, size=N_LEVELS))
+                    ask_v = regime.level_volume * (1.0 + regime.volume_jitter * rng.uniform(-1.0, 1.0, size=N_LEVELS))
+                    row = np.empty(4 * N_LEVELS)
+                    row[BID_PRICES] = mid - half - regime.level_step * offsets
+                    row[BID_VOLUMES] = np.maximum(np.rint(bid_v), 1.0)
+                    row[ASK_PRICES] = mid + half + regime.level_step * offsets
+                    row[ASK_VOLUMES] = np.maximum(np.rint(ask_v), 1.0)
+                    stamps.append(t0 + timedelta(seconds=s * snap_step))
+                    rows.append(row)
+                    mids.append(mid)
+    return stamps, np.array(rows).reshape(len(rows), 4 * N_LEVELS), mids
+
+
+def _synthetic_markets() -> dict[str, SyntheticConfig]:
+    planted = planted_regime_config()
+    favorable, unfavorable = planted.mixed_hours[10].favorable, planted.mixed_hours[10].unfavorable
+    calm = BookRegime(spread=0.08, level_volume=12000.0, level_step=0.04, spread_jitter=0.01, volume_jitter=0.1)
+    stormy = BookRegime(spread=0.40, level_volume=2000.0, level_step=0.20, spread_jitter=0.03, volume_jitter=0.2)
+    still = BookRegime(spread=0.20, level_volume=5000.0, level_step=0.10)
+    return {
+        "default only": SyntheticConfig(),
+        "planted": planted,
+        "never favorable": replace(planted, mixed_hours={10: MixedRegime(favorable, unfavorable, p_favorable=0.0)}),
+        "always favorable": replace(planted, mixed_hours={10: MixedRegime(favorable, unfavorable, p_favorable=1.0)}),
+        "two mixed hours": replace(
+            planted,
+            mixed_hours={
+                9: MixedRegime(favorable, unfavorable, p_favorable=0.3, lead_in=0),
+                14: MixedRegime(calm, stormy, p_favorable=0.7, lead_in=3),
+            },
+        ),
+        "zero jitters": SyntheticConfig(
+            default_regime=still, mixed_hours={12: MixedRegime(still, replace(still, spread=0.5))}
+        ),
+        "floored walk": SyntheticConfig(base_price=1.0, walk_sigma=5.0),
+    }
+
+
+SYNTHETIC_MARKETS = _synthetic_markets()
+
+
+@st.composite
+def synthetic_runs(draw) -> tuple[int, int, float]:
+    """A seed, a day count and a tau. 7.5 s bars make 19,200 rows a day, which
+    the reference loop takes most of a second over, so they run one day."""
+    tau = draw(st.sampled_from([300.0, 60.0, 7.5, 1234.567]))
+    return draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 1 if tau == 7.5 else 3)), tau
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("market", sorted(SYNTHETIC_MARKETS))
+    @settings(max_examples=3, deadline=None)
+    @given(synthetic_runs())
+    def test_stream_matches_a_per_snapshot_loop_bit_for_bit(self, market, run):
+        seed, days, tau = run
+        cfg = replace(SYNTHETIC_MARKETS[market], tau=tau)
+        stamps, values, mids = reference_synthetic(seed, days, cfg)
+        frame = generate_synthetic(seed, days, cfg)
+        assert frame.timestamps == stamps
+        assert frame.values.tobytes() == values.tobytes()
+        if market == "floored walk":
+            assert 1.0 in mids  # the floor clamps
+
     def test_same_seed_bitwise_identical(self):
         cfg = planted_regime_config()
         a = generate_synthetic(123, days=2, config=cfg)
