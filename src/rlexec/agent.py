@@ -20,7 +20,10 @@ Rewards are the fill's signed contribution to implementation shortfall in
 basis points (costs negative), so the greedy argmax minimizes total IS.
 Training sweeps every inventory bucket and every action at each period of
 each training window, the exploration scheme that guarantees every reachable
-pair keeps being visited.
+pair keeps being visited. Each period of a window is one block: its walks,
+rewards and bootstrap values max_b Q(next, b) are array operations over
+(bucket, action), and q_update is the per-cell harmonic-rate step that folds
+one reward and one bootstrap value into its cell.
 
 A trained table is saved twice: a CSV export with one row per cell, for
 reading, and an .npz hand-off of its arrays, which is what `load_qtable`
@@ -109,33 +112,32 @@ class QTable:
         shape = (periods, inv_buckets, spread_buckets, vol_buckets, n_actions)
         return cls(values=np.zeros(shape), visit_counts=np.zeros(shape, dtype=np.int64))
 
-    def state_index(self, x: StateTuple) -> tuple[int, int, int, int]:
-        return (x.t - 1, x.i - 1, x.s - 1, x.v - 1)
-
 
 def q_update(
     q: QTable,
     x: StateTuple,
     action: int,
     reward: float,
-    next_state: StateTuple | None,
+    future: float | None,
     schedule: LearningSchedule,
 ) -> QTable:
-    """One Q-learning step; `next_state` None means the absorbing state.
+    """One Q-learning step on cell (x, action). `future` is the bootstrap
+    value max_b Q(next, b), or None for the absorbing state after the final
+    period.
 
     The learning rate is read from the pair's visit count before the count is
     incremented, so a fresh pair takes the full reward.
     """
-    idx = (*q.state_index(x), action)
-    alpha = schedule.alpha(int(q.visit_counts[idx]))
-    current = q.values[idx]
-    if next_state is None:
+    idx = (x.t - 1, x.i - 1, x.s - 1, x.v - 1, action)
+    visits = q.visit_counts.item(idx)
+    current = q.values.item(idx)
+    alpha = schedule.alpha(visits)
+    if future is None:
         update = reward - current  # absorbing state carries zero value
     else:
-        future = q.values[q.state_index(next_state)].max()
         update = reward + schedule.gamma * future - current
     q.values[idx] = current + alpha * update
-    q.visit_counts[idx] += 1
+    q.visit_counts[idx] = visits + 1
     return q
 
 
@@ -207,11 +209,15 @@ def train(
     terminal market order.
 
     Each period is one block: the I x A child volumes walk the period's book
-    in one array pass, which gives their rewards and next inventory buckets,
-    and the block's Q updates then run one q_update per (bucket, action) in
-    bucket-major order. Within a period every update writes its own cell and
-    bootstraps off period t - 1 only, and the block arithmetic is the
-    per-request arithmetic, so the table is the one per-request walks give.
+    in one array pass, which gives their rewards and next inventory buckets
+    i', and one gather over period t - 1's rows at (i', s', v') gives every
+    cell's bootstrap value max_b Q(t - 1, i', s', v', b). The block's Q
+    updates then run one q_update per (bucket, action) in bucket-major order.
+    Within a period every update writes its own cell of period t and none
+    writes period t - 1, so the values gathered before the block are the
+    values each update would read at its own time; and the block arithmetic
+    is the per-request arithmetic, so the table is the one per-request walks
+    and per-update bootstraps give.
 
     The spread and volume buckets of every bar of every episode come from one
     state_buckets call. The correct-action trace records (cumulative tuple
@@ -248,21 +254,20 @@ def train(
                 # liquidation guarantee: the last period executes all
                 # remaining inventory cap-free, whatever beta says
                 walk = _walk_books(prices[e, j], volumes[e, j], midpoints, cap=1.0)
-                next_states = [[None] * n_actions] * inv_buckets  # absorbing
+                futures = [[None] * n_actions] * inv_buckets  # absorbing
             else:
                 volume = _child_volume(betas, midpoints, sched[j], suffix[j])
                 walk = _walk_books(prices[e, j], volumes[e, j], volume, cap=cap)
-                s1, v1 = s_bucket[e][j + 1], v_bucket[e][j + 1]
-                next_states = [
-                    [StateTuple(t - 1, i1, s1, v1) for i1 in row]
-                    for row in _inventory_bucket(midpoints - walk.executed, total, inv_buckets).tolist()
-                ]
+                i1 = _inventory_bucket(midpoints - walk.executed, total, inv_buckets)
+                # (I, A, A) rows of period t - 1, reduced to their (I, A) maxima
+                rows = q.values[t - 2, i1 - 1, s_bucket[e][j + 1] - 1, v_bucket[e][j + 1] - 1]
+                futures = rows.max(axis=-1).tolist()
             rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).tolist()
             s, v = s_bucket[e][j], v_bucket[e][j]
-            for i, (row_rewards, row_next) in enumerate(zip(rewards, next_states), start=1):
+            for i, (row_rewards, row_futures) in enumerate(zip(rewards, futures), start=1):
                 x = StateTuple(t, i, s, v)
-                for action, (reward, nxt) in enumerate(zip(row_rewards, row_next)):
-                    q_update(q, x, action, reward, nxt, learning)
+                for action, (reward, future) in enumerate(zip(row_rewards, row_futures)):
+                    q_update(q, x, action, reward, future, learning)
             result.updates += inv_buckets * n_actions
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
     return result

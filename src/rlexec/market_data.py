@@ -297,8 +297,10 @@ def ingest_csv(path: str | Path) -> IngestResult:
     Rows that fail parsing or book invariants are skipped and tallied per
     reason in ``row_errors``, under the first failing of: column count,
     parsing (a naive timestamp or a non-finite cell is an unparseable row),
-    then BOOK_CHECKS in order. A file with a bad header or zero valid rows is
-    an error.
+    then BOOK_CHECKS in order. A file with a bad header, zero valid rows, a
+    line the csv module cannot split (such as a field over
+    csv.field_size_limit()) or bytes that are not UTF-8 is a ValueError
+    naming `path`.
     """
     path = Path(path)
     stamps: list[datetime] = []
@@ -307,26 +309,31 @@ def ingest_csv(path: str | Path) -> IngestResult:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, no header") from None
-        if header != list(DEPTH_CSV_COLUMNS):
-            raise ValueError(f"{path}: malformed header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(DEPTH_CSV_COLUMNS):
-                errors["wrong column count"] += 1
-                continue
-            mark = len(flat)
-            try:
-                ts = _parse_timestamp(row[0])
-                flat.extend(map(float, row[1:]))
-            except ValueError:
-                del flat[mark:]
-                errors["unparseable row"] += 1
-                continue
-            stamps.append(ts)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, no header")
+            header = [cell.strip() for cell in header]
+            if header != list(DEPTH_CSV_COLUMNS):
+                raise ValueError(f"{path}: malformed header {header!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(DEPTH_CSV_COLUMNS):
+                    errors["wrong column count"] += 1
+                    continue
+                mark = len(flat)
+                try:
+                    ts = _parse_timestamp(row[0])
+                    flat.extend(map(float, row[1:]))
+                except ValueError:
+                    del flat[mark:]
+                    errors["unparseable row"] += 1
+                    continue
+                stamps.append(ts)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     values = np.frombuffer(flat, dtype=float).reshape(len(stamps), 4 * N_LEVELS)
     finite = np.isfinite(values).all(axis=1)
     # a row with a non-finite cell is unparseable, whatever its book checks say

@@ -23,14 +23,18 @@ from rlexec.agent import (
 )
 from rlexec.backtest import run_rl
 from rlexec.config import ExperimentConfig
-from rlexec.execution import _inventory_bucket, execute_schedule
+from rlexec.execution import _child_volume, _inventory_bucket, _walk_books, execute_schedule
 from rlexec.market_data import (
     ASK_VOLUMES,
     Bars,
     HistoricalDistribution,
     Side,
+    aggregate_intervals,
+    arrival_reference,
     build_distributions,
     day_windows,
+    generate_synthetic,
+    planted_regime_config,
     state_buckets,
 )
 
@@ -158,11 +162,10 @@ class TestQUpdate:
 
     def test_interior_update_substitution(self):
         q = QTable.zeros(2, 2, 2, 2, 3)
-        y = StateTuple(1, 1, 1, 1)
-        q.values[0, 0, 0, 0] = [-30.0, -60.0, -90.0]  # max_b = -30
         x = StateTuple(2, 1, 1, 1)
-        q_update(q, x, 1, -10.0, y, LearningSchedule())
+        q_update(q, x, 1, -10.0, -30.0, LearningSchedule())  # max_b Q(next, b) = -30
         assert q.values[1, 0, 0, 0, 1] == -40.0
+        assert q.visit_counts[1, 0, 0, 0, 1] == 1
 
     def test_two_final_updates_form_running_mean(self):
         q = QTable.zeros(1, 1, 1, 1, 1)
@@ -184,9 +187,7 @@ class TestQUpdate:
 
     def test_gamma_scales_bootstrap(self):
         q = QTable.zeros(2, 1, 1, 1, 1)
-        q.values[0, 0, 0, 0, 0] = -100.0
-        q_update(q, StateTuple(2, 1, 1, 1), 0, 0.0, StateTuple(1, 1, 1, 1),
-                 LearningSchedule(gamma=0.5))
+        q_update(q, StateTuple(2, 1, 1, 1), 0, 0.0, -100.0, LearningSchedule(gamma=0.5))
         assert q.values[1, 0, 0, 0, 0] == -50.0
 
 
@@ -232,9 +233,9 @@ class TestPolicies:
             t = int(rng.integers(1, 3))
             x = StateTuple(t, int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             r = float(rng.uniform(-5, 0))
-            y = None if t == 1 else StateTuple(t - 1, x.i, x.s, x.v)
+            future = None if t == 1 else q.values[t - 2, x.i - 1, x.s - 1, x.v - 1].max()
             for a in range(9):
-                q_update(q, x, a, r, y, sched)
+                q_update(q, x, a, r, future, sched)
         assert np.all(extract_policy(q, grid) == 1.0)
 
 
@@ -405,6 +406,74 @@ class TestTrain:
         assert np.all(q.values >= 4 * worst_single)
 
 
+def reference_q_update(q, x, action, reward, next_state, schedule):
+    """The Q step as it was before train gathered its bootstrap values: it
+    reads max_b Q(next_state, b) itself, at the update's own time."""
+    idx = (x.t - 1, x.i - 1, x.s - 1, x.v - 1, action)
+    alpha = schedule.alpha(int(q.visit_counts[idx]))
+    current = q.values[idx]
+    if next_state is None:
+        update = reward - current  # absorbing state carries zero value
+    else:
+        future = q.values[next_state.t - 1, next_state.i - 1, next_state.s - 1, next_state.v - 1].max()
+        update = reward + schedule.gamma * future - current
+    q.values[idx] = current + alpha * update
+    q.visit_counts[idx] += 1
+
+
+def reference_train(q, episodes, schedule_shares, grid, dists, *, cap, side):
+    """train's sweep one cell at a time, in its order: each (bucket, action)
+    walks its own child order and bootstraps off the table as it stands."""
+    periods, inv_buckets, spread_buckets, vol_buckets, _ = q.values.shape
+    sched = np.asarray(schedule_shares, dtype=np.int64)
+    total = int(sched.sum())
+    suffix = np.cumsum(sched[::-1])[::-1]
+    s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
+    prices, volumes = episodes.levels(side)
+    learning = LearningSchedule()
+    for e, ref in enumerate(arrival_reference(episodes, side).tolist()):
+        for t in range(periods, 0, -1):
+            j = periods - t
+            for i in range(1, inv_buckets + 1):
+                midpoint = float(round(total * (2 * i - 1) / (2 * inv_buckets)))
+                x = StateTuple(t, i, int(s_bucket[e, j]), int(v_bucket[e, j]))
+                for action, beta in enumerate(grid.betas):
+                    if t == 1:
+                        walk = _walk_books(prices[e, j], volumes[e, j], midpoint, cap=1.0)
+                        next_state = None
+                    else:
+                        volume = _child_volume(beta, midpoint, sched[j], suffix[j])
+                        walk = _walk_books(prices[e, j], volumes[e, j], volume, cap=cap)
+                        i1 = int(_inventory_bucket(midpoint - walk.executed, total, inv_buckets))
+                        next_state = StateTuple(t - 1, i1, int(s_bucket[e, j + 1]), int(v_bucket[e, j + 1]))
+                    reward = float(agent._period_reward(walk, ref, total))
+                    reference_q_update(q, x, action, reward, next_state, learning)
+
+
+class TestGatheredBootstrap:
+    """train gathers each period's bootstrap values before the period's
+    updates; no update of the period writes the period they are read from."""
+
+    @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+    @pytest.mark.parametrize("grid", [ActionGrid.from_bounds(), ActionGrid.from_bounds(0.0, 2.0, 0.05)], ids=len)
+    def test_train_matches_a_per_cell_reference_bit_for_bit(self, side, grid):
+        bars = aggregate_intervals(generate_synthetic(5, 8, planted_regime_config(10)), 300.0, side=side)
+        episodes, _ = day_windows(bars, 10, 4, 300.0)
+        assert len(episodes) == 8
+        dists = build_distributions(bars)
+        sched = np.array([6000, 5000, 5000, 4000])
+        q, ref = QTable.zeros(4, 3, 2, 2, len(grid)), QTable.zeros(4, 3, 2, 2, len(grid))
+        result = train(q, episodes, sched, grid, dists, cap=0.2, side=side)
+        reference_train(ref, episodes, sched, grid, dists, cap=0.2, side=side)
+        assert result.updates == 8 * 4 * 3 * len(grid)
+        assert q.visit_counts.tolist() == ref.visit_counts.tolist()
+        assert q.values.tobytes() == ref.values.tobytes()
+        # (s, v) states repeat across the episodes: interior cells are
+        # revisited, and bootstraps read rows that earlier episodes wrote
+        assert (ref.visit_counts[1:] > 1).any()
+        assert (ref.values[:-1] != 0.0).any()
+
+
 class TestPersistence:
     @staticmethod
     def extreme_table() -> QTable:
@@ -488,8 +557,8 @@ class TestDPEquivalenceSmall:
                     for a in range(A):
                         r = float(mean_r[t - 1, i - 1, a] + rng.uniform(-0.2, 0.2))
                         x = StateTuple(t, i, 1, 1)
-                        y = None if t == 1 else StateTuple(1, int(inv_next[i - 1, a]), 1, 1)
-                        q_update(q, x, a, r, y, sched)
+                        future = None if t == 1 else q.values[0, inv_next[i - 1, a] - 1, 0, 0].max()
+                        q_update(q, x, a, r, future, sched)
         for t in range(T):
             for i in range(I):
                 assert int(np.argmax(q.values[t, i, 0, 0])) == int(np.argmax(q_star[t, i]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -474,6 +475,30 @@ def test_bars_of_another_raw_csv_exit_5(tmp_path, capsys):
     assert error["error"] == "data-error"
     want = f"bars of source depth CSV sha256 {sha256_of(tmp_path / 'b.csv')}, not {sha256_of(tmp_path / 'a.csv')}"
     assert want in error["message"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        # one field past csv.field_size_limit() (131,072 characters)
+        (
+            lambda line: b"9" * (csv.field_size_limit() + 1) + line,
+            f"line 4: field larger than field limit ({csv.field_size_limit()})",
+        ),
+        (lambda line: line[:30] + b"\xff" + line[31:], "'utf-8' codec can't decode byte 0xff in position"),
+    ],
+    ids=["oversized-field", "not-utf-8"],
+)
+def test_unreadable_raw_csv_exits_5_naming_the_file(tmp_path, capsys, damage, message):
+    source = tmp_path / "raw.csv"
+    write_snapshots_csv(source, generate_synthetic(3, 1))
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[3] = damage(lines[3])
+    source.write_bytes(b"".join(lines))
+    assert cli.main(args("ingest", tmp_path / "out", "--data", "csv", "--csv", str(source))) == 5
+    error = error_of(capsys)
+    assert error["error"] == "data-error"
+    assert error["message"].startswith(f"{source}: {message}")
 
 
 @pytest.mark.parametrize(
