@@ -6,7 +6,6 @@ from .agent import (
     ActionGrid,
     LearningSchedule,
     QTable,
-    StateTuple,
     TrainingResult,
     correct_action_fraction,
     extract_policy,

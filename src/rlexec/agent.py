@@ -23,7 +23,7 @@ each training window, the exploration scheme that guarantees every reachable
 pair keeps being visited. Each period of a window is one block: its walks,
 rewards and bootstrap values max_b Q(next, b) are array operations over
 (bucket, action), and q_update is the per-cell harmonic-rate step that folds
-one reward and one bootstrap value into its cell.
+one reward and one bootstrap value into its cell, named by its C-order index.
 
 A trained table is saved twice: a CSV export with one row per cell, for
 reading, and an .npz hand-off of its arrays, which is what `load_qtable`
@@ -32,25 +32,16 @@ reads back.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _child_volume, _inventory_bucket, _walk_books, walk_book  # noqa: F401
 from .market_data import Bars, HistoricalDistribution, Side, _load_npz, arrival_reference, state_buckets
-
-
-class StateTuple(NamedTuple):
-    """1-based indices: remaining periods, inventory, spread, volume buckets."""
-
-    t: int
-    i: int
-    s: int
-    v: int
 
 
 #: Most betas from_bounds builds; the Q table holds one value per beta and state.
@@ -102,10 +93,19 @@ class LearningSchedule:
 
 @dataclass
 class QTable:
-    """Dense action values and visit counts over T x I x B x W x A."""
+    """Dense action values and visit counts over T x I x B x W x A: C-contiguous
+    float64 and int64, with the flat views q_update steps the cells through."""
 
     values: np.ndarray
     visit_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, array, dtype in (("values", self.values, "float64"), ("visit counts", self.visit_counts, "int64")):
+            if array.dtype != dtype or not array.flags.c_contiguous or array.shape != self.values.shape:
+                raise ValueError(f"q-table {name} must be a C-contiguous {dtype} array of the values' shape")
+        # views of the same memory (reshape copies nothing here), C order, native float64 and int64
+        self.flat_values = memoryview(self.values.reshape(-1))
+        self.flat_visits = memoryview(self.visit_counts.reshape(-1))
 
     @classmethod
     def zeros(cls, periods: int, inv_buckets: int, spread_buckets: int, vol_buckets: int, n_actions: int) -> "QTable":
@@ -113,31 +113,24 @@ class QTable:
         return cls(values=np.zeros(shape), visit_counts=np.zeros(shape, dtype=np.int64))
 
 
-def q_update(
-    q: QTable,
-    x: StateTuple,
-    action: int,
-    reward: float,
-    future: float | None,
-    schedule: LearningSchedule,
-) -> QTable:
-    """One Q-learning step on cell (x, action). `future` is the bootstrap
-    value max_b Q(next, b), or None for the absorbing state after the final
-    period.
+def q_update(q: QTable, cell: int, reward: float, future: float | None, schedule: LearningSchedule) -> QTable:
+    """One Q-learning step on `cell`, the C-order flat index of (t - 1, i - 1,
+    s - 1, v - 1, action). `future` is the bootstrap value max_b Q(next, b),
+    or None for the absorbing state after the final period.
 
     The learning rate is read from the pair's visit count before the count is
     incremented, so a fresh pair takes the full reward.
     """
-    idx = (x.t - 1, x.i - 1, x.s - 1, x.v - 1, action)
-    visits = q.visit_counts.item(idx)
-    current = q.values.item(idx)
+    values, visit_counts = q.flat_values, q.flat_visits
+    visits = visit_counts[cell]
+    current = values[cell]
     alpha = schedule.alpha(visits)
     if future is None:
         update = reward - current  # absorbing state carries zero value
     else:
         update = reward + schedule.gamma * future - current
-    q.values[idx] = current + alpha * update
-    q.visit_counts[idx] = visits + 1
+    values[cell] = current + alpha * update
+    visit_counts[cell] = visits + 1
     return q
 
 
@@ -212,9 +205,10 @@ def train(
     in one array pass, which gives their rewards and next inventory buckets
     i', and one gather over period t - 1's rows at (i', s', v') gives every
     cell's bootstrap value max_b Q(t - 1, i', s', v', b). The block's Q
-    updates then run one q_update per (bucket, action) in bucket-major order.
-    Within a period every update writes its own cell of period t and none
-    writes period t - 1, so the values gathered before the block are the
+    updates then run one q_update per (bucket, action) in bucket-major order,
+    on flat cells: A in a row per bucket, B * W * A apart from bucket to
+    bucket. Within a period every update writes its own cell of period t and
+    none writes period t - 1, so the values gathered before the block are the
     values each update would read at its own time; and the block arithmetic
     is the per-request arithmetic, so the table is the one per-request walks
     and per-update bootstraps give.
@@ -240,6 +234,7 @@ def train(
         dtype=float,
     )
     betas = np.asarray(grid.betas)
+    stride = spread_buckets * vol_buckets * n_actions
     result = TrainingResult()
     s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
     kept = s_bucket.all(axis=1) if episodes.start.shape[1] == periods else np.zeros(len(episodes), dtype=bool)
@@ -264,10 +259,12 @@ def train(
                 futures = rows.max(axis=-1).tolist()
             rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).tolist()
             s, v = s_bucket[e][j], v_bucket[e][j]
-            for i, (row_rewards, row_futures) in enumerate(zip(rewards, futures), start=1):
-                x = StateTuple(t, i, s, v)
-                for action, (reward, future) in enumerate(zip(row_rewards, row_futures)):
-                    q_update(q, x, action, reward, future, learning)
+            # flat cell of (t, 1, s, v, 0), each bucket's first action
+            first = (((t - 1) * inv_buckets * spread_buckets + s - 1) * vol_buckets + v - 1) * n_actions
+            for row_rewards, row_futures in zip(rewards, futures):
+                for cell, reward, future in zip(range(first, first + n_actions), row_rewards, row_futures):
+                    q_update(q, cell, reward, future, learning)
+                first += stride
             result.updates += inv_buckets * n_actions
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
     return result
@@ -307,25 +304,30 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
         # rows as csv.writer's default dialect writes them: CRLF-terminated,
         # and no cell needs quoting
         fh.write("t,i,s,v,action,beta,q,visits\r\n")
-        actions = [f"{a},{beta!r}" for a, beta in enumerate(grid.betas)]
-        for state in np.ndindex(q.values.shape[:4]):
-            prefix = ",".join(str(k + 1) for k in state)
-            fh.writelines(
-                f"{prefix},{action},{value!r},{visits}\r\n"
-                for action, value, visits in zip(
-                    actions, q.values[state].tolist(), q.visit_counts[state].tolist(), strict=True
-                )
-            )
+        actions = [f",{a},{beta!r}," for a, beta in enumerate(grid.betas)]
+        values = q.values.reshape(-1, len(actions))
+        visits = q.visit_counts.reshape(-1, len(actions))
+        # a state no update touched holds +0.0 (all bits zero, so not -0.0)
+        # and count 0 in every cell, and all such states share their rows' tails
+        touched = (values.view(np.int64).any(axis=1) | visits.any(axis=1)).tolist()
+        untouched_tails = [f"{action}0.0,0\r\n" for action in actions]
+        labels = [[str(n) for n in range(1, size + 1)] for size in q.values.shape[:4]]
+        for k, prefix in enumerate(map(",".join, itertools.product(*labels))):  # "t,i,s,v" in C order
+            tails = untouched_tails
+            if touched[k]:
+                rows = zip(actions, values[k].tolist(), visits[k].tolist())
+                tails = [f"{action}{value!r},{n}\r\n" for action, value, n in rows]
+            fh.write(prefix + prefix.join(tails))
     np.savez(Path(path).with_suffix(".npz"), values=q.values, visits=q.visit_counts, betas=np.asarray(grid.betas))
 
 
 def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid]:
     """The table and action grid in the .npz hand-off `save_qtable` wrote;
     the CSV export is never read back. A file `_load_npz` refuses, or betas
-    `ActionGrid` refuses, is a ValueError naming `path`."""
+    `ActionGrid` or arrays `QTable` refuses, is a ValueError naming `path`."""
     arrays = _load_npz(path, _QTABLE_ARRAYS, "q-table")
     try:
-        grid = ActionGrid(betas=tuple(arrays["betas"].tolist()))
+        q = QTable(values=arrays["values"], visit_counts=arrays["visits"])
+        return q, ActionGrid(betas=tuple(arrays["betas"].tolist()))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return QTable(values=arrays["values"], visit_counts=arrays["visits"]), grid

@@ -23,7 +23,7 @@ import numpy as np
 
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _walk_books, walk_book  # noqa: F401
-from .market_data import Bars, Side
+from .market_data import Bars, Side, _median
 
 #: Probe volumes for the impact fit, as fractions of the median visible depth.
 PROBE_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8)
@@ -174,7 +174,7 @@ def calibrate(
     sigma = float(np.std(diffs))
 
     prices, volumes = bars.levels(side)
-    depth = float(np.median(volumes.sum(axis=-1)))
+    depth = _median(volumes.sum(axis=-1))
     probes = sorted({max(int(round(f * depth)), 1) for f in PROBE_FRACTIONS})
     # every bar walks every probe, bar-major, probe-minor; probes that fill
     # nothing give no point

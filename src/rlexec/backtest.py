@@ -27,7 +27,7 @@ from .agent import QTable, extract_policy
 from .config import ExperimentConfig
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import ISRecord, execute_schedule, walk_book  # noqa: F401
-from .market_data import Bars, HistoricalDistribution, Side, arrival_reference, day_windows, state_buckets
+from .market_data import Bars, HistoricalDistribution, Side, _median, arrival_reference, day_windows, state_buckets
 
 REPORT_HOURS = tuple(range(9, 17))
 
@@ -125,8 +125,8 @@ def compare(ac: dict[date, ISRecord], rl: dict[date, ISRecord]) -> ISStatistics:
         raise ValueError("no common days to compare")
     ac_bps = [ac[d].shortfall_bps for d in common]
     rl_bps = [rl[d].shortfall_bps for d in common]
-    median_ac = float(np.median(ac_bps))
-    median_rl = float(np.median(rl_bps))
+    median_ac = _median(ac_bps)
+    median_rl = _median(rl_bps)
     improvement = None
     if median_ac != 0.0:
         improvement = (median_rl - median_ac) / abs(median_ac) * 100.0

@@ -259,6 +259,17 @@ def bucket_of(dist: HistoricalDistribution, field_name: str, value, buckets: int
     return (count * buckets + n - 1) // n
 
 
+def _median(values) -> float:
+    """np.median of `values`, bit for bit (NaN if any is NaN), without the
+    numpy.ma import np.median and a plain np.unique make: ~15 ms a process."""
+    mid, odd = divmod(np.size(values), 2)
+    part = np.partition(values, [mid, -1] if odd else [mid - 1, mid, -1], axis=None)  # np.median's; NaN sorts last
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    # np.median means the middle values with a sum that starts at +0.0, so -0.0 reads 0.0
+    return float(0.0 + part[mid] if odd else (0.0 + part[mid - 1] + part[mid]) / 2)
+
+
 def state_buckets(
     bars: Bars, dists: dict[int, HistoricalDistribution], spread_buckets: int, vol_buckets: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +280,7 @@ def state_buckets(
     hours, spread, volume = bars.hour, bars.spread, bars.quote_volume
     spread_bucket = np.zeros(hours.shape, dtype=np.int64)
     volume_bucket = np.zeros(hours.shape, dtype=np.int64)
-    for hour in np.unique(hours).tolist():
+    for hour in sorted(set(hours.ravel().tolist())):
         if hour in dists:
             at = hours == hour
             spread_bucket[at] = bucket_of(dists[hour], "spread", spread[at], spread_buckets)
@@ -508,7 +519,7 @@ def build_distributions(bars: Bars) -> dict[int, HistoricalDistribution]:
     if not len(bars):
         raise ValueError("no bars")
     hours, spreads, volumes = bars.hour, bars.spread, bars.quote_volume
-    return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in np.unique(hours).tolist()}
+    return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in sorted(set(hours.tolist()))}
 
 
 def arrival_reference(windows: Bars, side: Side, kind: str = "mid") -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from datetime import timedelta
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rlexec.agent import (
     ActionGrid,
     LearningSchedule,
     QTable,
-    StateTuple,
     correct_action_fraction,
     extract_policy,
     load_qtable,
@@ -39,6 +39,20 @@ from rlexec.market_data import (
 )
 
 from conftest import T0, make_bar_sequence
+
+
+class StateTuple(NamedTuple):
+    """1-based indices: remaining periods, inventory, spread, volume buckets."""
+
+    t: int
+    i: int
+    s: int
+    v: int
+
+
+def cell(q: QTable, x: StateTuple, action: int) -> int:
+    """The C-order flat index q_update takes for (x, action)."""
+    return int(np.ravel_multi_index((x.t - 1, x.i - 1, x.s - 1, x.v - 1, action), q.values.shape))
 
 
 def dist(samples=(0.02, 0.04, 0.06, 0.08, 0.10)) -> HistoricalDistribution:
@@ -155,40 +169,54 @@ class TestEncodeState:
 class TestQUpdate:
     def test_fresh_final_pair_takes_reward(self):
         q = QTable.zeros(2, 2, 2, 2, 3)
-        x = StateTuple(1, 1, 1, 1)
-        q_update(q, x, 0, -50.0, None, LearningSchedule())
+        q_update(q, cell(q, StateTuple(1, 1, 1, 1), 0), -50.0, None, LearningSchedule())
         assert q.values[0, 0, 0, 0, 0] == -50.0
         assert q.visit_counts[0, 0, 0, 0, 0] == 1
 
     def test_interior_update_substitution(self):
         q = QTable.zeros(2, 2, 2, 2, 3)
-        x = StateTuple(2, 1, 1, 1)
-        q_update(q, x, 1, -10.0, -30.0, LearningSchedule())  # max_b Q(next, b) = -30
+        q_update(q, cell(q, StateTuple(2, 1, 1, 1), 1), -10.0, -30.0, LearningSchedule())  # max_b Q(next, b) = -30
         assert q.values[1, 0, 0, 0, 1] == -40.0
         assert q.visit_counts[1, 0, 0, 0, 1] == 1
 
     def test_two_final_updates_form_running_mean(self):
         q = QTable.zeros(1, 1, 1, 1, 1)
-        x = StateTuple(1, 1, 1, 1)
         sched = LearningSchedule()
-        q_update(q, x, 0, -50.0, None, sched)
-        q_update(q, x, 0, -30.0, None, sched)
+        q_update(q, 0, -50.0, None, sched)
+        q_update(q, 0, -30.0, None, sched)
         assert q.values[0, 0, 0, 0, 0] == -40.0
 
     def test_harmonic_schedule_is_exact_mean(self):
         rng = np.random.default_rng(2)
         rewards = rng.uniform(-100, 0, size=40)
         q = QTable.zeros(1, 1, 1, 1, 1)
-        x = StateTuple(1, 1, 1, 1)
         sched = LearningSchedule()
         for r in rewards:
-            q_update(q, x, 0, float(r), None, sched)
+            q_update(q, 0, float(r), None, sched)
         assert q.values[0, 0, 0, 0, 0] == pytest.approx(rewards.mean(), rel=1e-12)
 
     def test_gamma_scales_bootstrap(self):
         q = QTable.zeros(2, 1, 1, 1, 1)
-        q_update(q, StateTuple(2, 1, 1, 1), 0, 0.0, -100.0, LearningSchedule(gamma=0.5))
+        q_update(q, cell(q, StateTuple(2, 1, 1, 1), 0), 0.0, -100.0, LearningSchedule(gamma=0.5))
         assert q.values[1, 0, 0, 0, 0] == -50.0
+
+    @pytest.mark.parametrize(
+        "values, visits",
+        [
+            (np.zeros((2, 3, 1, 1, 4), order="F"), np.zeros((2, 3, 1, 1, 4), dtype=np.int64)),
+            (np.zeros((2, 3, 1, 1, 4)), np.zeros((2, 3, 1, 1, 4), dtype=np.int64, order="F")),
+            (np.zeros((2, 3, 1, 1, 8))[..., ::2], np.zeros((2, 3, 1, 1, 4), dtype=np.int64)),
+            (np.zeros((2, 3, 1, 1, 4), dtype=np.float32), np.zeros((2, 3, 1, 1, 4), dtype=np.int64)),
+            (np.zeros((2, 3, 1, 1, 4)), np.zeros((2, 3, 1, 1, 4), dtype=np.int32)),
+            (np.zeros((2, 3, 1, 1, 4)), np.zeros((2, 3, 1, 1, 3), dtype=np.int64)),
+        ],
+        ids=["fortran-values", "fortran-visits", "strided", "float32", "int32", "shapes-differ"],
+    )
+    def test_arrays_the_flat_views_cannot_step_are_a_value_error(self, values, visits):
+        # a flat view of a Fortran-ordered or strided array would step the
+        # wrong cells, and training on a converted copy would drop the updates
+        with pytest.raises(ValueError, match="C-contiguous"):
+            QTable(values=values, visit_counts=visits)
 
 
 class TestPolicies:
@@ -235,7 +263,7 @@ class TestPolicies:
             r = float(rng.uniform(-5, 0))
             future = None if t == 1 else q.values[t - 2, x.i - 1, x.s - 1, x.v - 1].max()
             for a in range(9):
-                q_update(q, x, a, r, future, sched)
+                q_update(q, cell(q, x, a), r, future, sched)
         assert np.all(extract_policy(q, grid) == 1.0)
 
 
@@ -493,6 +521,70 @@ class TestPersistence:
         assert q2.visit_counts.tobytes() == q.visit_counts.tobytes()
         assert grid2.betas == (0.5, 1.0, 1.5)
 
+    @staticmethod
+    def reference_export(path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
+        """The export as save_qtable wrote it before it shared the rows of
+        untouched states: every row formatted on its own."""
+        periods, inv, spread, vol, _ = q.values.shape
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("# rlexec-qtable: 1\n")
+            fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
+            fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
+            fh.write(f"# alpha0: {learning.alpha0!r}\n")
+            fh.write(f"# gamma: {learning.gamma!r}\n")
+            fh.write("t,i,s,v,action,beta,q,visits\r\n")
+            actions = [f"{a},{beta!r}" for a, beta in enumerate(grid.betas)]
+            for state in np.ndindex(q.values.shape[:4]):
+                prefix = ",".join(str(k + 1) for k in state)
+                fh.writelines(
+                    f"{prefix},{action},{value!r},{visits}\r\n"
+                    for action, value, visits in zip(
+                        actions, q.values[state].tolist(), q.visit_counts[state].tolist(), strict=True
+                    )
+                )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {},
+            # a -0.0 is not the +0.0 of an untouched state, even with every count 0
+            {"values": ((1, 0, 1, 1, 2), -0.0)},
+            {"values": ((2, 1, 1, 0, 0), 3.5)},  # a value with count 0
+            {"visit_counts": ((0, 1, 1, 1, 1), 4)},  # a visited cell holding 0.0
+            {"values": ((0, 0, 0, 0), 0.0)},  # a visited state holding 0.0 in every cell
+        ],
+        ids=["untouched-states", "negative-zero", "unvisited-value", "visited-zero", "visited-zero-state"],
+    )
+    def test_export_is_the_per_row_export_byte_for_byte(self, tmp_path, edit):
+        # the states of spread bucket 1 trained, those of spread bucket 2 untouched
+        q = QTable.zeros(3, 2, 2, 2, 3)
+        rng = np.random.default_rng(3)
+        q.values[:, :, 0] = rng.uniform(-20.0, 0.0, size=q.values[:, :, 0].shape)
+        q.visit_counts[:, :, 0] = rng.integers(1, 5, size=q.values[:, :, 0].shape)
+        for name, (index, value) in edit.items():
+            getattr(q, name)[index] = value
+        untouched = ~(q.values.view(np.int64).any(axis=-1) | q.visit_counts.any(axis=-1))
+        assert 0 < untouched.sum() < untouched.size
+        grid, learning = ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule(alpha0=0.5)
+        save_qtable(tmp_path / "qtable.csv", q, grid, learning)
+        self.reference_export(tmp_path / "reference.csv", q, grid, learning)
+        assert (tmp_path / "qtable.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_export_of_a_table_without_untouched_states(self, tmp_path):
+        q = self.extreme_table()
+        assert q.values.view(np.int64).any(axis=-1).all()
+        grid, learning = ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule()
+        save_qtable(tmp_path / "qtable.csv", q, grid, learning)
+        self.reference_export(tmp_path / "reference.csv", q, grid, learning)
+        assert (tmp_path / "qtable.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_a_table_without_cells_round_trips(self, tmp_path):
+        # its flat views are empty; the backtest refuses it by its dims
+        save_qtable(tmp_path / "qtable.csv", QTable.zeros(0, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        q, _ = load_qtable(tmp_path / "qtable.npz")
+        assert q.values.shape == q.visit_counts.shape == (0, 2, 2, 2, 3)
+        assert len(q.flat_values) == len(q.flat_visits) == 0
+
     def test_csv_export_holds_the_table_bit_for_bit(self, tmp_path):
         q = self.extreme_table()
         path = tmp_path / "qtable.csv"
@@ -517,6 +609,7 @@ class TestPersistence:
             ({"betas": np.array([0.5, 1.5, 1.0])}, "betas must be strictly increasing"),
             ({"betas": np.array([0.5, 1.0, np.nan])}, "non-finite beta"),
             ({"values": None}, "unreadable q-table file: missing arrays ['values']"),
+            ({"values": np.zeros((2, 2, 2, 2, 3), order="F")}, "q-table values must be a C-contiguous float64 array"),
         ],
     )
     def test_damaged_arrays_are_a_value_error_naming_the_file(self, tmp_path, changes, message):
@@ -558,7 +651,7 @@ class TestDPEquivalenceSmall:
                         r = float(mean_r[t - 1, i - 1, a] + rng.uniform(-0.2, 0.2))
                         x = StateTuple(t, i, 1, 1)
                         future = None if t == 1 else q.values[0, inv_next[i - 1, a] - 1, 0, 0].max()
-                        q_update(q, x, a, r, future, sched)
+                        q_update(q, cell(q, x, a), r, future, sched)
         for t in range(T):
             for i in range(I):
                 assert int(np.argmax(q.values[t, i, 0, 0])) == int(np.argmax(q_star[t, i]))

@@ -7,7 +7,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -128,6 +131,21 @@ def pipeline(tmp_path_factory):
 
 def error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    # np.median and a plain np.unique import numpy.ma on their first call,
+    # about 15 ms of a stage's process
+    script = (
+        "import json, sys\n"
+        "from rlexec import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv[0]\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    stages = json.dumps([args(stage, tmp_path / "out") for stage in STAGES])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", script, stages], env=env, check=True, timeout=300)
 
 
 def test_every_stage_has_the_same_flags():

@@ -38,6 +38,7 @@ from rlexec.market_data import (
     Side,
     SyntheticConfig,
     _load_npz,
+    _median,
     aggregate_intervals,
     bucket_of,
     state_buckets,
@@ -628,6 +629,28 @@ class TestDistributions:
     def test_empty_bars(self):
         with pytest.raises(ValueError):
             build_distributions(make_bar_sequence(0))
+
+
+class TestMedian:
+    def test_matches_numpy_bit_for_bit(self):
+        # odd and even lengths; the specials put signed zeros, infinities and
+        # NaNs (which must give NaN) among the middle values
+        rng = np.random.default_rng(17)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1 / 3])
+        for n in range(1, 41):
+            for _ in range(25):
+                for values in (rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6), rng.choice(specials, n)):
+                    with np.errstate(all="ignore"):
+                        want = np.float64(np.median(values)).tobytes()
+                        assert np.float64(_median(values)).tobytes() == want
+                        assert np.float64(_median(values.tolist())).tobytes() == want
+
+    def test_a_nan_anywhere_gives_nan(self):
+        for n in (1, 2, 5, 6):
+            for at in range(n):
+                values = np.arange(float(n))
+                values[at] = np.nan
+                assert math.isnan(_median(values))
 
 
 class TestPercentile:
