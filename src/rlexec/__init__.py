@@ -4,7 +4,6 @@ depth data."""
 
 from .agent import (
     ActionGrid,
-    LearningSchedule,
     QTable,
     TrainingResult,
     correct_action_fraction,

@@ -11,10 +11,10 @@ backtest reads the learnt policy as extract_policy's (T, I, B, W) table of
 greedy betas, indexed by those buckets inside execute_schedule.
 
 The horizon is handled by an artificial reward-free absorbing state after the
-final period: interior updates bootstrap off max_b Q(next, b), final-period
-updates regress straight onto the reward. With the per-pair harmonic learning
-rate alpha0 / (1 + visits) the Robbins-Monro conditions hold, and a
-final-period pair's Q value is exactly the running mean of its rewards.
+final period: interior updates bootstrap off max_b Q(next, b) undiscounted,
+final-period updates regress straight onto the reward. The learning rate is
+fixed at the per-pair harmonic 1 / (1 + visits), so every cell holds exactly
+the running mean of its targets.
 
 Rewards are the fill's signed contribution to implementation shortfall in
 basis points (costs negative), so the greedy argmax minimizes total IS.
@@ -24,6 +24,7 @@ pair keeps being visited. Each period of a window is one block: its walks,
 rewards and bootstrap values max_b Q(next, b) are array operations over
 (bucket, action), and q_update is the per-cell harmonic-rate step that folds
 one reward and one bootstrap value into its cell, named by its C-order index.
+The order side and the bar length are the training bars' own.
 
 A trained table is saved twice: a CSV export with one row per cell, for
 reading, and an .npz hand-off of its arrays, which is what `load_qtable`
@@ -41,7 +42,7 @@ import numpy as np
 
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _child_volume, _inventory_bucket, _walk_books, walk_book  # noqa: F401
-from .market_data import Bars, HistoricalDistribution, Side, _load_npz, arrival_reference, state_buckets
+from .market_data import Bars, HistoricalDistribution, _load_npz, arrival_reference, state_buckets
 
 
 #: Most betas from_bounds builds; the Q table holds one value per beta and state.
@@ -81,17 +82,6 @@ class ActionGrid:
 
 
 @dataclass
-class LearningSchedule:
-    """Per-pair harmonic rate alpha0 / (1 + visits); gamma fixed at 1."""
-
-    alpha0: float = 1.0
-    gamma: float = 1.0
-
-    def alpha(self, visits: int) -> float:
-        return self.alpha0 / (1.0 + visits)
-
-
-@dataclass
 class QTable:
     """Dense action values and visit counts over T x I x B x W x A: C-contiguous
     float64 and int64, with the flat views q_update steps the cells through."""
@@ -113,22 +103,22 @@ class QTable:
         return cls(values=np.zeros(shape), visit_counts=np.zeros(shape, dtype=np.int64))
 
 
-def q_update(q: QTable, cell: int, reward: float, future: float | None, schedule: LearningSchedule) -> QTable:
+def q_update(q: QTable, cell: int, reward: float, future: float | None) -> QTable:
     """One Q-learning step on `cell`, the C-order flat index of (t - 1, i - 1,
     s - 1, v - 1, action). `future` is the bootstrap value max_b Q(next, b),
     or None for the absorbing state after the final period.
 
-    The learning rate is read from the pair's visit count before the count is
-    incremented, so a fresh pair takes the full reward.
+    The learning rate 1 / (1 + visits) is read from the pair's visit count
+    before the count is incremented, so a fresh pair takes the full target.
     """
     values, visit_counts = q.flat_values, q.flat_visits
     visits = visit_counts[cell]
     current = values[cell]
-    alpha = schedule.alpha(visits)
+    alpha = 1.0 / (1.0 + visits)
     if future is None:
         update = reward - current  # absorbing state carries zero value
     else:
-        update = reward + schedule.gamma * future - current
+        update = reward + future - current
     values[cell] = current + alpha * update
     visit_counts[cell] = visits + 1
     return q
@@ -185,12 +175,11 @@ def train(
     dists: dict[int, HistoricalDistribution],
     *,
     cap: float,
-    side: Side = Side.BUY,
-    learning: LearningSchedule | None = None,
     reference_kind: str = "mid",
 ) -> TrainingResult:
     """Sweep-train the Q table over the training windows, `episodes` indexed
-    (windows, periods) as day_windows gives them.
+    (windows, periods) as day_windows gives them, for an order on the
+    episodes' side, at the fixed harmonic rate of q_update.
 
     The state grid is the table's shape and the program size the trade
     list's sum. Per episode, periods run from the horizon down to 1 and every inventory
@@ -225,7 +214,6 @@ def train(
     sched = np.asarray(schedule_shares, dtype=np.int64)
     if len(sched) != periods:
         raise ValueError("trade list length does not match the horizon")
-    learning = learning if learning is not None else LearningSchedule()
     total = int(sched.sum())
     suffix = np.cumsum(sched[::-1])[::-1]  # shares still planned from period j on
     # bucket midpoints as a column against the actions' row of betas
@@ -240,8 +228,8 @@ def train(
     kept = s_bucket.all(axis=1) if episodes.start.shape[1] == periods else np.zeros(len(episodes), dtype=bool)
     result.episodes_skipped = int((~kept).sum())
     episodes, s_bucket, v_bucket = episodes[kept], s_bucket[kept].tolist(), v_bucket[kept].tolist()
-    prices, volumes = episodes.levels(side)
-    for e, ref in enumerate(arrival_reference(episodes, side, reference_kind).tolist()):
+    prices, volumes = episodes.levels
+    for e, ref in enumerate(arrival_reference(episodes, reference_kind).tolist()):
         result.episodes_trained += 1
         for t in range(periods, 0, -1):
             j = periods - t  # 0-based period index
@@ -263,7 +251,7 @@ def train(
             first = (((t - 1) * inv_buckets * spread_buckets + s - 1) * vol_buckets + v - 1) * n_actions
             for row_rewards, row_futures in zip(rewards, futures):
                 for cell, reward, future in zip(range(first, first + n_actions), row_rewards, row_futures):
-                    q_update(q, cell, reward, future, learning)
+                    q_update(q, cell, reward, future)
                 first += stride
             result.updates += inv_buckets * n_actions
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
@@ -289,7 +277,7 @@ _QTABLE_ARRAYS = {
 }
 
 
-def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
+def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
     """Write the table to `path` as the export, a versioned CSV with one row
     per cell and every float's repr, and beside it, with suffix .npz, as the
     hand-off `load_qtable` reads. Both repeat byte for byte for the same
@@ -299,8 +287,6 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid, learning: Learnin
         fh.write("# rlexec-qtable: 1\n")
         fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
         fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
-        fh.write(f"# alpha0: {learning.alpha0!r}\n")
-        fh.write(f"# gamma: {learning.gamma!r}\n")
         # rows as csv.writer's default dialect writes them: CRLF-terminated,
         # and no cell needs quoting
         fh.write("t,i,s,v,action,beta,q,visits\r\n")

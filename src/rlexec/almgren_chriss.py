@@ -150,14 +150,9 @@ def fit_temporary_impact(rates: np.ndarray, impacts: np.ndarray) -> tuple[float,
     return float(slope), float(intercept)
 
 
-def calibrate(
-    bars: Bars,
-    lam: float,
-    total_shares: float,
-    periods: int,
-    side: Side = Side.BUY,
-) -> ACParams:
-    """Estimate sigma and eta from training bars; rho is pinned at zero.
+def calibrate(bars: Bars, lam: float, total_shares: float, periods: int) -> ACParams:
+    """Estimate sigma and eta from training bars, for an order on the bars'
+    side; rho is pinned at zero.
 
     sigma is the std of mid-price changes between consecutive bars (gaps are
     skipped). eta is the slope of simulated temporary impact, book-walk VWAP
@@ -168,19 +163,19 @@ def calibrate(
     if len(bars) < 2:
         raise ValueError("need at least 2 bars to calibrate")
     mids = bars.mid
-    diffs = np.diff(mids)[bars.follows(bars.tau)]
+    diffs = np.diff(mids)[bars.follows()]
     if not len(diffs):
         raise ValueError("no consecutive bar pairs for sigma")
     sigma = float(np.std(diffs))
 
-    prices, volumes = bars.levels(side)
+    prices, volumes = bars.levels
     depth = _median(volumes.sum(axis=-1))
     probes = sorted({max(int(round(f * depth)), 1) for f in PROBE_FRACTIONS})
     # every bar walks every probe, bar-major, probe-minor; probes that fill
     # nothing give no point
     walk = _walk_books(prices[:, None, :], volumes[:, None, :], probes, cap=1.0)
     filled = walk.executed > 0
-    move = walk.vwap - mids[:, None] if side is Side.BUY else mids[:, None] - walk.vwap
+    move = walk.vwap - mids[:, None] if bars.side is Side.BUY else mids[:, None] - walk.vwap
     rates = walk.executed[filled]
     impacts = move[filled]
     eta = ETA_FLOOR

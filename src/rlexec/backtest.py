@@ -9,9 +9,9 @@ window, when a non-final bar's hour has no historical distribution to encode
 its state (adaptive only), or when its terminal order leaves shares
 unexecuted. Runs are scored by implementation shortfall and compared by
 medians and dispersion. Every run and report function takes the experiment
-as the pipeline's own `ExperimentConfig`: its hour, horizon, bar length, cap,
-side, reference and beta grid drive the runs, and its (V, T, I/B/W, H) key
-the report tables.
+as the pipeline's own `ExperimentConfig`: its hour, horizon, cap, reference
+and beta grid drive the runs, and its (V, T, I/B/W, H) key the report
+tables. The order side and the bar length are the test bars' own.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .agent import QTable, extract_policy
 from .config import ExperimentConfig
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import ISRecord, execute_schedule, walk_book  # noqa: F401
-from .market_data import Bars, HistoricalDistribution, Side, _median, arrival_reference, day_windows, state_buckets
+from .market_data import Bars, HistoricalDistribution, _median, arrival_reference, day_windows, state_buckets
 
 REPORT_HOURS = tuple(range(9, 17))
 
@@ -59,11 +59,8 @@ def _strategy_runs(
 
 def run_ac(cfg: ExperimentConfig, test_bars: Bars, schedule_shares: np.ndarray) -> StrategyRuns:
     """Replay the static trade list on every test day at the configured hour."""
-    side = Side(cfg.side)
-    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
-    records = execute_schedule(
-        windows, schedule_shares, cfg.cap, side, reference=arrival_reference(windows, side, cfg.reference)
-    )
+    windows, skipped = day_windows(test_bars, cfg.H, cfg.T)
+    records = execute_schedule(windows, schedule_shares, cfg.cap, reference=arrival_reference(windows, cfg.reference))
     return _strategy_runs(windows, skipped, records, [None] * len(windows))
 
 
@@ -77,8 +74,7 @@ def run_rl(
     """Execute the Q-modulated trade list on every test day; the state grid
     is the Q table's own. Only non-final bars need a state: the final
     period's child is the whole remainder."""
-    side = Side(cfg.side)
-    windows, skipped = day_windows(test_bars, cfg.H, cfg.T, cfg.tau)
+    windows, skipped = day_windows(test_bars, cfg.H, cfg.T)
     _, _, spread_buckets, vol_buckets, _ = q.values.shape
     s_bucket, v_bucket = state_buckets(windows, dists, spread_buckets, vol_buckets)
     unknown = s_bucket[:, :-1] == 0  # a non-final bar whose hour has no distribution
@@ -90,8 +86,7 @@ def run_rl(
         known,
         schedule_shares,
         cfg.cap,
-        side,
-        reference=arrival_reference(known, side, cfg.reference),
+        reference=arrival_reference(known, cfg.reference),
         policy=extract_policy(q, cfg.grid()),
         buckets=(s_bucket[run], v_bucket[run]),
     )

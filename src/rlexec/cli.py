@@ -13,9 +13,12 @@ reads it back the way ingest reads a raw file, and writes the same two files
 for it. Calibrate, train and backtest load `bars.npz` and never open a depth
 CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
 source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
-no aggregation gives, is a data error. Train likewise writes `qtable.csv`, the
-readable export, and `qtable.npz`, the arrays backtest loads; backtest never
-opens `qtable.csv`.
+no aggregation gives, is a data error. The config's order side and bar length
+reach calibrate, train and backtest only through the loaded `Bars`: `load_bars`
+checks the file's tau against the config's and gives the bars the config's
+side. Train, at the agent's fixed harmonic learning rate, likewise writes
+`qtable.csv`, the readable export, and `qtable.npz`, the arrays backtest
+loads; backtest never opens `qtable.csv`.
 A JSON hand-off lacking a key, with a value of the wrong type, or with a
 trade list that does not plan V shares, is a data error as well.
 """
@@ -33,7 +36,7 @@ from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
-from .agent import LearningSchedule, QTable, load_qtable, save_qtable, train
+from .agent import QTable, load_qtable, save_qtable, train
 from .almgren_chriss import compute_trajectory, calibrate
 from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write_runs_csv
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
@@ -172,7 +175,7 @@ def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
 def cmd_calibrate(cfg: ExperimentConfig) -> Path:
     """Fit sigma/eta on the training bars and write the trajectory."""
     training, _ = _load_split(cfg)
-    params = calibrate(training, cfg.lam, cfg.V, cfg.T, side=Side(cfg.side))
+    params = calibrate(training, cfg.lam, cfg.V, cfg.T)
     trajectory = compute_trajectory(params)
     payload = {
         "sigma": params.sigma,
@@ -208,24 +211,13 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     schedule = _load_schedule(cfg)
     grid = cfg.grid()
     dists = build_distributions(training)
-    episodes, _ = day_windows(training, cfg.H, cfg.T, cfg.tau)
+    episodes, _ = day_windows(training, cfg.H, cfg.T)
     if not episodes:
         raise ValueError(f"no training windows at hour {cfg.H}")
     q = QTable.zeros(cfg.T, cfg.I, cfg.B, cfg.W, len(grid))
-    learning = LearningSchedule(alpha0=cfg.alpha0, gamma=cfg.gamma)
-    result = train(
-        q,
-        episodes,
-        schedule,
-        grid,
-        dists,
-        cap=cfg.cap,
-        side=Side(cfg.side),
-        learning=learning,
-        reference_kind=cfg.reference,
-    )
+    result = train(q, episodes, schedule, grid, dists, cap=cfg.cap, reference_kind=cfg.reference)
     path = cfg.out_dir() / "qtable.csv"
-    save_qtable(path, q, grid, learning)  # and qtable.npz, which backtest loads
+    save_qtable(path, q, grid)  # and qtable.npz, which backtest loads
     trace_path = cfg.out_dir() / "train_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("tuple_visit_index,pct_correct_actions\n")

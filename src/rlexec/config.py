@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import typing
-import warnings
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
@@ -50,8 +49,6 @@ class ExperimentConfig:
     beta_incr: float = _key(0.25, "beta grid step")
     lam: float = _key(0.01, "risk aversion")
     tau: float = _key(300.0, "bar length, seconds")
-    gamma: float = 1.0
-    alpha0: float = _key(1.0, "initial learning rate")
     cap: float = _key(0.2, "participation cap")
     side: str = _key("buy", "buy | sell")
     reference: str = _key("mid", "arrival benchmark: mid | ask")
@@ -79,10 +76,6 @@ class ExperimentConfig:
             raise ConfigError(f"bad split datetime: {exc}") from exc
         if self.side not in ("buy", "sell"):
             raise ConfigError("side must be buy or sell")
-        if self.gamma != 1.0:
-            # finite-horizon convergence requires an undiscounted update
-            warnings.warn("gamma must be 1 for the finite-horizon update; overriding to 1")
-            self.gamma = 1.0
         try:
             self.grid()
         except ValueError as exc:

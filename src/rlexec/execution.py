@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market_data import Bars, Side
+from .market_data import Bars
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,13 @@ def execute_schedule(
     windows: Bars,
     schedule: np.ndarray,
     cap: float,
-    side: Side = Side.BUY,
     reference: np.ndarray | None = None,
     policy: np.ndarray | None = None,
     buckets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ISRecord]:
     """Execute a per-period share schedule on every window of `windows`, the
-    bars indexed (days, periods) as day_windows gives them: one record per day.
+    bars indexed (days, periods) as day_windows gives them, as an order on
+    the windows' side: one record per day.
 
     Period j of every day is one block: each day walks its bar for the
     scheduled volume plus any carried residual, capped at `cap` of visible
@@ -193,7 +193,7 @@ def execute_schedule(
         raise ValueError("empty schedule")
     refs = windows.mid[:, 0] if reference is None else np.asarray(reference, dtype=float)
     suffix = np.cumsum(schedule[::-1])[::-1]  # shares still planned from each period on
-    prices, volumes = windows.levels(side)
+    prices, volumes = windows.levels
     planned_remaining = np.full(days, total)  # inventory net of carried residual
     remaining = np.full(days, float(total))  # inventory not yet executed
     carry = np.zeros(days)

@@ -127,8 +127,13 @@ def _microseconds(seconds):
 class Bars:
     """Tau-second bars as columns: per bar its start epoch in seconds, the UTC
     offset in seconds of its start (the zone most of its snapshots carry), its
-    snapshot count and its mean depth row in the BookFrame layout. ``side`` is
-    the side a `side` order consumes, whose level-1 volume is ``quote_volume``.
+    snapshot count and its mean depth row in the BookFrame layout.
+
+    The bars are the one source of the run's bar length and order side:
+    ``tau`` is the step `follows` checks, and ``side`` the side of the order
+    whose consumed book ``levels`` gives, whose level-1 volume is
+    ``quote_volume``. Calibration, training, windows and execution read them
+    here; they take no side or tau of their own.
 
     The columns share their leading axes: (n,) for a run of bars, (n, T) for
     a stack of windows. Indexing indexes every column at once, so a mask gives
@@ -167,10 +172,10 @@ class Bars:
     def day(self) -> np.ndarray:
         return (self._local_us // 86_400_000_000).astype("datetime64[D]")
 
-    def follows(self, tau: float) -> np.ndarray:
-        """Whether each bar after the first on the last axis starts `tau`
+    def follows(self) -> np.ndarray:
+        """Whether each bar after the first on the last axis starts tau
         seconds after the one before it."""
-        return np.diff(self.start_us, axis=-1) == _microseconds(tau)
+        return np.diff(self.start_us, axis=-1) == _microseconds(self.tau)
 
     @property
     def mid(self) -> np.ndarray:
@@ -181,14 +186,15 @@ class Bars:
         return self.row[..., ASK_PRICES.start] - self.row[..., BID_PRICES.start]
 
     @property
-    def quote_volume(self) -> np.ndarray:
-        return self.row[..., (ASK_VOLUMES if self.side is Side.BUY else BID_VOLUMES).start]
-
-    def levels(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
-        """Price/volume levels of the side a `side` order consumes, best first."""
-        if side is Side.BUY:
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Price/volume levels of the book side an order on ``side`` consumes, best first."""
+        if self.side is Side.BUY:
             return self.row[..., ASK_PRICES], self.row[..., ASK_VOLUMES]
         return self.row[..., BID_PRICES], self.row[..., BID_VOLUMES]
+
+    @property
+    def quote_volume(self) -> np.ndarray:
+        return self.levels[1][..., 0]
 
 
 #: Bar starts a date can hold in any zone: from a day into year 1 to a day before year 10000.
@@ -230,17 +236,10 @@ class HistoricalDistribution:
         self.spread_samples = np.sort(np.asarray(self.spread_samples, dtype=float))
         self.volume_samples = np.sort(np.asarray(self.volume_samples, dtype=float))
 
-    def samples(self, field_name: str) -> np.ndarray:
-        if field_name == "spread":
-            return self.spread_samples
-        if field_name == "volume":
-            return self.volume_samples
-        raise ValueError(f"unknown field {field_name!r}")
 
-
-def bucket_of(dist: HistoricalDistribution, field_name: str, value, buckets: int):
-    """Percentile bucket ceil(p * buckets) in 1..buckets of each value,
-    elementwise, computed exactly.
+def bucket_of(samples: np.ndarray, value, buckets: int):
+    """Percentile bucket ceil(p * buckets) in 1..buckets of each value against
+    the sorted `samples`, elementwise, computed exactly.
 
     p is the inclusive empirical percentile (count <= value) / n, clamped
     below at 1/n so the map onto 1..buckets is total. Uses integer arithmetic
@@ -249,10 +248,9 @@ def bucket_of(dist: HistoricalDistribution, field_name: str, value, buckets: int
     """
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
-    samples = dist.samples(field_name)
     n = len(samples)
     if n == 0:
-        raise ValueError(f"empty {field_name} distribution for hour {dist.hour}")
+        raise ValueError("empty sample distribution")
     if n * (buckets + 1) > 2**63:  # the largest intermediate is n * (buckets + 1) - 1
         raise ValueError(f"{n} samples in {buckets} buckets overflow int64 bucket arithmetic")
     count = np.maximum(np.searchsorted(samples, value, side="right"), 1)
@@ -283,8 +281,8 @@ def state_buckets(
     for hour in sorted(set(hours.ravel().tolist())):
         if hour in dists:
             at = hours == hour
-            spread_bucket[at] = bucket_of(dists[hour], "spread", spread[at], spread_buckets)
-            volume_bucket[at] = bucket_of(dists[hour], "volume", volume[at], vol_buckets)
+            spread_bucket[at] = bucket_of(dists[hour].spread_samples, spread[at], spread_buckets)
+            volume_bucket[at] = bucket_of(dists[hour].volume_samples, volume[at], vol_buckets)
     return spread_bucket, volume_bucket
 
 
@@ -522,21 +520,22 @@ def build_distributions(bars: Bars) -> dict[int, HistoricalDistribution]:
     return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in sorted(set(hours.tolist()))}
 
 
-def arrival_reference(windows: Bars, side: Side, kind: str = "mid") -> np.ndarray:
+def arrival_reference(windows: Bars, kind: str = "mid") -> np.ndarray:
     """Benchmark price at t=0 of a run over each window, periods on the last
     axis of `windows`: the arrival mid, or with kind="ask" the level-1 price
-    of the consumed side (the stricter buy benchmark)."""
+    of the side the windows' orders consume (the stricter buy benchmark)."""
     if kind == "mid":
         return windows.mid[..., 0]
     if kind == "ask":
-        prices, _ = windows.levels(side)
+        prices, _ = windows.levels
         return prices[..., 0, 0]
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-def day_windows(bars: Bars, hour: int, periods: int, tau: float) -> tuple[Bars, list[tuple[date, str]]]:
+def day_windows(bars: Bars, hour: int, periods: int) -> tuple[Bars, list[tuple[date, str]]]:
     """Per-day windows of `periods` consecutive bars starting at `hour`, as
-    the bars indexed (windows, periods), one window per day in day order.
+    the bars indexed (windows, periods), one window per day in day order;
+    consecutive means the bars' own tau apart.
 
     A day is a start's date in its own zone. Days without a bar at the hour,
     or with a gap inside the window, are skipped and reported with a reason.
@@ -557,7 +556,7 @@ def day_windows(bars: Bars, hour: int, periods: int, tau: float) -> tuple[Bars, 
             skipped.append((day, f"fewer than {periods} bars from hour {hour}"))
             continue
         window = order[anchor : anchor + periods]
-        if not bars[window].follows(tau).all():
+        if not bars[window].follows().all():
             skipped.append((day, "gap inside window"))
             continue
         picked.append(window)

@@ -48,13 +48,13 @@ def make_frame(stamps: list[datetime], rows: list[np.ndarray]) -> BookFrame:
     return BookFrame(timestamps=list(stamps), values=np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
 
 
-def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0) -> Bars:
-    """Consecutive tau-second buy-side bars from `start`, one per depth row,
-    each of one snapshot."""
+def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0, side: Side = Side.BUY) -> Bars:
+    """Consecutive tau-second bars for an order on `side` from `start`, one
+    per depth row, each of one snapshot."""
     n = len(rows)
     return Bars(
         tau=tau,
-        side=Side.BUY,
+        side=side,
         start=start.timestamp() + tau * np.arange(n),
         utc_offset=np.full(n, start.utcoffset().total_seconds()),
         n_snapshots=np.ones(n, dtype=np.int64),
@@ -62,8 +62,8 @@ def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0) 
     )
 
 
-def make_bar_sequence(n: int, start: datetime = T0, tau: float = 300.0, **kwargs) -> Bars:
-    return make_bars([make_row(**kwargs)] * n, start, tau)
+def make_bar_sequence(n: int, start: datetime = T0, tau: float = 300.0, side: Side = Side.BUY, **kwargs) -> Bars:
+    return make_bars([make_row(**kwargs)] * n, start, tau, side)
 
 
 def make_bar(start: datetime = T0, **kwargs) -> Bars:

@@ -12,7 +12,6 @@ import pytest
 from rlexec import agent
 from rlexec.agent import (
     ActionGrid,
-    LearningSchedule,
     QTable,
     correct_action_fraction,
     extract_policy,
@@ -169,36 +168,29 @@ class TestEncodeState:
 class TestQUpdate:
     def test_fresh_final_pair_takes_reward(self):
         q = QTable.zeros(2, 2, 2, 2, 3)
-        q_update(q, cell(q, StateTuple(1, 1, 1, 1), 0), -50.0, None, LearningSchedule())
+        q_update(q, cell(q, StateTuple(1, 1, 1, 1), 0), -50.0, None)
         assert q.values[0, 0, 0, 0, 0] == -50.0
         assert q.visit_counts[0, 0, 0, 0, 0] == 1
 
     def test_interior_update_substitution(self):
         q = QTable.zeros(2, 2, 2, 2, 3)
-        q_update(q, cell(q, StateTuple(2, 1, 1, 1), 1), -10.0, -30.0, LearningSchedule())  # max_b Q(next, b) = -30
+        q_update(q, cell(q, StateTuple(2, 1, 1, 1), 1), -10.0, -30.0)  # max_b Q(next, b) = -30
         assert q.values[1, 0, 0, 0, 1] == -40.0
         assert q.visit_counts[1, 0, 0, 0, 1] == 1
 
     def test_two_final_updates_form_running_mean(self):
         q = QTable.zeros(1, 1, 1, 1, 1)
-        sched = LearningSchedule()
-        q_update(q, 0, -50.0, None, sched)
-        q_update(q, 0, -30.0, None, sched)
+        q_update(q, 0, -50.0, None)
+        q_update(q, 0, -30.0, None)
         assert q.values[0, 0, 0, 0, 0] == -40.0
 
     def test_harmonic_schedule_is_exact_mean(self):
         rng = np.random.default_rng(2)
         rewards = rng.uniform(-100, 0, size=40)
         q = QTable.zeros(1, 1, 1, 1, 1)
-        sched = LearningSchedule()
         for r in rewards:
-            q_update(q, 0, float(r), None, sched)
+            q_update(q, 0, float(r), None)
         assert q.values[0, 0, 0, 0, 0] == pytest.approx(rewards.mean(), rel=1e-12)
-
-    def test_gamma_scales_bootstrap(self):
-        q = QTable.zeros(2, 1, 1, 1, 1)
-        q_update(q, cell(q, StateTuple(2, 1, 1, 1), 0), 0.0, -100.0, LearningSchedule(gamma=0.5))
-        assert q.values[1, 0, 0, 0, 0] == -50.0
 
     @pytest.mark.parametrize(
         "values, visits",
@@ -255,7 +247,6 @@ class TestPolicies:
         # to beta = 1
         q = QTable.zeros(2, 2, 3, 3, 9)
         grid = ActionGrid.from_bounds()
-        sched = LearningSchedule()
         rng = np.random.default_rng(6)
         for _ in range(30):
             t = int(rng.integers(1, 3))
@@ -263,7 +254,7 @@ class TestPolicies:
             r = float(rng.uniform(-5, 0))
             future = None if t == 1 else q.values[t - 2, x.i - 1, x.s - 1, x.v - 1].max()
             for a in range(9):
-                q_update(q, cell(q, x, a), r, future, sched)
+                q_update(q, cell(q, x, a), r, future)
         assert np.all(extract_policy(q, grid) == 1.0)
 
 
@@ -422,34 +413,34 @@ class TestTrain:
         assert [v for v, _ in result.trace] == [36, 72, 108]
 
     def test_rewards_bounded_by_horizon(self):
-        # with gamma = 1 and per-period rewards in [lo, 0], Q stays within
+        # undiscounted, with per-period rewards in [lo, 0], Q stays within
         # [T * lo, 0]
         bars = make_bar_sequence(4, level_volume=1500.0, spread=0.3, step=0.2)
         dists = build_distributions(bars)
         q = QTable.zeros(4, 2, 2, 2, 9)
         train(q, bars[np.tile(np.arange(4), (10, 1))], np.array([2500, 2500, 2500, 2500]),
               ActionGrid.from_bounds(), dists, cap=1.0)
-        worst_single = -10000 * (bars[0].levels(Side.BUY)[0][-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
+        worst_single = -10000 * (bars[0].levels[0][-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
         assert np.all(q.values <= 0.0 + 1e-12)
         assert np.all(q.values >= 4 * worst_single)
 
 
-def reference_q_update(q, x, action, reward, next_state, schedule):
+def reference_q_update(q, x, action, reward, next_state):
     """The Q step as it was before train gathered its bootstrap values: it
     reads max_b Q(next_state, b) itself, at the update's own time."""
     idx = (x.t - 1, x.i - 1, x.s - 1, x.v - 1, action)
-    alpha = schedule.alpha(int(q.visit_counts[idx]))
+    alpha = 1.0 / (1.0 + int(q.visit_counts[idx]))
     current = q.values[idx]
     if next_state is None:
         update = reward - current  # absorbing state carries zero value
     else:
         future = q.values[next_state.t - 1, next_state.i - 1, next_state.s - 1, next_state.v - 1].max()
-        update = reward + schedule.gamma * future - current
+        update = reward + future - current
     q.values[idx] = current + alpha * update
     q.visit_counts[idx] += 1
 
 
-def reference_train(q, episodes, schedule_shares, grid, dists, *, cap, side):
+def reference_train(q, episodes, schedule_shares, grid, dists, *, cap):
     """train's sweep one cell at a time, in its order: each (bucket, action)
     walks its own child order and bootstraps off the table as it stands."""
     periods, inv_buckets, spread_buckets, vol_buckets, _ = q.values.shape
@@ -457,9 +448,8 @@ def reference_train(q, episodes, schedule_shares, grid, dists, *, cap, side):
     total = int(sched.sum())
     suffix = np.cumsum(sched[::-1])[::-1]
     s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
-    prices, volumes = episodes.levels(side)
-    learning = LearningSchedule()
-    for e, ref in enumerate(arrival_reference(episodes, side).tolist()):
+    prices, volumes = episodes.levels
+    for e, ref in enumerate(arrival_reference(episodes).tolist()):
         for t in range(periods, 0, -1):
             j = periods - t
             for i in range(1, inv_buckets + 1):
@@ -475,7 +465,7 @@ def reference_train(q, episodes, schedule_shares, grid, dists, *, cap, side):
                         i1 = int(_inventory_bucket(midpoint - walk.executed, total, inv_buckets))
                         next_state = StateTuple(t - 1, i1, int(s_bucket[e, j + 1]), int(v_bucket[e, j + 1]))
                     reward = float(agent._period_reward(walk, ref, total))
-                    reference_q_update(q, x, action, reward, next_state, learning)
+                    reference_q_update(q, x, action, reward, next_state)
 
 
 class TestGatheredBootstrap:
@@ -486,13 +476,13 @@ class TestGatheredBootstrap:
     @pytest.mark.parametrize("grid", [ActionGrid.from_bounds(), ActionGrid.from_bounds(0.0, 2.0, 0.05)], ids=len)
     def test_train_matches_a_per_cell_reference_bit_for_bit(self, side, grid):
         bars = aggregate_intervals(generate_synthetic(5, 8, planted_regime_config(10)), 300.0, side=side)
-        episodes, _ = day_windows(bars, 10, 4, 300.0)
+        episodes, _ = day_windows(bars, 10, 4)
         assert len(episodes) == 8
         dists = build_distributions(bars)
         sched = np.array([6000, 5000, 5000, 4000])
         q, ref = QTable.zeros(4, 3, 2, 2, len(grid)), QTable.zeros(4, 3, 2, 2, len(grid))
-        result = train(q, episodes, sched, grid, dists, cap=0.2, side=side)
-        reference_train(ref, episodes, sched, grid, dists, cap=0.2, side=side)
+        result = train(q, episodes, sched, grid, dists, cap=0.2)
+        reference_train(ref, episodes, sched, grid, dists, cap=0.2)
         assert result.updates == 8 * 4 * 3 * len(grid)
         assert q.visit_counts.tolist() == ref.visit_counts.tolist()
         assert q.values.tobytes() == ref.values.tobytes()
@@ -514,7 +504,7 @@ class TestPersistence:
 
     def test_round_trip_is_bit_exact_at_the_float_and_count_extremes(self, tmp_path):
         q = self.extreme_table()
-        save_qtable(tmp_path / "qtable.csv", q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        save_qtable(tmp_path / "qtable.csv", q, ActionGrid(betas=(0.5, 1.0, 1.5)))
         q2, grid2 = load_qtable(tmp_path / "qtable.npz")
         assert q2.values.dtype == np.float64 and q2.visit_counts.dtype == np.int64
         assert q2.values.tobytes() == q.values.tobytes()  # -0.0 keeps its sign bit
@@ -522,7 +512,7 @@ class TestPersistence:
         assert grid2.betas == (0.5, 1.0, 1.5)
 
     @staticmethod
-    def reference_export(path, q: QTable, grid: ActionGrid, learning: LearningSchedule) -> None:
+    def reference_export(path, q: QTable, grid: ActionGrid) -> None:
         """The export as save_qtable wrote it before it shared the rows of
         untouched states: every row formatted on its own."""
         periods, inv, spread, vol, _ = q.values.shape
@@ -530,8 +520,6 @@ class TestPersistence:
             fh.write("# rlexec-qtable: 1\n")
             fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
             fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
-            fh.write(f"# alpha0: {learning.alpha0!r}\n")
-            fh.write(f"# gamma: {learning.gamma!r}\n")
             fh.write("t,i,s,v,action,beta,q,visits\r\n")
             actions = [f"{a},{beta!r}" for a, beta in enumerate(grid.betas)]
             for state in np.ndindex(q.values.shape[:4]):
@@ -565,22 +553,22 @@ class TestPersistence:
             getattr(q, name)[index] = value
         untouched = ~(q.values.view(np.int64).any(axis=-1) | q.visit_counts.any(axis=-1))
         assert 0 < untouched.sum() < untouched.size
-        grid, learning = ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule(alpha0=0.5)
-        save_qtable(tmp_path / "qtable.csv", q, grid, learning)
-        self.reference_export(tmp_path / "reference.csv", q, grid, learning)
+        grid = ActionGrid(betas=(0.5, 1.0, 1.5))
+        save_qtable(tmp_path / "qtable.csv", q, grid)
+        self.reference_export(tmp_path / "reference.csv", q, grid)
         assert (tmp_path / "qtable.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_export_of_a_table_without_untouched_states(self, tmp_path):
         q = self.extreme_table()
         assert q.values.view(np.int64).any(axis=-1).all()
-        grid, learning = ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule()
-        save_qtable(tmp_path / "qtable.csv", q, grid, learning)
-        self.reference_export(tmp_path / "reference.csv", q, grid, learning)
+        grid = ActionGrid(betas=(0.5, 1.0, 1.5))
+        save_qtable(tmp_path / "qtable.csv", q, grid)
+        self.reference_export(tmp_path / "reference.csv", q, grid)
         assert (tmp_path / "qtable.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_a_table_without_cells_round_trips(self, tmp_path):
         # its flat views are empty; the backtest refuses it by its dims
-        save_qtable(tmp_path / "qtable.csv", QTable.zeros(0, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        save_qtable(tmp_path / "qtable.csv", QTable.zeros(0, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)))
         q, _ = load_qtable(tmp_path / "qtable.npz")
         assert q.values.shape == q.visit_counts.shape == (0, 2, 2, 2, 3)
         assert len(q.flat_values) == len(q.flat_visits) == 0
@@ -588,11 +576,9 @@ class TestPersistence:
     def test_csv_export_holds_the_table_bit_for_bit(self, tmp_path):
         q = self.extreme_table()
         path = tmp_path / "qtable.csv"
-        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule(alpha0=0.5))
+        save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)))
         with open(path, newline="", encoding="utf-8") as fh:
-            assert [next(fh) for _ in range(5)] == [
-                "# rlexec-qtable: 1\n", "# dims: 2 2 2 2\n", "# betas: 0.5 1.0 1.5\n", "# alpha0: 0.5\n", "# gamma: 1.0\n",
-            ]
+            assert [next(fh) for _ in range(3)] == ["# rlexec-qtable: 1\n", "# dims: 2 2 2 2\n", "# betas: 0.5 1.0 1.5\n"]
             rows = list(csv.DictReader(fh))
         cells = [tuple(int(row[k]) for k in ("t", "i", "s", "v", "action")) for row in rows]
         assert cells == [(t + 1, i + 1, s + 1, v + 1, a) for t, i, s, v, a in np.ndindex(q.values.shape)]
@@ -613,7 +599,7 @@ class TestPersistence:
         ],
     )
     def test_damaged_arrays_are_a_value_error_naming_the_file(self, tmp_path, changes, message):
-        save_qtable(tmp_path / "qtable.csv", QTable.zeros(2, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)), LearningSchedule())
+        save_qtable(tmp_path / "qtable.csv", QTable.zeros(2, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)))
         path = tmp_path / "qtable.npz"
         with np.load(path) as npz:
             arrays = {name: npz[name] for name in npz.files}
@@ -643,7 +629,6 @@ class TestDPEquivalenceSmall:
                 q_star[1, i, a] = mean_r[1, i, a] + best_next[int(inv_next[i, a])]
 
         q = QTable.zeros(T, I, 2, 2, A)
-        sched = LearningSchedule()
         for _ in range(300):
             for t in (2, 1):
                 for i in (1, 2):
@@ -651,7 +636,7 @@ class TestDPEquivalenceSmall:
                         r = float(mean_r[t - 1, i - 1, a] + rng.uniform(-0.2, 0.2))
                         x = StateTuple(t, i, 1, 1)
                         future = None if t == 1 else q.values[0, inv_next[i - 1, a] - 1, 0, 0].max()
-                        q_update(q, cell(q, x, a), r, future, sched)
+                        q_update(q, cell(q, x, a), r, future)
         for t in range(T):
             for i in range(I):
                 assert int(np.argmax(q.values[t, i, 0, 0])) == int(np.argmax(q_star[t, i]))

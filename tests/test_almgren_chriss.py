@@ -227,8 +227,8 @@ class TestCalibrate:
             calibrate(make_bar_sequence(1), lam=0.01, total_shares=100, periods=2)
 
     def test_sell_side_calibration(self):
-        bars = make_bar_sequence(8, level_volume=900.0, step=0.10)
-        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=Side.SELL)
+        bars = make_bar_sequence(8, level_volume=900.0, step=0.10, side=Side.SELL)
+        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4)
         assert p.eta > 0
 
     @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
@@ -236,20 +236,20 @@ class TestCalibrate:
         # thin and empty books: the small probes fill partly, none fills an
         # empty side, and a point is kept only for a probe that filled
         rng = np.random.default_rng(5)
-        bars = make_bar_sequence(12, level_volume=400.0, step=0.07)
+        bars = make_bar_sequence(12, level_volume=400.0, step=0.07, side=side)
         for k, bar in enumerate(bars):
-            prices, volumes = bar.levels(side)
+            prices, volumes = bar.levels
             volumes[:] = 0.0 if k % 4 == 1 else rng.integers(1, 900, size=5) / 3
-        depth = float(np.median([bar.levels(side)[1].sum() for bar in bars]))
+        depth = float(np.median([bar.levels[1].sum() for bar in bars]))
         rates, impacts = [], []
         for bar in bars:
             for probe in sorted({max(int(round(f * depth)), 1) for f in (0.05, 0.1, 0.2, 0.4, 0.8)}):
-                fill = walk_book(*bar.levels(side), probe, cap=1.0)
+                fill = walk_book(*bar.levels, probe, cap=1.0)
                 if fill.executed <= 0:
                     continue
                 rates.append(fill.executed)
                 impacts.append(fill.vwap - bar.mid if side is Side.BUY else bar.mid - fill.vwap)
         assert len(rates) < 5 * len(bars)  # the empty books gave no point
         slope, _ = fit_temporary_impact(np.array(rates), np.array(impacts))
-        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4, side=side)
+        p = calibrate(bars, lam=0.01, total_shares=1000, periods=4)
         assert p.eta.hex() == slope.hex()

@@ -35,7 +35,7 @@ BARS_COLUMNS = ("start", "utc_offset", "n_snapshots", "row")
 
 
 def config(**kwargs) -> ExperimentConfig:
-    base = dict(V=10000, T=4, H=10, I=2, B=3, W=3, tau=300.0, cap=0.2, side="buy")
+    base = dict(V=10000, T=4, H=10, I=2, B=3, W=3, cap=0.2)
     base.update(kwargs)
     return ExperimentConfig(**base)
 
@@ -68,7 +68,7 @@ class TestRunAC:
         schedule = np.array([2500, 2500, 2500, 2500])
         runs = run_ac(config(cap=1.0), bars, schedule)
         (record,) = runs.records.values()
-        fill = walk_book(*bars[0].levels(Side.BUY), 2500)
+        fill = walk_book(*bars[0].levels, 2500)
         expected = (10000 * bars[0].mid - 4 * fill.executed * fill.vwap) / (10000 * bars[0].mid) * 1e4
         assert record.shortfall_bps == pytest.approx(expected, abs=1e-9)
 
@@ -95,7 +95,7 @@ class TestRunAC:
             executed_total = 0.0
             for k, bar in enumerate(window):
                 request = float(schedule[k]) + carry
-                prices, vols = map(list, bar.levels(Side.BUY))
+                prices, vols = map(list, bar.levels)
                 cap_limit = float(np.floor((cfg.cap if k < 3 else 1.0) * sum(vols)))
                 todo = min(request, cap_limit)
                 done = 0.0

@@ -59,14 +59,14 @@ DEMO_SHA256 = {
     "snapshots.csv": "347b34196e9b7844b8f72f7d0b452e01a867b7e491a97359634d61e243335c61",
     "ingest_meta.json": "4fe441a7259898b5935379178704cf1f1dffcdec9405e614d126f6b77feebfc6",
     "params.json": "e0f190d9da721dc7540d1ef36c0dfe76e24fd441fbeca6e180f4f981bc075037",
-    "qtable.csv": "87ed79f7f5cdd1fefcd534ff853d2a7db9f69ae6be4baa3baed72747e636ef30",
+    "qtable.csv": "6776e544f5ac9de68e103b769c87029e07cfd3f0f7650755cd2ad68f0b9a6d74",
     "train_trace.csv": "d326572b4cf46d28c3ff0f8ff7460d7e630a3ce260e512cb4f2ec223fa0bdc1c",
     "runs.csv": "d8361d7b9de009f3007ac9dbdd23bf9072d436c8249cd79607b1769bc60849a1",
     "stats.json": "96230c055a947283dc522f7fbc3ee86512ee1627e8f906dc32ed1d22674411b7",
-    "table1.csv": "b9518abbe2833e7e21211f35fbb1980bb88544e412c2b0ad07b30c374a327f47",
-    "table2.csv": "ab9e9bd074d8fd5b696593d9ef3fbd45af0d72f56a2e8c37997134b81e0f9efb",
-    "fig2_trace.csv": "f20f3d7ffee399e9ee6b286073ef9d2799f1e20798ff2cec39201d19883d8aa8",
-    "resolved_config.txt": "f7c91a0c9787fc5c58915535fc08381635c9dbed914824137ba2fcea99f7f4ca",
+    "table1.csv": "a83b328f42f2ca721e1d81f8fd44c2b6dd6ee118af862da97c10f904d7f9bab6",
+    "table2.csv": "4b24fbd2fafb7f9f6b00f1d8a89a41e40b1bcc689dd50bb946fa6dd3ce5cbd2b",
+    "fig2_trace.csv": "c7c44970a6d8e2be949fea8cfbbacb11ce0ec9614314e6800c16f4f23b57265d",
+    "resolved_config.txt": "fdc3bbbb723409ff43e7028b085f2945b6032e731c382303f2cd10085fb06d3d",
 }
 FINE_GRID_FLAGS = (
     "--days", "30", "--split", "2024-01-21T00:00:00+00:00", "--V", "10000", "--T", "8",
@@ -76,14 +76,25 @@ FINE_GRID_SHA256 = {
     "snapshots.csv": "c0e12051978cd1c98c44a95cace98a0ec9bdddd8e2d635a7d9952e1cdc6c62b1",
     "ingest_meta.json": "65774b356d7cf8fb49803a2185d68e5c295be6013e0152929daeec914a4e2896",
     "params.json": "d253d88ab2d5ea7f83816fb5c1f60c8d45a57031a371d95bdc46b657e42d477c",
-    "qtable.csv": "74ffbe95c7159dc64f3c403647c527ea4af29b549aa8ec63970440266a021b77",
+    "qtable.csv": "387942fefe37342ca18de7492b6925440e71904e1ea53d74e8b5b1d586459214",
     "train_trace.csv": "c0d443a8f0999a15abea6c00c4882f4e68e6c3b6c42323b0d3c34519e967cf22",
     "runs.csv": "fdf21dc7514eef7e2bcc89ad3e17bcdcd23c5f12cc2c39c11937c6020f1b5845",
     "stats.json": "f30a17bd634426fc6bede56dcaf4a4bf8d2cbfef77a9aa9f90f289df1f6fa41e",
-    "table1.csv": "ebd709d20b1c6a5e3ad810e47f9397dd2ba9256c5f12d55af8298646d9c78d91",
-    "table2.csv": "4d1a1497a06c6b4a55b72879f51446bab1fad64b3f302c0d71805d2935dca692",
-    "fig2_trace.csv": "15ea5e0cd2ca12649325a58fcfd4d5358002db363da6c0b3e4a8f286c1873f0d",
-    "resolved_config.txt": "9d7f6f37c1ff141885e82408fd94ea8471154d129e1c92bec6faaae50a725499",
+    "table1.csv": "33311b81dc40d6be9c7b89c4a8c5a4fa0c557a734976909158914cd85c2df77f",
+    "table2.csv": "7bd53354e6bbc6cdc45c5dd06679e0a965aac20f2baacba847126a4e6fe3b83a",
+    "fig2_trace.csv": "86a67ab72c64aa1bdfa63730641b830c5b30ee123edf593b2448156244bc1bd7",
+    "resolved_config.txt": "a7462d56328c4ffe5b0b60e6da288f8a5d0ba3e3154a3b43c8ba996ec363eb0e",
+}
+# sha256 of the demo run on the sell side against the ask reference at seed
+# 42: the one end-to-end run of the sell side's bars and the ask benchmark.
+# ROADMAP item 2 (a side-correct shortfall sign) moves these and re-pins them.
+SELL_ASK_FLAGS = (*DEMO_FLAGS, "--side", "sell", "--reference", "ask")
+SELL_ASK_SHA256 = {
+    "runs.csv": "000aaba929ef10aeec3f0a89ba5a11b4675d56155a3d7551879e997b9563b441",
+    "stats.json": "ab526b21f9b21bf93dac15d9d4cadf8ff2fd9e60abf03ee17592e6215e708c2d",
+    "params.json": "20955760077f0f422a5a5f1c12c8688d67853735ca961d1eca94b2722c92c15d",
+    "train_trace.csv": "331da42e9680a1daf92096d467ee81350e72b1834dac9a08389efc5db9ad1f97",
+    "qtable.npz": "0de6b78a467b14a096ebab40d65b340d5eedfb1de4e6a9ba956e0c804bb1f4ea",
 }
 # every stage's flags: name, dest, type, help
 FLAGS = [
@@ -104,7 +115,6 @@ FLAGS = [
     ("--beta-incr", "beta_incr", float, "beta grid step"),
     ("--lambda", "lam", float, "risk aversion"),
     ("--tau", "tau", float, "bar length, seconds"),
-    ("--alpha0", "alpha0", float, "initial learning rate"),
     ("--cap", "cap", float, "participation cap"),
     ("--side", "side", str, "buy | sell"),
     ("--reference", "reference", str, "arrival benchmark: mid | ask"),
@@ -175,6 +185,9 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
     [
         ("T = four", "bad value for T"),
         ("colour = red", "unknown config key 'colour'"),
+        # the learning rate is fixed at 1 / (1 + visits), undiscounted
+        ("gamma = 1.0", "unknown config key 'gamma'"),
+        ("alpha0 = 1.0", "unknown config key 'alpha0'"),
         ("V = 0", "total shares must be > 0"),
         ("T = 0", "periods must be >= 1"),
         ("H = 24", "hour outside the trading day"),
@@ -521,15 +534,18 @@ def test_unreadable_raw_csv_exits_5_naming_the_file(tmp_path, capsys, damage, me
 
 @pytest.mark.parametrize(
     "flags, pinned",
-    [pytest.param(DEMO_FLAGS, DEMO_SHA256, id="demo"), pytest.param(FINE_GRID_FLAGS, FINE_GRID_SHA256, id="fine_grid")],
+    [
+        pytest.param(DEMO_FLAGS, DEMO_SHA256, id="demo"),
+        pytest.param(FINE_GRID_FLAGS, FINE_GRID_SHA256, id="fine_grid"),
+        pytest.param(SELL_ASK_FLAGS, SELL_ASK_SHA256, id="sell_ask"),
+    ],
 )
 def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
     out = tmp_path / "out"
     for stage in STAGES:
         assert cli.main([stage, *flags, "--out", str(out)]) == 0, stage
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SYNTH_ARTIFACTS}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert digests == pinned
-
 
 
 # sha256 of a seed-42 run in which both strategies fail to liquidate one test
@@ -563,14 +579,14 @@ LOCAL_CLOCK_FLAGS = (
 LOCAL_CLOCK_SHA256 = {
     "ingest_meta.json": "c5a71d914295a866edc5e374973bf129b8501f79472a293f2a2c400463ecc64c",
     "params.json": "d629f4c287a3f34928d33ce518fd496cf41556a787347146dbca6c81f59accb1",
-    "qtable.csv": "9cfb854e16b68a83b59fe6363fef0435a59bcd77ab809e00deaa3275f5e694d5",
+    "qtable.csv": "24ecf3a78e89971c429b35721463309c905e76e4a9b0652214bd37694002a044",
     "train_trace.csv": "b1f9379423bd4758cd457a923e4cc9d5d80cdc5db08cad698cbcf91f338a5f1c",
     "runs.csv": "a187cff42d1000410ebc0f37441d37b25eefb464f83ca244f16b85bc9a6cb374",
     "stats.json": "18e7d46528c99f2362a1f7bc9b4f0954fcb6f91c5600ccf6291274c20118fa49",
-    "table1.csv": "7e5dd8d60be34b9fc90d2c09b09ba7b4de2a429a41edd6eda1a31442977afa93",
-    "table2.csv": "b93aaa9af649667c23a94aed9e6c6f9f9d5f7cbd062c1b6595da59068099f1f2",
-    "fig2_trace.csv": "82eb88a28db477f5056df18c4d8df63176739edcf354850581bffeeaffaf9772",
-    "resolved_config.txt": "b98dfd311589b153c1390a0373d8c6dd3184391b7ea0b5e17b0ab60d06c166de",
+    "table1.csv": "b64bb5c6f0de085ee33939b3d95ba4ddb3a304ef0514c6d22136671d5f66e059",
+    "table2.csv": "9073616814d96b4a4f0a61d3b9e6a70e8fd3063581bf1a1c302225adc6d6d200",
+    "fig2_trace.csv": "6930992d5ce31fa62ba4222ddf078895748b7ac6d56d5a4d944ccec20aefb23c",
+    "resolved_config.txt": "80c455384e51f0d210a1fef5df01c3650edcaad7f24991cf48ab27ea1cf7a835",
 }
 
 
@@ -598,7 +614,7 @@ def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):
         assert cli.main([stage, *LOCAL_CLOCK_FLAGS, "--out", "out"]) == 0, stage
     # every day's traded window reads the local hour 20, stray UTC rows and all
     meta = json.loads((tmp_path / "out" / "ingest_meta.json").read_text(encoding="utf-8"))
-    windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"]), 20, 4, 300.0)
+    windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"]), 20, 4)
     assert len(windows) == 8
     assert (windows.hour == 20).all()
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}

@@ -257,7 +257,7 @@ class TestExecuteSchedule:
             cap = float(rng.uniform(0.1, 1.0))
             (record,) = execute_schedule(bars[None], schedule, cap=cap)
             assert record.executed_total == total
-            _, volumes = bars.levels(Side.BUY)
+            _, volumes = bars.levels
             assert np.all(record.executed[:-1] <= cap * volumes[:-1].sum(axis=1) + 1e-9)
 
     def test_terminal_shortage_fails_run(self):
@@ -279,8 +279,8 @@ class TestExecuteSchedule:
             sell_row = make_row(mid=mid, spread=spread)
             sell_row[BID_PRICES] = 2 * mid - ask_p
             sell_row[BID_VOLUMES] = vols
-            (buy,) = execute_schedule(make_bars([buy_row])[None], [4000], cap=1.0, side=Side.BUY, reference=[mid])
-            (sell,) = execute_schedule(make_bars([sell_row])[None], [4000], cap=1.0, side=Side.SELL, reference=[mid])
+            (buy,) = execute_schedule(make_bars([buy_row], side=Side.BUY)[None], [4000], cap=1.0, reference=[mid])
+            (sell,) = execute_schedule(make_bars([sell_row], side=Side.SELL)[None], [4000], cap=1.0, reference=[mid])
             assert buy.shortfall_bps == pytest.approx(-sell.shortfall_bps, abs=1e-9)
 
     def test_validation(self, paper_bars):
@@ -292,11 +292,11 @@ class TestExecuteSchedule:
             execute_schedule(paper_bars[None], [0, 0], cap=1.0)
 
 
-def reference_run(bars, schedule, cap, side, policy=None, buckets=None):
+def reference_run(bars, schedule, cap, policy=None, buckets=None):
     """Reference: one day's run as a per-period loop of walk_book calls, its
     state read in Python ints (executed, vwap, shortfall, unexecuted)."""
     periods, total = len(schedule), int(sum(schedule))
-    prices, volumes = bars.levels(side)
+    prices, volumes = bars.levels
     planned_remaining, remaining, carry = total, total, 0.0
     executed, vwap = [], []
     for j in range(periods):
@@ -327,9 +327,10 @@ def run_bits(executed, vwap, shortfall, unexecuted) -> tuple:
     return [float(x).hex() for x in executed], [float(x).hex() for x in vwap], float(shortfall).hex(), float(unexecuted).hex()
 
 
-def random_windows(rng, days: int, periods: int) -> Bars:
-    """A (days, periods) stack of books: random mids, spreads and level
-    steps, with empty, whole-share and fractional (averaged) level depth."""
+def random_windows(rng, days: int, periods: int, side: Side) -> Bars:
+    """A (days, periods) stack of books for an order on `side`: random mids,
+    spreads and level steps, with empty, whole-share and fractional
+    (averaged) level depth."""
     shape = (days, periods)
     mid = rng.uniform(50.0, 150.0, shape)[..., None]
     half_spread = rng.uniform(0.005, 0.25, shape)[..., None]
@@ -346,7 +347,7 @@ def random_windows(rng, days: int, periods: int) -> Bars:
     row[..., BID_PRICES], row[..., ASK_PRICES] = mid - offsets, mid + offsets
     row[..., BID_VOLUMES], row[..., ASK_VOLUMES] = depth(), depth()
     start = 1.7e9 + 300.0 * np.arange(days * periods, dtype=float).reshape(shape)
-    return Bars(300.0, Side.BUY, start, np.zeros(shape), np.ones(shape, dtype=np.int64), row)
+    return Bars(300.0, side, start, np.zeros(shape), np.ones(shape, dtype=np.int64), row)
 
 
 class TestBlockEngine:
@@ -365,19 +366,19 @@ class TestBlockEngine:
     )
     def test_matches_a_per_day_walk_book_loop(self, days, periods, cap, side, inv, spread, vol, seed):
         rng = np.random.default_rng(seed)
-        windows = random_windows(rng, days, periods)
+        windows = random_windows(rng, days, periods, side)
         total = int(rng.choice([1, 100, 10000, 200000, 10**6]))
         schedule = np.diff(np.concatenate(([0], np.sort(rng.integers(0, total + 1, periods - 1)), [total])))
         policy = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0], (periods, inv, spread, vol))
         buckets = (rng.integers(1, spread + 1, (days, periods)), rng.integers(1, vol + 1, (days, periods)))
 
-        ac = execute_schedule(windows, schedule, cap, side)
-        rl = execute_schedule(windows, schedule, cap, side, policy=policy, buckets=buckets)
-        unit = execute_schedule(windows, schedule, cap, side, policy=np.ones_like(policy), buckets=buckets)
+        ac = execute_schedule(windows, schedule, cap)
+        rl = execute_schedule(windows, schedule, cap, policy=policy, buckets=buckets)
+        unit = execute_schedule(windows, schedule, cap, policy=np.ones_like(policy), buckets=buckets)
         for d in range(days):
             day_buckets = (buckets[0][d].tolist(), buckets[1][d].tolist())
-            expected_rl = run_bits(*reference_run(windows[d], schedule, cap, side, policy, day_buckets))
-            expected_ac = run_bits(*reference_run(windows[d], schedule, cap, side))
+            expected_rl = run_bits(*reference_run(windows[d], schedule, cap, policy, day_buckets))
+            expected_ac = run_bits(*reference_run(windows[d], schedule, cap))
             for record, expected in ((rl[d], expected_rl), (ac[d], expected_ac), (unit[d], expected_ac)):
                 assert run_bits(record.executed, record.vwap, record.shortfall_bps, record.unexecuted) == expected
                 assert math.fsum([*record.executed.tolist(), record.unexecuted]) == total

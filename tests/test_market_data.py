@@ -242,15 +242,15 @@ class TestAggregate:
         row = make_row()
         (bar,) = aggregate_intervals(make_frame([T0], [row]), 300.0)
         assert np.array_equal(bar.row, row)
-        assert np.array_equal(bar.levels(Side.BUY)[0], row[ASK_PRICES])
-        assert np.array_equal(bar.levels(Side.SELL)[1], row[BID_VOLUMES])
+        assert np.array_equal(bar.levels[0], row[ASK_PRICES])
+        assert np.array_equal(replace(bar, side=Side.SELL).levels[1], row[BID_VOLUMES])
         assert bar.n_snapshots == 1
         assert bar.hour == 10
 
     def test_two_snapshot_mean(self):
         frame = make_frame([T0, T0 + timedelta(seconds=60)], [make_row(mid=100.0), make_row(mid=102.0)])
         (bar,) = aggregate_intervals(frame, 300.0)
-        assert bar.levels(Side.BUY)[0][0] == pytest.approx(101.05)
+        assert bar.levels[0][0] == pytest.approx(101.05)
         assert bar.mid == pytest.approx(101.0)
 
     def test_random_hour_matches_bruteforce_grouping(self):
@@ -275,7 +275,7 @@ class TestAggregate:
             assert bar.n_snapshots == len(members)
             expected_ask = np.mean([m[ASK_PRICES] for m in members], axis=0)
             expected_vol = np.mean([m[ASK_VOLUMES] for m in members], axis=0)
-            prices, volumes = bar.levels(Side.BUY)
+            prices, volumes = bar.levels
             assert np.allclose(prices, expected_ask, rtol=0, atol=1e-12)
             assert np.allclose(volumes, expected_vol, rtol=0, atol=1e-12)
 
@@ -350,7 +350,7 @@ class TestAggregate:
             tally = Counter(ts.utcoffset() for ts, _ in members)  # most_common breaks ties by first occurrence
             assert bar.utc_offset == tally.most_common(1)[0][0].total_seconds()
             assert bar.n_snapshots == len(members)
-            buy, sell = bar.levels(Side.BUY), bar.levels(Side.SELL)
+            buy, sell = replace(bar, side=Side.BUY).levels, bar.levels
             for got, levels in (
                 (sell[0], BID_PRICES),
                 (sell[1], BID_VOLUMES),
@@ -522,7 +522,7 @@ class TestBarClock:
             assert dist.volume_samples.tolist() == sorted(volumes[h])
 
         # day_windows' days, window starts and skip reasons
-        windows, skipped = day_windows(bars, hour, periods, tau)
+        windows, skipped = day_windows(bars, hour, periods)
         want, want_skipped = reference_windows(starts, hour, periods, tau)
         assert skipped == want_skipped
         assert windows.day[:, 0].tolist() == [day for day, _ in want]
@@ -537,10 +537,10 @@ class TestBarClock:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a flat impact fit floors eta
             if diffs:
-                assert calibrate(bars, 0.01, 1000, 2, side=side).sigma == float(np.std(diffs))
+                assert calibrate(bars, 0.01, 1000, 2).sigma == float(np.std(diffs))
             else:
                 with pytest.raises(ValueError):
-                    calibrate(bars, 0.01, 1000, 2, side=side)
+                    calibrate(bars, 0.01, 1000, 2)
 
 
 class TestLoadNpz:
@@ -654,35 +654,36 @@ class TestMedian:
 
 
 class TestPercentile:
-    def dist(self, samples) -> HistoricalDistribution:
-        return HistoricalDistribution(hour=10, spread_samples=np.asarray(samples, dtype=float), volume_samples=np.asarray(samples, dtype=float))
+    def dist(self, samples) -> np.ndarray:
+        """The sorted samples bucket_of takes."""
+        return np.sort(np.asarray(samples, dtype=float))
 
     def test_below_all_clamps_to_one_over_n(self):
         # the percentile clamps to 1/n, not the bucket to 1: with 8 buckets
         # over 4 samples a value below them all lands where the minimum does
         d = self.dist([1.0, 2.0, 3.0, 4.0])
-        assert bucket_of(d, "spread", 0.5, 4) == 1
-        assert bucket_of(d, "spread", 0.5, 8) == 2 == bucket_of(d, "spread", 1.0, 8)
+        assert bucket_of(d, 0.5, 4) == 1
+        assert bucket_of(d, 0.5, 8) == 2 == bucket_of(d, 1.0, 8)
 
     def test_at_maximum_is_one(self):
         # percentile one at (and above) the maximum: the top bucket
         d = self.dist([1.0, 2.0, 3.0, 4.0])
         for buckets in (1, 2, 3, 5, 10):
-            assert bucket_of(d, "spread", 4.0, buckets) == buckets
-            assert bucket_of(d, "spread", 9.0, buckets) == buckets
+            assert bucket_of(d, 4.0, buckets) == buckets
+            assert bucket_of(d, 9.0, buckets) == buckets
 
     def test_median_order_statistic(self):
         samples = np.arange(1.0, 101.0)  # 1..100
         d = self.dist(samples)
-        assert bucket_of(d, "spread", 50.0, 100) == 50
-        assert bucket_of(d, "spread", 50.5, 2) == 1  # 50 of 100 at or below
-        assert bucket_of(d, "spread", 51.0, 2) == 2
+        assert bucket_of(d, 50.0, 100) == 50
+        assert bucket_of(d, 50.5, 2) == 1  # 50 of 100 at or below
+        assert bucket_of(d, 51.0, 2) == 2
 
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(3)
         d = self.dist(np.sort(rng.uniform(0, 1, size=57)))
         values = np.sort(rng.uniform(-0.5, 1.5, size=200))
-        buckets = [bucket_of(d, "volume", v, 5) for v in values]
+        buckets = [bucket_of(d, v, 5) for v in values]
         assert all(1 <= b <= 5 for b in buckets)
         assert all(b >= a for a, b in zip(buckets, buckets[1:]))
         assert buckets[0] == 1 and buckets[-1] == 5
@@ -694,7 +695,7 @@ class TestPercentile:
         d = self.dist(samples)
         for value in samples[:25]:
             naive = sum(1 for s in samples if s <= value)
-            assert bucket_of(d, "spread", value, len(samples)) == naive
+            assert bucket_of(d, value, len(samples)) == naive
 
     def test_bucket_matches_exact_ceiling(self):
         rng = np.random.default_rng(21)
@@ -704,7 +705,7 @@ class TestPercentile:
             for value in rng.uniform(-0.1, 1.1, size=50):
                 count = max(int(np.sum(np.sort(samples) <= value)), 1)
                 expected = math.ceil(Fraction(count * buckets, 60))
-                got = bucket_of(d, "spread", float(value), buckets)
+                got = bucket_of(d, float(value), buckets)
                 assert got == expected
                 assert 1 <= got <= buckets
 
@@ -719,12 +720,12 @@ class TestPercentile:
         # included, the grid is coarse) and in between
         d = self.dist(samples)
         values = np.array([min(samples) - 1.0, max(samples) + 1.0, *samples, *extra])
-        got = bucket_of(d, "spread", values, buckets)
+        got = bucket_of(d, values, buckets)
         assert got.shape == values.shape
         for value, bucket in zip(values.tolist(), got.tolist()):
             count = max(sum(1 for x in samples if x <= value), 1)
             assert bucket == math.ceil(Fraction(count * buckets, len(samples)))
-            assert bucket == bucket_of(d, "spread", value, buckets)
+            assert bucket == bucket_of(d, value, buckets)
             assert 1 <= bucket <= buckets
 
     def test_state_buckets_match_per_bar_calls(self):
@@ -740,32 +741,28 @@ class TestPercentile:
         spread, volume = state_buckets(bars, dists, 4, 3)
         for index in np.ndindex(bars.start.shape):
             dist = dists.get(int(bars.hour[index]))
-            assert spread[index] == (0 if dist is None else bucket_of(dist, "spread", bars.spread[index], 4))
-            assert volume[index] == (0 if dist is None else bucket_of(dist, "volume", bars.quote_volume[index], 3))
+            assert spread[index] == (0 if dist is None else bucket_of(dist.spread_samples, bars.spread[index], 4))
+            assert volume[index] == (0 if dist is None else bucket_of(dist.volume_samples, bars.quote_volume[index], 3))
         assert (spread == 0).sum() == 12
 
     def test_bucket_arithmetic_stays_within_int64(self):
         # the same bound as the inventory buckets: n * (buckets + 1) <= 2**63
         d = self.dist([1.0, 2.0, 3.0, 4.0])
-        assert bucket_of(d, "spread", np.array([0.0, 2.0, 9.0]), 2**61 - 1).tolist() == [2**59, 2**60, 2**61 - 1]
+        assert bucket_of(d, np.array([0.0, 2.0, 9.0]), 2**61 - 1).tolist() == [2**59, 2**60, 2**61 - 1]
         with pytest.raises(ValueError, match="overflow int64"):
-            bucket_of(d, "spread", 1.0, 2**61)
+            bucket_of(d, 1.0, 2**61)
 
     def test_empty_distribution(self):
         d = HistoricalDistribution(hour=10, spread_samples=np.array([]), volume_samples=np.array([1.0]))
         with pytest.raises(ValueError, match="empty"):
-            bucket_of(d, "spread", 1.0, 3)
+            bucket_of(d.spread_samples, 1.0, 3)
 
-    def test_unknown_field(self):
-        d = self.dist([1.0])
-        with pytest.raises(ValueError, match="unknown field"):
-            bucket_of(d, "depth", 1.0, 3)
 
 
 class TestDayWindows:
     def test_window_at_hour(self):
         bars = make_bar_sequence(16, start=T0.replace(hour=9))
-        windows, skipped = day_windows(bars, 10, 4, 300.0)
+        windows, skipped = day_windows(bars, 10, 4)
         assert not skipped
         assert windows.start.shape == (1, 4)
         assert windows.start[0, 0] == T0.timestamp()  # 10:00
@@ -773,19 +770,19 @@ class TestDayWindows:
 
     def test_gap_skips_day(self):
         bars = make_bar_sequence(6, start=T0)[[0, 1, 3, 4, 5]]
-        windows, skipped = day_windows(bars, 10, 4, 300.0)
+        windows, skipped = day_windows(bars, 10, 4)
         assert not windows
         assert skipped and skipped[0][1] == "gap inside window"
 
     def test_short_day_skips(self):
         bars = make_bar_sequence(2, start=T0)
-        windows, skipped = day_windows(bars, 10, 4, 300.0)
+        windows, skipped = day_windows(bars, 10, 4)
         assert not windows
         assert "fewer than 4 bars" in skipped[0][1]
 
     def test_missing_hour_skips(self):
         bars = make_bar_sequence(4, start=T0.replace(hour=9))
-        windows, skipped = day_windows(bars, 14, 2, 300.0)
+        windows, skipped = day_windows(bars, 14, 2)
         assert not windows
         assert "no bars at hour 14" in skipped[0][1]
 
