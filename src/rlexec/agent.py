@@ -47,6 +47,10 @@ from .market_data import Bars, HistoricalDistribution, _load_npz, arrival_refere
 
 #: Most betas from_bounds builds; the Q table holds one value per beta and state.
 MAX_ACTIONS = 10_000
+#: Most cells (T x I x B x W x actions) a run's Q table may have. A cell takes
+#: 16 bytes of arrays and a 30-50 byte CSV export row: at the bound, 320 MB
+#: and up to 1 GB.
+MAX_QTABLE_CELLS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class ActionGrid:
             raise ValueError("betas must be strictly increasing")
 
     @classmethod
-    def from_bounds(cls, lower: float = 0.0, upper: float = 2.0, incr: float = 0.25) -> "ActionGrid":
+    def from_bounds(cls, lower: float, upper: float, incr: float) -> "ActionGrid":
         """lower, lower + incr, ... up to upper: at most MAX_ACTIONS betas,
         checked before any is built."""
         if incr <= 0 or upper < lower:
@@ -175,7 +179,7 @@ def train(
     dists: dict[int, HistoricalDistribution],
     *,
     cap: float,
-    reference_kind: str = "mid",
+    reference_kind: str,
 ) -> TrainingResult:
     """Sweep-train the Q table over the training windows, `episodes` indexed
     (windows, periods) as day_windows gives them, for an order on the

@@ -155,12 +155,6 @@ def _ibw_label(cfg: ExperimentConfig) -> str:
     return f"{cfg.I}/{cfg.B}/{cfg.W}"
 
 
-def _config_comment_lines(config_echo: dict | None) -> list[str]:
-    if not config_echo:
-        return []
-    return [f"# config {key}={config_echo[key]}" for key in sorted(config_echo)]
-
-
 def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[str, StrategyRuns]) -> None:
     """Per-run rows: id, date, hour, model, shortfall, per-period fills."""
     periods = cfg.T
@@ -189,8 +183,8 @@ def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[
 def write_report(
     out_dir: str | Path,
     entries: list[tuple[ExperimentConfig, ISStatistics]],
-    trace: list[tuple[int, float | None]] | None = None,
-    config_echo: dict | None = None,
+    trace: list[tuple[int, float | None]],
+    config_echo: dict,
 ) -> dict[str, Path]:
     """Write table1.csv, table2.csv, and fig2_trace.csv under `out_dir`.
 
@@ -203,7 +197,7 @@ def write_report(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    comments = _config_comment_lines(config_echo)
+    comments = [f"# config {key}={config_echo[key]}" for key in sorted(config_echo)]
 
     grouped: dict[tuple, dict[int, ISStatistics]] = {}
     for cfg, stats in entries:
@@ -275,7 +269,7 @@ def write_report(
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(["tuple_visit_index", "pct_correct_actions"])
-        for visit_index, fraction in trace or []:
+        for visit_index, fraction in trace:
             if fraction is None:
                 continue  # undefined point: absent from the trace
             writer.writerow([visit_index, f"{fraction:.6f}"])

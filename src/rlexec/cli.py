@@ -1,17 +1,17 @@
-"""Config-driven pipeline: ingest/synth -> calibrate -> train -> backtest -> report.
+"""Config-driven pipeline: ingest -> calibrate -> train -> backtest -> report.
 
 Each stage reads its upstream artifact from the output directory and writes
 its own, so runs are resumable and, given a fixed seed, byte-identical. Every
 stage takes the same `ExperimentConfig` (see `rlexec.config`): a key = value
 file, overridden by command-line flags named after the model parameters.
 
-Ingest (or synth) is the only stage that parses depth CSV. Ingest parses the
-user's raw depth CSV once and writes `ingest_meta.json`, with that file's
+Ingest is the only stage that parses depth CSV. With data = csv it parses
+the user's raw depth CSV once and writes `ingest_meta.json`, with that file's
 sha256, and `bars.npz`, its tau-second bars as the columns of one `Bars`
-table. Synth writes its generated store `snapshots.csv`, the readable export,
-reads it back the way ingest reads a raw file, and writes the same two files
-for it. Calibrate, train and backtest load `bars.npz` and never open a depth
-CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
+table. With data = synthetic it writes the generated store `snapshots.csv`,
+the readable export, reads it back the way it reads a raw file, and writes
+the same two files for it. Calibrate, train and backtest load `bars.npz` and
+never open a depth CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
 source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
 no aggregation gives, is a data error. The config's order side and bar length
 reach calibrate, train and backtest only through the loaded `Bars`: `load_bars`
@@ -135,26 +135,19 @@ def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Pa
     return path
 
 
-def cmd_synth(cfg: ExperimentConfig) -> Path:
-    """Generate the synthetic snapshot store."""
-    # (the docstring is the stage's --help line.) Writes snapshots.csv, then
-    # ingest_meta.json and bars.npz for it. The generated frame is dropped
-    # once written, and the store is read back through the validate-and-sort
-    # path a raw CSV takes.
+def cmd_ingest(cfg: ExperimentConfig) -> Path:
+    """Normalize a raw depth CSV, or generated synthetic depth, into interval bars."""
+    # (the docstring is the stage's --help line.) Writes ingest_meta.json and
+    # bars.npz, which calibrate, train and backtest load. A raw CSV is parsed
+    # once, and no copy of its rows is written. Synthetic depth is written to
+    # snapshots.csv, the generated frame is dropped, and the store is read
+    # back through the validate-and-sort path a raw CSV takes.
+    if cfg.data == "csv":
+        return _write_bars(cfg, Path(cfg.csv), ingest_csv(cfg.csv))
     cfg.out_dir().mkdir(parents=True, exist_ok=True)
     store = cfg.out_dir() / "snapshots.csv"
     write_snapshots_csv(store, generate_synthetic(cfg.seed, cfg.days, cfg.synthetic_config()))
     return _write_bars(cfg, store, ingest_csv(store))
-
-
-def cmd_ingest(cfg: ExperimentConfig) -> Path:
-    """Normalize a raw depth CSV into interval bars."""
-    # (the docstring is the stage's --help line.) Parses the raw CSV once and
-    # writes ingest_meta.json and bars.npz for it, which calibrate, train and
-    # backtest load; no copy of the parsed rows is written.
-    if cfg.data != "csv":
-        return cmd_synth(cfg)
-    return _write_bars(cfg, Path(cfg.csv), ingest_csv(cfg.csv))
 
 
 def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
@@ -162,7 +155,7 @@ def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
     those starting before it train, the rest test. No depth CSV is read."""
     path = _require(_bars_path(cfg), "ingest")
     meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
-    bars = load_bars(path, cfg.tau, meta["sha256"], side=Side(cfg.side))
+    bars = load_bars(path, cfg.tau, meta["sha256"], Side(cfg.side))
     boundary = (cfg.split_datetime() - datetime.fromtimestamp(0, timezone.utc)) // timedelta(microseconds=1)
     training = bars.start_us < boundary
     if not training.any():
@@ -273,7 +266,6 @@ def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
 
 _STAGES = {
     "ingest": cmd_ingest,
-    "synth": cmd_synth,
     "calibrate": cmd_calibrate,
     "train": cmd_train,
     "backtest": cmd_backtest,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
-from .agent import ActionGrid
+from .agent import MAX_QTABLE_CELLS, ActionGrid
 from .market_data import SyntheticConfig, planted_regime_config, synthetic_rows
 
 
@@ -53,8 +53,6 @@ class ExperimentConfig:
     side: str = _key("buy", "buy | sell")
     reference: str = _key("mid", "arrival benchmark: mid | ask")
     seed: int = _key(42, "experiment seed")
-    base_price: float = 100.0
-    walk_sigma: float = 0.02
     out: str = _key("out", "output directory")
 
     def validate(self) -> None:
@@ -77,11 +75,13 @@ class ExperimentConfig:
         if self.side not in ("buy", "sell"):
             raise ConfigError("side must be buy or sell")
         try:
-            self.grid()
+            actions = len(self.grid())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        cells = self.T * self.I * self.B * self.W * actions
         for ok, message in (
             (self.V > 0, "total shares must be > 0"),
+            (self.V <= 2**53, "total shares must be <= 2**53, up to which float64 holds every whole number"),
             (self.T >= 1, "periods must be >= 1"),
             (0 <= self.H <= 23, "hour outside the trading day"),
             (min(self.I, self.B, self.W) >= 2, "bucket counts must be >= 2"),
@@ -91,6 +91,10 @@ class ExperimentConfig:
             (self.lam >= 0, "lambda must be >= 0"),
             (self.days >= 1, "days must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
+            (
+                cells <= MAX_QTABLE_CELLS,
+                f"q-table of T x I x B x W x {actions} actions = {cells:,} cells, more than {MAX_QTABLE_CELLS:,}",
+            ),
         ):
             if not ok:
                 raise ConfigError(message)
@@ -110,16 +114,9 @@ class ExperimentConfig:
         return ActionGrid.from_bounds(self.beta_lb, self.beta_ub, self.beta_incr)
 
     def synthetic_config(self) -> SyntheticConfig:
-        """The generator config of the preset, with this config's base price,
-        bar length and walk volatility. The planted preset's own walk_sigma
-        (0.015) is overwritten here, so only direct callers of
-        `planted_regime_config` see it."""
-        if self.preset == "planted":
-            cfg = planted_regime_config(hour=self.H)
-        else:
-            cfg = SyntheticConfig()
-        cfg.base_price = self.base_price
-        cfg.walk_sigma = self.walk_sigma
+        """The generator config of the preset, planted at this config's hour,
+        for bars of its tau; every other generator setting is the preset's."""
+        cfg = planted_regime_config(self.H) if self.preset == "planted" else SyntheticConfig()
         cfg.tau = self.tau
         return cfg
 
@@ -142,8 +139,12 @@ _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -37,20 +37,15 @@ class Fill:
 
 @dataclass
 class ISRecord:
-    """One run's implementation shortfall with its per-period fills: shares
-    executed and their vwap (0 where none), and the shares the terminal order
-    left unexecuted (0 when the run liquidated)."""
+    """One run's implementation shortfall against its day's arrival price,
+    with its per-period fills: shares executed and their vwap (0 where none),
+    and the shares the terminal order left unexecuted (0 when the run
+    liquidated)."""
 
-    reference_price: float
-    total_volume: int
     executed: np.ndarray
     vwap: np.ndarray
     shortfall_bps: float
     unexecuted: float
-
-    @property
-    def executed_total(self) -> float:
-        return math.fsum(self.executed.tolist())
 
 
 class _Walk(NamedTuple):
@@ -60,7 +55,7 @@ class _Walk(NamedTuple):
     levels: np.ndarray
 
 
-def _walk_books(prices, volumes, requests, cap: float = 1.0) -> _Walk:
+def _walk_books(prices, volumes, requests, cap: float) -> _Walk:
     """Walk a block of market orders, levels on the last axis of the books.
 
     `prices` and `volumes` hold one book, shape (L,), or a stack, shape
@@ -157,7 +152,7 @@ def execute_schedule(
     windows: Bars,
     schedule: np.ndarray,
     cap: float,
-    reference: np.ndarray | None = None,
+    reference: np.ndarray,
     policy: np.ndarray | None = None,
     buckets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ISRecord]:
@@ -169,7 +164,7 @@ def execute_schedule(
     scheduled volume plus any carried residual, capped at `cap` of visible
     depth. The final period lifts the cap (terminal market order); what its
     book cannot absorb is the record's `unexecuted`. `reference` holds each
-    day's arrival price, by default its first bar's mid.
+    day's arrival price, which the record's shortfall is scored against.
 
     Each non-final child is sized by _child_volume at beta 1 without a
     policy, else at the entry of `policy`, a (T, I, B, W) table of betas, for
@@ -191,7 +186,7 @@ def execute_schedule(
     total = int(schedule.sum())
     if total <= 0:
         raise ValueError("empty schedule")
-    refs = windows.mid[:, 0] if reference is None else np.asarray(reference, dtype=float)
+    refs = np.asarray(reference, dtype=float)
     suffix = np.cumsum(schedule[::-1])[::-1]  # shares still planned from each period on
     prices, volumes = windows.levels
     planned_remaining = np.full(days, total)  # inventory net of carried residual
@@ -213,6 +208,6 @@ def execute_schedule(
         remaining = remaining - walk.executed
         executed[:, j], vwap[:, j] = walk.executed, walk.vwap
     return [
-        ISRecord(ref, total, executed[d], vwap[d], implementation_shortfall(ref, executed[d], vwap[d], total), left)
+        ISRecord(executed[d], vwap[d], implementation_shortfall(ref, executed[d], vwap[d], total), left)
         for d, (ref, left) in enumerate(zip(refs.tolist(), carry.tolist()))
     ]

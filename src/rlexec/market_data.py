@@ -228,7 +228,6 @@ def _check_bars(bars: Bars, source: str = "") -> Bars:
 class HistoricalDistribution:
     """Sorted spread/volume samples for one trading hour of the training set."""
 
-    hour: int
     spread_samples: np.ndarray
     volume_samples: np.ndarray
 
@@ -383,14 +382,14 @@ def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
             )
 
 
-def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY) -> Bars:
+def aggregate_intervals(snapshots: BookFrame, tau: float) -> Bars:
     """Aggregate snapshots into tau-second bars aligned to the epoch grid.
 
     Each bar's row is the simple mean of the depth rows whose timestamps fall
     in [start, start + tau); empty intervals are omitted. A bar's UTC offset
     is the one most of its snapshots carry; a tie goes to the tied offset
-    that comes first in the bar in input order. ``quote_volume`` is the
-    averaged level-1 volume of the side a `side` order consumes.
+    that comes first in the bar in input order. The bars are a buy order's,
+    which `save_bars` does not store: a run takes its side from `load_bars`.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -409,7 +408,7 @@ def aggregate_intervals(snapshots: BookFrame, tau: float, side: Side = Side.BUY)
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
     zones = np.fromiter((ts.utcoffset().total_seconds() for ts in snapshots.timestamps), float, len(snapshots))
-    return _check_bars(Bars(tau, side, starts, _majority(group, zones), counts, sums / counts[:, np.newaxis]))
+    return _check_bars(Bars(tau, Side.BUY, starts, _majority(group, zones), counts, sums / counts[:, np.newaxis]))
 
 
 def _majority(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -492,7 +491,7 @@ def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
     np.savez(path, **columns, tau=np.float64(bars.tau), source_sha256=np.str_(source_sha256))
 
 
-def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side = Side.BUY) -> Bars:
+def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side) -> Bars:
     """The bars `save_bars` wrote, with ``quote_volume`` for `side`.
 
     A file `_load_npz` refuses, one that holds bars of another tau or of
@@ -517,10 +516,10 @@ def build_distributions(bars: Bars) -> dict[int, HistoricalDistribution]:
     if not len(bars):
         raise ValueError("no bars")
     hours, spreads, volumes = bars.hour, bars.spread, bars.quote_volume
-    return {h: HistoricalDistribution(h, spreads[hours == h], volumes[hours == h]) for h in sorted(set(hours.tolist()))}
+    return {h: HistoricalDistribution(spreads[hours == h], volumes[hours == h]) for h in sorted(set(hours.tolist()))}
 
 
-def arrival_reference(windows: Bars, kind: str = "mid") -> np.ndarray:
+def arrival_reference(windows: Bars, kind: str) -> np.ndarray:
     """Benchmark price at t=0 of a run over each window, periods on the last
     axis of `windows`: the arrival mid, or with kind="ask" the level-1 price
     of the side the windows' orders consume (the stricter buy benchmark)."""
@@ -618,7 +617,7 @@ class SyntheticConfig:
     mixed_hours: dict[int, MixedRegime] = field(default_factory=dict)
 
 
-def planted_regime_config(hour: int = 10) -> SyntheticConfig:
+def planted_regime_config(hour: int) -> SyntheticConfig:
     """Alternating favorable (tight/deep) and unfavorable (wide/thin) intervals
     planted at one hour; the rest of the session runs the default regime.
 
@@ -626,11 +625,8 @@ def planted_regime_config(hour: int = 10) -> SyntheticConfig:
     anchored there prices its arrival benchmark off a representative spread
     sitting strictly between the two regimes. The unfavorable book stays deep
     enough (5 levels x 3500) that a full terminal order for the default demo
-    volume always liquidates.
-
-    Its walk_sigma of 0.015 holds only for direct callers: the CLI's
-    `ExperimentConfig.synthetic_config` overwrites it with the config's
-    walk_sigma (0.02 by default) in every run.
+    volume always liquidates. The base price and the walk are the
+    `SyntheticConfig` defaults.
     """
     favorable = BookRegime(
         spread=0.04, level_volume=30000.0, level_step=0.02,
@@ -641,7 +637,6 @@ def planted_regime_config(hour: int = 10) -> SyntheticConfig:
         spread_jitter=0.05, volume_jitter=0.05,
     )
     return SyntheticConfig(
-        walk_sigma=0.015,
         default_regime=BookRegime(spread=0.16, level_volume=8000.0, level_step=0.08),
         mixed_hours={hour: MixedRegime(favorable, unfavorable, p_favorable=0.5, lead_in=1)},
     )
@@ -660,7 +655,7 @@ def synthetic_rows(days: int, tau: float) -> int:
     return rows
 
 
-def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = None) -> BookFrame:
+def generate_synthetic(seed: int, days: int, config: SyntheticConfig) -> BookFrame:
     """Deterministic synthetic depth stream: same seed, same snapshots.
 
     The mid price follows a discrete arithmetic random walk, floored at 1.0;
@@ -678,24 +673,23 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = No
     """
     if days < 1:
         raise ValueError("days must be >= 1")
-    cfg = config if config is not None else SyntheticConfig()
-    rows = synthetic_rows(days, cfg.tau)
+    rows = synthetic_rows(days, config.tau)
     rng = np.random.default_rng(seed)
-    intervals_per_hour = int(round(3600.0 / cfg.tau))
-    snap_step = cfg.tau / SNAPSHOTS_PER_INTERVAL
-    step_sigma = cfg.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
+    intervals_per_hour = int(round(3600.0 / config.tau))
+    snap_step = config.tau / SNAPSHOTS_PER_INTERVAL
+    step_sigma = config.walk_sigma / math.sqrt(SNAPSHOTS_PER_INTERVAL)
 
     # per interval of a day, the mixed regime that draws its book, else None
     plan = [
         mixed if mixed is not None and k >= mixed.lead_in else None
-        for mixed in map(cfg.mixed_hours.get, SESSION_HOURS)
+        for mixed in map(config.mixed_hours.get, SESSION_HOURS)
         for k in range(intervals_per_hour)
     ]
     regimes: list[BookRegime] = []  # each interval's book
-    mid, mids = cfg.base_price, np.empty(rows)
+    mid, mids = config.base_price, np.empty(rows)
     draws = np.empty((rows, 1 + 2 * N_LEVELS))
     for interval, mixed in enumerate(plan * days):
-        regime = cfg.default_regime
+        regime = config.default_regime
         if mixed is not None:
             regime = mixed.favorable if rng.random() < mixed.p_favorable else mixed.unfavorable
         regimes.append(regime)
@@ -727,7 +721,7 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig | None = No
     # and the snapshot's rounded timedelta (exact: timedeltas add integer
     # microseconds)
     pattern = [
-        timedelta(hours=hour, seconds=k * cfg.tau) + timedelta(seconds=s * snap_step)
+        timedelta(hours=hour, seconds=k * config.tau) + timedelta(seconds=s * snap_step)
         for hour in SESSION_HOURS
         for k in range(intervals_per_hour)
         for s in range(SNAPSHOTS_PER_INTERVAL)

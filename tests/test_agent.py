@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from datetime import timedelta
 from typing import NamedTuple
 
@@ -56,15 +57,18 @@ def cell(q: QTable, x: StateTuple, action: int) -> int:
 
 def dist(samples=(0.02, 0.04, 0.06, 0.08, 0.10)) -> HistoricalDistribution:
     return HistoricalDistribution(
-        hour=10,
         spread_samples=np.asarray(samples),
         volume_samples=np.asarray(samples) * 1e5,
     )
 
 
+#: the config's default betas: 0, 0.25, ..., 2
+GRID = ActionGrid.from_bounds(0.0, 2.0, 0.25)
+
+
 class TestActionGrid:
     def test_default_grid(self):
-        grid = ActionGrid.from_bounds()
+        grid = ExperimentConfig().grid()
         assert len(grid) == 9
         assert grid.betas[0] == 0.0
         assert grid.betas[-1] == 2.0
@@ -76,7 +80,7 @@ class TestActionGrid:
         with pytest.raises(ValueError):
             ActionGrid(betas=())
         with pytest.raises(ValueError):
-            ActionGrid.from_bounds(incr=0.0)
+            ActionGrid.from_bounds(0.0, 2.0, 0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_beta_rejected(self, bad):
@@ -104,14 +108,13 @@ class TestEncodeState:
         for i, first in ((5, 0.0), (4, 25000.0)):
             policy = np.ones((4, 5, 5, 5))
             policy[3, i - 1] = 0.0
-            (record,) = execute_schedule(windows, [25000] * 4, 1.0, policy=policy, buckets=buckets)
+            (record,) = execute_schedule(windows, [25000] * 4, 1.0, windows.mid[:, 0], policy=policy, buckets=buckets)
             assert record.executed[0] == first
-            assert record.executed_total == 100000
+            assert record.executed.sum() == 100000
 
     def test_max_spread_maps_to_top_bucket(self):
         bars = make_bar_sequence(1, spread=0.10)
         d = HistoricalDistribution(
-            hour=10,
             spread_samples=np.array([0.02, 0.04, 0.06, 0.08, bars.spread[0]]),
             volume_samples=np.array([1e3, 2e3, 3e3, 4e3, bars.quote_volume[0]]),
         )
@@ -122,7 +125,7 @@ class TestEncodeState:
     def test_percentile_041_lands_in_bucket_3(self):
         # 41 of 100 samples at or below the value: ceil(0.41 * 5) = 3
         samples = np.arange(1.0, 101.0)
-        d = HistoricalDistribution(hour=10, spread_samples=samples, volume_samples=samples)
+        d = HistoricalDistribution(spread_samples=samples, volume_samples=samples)
         bars = make_bar_sequence(1, spread=41.0)
         bars.row[0, ASK_VOLUMES.start] = 41.0
         spread, volume = state_buckets(bars, {10: d}, 5, 5)
@@ -220,7 +223,7 @@ class TestPolicies:
 
     def test_unvisited_row_falls_back_to_identity(self):
         q = QTable.zeros(1, 1, 1, 1, 9)
-        grid = ActionGrid.from_bounds()
+        grid = GRID
         assert extract_policy(q, grid)[0, 0, 0, 0] == 1.0
 
     def test_tie_breaks_prefer_one_then_smaller(self):
@@ -231,7 +234,7 @@ class TestPolicies:
 
     def test_extract_policy_matches_row_scan(self):
         rng = np.random.default_rng(4)
-        grid = ActionGrid.from_bounds()
+        grid = GRID
         q = QTable.zeros(3, 2, 2, 2, 9)
         q.values[:] = rng.uniform(-50, 0, size=q.values.shape)
         policy = extract_policy(q, grid)
@@ -246,7 +249,7 @@ class TestPolicies:
         # every action sees the same rewards: rows stay constant, ties resolve
         # to beta = 1
         q = QTable.zeros(2, 2, 3, 3, 9)
-        grid = ActionGrid.from_bounds()
+        grid = GRID
         rng = np.random.default_rng(6)
         for _ in range(30):
             t = int(rng.integers(1, 3))
@@ -260,7 +263,7 @@ class TestPolicies:
 
 class TestCorrectActionFraction:
     def grid(self):
-        return ActionGrid.from_bounds()
+        return GRID
 
     def seed_policy(self, beta_wide_thin: float, beta_tight_deep: float) -> QTable:
         # T=3, I=2, B=3, W=3: qualifying cells are (s=3, v=1) and (s=1, v=3)
@@ -364,7 +367,7 @@ class TestTrain:
         dists = build_distributions(episode[0])
         q = QTable.zeros(1, 1, 2, 2, 1)
         grid = ActionGrid(betas=(1.0,))
-        result = train(q, episode, np.array([100]), grid, dists, cap=0.2)
+        result = train(q, episode, np.array([100]), grid, dists, cap=0.2, reference_kind="mid")
         assert result.updates == 1
         assert q.visit_counts.sum() == 1
 
@@ -372,7 +375,7 @@ class TestTrain:
         episode = self.make_episode(2)
         dists = build_distributions(episode[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, episode, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        result = train(q, episode, np.array([50, 50]), GRID, dists, cap=0.2, reference_kind="mid")
         assert result.updates == 2 * 2 * 9
         assert q.visit_counts.sum() == 36
 
@@ -380,7 +383,7 @@ class TestTrain:
         episode = self.make_episode(3)
         dists = build_distributions(episode[0])
         q = QTable.zeros(3, 2, 2, 2, 9)
-        train(q, episode, np.array([40, 30, 30]), ActionGrid.from_bounds(), dists, cap=0.2)
+        train(q, episode, np.array([40, 30, 30]), GRID, dists, cap=0.2, reference_kind="mid")
         # identical bars: one (s, v) cell per period; T*I*A pairs visited once
         visited = q.visit_counts > 0
         assert visited.sum() == 3 * 2 * 9
@@ -391,9 +394,9 @@ class TestTrain:
         good = self.make_episode(2)
         dists = build_distributions(good[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        short = train(q, self.make_episode(1), np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        short = train(q, self.make_episode(1), np.array([50, 50]), GRID, dists, cap=0.2, reference_kind="mid")
         assert (short.episodes_skipped, short.episodes_trained, short.updates) == (1, 0, 0)
-        result = train(q, good, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        result = train(q, good, np.array([50, 50]), GRID, dists, cap=0.2, reference_kind="mid")
         assert result.episodes_skipped == 0
         assert result.episodes_trained == 1
 
@@ -401,7 +404,7 @@ class TestTrain:
         episode = self.make_episode(2, hour=12)
         other = build_distributions(self.make_episode(2, hour=9)[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, episode, np.array([50, 50]), ActionGrid.from_bounds(), other, cap=0.2)
+        result = train(q, episode, np.array([50, 50]), GRID, other, cap=0.2, reference_kind="mid")
         assert result.episodes_skipped == 1
         assert result.updates == 0
 
@@ -409,7 +412,7 @@ class TestTrain:
         episodes = self.make_episode(2)[[0, 0, 0]]
         dists = build_distributions(episodes[0])
         q = QTable.zeros(2, 2, 2, 2, 9)
-        result = train(q, episodes, np.array([50, 50]), ActionGrid.from_bounds(), dists, cap=0.2)
+        result = train(q, episodes, np.array([50, 50]), GRID, dists, cap=0.2, reference_kind="mid")
         assert [v for v, _ in result.trace] == [36, 72, 108]
 
     def test_rewards_bounded_by_horizon(self):
@@ -419,7 +422,7 @@ class TestTrain:
         dists = build_distributions(bars)
         q = QTable.zeros(4, 2, 2, 2, 9)
         train(q, bars[np.tile(np.arange(4), (10, 1))], np.array([2500, 2500, 2500, 2500]),
-              ActionGrid.from_bounds(), dists, cap=1.0)
+              GRID, dists, cap=1.0, reference_kind="mid")
         worst_single = -10000 * (bars[0].levels[0][-1] - bars[0].mid) / (10000 * bars[0].mid) * 1e4
         assert np.all(q.values <= 0.0 + 1e-12)
         assert np.all(q.values >= 4 * worst_single)
@@ -449,7 +452,7 @@ def reference_train(q, episodes, schedule_shares, grid, dists, *, cap):
     suffix = np.cumsum(sched[::-1])[::-1]
     s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
     prices, volumes = episodes.levels
-    for e, ref in enumerate(arrival_reference(episodes).tolist()):
+    for e, ref in enumerate(arrival_reference(episodes, "mid").tolist()):
         for t in range(periods, 0, -1):
             j = periods - t
             for i in range(1, inv_buckets + 1):
@@ -473,15 +476,15 @@ class TestGatheredBootstrap:
     updates; no update of the period writes the period they are read from."""
 
     @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
-    @pytest.mark.parametrize("grid", [ActionGrid.from_bounds(), ActionGrid.from_bounds(0.0, 2.0, 0.05)], ids=len)
+    @pytest.mark.parametrize("grid", [GRID, ActionGrid.from_bounds(0.0, 2.0, 0.05)], ids=len)
     def test_train_matches_a_per_cell_reference_bit_for_bit(self, side, grid):
-        bars = aggregate_intervals(generate_synthetic(5, 8, planted_regime_config(10)), 300.0, side=side)
+        bars = replace(aggregate_intervals(generate_synthetic(5, 8, planted_regime_config(10)), 300.0), side=side)
         episodes, _ = day_windows(bars, 10, 4)
         assert len(episodes) == 8
         dists = build_distributions(bars)
         sched = np.array([6000, 5000, 5000, 4000])
         q, ref = QTable.zeros(4, 3, 2, 2, len(grid)), QTable.zeros(4, 3, 2, 2, len(grid))
-        result = train(q, episodes, sched, grid, dists, cap=0.2)
+        result = train(q, episodes, sched, grid, dists, cap=0.2, reference_kind="mid")
         reference_train(ref, episodes, sched, grid, dists, cap=0.2)
         assert result.updates == 8 * 4 * 3 * len(grid)
         assert q.visit_counts.tolist() == ref.visit_counts.tolist()

@@ -42,8 +42,6 @@ def config(**kwargs) -> ExperimentConfig:
 
 def record_with_bps(bps: float) -> ISRecord:
     return ISRecord(
-        reference_price=100.0,
-        total_volume=100,
         executed=np.array([100.0]),
         vwap=np.array([100.0]),
         shortfall_bps=bps,
@@ -156,7 +154,7 @@ class TestRunRL:
         q = QTable.zeros(4, 2, 3, 3, 9)
         rl = run_rl(cfg, testing, np.array([4000, 3000, 2000, 1000]), q, dists)
         for record in rl.records.values():
-            assert record.executed_total == 10000
+            assert record.executed.sum() == 10000
 
     def test_skip_reasons_and_their_order(self):
         # five days, each a run of bars starting at the given minute past
@@ -288,7 +286,7 @@ def read_csv(path):
 
 class TestReport:
     def test_single_config_single_row(self, tmp_path):
-        paths = write_report(tmp_path, [(config(), stats_with(12.5))])
+        paths = write_report(tmp_path, [(config(), stats_with(12.5))], trace=[], config_echo={})
         rows, _ = read_csv(paths["table1"])
         assert rows[0] == ["V", "T", "IBW", "9", "10", "11", "12", "13", "14", "15", "16", "average"]
         assert len(rows) == 2
@@ -299,7 +297,7 @@ class TestReport:
 
     def test_hour_sweep_fills_eight_columns(self, tmp_path):
         entries = [(config(H=h), stats_with(float(h))) for h in range(9, 17)]
-        paths = write_report(tmp_path, entries)
+        paths = write_report(tmp_path, entries, trace=[], config_echo={})
         rows, _ = read_csv(paths["table1"])
         assert len(rows) == 2
         hour_cells = rows[1][3:11]
@@ -316,7 +314,7 @@ class TestReport:
                             stats_with(1.0),
                         )
                     )
-        paths = write_report(tmp_path, entries)
+        paths = write_report(tmp_path, entries, trace=[], config_echo={})
         rows, _ = read_csv(paths["table1"])
         assert len(rows) == 1 + 12
         rows2, _ = read_csv(paths["table2"])
@@ -324,21 +322,21 @@ class TestReport:
         assert rows2[-1][0] == "average"
 
     def test_undefined_improvement_marker(self, tmp_path):
-        paths = write_report(tmp_path, [(config(), stats_with(None))])
+        paths = write_report(tmp_path, [(config(), stats_with(None))], trace=[], config_echo={})
         rows, _ = read_csv(paths["table1"])
         assert rows[1][4] == "NA"
         assert rows[1][-1] == ""
 
     def test_trace_skips_undefined_points(self, tmp_path):
         trace = [(10, None), (20, 0.5), (30, 0.75)]
-        paths = write_report(tmp_path, [(config(), stats_with(1.0))], trace=trace)
+        paths = write_report(tmp_path, [(config(), stats_with(1.0))], trace=trace, config_echo={})
         rows, _ = read_csv(paths["fig2_trace"])
         assert rows[0] == ["tuple_visit_index", "pct_correct_actions"]
         assert rows[1:] == [["20", "0.500000"], ["30", "0.750000"]]
 
     def test_config_echo_embedded(self, tmp_path):
         paths = write_report(
-            tmp_path, [(config(), stats_with(1.0))], config_echo={"seed": 42, "V": 10000}
+            tmp_path, [(config(), stats_with(1.0))], trace=[], config_echo={"seed": 42, "V": 10000}
         )
         _, comments = read_csv(paths["table1"])
         assert "# config V=10000" in comments
@@ -356,8 +354,6 @@ class TestRunsCsv:
     def test_layout(self, tmp_path):
         cfg = config(T=2)
         record = ISRecord(
-            reference_price=100.0,
-            total_volume=200,
             executed=np.array([100.0, 100.0]),
             vwap=np.array([100.5, 100.25]),
             shortfall_bps=-37.5,

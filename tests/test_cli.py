@@ -26,6 +26,8 @@ from rlexec.market_data import (
     BID_PRICES,
     BID_VOLUMES,
     BookFrame,
+    Side,
+    SyntheticConfig,
     day_windows,
     generate_synthetic,
     load_bars,
@@ -34,7 +36,7 @@ from rlexec.market_data import (
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
-# what every pipeline writes; synth also writes its generated store
+# what every pipeline writes; a synthetic ingest also writes its generated store
 ARTIFACTS = (
     "ingest_meta.json",
     "params.json",
@@ -63,10 +65,10 @@ DEMO_SHA256 = {
     "train_trace.csv": "d326572b4cf46d28c3ff0f8ff7460d7e630a3ce260e512cb4f2ec223fa0bdc1c",
     "runs.csv": "d8361d7b9de009f3007ac9dbdd23bf9072d436c8249cd79607b1769bc60849a1",
     "stats.json": "96230c055a947283dc522f7fbc3ee86512ee1627e8f906dc32ed1d22674411b7",
-    "table1.csv": "a83b328f42f2ca721e1d81f8fd44c2b6dd6ee118af862da97c10f904d7f9bab6",
-    "table2.csv": "4b24fbd2fafb7f9f6b00f1d8a89a41e40b1bcc689dd50bb946fa6dd3ce5cbd2b",
-    "fig2_trace.csv": "c7c44970a6d8e2be949fea8cfbbacb11ce0ec9614314e6800c16f4f23b57265d",
-    "resolved_config.txt": "fdc3bbbb723409ff43e7028b085f2945b6032e731c382303f2cd10085fb06d3d",
+    "table1.csv": "cbc27d65e54dad71ac11f9eceb2ecfc287d4d0b05362668da90d7c251aa3a990",
+    "table2.csv": "77ceab66b17c9446a9e8edb1d68e338e0782053b87dffa5f7ab7d2d59d8d4549",
+    "fig2_trace.csv": "bcb145f484b0d2405c55340fb728c6740cdd7170c41dc9c5e88cc5ef8090a6ee",
+    "resolved_config.txt": "00d3e86c304fcb4d6fe45cd0cd85efadecc228cc4e531c394f06eec80fecb69e",
 }
 FINE_GRID_FLAGS = (
     "--days", "30", "--split", "2024-01-21T00:00:00+00:00", "--V", "10000", "--T", "8",
@@ -80,10 +82,10 @@ FINE_GRID_SHA256 = {
     "train_trace.csv": "c0d443a8f0999a15abea6c00c4882f4e68e6c3b6c42323b0d3c34519e967cf22",
     "runs.csv": "fdf21dc7514eef7e2bcc89ad3e17bcdcd23c5f12cc2c39c11937c6020f1b5845",
     "stats.json": "f30a17bd634426fc6bede56dcaf4a4bf8d2cbfef77a9aa9f90f289df1f6fa41e",
-    "table1.csv": "33311b81dc40d6be9c7b89c4a8c5a4fa0c557a734976909158914cd85c2df77f",
-    "table2.csv": "7bd53354e6bbc6cdc45c5dd06679e0a965aac20f2baacba847126a4e6fe3b83a",
-    "fig2_trace.csv": "86a67ab72c64aa1bdfa63730641b830c5b30ee123edf593b2448156244bc1bd7",
-    "resolved_config.txt": "a7462d56328c4ffe5b0b60e6da288f8a5d0ba3e3154a3b43c8ba996ec363eb0e",
+    "table1.csv": "f814628bf0a515d6a02301a1ad29c47df39052654a0c737b8d21f31791e54e4f",
+    "table2.csv": "4d2918929dfc38bbc27186158f2ed5b7e97fe9f16a4c6e7bc46d0d132b302b1a",
+    "fig2_trace.csv": "c582e52540ad654140fc29083ae0c43edcb9ddd00e08f507879f9334d416bd5c",
+    "resolved_config.txt": "81c0f519fbd11d01be67e1fad0dceb02f21410d47666a54ca8ae840c1b82a270",
 }
 # sha256 of the demo run on the sell side against the ask reference at seed
 # 42: the one end-to-end run of the sell side's bars and the ask benchmark.
@@ -161,7 +163,7 @@ def test_no_stage_imports_numpy_ma(tmp_path):
 def test_every_stage_has_the_same_flags():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert tuple(sub.choices) == ("ingest", "synth", "calibrate", "train", "backtest", "report")
+    assert tuple(sub.choices) == STAGES
     for stage_parser in sub.choices.values():
         flags = [a for a in stage_parser._actions if a.dest != "help"]
         assert [(a.option_strings[0], a.dest, a.type, a.help) for a in flags] == FLAGS
@@ -188,6 +190,9 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
         # the learning rate is fixed at 1 / (1 + visits), undiscounted
         ("gamma = 1.0", "unknown config key 'gamma'"),
         ("alpha0 = 1.0", "unknown config key 'alpha0'"),
+        # the generator's base price and walk are the preset's
+        ("base_price = 100.0", "unknown config key 'base_price'"),
+        ("walk_sigma = 0.02", "unknown config key 'walk_sigma'"),
         ("V = 0", "total shares must be > 0"),
         ("T = 0", "periods must be >= 1"),
         ("H = 24", "hour outside the trading day"),
@@ -220,6 +225,10 @@ def test_bad_config_exits_2(tmp_path, capsys, line, message):
         ("--beta-incr", "1e-300", "exceeds 10000 actions"),
         ("--days", "1000000000", "need 480,000,000,000 synthetic rows, more than 1,000,000"),
         ("--tau", "5e-324", "need inf synthetic rows, more than 1,000,000"),
+        ("--I", "1000000", "q-table of T x I x B x W x 9 actions = 144,000,000 cells, more than 20,000,000"),
+        # share counts past 2**53 are not whole in float64
+        ("--V", str(2**53 + 1), "total shares must be <= 2**53"),
+        ("--V", "100000000000000000000000", "total shares must be <= 2**53"),
     ],
 )
 def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, message):
@@ -227,6 +236,23 @@ def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, mess
     error = error_of(capsys)
     assert error["error"] == "config-error"
     assert message in error["message"]
+
+
+def test_config_file_that_is_not_utf_8_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = \xff\n")
+    assert cli.main(["calibrate", "--config", str(path), "--split", SPLIT, "--out", str(tmp_path)]) == 2
+    error = error_of(capsys)
+    assert error["error"] == "config-error"
+    assert error["message"].startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 7")
+
+
+def test_synth_is_not_a_stage(capsys):
+    # ingest generates the synthetic store; argparse refuses the old alias
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["synth", "--split", SPLIT])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'synth'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -466,11 +492,11 @@ def sha256_of(path) -> str:
 @pytest.mark.parametrize("data", ["synthetic", "csv"])
 def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
     out = tmp_path / "out"
-    source = out / "snapshots.csv"  # synth parses the store it generated
+    source = out / "snapshots.csv"  # a synthetic ingest parses the store it generated
     extra: tuple[str, ...] = ()
     if data == "csv":
         source = tmp_path / "raw.csv"
-        write_snapshots_csv(source, generate_synthetic(3, 6))
+        write_snapshots_csv(source, generate_synthetic(3, 6, SyntheticConfig()))
         extra = ("--data", "csv", "--csv", str(source))
     parses = []
     ingest_csv = cli.ingest_csv
@@ -498,7 +524,7 @@ def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
 
 def test_bars_of_another_raw_csv_exit_5(tmp_path, capsys):
     for name, seed in (("a", 3), ("b", 4)):
-        write_snapshots_csv(tmp_path / f"{name}.csv", generate_synthetic(seed, 6))
+        write_snapshots_csv(tmp_path / f"{name}.csv", generate_synthetic(seed, 6, SyntheticConfig()))
         assert cli.main(args("ingest", tmp_path / name, "--data", "csv", "--csv", str(tmp_path / f"{name}.csv"))) == 0
     shutil.copy(tmp_path / "b" / "bars.npz", tmp_path / "a" / "bars.npz")
     assert cli.main(args("calibrate", tmp_path / "a")) == 5
@@ -522,7 +548,7 @@ def test_bars_of_another_raw_csv_exit_5(tmp_path, capsys):
 )
 def test_unreadable_raw_csv_exits_5_naming_the_file(tmp_path, capsys, damage, message):
     source = tmp_path / "raw.csv"
-    write_snapshots_csv(source, generate_synthetic(3, 1))
+    write_snapshots_csv(source, generate_synthetic(3, 1, SyntheticConfig()))
     lines = source.read_bytes().splitlines(keepends=True)
     lines[3] = damage(lines[3])
     source.write_bytes(b"".join(lines))
@@ -583,10 +609,10 @@ LOCAL_CLOCK_SHA256 = {
     "train_trace.csv": "b1f9379423bd4758cd457a923e4cc9d5d80cdc5db08cad698cbcf91f338a5f1c",
     "runs.csv": "a187cff42d1000410ebc0f37441d37b25eefb464f83ca244f16b85bc9a6cb374",
     "stats.json": "18e7d46528c99f2362a1f7bc9b4f0954fcb6f91c5600ccf6291274c20118fa49",
-    "table1.csv": "b64bb5c6f0de085ee33939b3d95ba4ddb3a304ef0514c6d22136671d5f66e059",
-    "table2.csv": "9073616814d96b4a4f0a61d3b9e6a70e8fd3063581bf1a1c302225adc6d6d200",
-    "fig2_trace.csv": "6930992d5ce31fa62ba4222ddf078895748b7ac6d56d5a4d944ccec20aefb23c",
-    "resolved_config.txt": "80c455384e51f0d210a1fef5df01c3650edcaad7f24991cf48ab27ea1cf7a835",
+    "table1.csv": "73fe974a60bcf1bf7fa9a44d5da5104faffa69993c57344b9105f2e0018e27b9",
+    "table2.csv": "c988a3c00644f54f258d0d994336a4652743fc0ca573c237679c0993ffc7d6e7",
+    "fig2_trace.csv": "1f62e59caf2479f76c1c378975e8406e412952de0d78d096bc3787d35ea9b965",
+    "resolved_config.txt": "280198bde6a9471b19d7b0796374e7c5a75d2c4f4c569bf3f5a434a29b6bf01e",
 }
 
 
@@ -614,7 +640,7 @@ def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):
         assert cli.main([stage, *LOCAL_CLOCK_FLAGS, "--out", "out"]) == 0, stage
     # every day's traded window reads the local hour 20, stray UTC rows and all
     meta = json.loads((tmp_path / "out" / "ingest_meta.json").read_text(encoding="utf-8"))
-    windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"]), 20, 4)
+    windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"], Side.BUY), 20, 4)
     assert len(windows) == 8
     assert (windows.hour == 20).all()
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}

@@ -173,7 +173,7 @@ class TestBlockWalk:
     def test_rounding_edges_match_scalar_reference(self, volumes):
         prices = 100.0 + 0.1 * np.arange(len(volumes))
         requests = np.array([0.0, 1.0, 5.0])
-        block = _walk_books(prices, volumes, requests)
+        block = _walk_books(prices, volumes, requests, 1.0)
         expected = [bits(*scalar_walk(prices, volumes, r, 1.0)) for r in requests]
         assert [bits(*(part[r] for part in block)) for r in range(3)] == expected
         assert expected[2][0] == (0.0 if volumes[0] == 0.7 else 1.0).hex()
@@ -218,10 +218,10 @@ class TestExecuteSchedule:
     def test_worked_example_two_periods(self, paper_bars):
         (record,) = execute_schedule(paper_bars[None], [10000, 10000], cap=1.0, reference=[PAPER_REFERENCE])
         assert record.shortfall_bps == pytest.approx(-101.0, abs=0.5)
-        assert record.executed_total == 20000
+        assert record.executed.sum() == 20000
 
     def test_single_period_full_depth(self, paper_bars):
-        (record,) = execute_schedule(paper_bars[None, :1], [15000], cap=1.0)
+        (record,) = execute_schedule(paper_bars[None, :1], [15000], cap=1.0, reference=[PAPER_REFERENCE])
         assert record.executed.tolist() == [15000]
         assert record.unexecuted == 0
 
@@ -231,11 +231,7 @@ class TestExecuteSchedule:
         (record,) = execute_schedule(paper_bars[None], [8000, 12000], cap=0.3, reference=[PAPER_REFERENCE])
         assert record.executed.tolist() == [6000, 14000]
         assert record.unexecuted == 0
-        assert record.executed_total == 20000
-
-    def test_default_reference_is_first_bar_mid(self, paper_bars):
-        (record,) = execute_schedule(paper_bars[None], [10000, 10000], cap=1.0)
-        assert record.reference_price == paper_bars[0].mid
+        assert record.executed.sum() == 20000
 
     def test_conservation_over_random_runs(self):
         rng = np.random.default_rng(31)
@@ -255,15 +251,15 @@ class TestExecuteSchedule:
             cuts = np.sort(rng.integers(0, total + 1, size=periods - 1))
             schedule = np.diff(np.concatenate(([0], cuts, [total])))
             cap = float(rng.uniform(0.1, 1.0))
-            (record,) = execute_schedule(bars[None], schedule, cap=cap)
-            assert record.executed_total == total
+            (record,) = execute_schedule(bars[None], schedule, cap=cap, reference=bars.mid[:1])
+            assert record.executed.sum() == total
             _, volumes = bars.levels
             assert np.all(record.executed[:-1] <= cap * volumes[:-1].sum(axis=1) + 1e-9)
 
     def test_terminal_shortage_fails_run(self):
         # 500 shares of depth: the terminal order leaves 9500 of 10000 unexecuted
         thin = make_bar_sequence(1, level_volume=100.0)
-        (record,) = execute_schedule(thin[None], [10000], cap=1.0)
+        (record,) = execute_schedule(thin[None], [10000], cap=1.0, reference=thin.mid[:1])
         assert record.executed.tolist() == [500]
         assert record.unexecuted == 9500
 
@@ -285,11 +281,11 @@ class TestExecuteSchedule:
 
     def test_validation(self, paper_bars):
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars[None], [100], cap=1.0)
+            execute_schedule(paper_bars[None], [100], cap=1.0, reference=[PAPER_REFERENCE])
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars[None], [-5, 105], cap=1.0)
+            execute_schedule(paper_bars[None], [-5, 105], cap=1.0, reference=[PAPER_REFERENCE])
         with pytest.raises(ValueError):
-            execute_schedule(paper_bars[None], [0, 0], cap=1.0)
+            execute_schedule(paper_bars[None], [0, 0], cap=1.0, reference=[PAPER_REFERENCE])
 
 
 def reference_run(bars, schedule, cap, policy=None, buckets=None):
@@ -372,9 +368,10 @@ class TestBlockEngine:
         policy = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0], (periods, inv, spread, vol))
         buckets = (rng.integers(1, spread + 1, (days, periods)), rng.integers(1, vol + 1, (days, periods)))
 
-        ac = execute_schedule(windows, schedule, cap)
-        rl = execute_schedule(windows, schedule, cap, policy=policy, buckets=buckets)
-        unit = execute_schedule(windows, schedule, cap, policy=np.ones_like(policy), buckets=buckets)
+        mid = windows.mid[:, 0]  # the arrival price reference_run scores against
+        ac = execute_schedule(windows, schedule, cap, mid)
+        rl = execute_schedule(windows, schedule, cap, mid, policy=policy, buckets=buckets)
+        unit = execute_schedule(windows, schedule, cap, mid, policy=np.ones_like(policy), buckets=buckets)
         for d in range(days):
             day_buckets = (buckets[0][d].tolist(), buckets[1][d].tolist())
             expected_rl = run_bits(*reference_run(windows[d], schedule, cap, policy, day_buckets))
@@ -382,4 +379,3 @@ class TestBlockEngine:
             for record, expected in ((rl[d], expected_rl), (ac[d], expected_ac), (unit[d], expected_ac)):
                 assert run_bits(record.executed, record.vwap, record.shortfall_bps, record.unexecuted) == expected
                 assert math.fsum([*record.executed.tolist(), record.unexecuted]) == total
-                assert record.total_volume == total

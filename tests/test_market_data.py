@@ -233,7 +233,7 @@ class TestIngest:
     def test_synthetic_store_bytes_are_pinned(self, tmp_path):
         # sha256 of the file the per-snapshot writer produced for this input
         path = tmp_path / "store.csv"
-        write_snapshots_csv(path, generate_synthetic(7, 2))
+        write_snapshots_csv(path, generate_synthetic(7, 2, SyntheticConfig()))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "80fa0aa904dac9a68116d28147f4edac93dc7e57a4bedc77e98780d793f88d44"
 
@@ -302,8 +302,9 @@ class TestAggregate:
         row = make_row()
         row[ASK_VOLUMES.start] = 700.0
         frame = make_frame([T0], [row])
-        (buy_bar,) = aggregate_intervals(frame, 300.0, side=Side.BUY)
-        (sell_bar,) = aggregate_intervals(frame, 300.0, side=Side.SELL)
+        (buy_bar,) = aggregate_intervals(frame, 300.0)
+        (sell_bar,) = replace(aggregate_intervals(frame, 300.0), side=Side.SELL)
+        assert buy_bar.side is Side.BUY
         assert buy_bar.quote_volume == 700.0
         assert sell_bar.quote_volume == row[BID_VOLUMES.start] == 5000.0
 
@@ -339,7 +340,7 @@ class TestAggregate:
         ]
         # alone in its bar: np.mean sums onto +0.0, so its -0.0 volumes average to +0.0
         snaps.append((T0 + timedelta(hours=3), make_row(level_volume=-0.0)))
-        bars = aggregate_intervals(make_frame(*zip(*snaps)), 300.0, side=Side.SELL)
+        bars = replace(aggregate_intervals(make_frame(*zip(*snaps)), 300.0), side=Side.SELL)
 
         groups = defaultdict(list)
         for ts, row in snaps:
@@ -418,8 +419,8 @@ class TestSavedBars:
         path = tmp_path_factory.mktemp("bars") / "bars.npz"
         save_bars(path, aggregate_intervals(frame, tau), SOURCE_SHA256)
         for side in Side:
-            want = aggregate_intervals(frame, tau, side=side)
-            got = load_bars(path, tau, SOURCE_SHA256, side=side)
+            want = replace(aggregate_intervals(frame, tau), side=side)
+            got = load_bars(path, tau, SOURCE_SHA256, side)
             assert (got.tau, got.side) == (want.tau, want.side) == (tau, side)
             for column in ("start", "utc_offset", "n_snapshots", "row", "hour", "day", "spread", "quote_volume"):
                 a, b = getattr(got, column), getattr(want, column)
@@ -490,7 +491,7 @@ class TestBarClock:
     )
     def test_columns_match_a_datetime_reference(self, tmp_path_factory, drawn, hour, periods, side, boundary_hour, zone):
         frame, tau = drawn
-        bars = aggregate_intervals(frame, tau, side=side)
+        bars = replace(aggregate_intervals(frame, tau), side=side)
         starts = [
             datetime.fromtimestamp(start, timezone(timedelta(seconds=offset)))
             for start, offset in zip(bars.start.tolist(), bars.utc_offset.tolist())
@@ -735,8 +736,8 @@ class TestPercentile:
         bars = make_bars([make_row(spread=float(s), level_volume=float(v)) for s, v in zip(rng.uniform(0.01, 0.3, 36), rng.integers(1, 9000, 36))])
         bars = bars[np.arange(36).reshape(3, 12)]  # 10:00 to 12:55 in 5-minute bars
         dists = {
-            10: HistoricalDistribution(10, rng.uniform(0.01, 0.3, 17), rng.integers(1, 9000, 17)),
-            12: HistoricalDistribution(12, rng.uniform(0.01, 0.3, 5), rng.integers(1, 9000, 5)),
+            10: HistoricalDistribution(rng.uniform(0.01, 0.3, 17), rng.integers(1, 9000, 17)),
+            12: HistoricalDistribution(rng.uniform(0.01, 0.3, 5), rng.integers(1, 9000, 5)),
         }
         spread, volume = state_buckets(bars, dists, 4, 3)
         for index in np.ndindex(bars.start.shape):
@@ -753,7 +754,7 @@ class TestPercentile:
             bucket_of(d, 1.0, 2**61)
 
     def test_empty_distribution(self):
-        d = HistoricalDistribution(hour=10, spread_samples=np.array([]), volume_samples=np.array([1.0]))
+        d = HistoricalDistribution(spread_samples=np.array([]), volume_samples=np.array([1.0]))
         with pytest.raises(ValueError, match="empty"):
             bucket_of(d.spread_samples, 1.0, 3)
 
@@ -824,7 +825,7 @@ def reference_synthetic(seed: int, days: int, cfg: SyntheticConfig) -> tuple[lis
 
 
 def _synthetic_markets() -> dict[str, SyntheticConfig]:
-    planted = planted_regime_config()
+    planted = planted_regime_config(10)
     favorable, unfavorable = planted.mixed_hours[10].favorable, planted.mixed_hours[10].unfavorable
     calm = BookRegime(spread=0.08, level_volume=12000.0, level_step=0.04, spread_jitter=0.01, volume_jitter=0.1)
     stormy = BookRegime(spread=0.40, level_volume=2000.0, level_step=0.20, spread_jitter=0.03, volume_jitter=0.2)
@@ -874,7 +875,7 @@ class TestSynthetic:
             assert 1.0 in mids  # the floor clamps
 
     def test_same_seed_bitwise_identical(self):
-        cfg = planted_regime_config()
+        cfg = planted_regime_config(hour=10)
         a = generate_synthetic(123, days=2, config=cfg)
         b = generate_synthetic(123, days=2, config=cfg)
         assert a.timestamps == b.timestamps
@@ -896,7 +897,7 @@ class TestSynthetic:
 
     def test_runaway_store_is_refused_before_allocation(self):
         with pytest.raises(ValueError, match="synthetic rows, more than 1,000,000"):
-            generate_synthetic(0, days=10**9)
+            generate_synthetic(0, days=10**9, config=SyntheticConfig())
         with pytest.raises(ValueError, match="need inf synthetic rows"):
             generate_synthetic(0, days=1, config=SyntheticConfig(tau=5e-324))
 
@@ -911,4 +912,4 @@ class TestSynthetic:
 
     def test_days_validated(self):
         with pytest.raises(ValueError):
-            generate_synthetic(0, days=0)
+            generate_synthetic(0, days=0, config=SyntheticConfig())
