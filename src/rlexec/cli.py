@@ -10,7 +10,10 @@ the user's raw depth CSV once and writes `ingest_meta.json`, with that file's
 sha256, and `bars.npz`, its tau-second bars as the columns of one `Bars`
 table. With data = synthetic it writes the generated store `snapshots.csv`,
 the readable export, reads it back the way it reads a raw file, and writes
-the same two files for it. Calibrate, train and backtest load `bars.npz` and
+the same two files for it. On Linux, `ingest_csv` parses a file of 2 MiB or
+more that holds no `"` in byte ranges, one per usable CPU but at most one
+per MiB, each range after the first in a forked child; its result is the
+one-range parse's, byte for byte. Calibrate, train and backtest load `bars.npz` and
 never open a depth CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
 source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
 no aggregation gives, is a data error. The config's order side and bar length

@@ -139,11 +139,15 @@ _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    """The key = value pairs of a config file, which may start with a UTF-8
+    byte-order mark. A key that sets a field an earlier line set, under its
+    own name or an alias, is a ConfigError naming both lines."""
     try:
-        content = Path(path).read_text(encoding="utf-8")
+        content = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, str] = {}
+    first: dict[str, tuple[str, int]] = {}  # per field, the key and line that set it
     for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -151,7 +155,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = text.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        name = _KEY_ALIASES.get(key, key)
+        if name in first:
+            earlier, earlier_line = first[name]
+            raise ConfigError(f"{path}: key {key!r} on line {lineno} repeats {earlier!r} on line {earlier_line}")
+        first[name] = (key, lineno)
+        raw[key] = value.strip()
     return raw
 
 

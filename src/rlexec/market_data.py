@@ -3,7 +3,8 @@
 Depth has one layout from CSV to bar: a row of 20 floats in the CSV's column
 order, sliced by BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES. Raw
 snapshots are one `BookFrame` (timestamps and a (rows, 20) array); ingestion
-validates every row with one vectorized check and tallies rejects per reason.
+validates every row `rlexec.depth_csv` parses with one vectorized check and
+tallies rejects per reason.
 
 Interval bars are one column table, `Bars`, from aggregation to execution:
 per bar its start epoch, its start's UTC offset, its snapshot count and its
@@ -19,10 +20,8 @@ substrate for book walks.
 
 from __future__ import annotations
 
-import csv
 import math
 import zipfile
-from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -292,13 +291,6 @@ class IngestResult:
     row_errors: Counter
 
 
-def _parse_timestamp(raw: str) -> datetime:
-    ts = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        raise ValueError("naive timestamp")
-    return ts
-
-
 def ingest_csv(path: str | Path) -> IngestResult:
     """Read a DEPTH_CSV_COLUMNS file into validated snapshots sorted by timestamp.
 
@@ -308,52 +300,33 @@ def ingest_csv(path: str | Path) -> IngestResult:
     then BOOK_CHECKS in order. A file with a bad header, zero valid rows, a
     line the csv module cannot split (such as a field over
     csv.field_size_limit()) or bytes that are not UTF-8 is a ValueError
-    naming `path`.
+    naming `path`; with several such lines, the first in file order.
+
+    `rlexec.depth_csv.parse` reads the rows. On Linux it parses a file of
+    2 MiB or more without a `"` byte as byte ranges that each start a line,
+    one per usable CPU but at most one per MiB, each range after the first
+    in a forked child. The rows are joined in file order before the checks
+    and the sort, so the result is the one-range result. A decode error's
+    position counts within its range's decode chunk.
     """
+    from .depth_csv import parse  # here: the stages that load bars.npz never load the parser
+
     path = Path(path)
-    stamps: list[datetime] = []
-    flat = array("d")  # the parsed rows' depth cells, row after row
-    errors: Counter = Counter()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, no header")
-            header = [cell.strip() for cell in header]
-            if header != list(DEPTH_CSV_COLUMNS):
-                raise ValueError(f"{path}: malformed header {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(DEPTH_CSV_COLUMNS):
-                    errors["wrong column count"] += 1
-                    continue
-                mark = len(flat)
-                try:
-                    ts = _parse_timestamp(row[0])
-                    flat.extend(map(float, row[1:]))
-                except ValueError:
-                    del flat[mark:]
-                    errors["unparseable row"] += 1
-                    continue
-                stamps.append(ts)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    stamps, flat, errors = parse(path)
     values = np.frombuffer(flat, dtype=float).reshape(len(stamps), 4 * N_LEVELS)
-    finite = np.isfinite(values).all(axis=1)
     # a row with a non-finite cell is unparseable, whatever its book checks say
     reasons = (*BOOK_CHECKS, "unparseable row")
-    failure = np.full(len(stamps), len(BOOK_CHECKS))
-    failure[finite] = first_book_failure(values[finite])
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row's order check
+        failure = first_book_failure(values)
+    failure[~np.isfinite(values).all(axis=1)] = len(BOOK_CHECKS)
     for code, count in zip(*np.unique(failure[failure >= 0], return_counts=True)):
         errors[reasons[code]] += int(count)
     kept = sorted(np.flatnonzero(failure < 0).tolist(), key=stamps.__getitem__)
     if not kept:
         raise ValueError(f"{path}: no valid rows")
-    frame = BookFrame(timestamps=[stamps[k] for k in kept], values=values[kept])
+    kept_values = values[kept]
+    del values, flat  # the parse buffer, before BookFrame checks its copy of the kept rows
+    frame = BookFrame(timestamps=[stamps[k] for k in kept], values=kept_values)
     return IngestResult(snapshots=frame, rejected_rows=sum(errors.values()), row_errors=errors)
 
 

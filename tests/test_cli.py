@@ -147,13 +147,15 @@ def error_of(capsys) -> dict:
 
 def test_no_stage_imports_numpy_ma(tmp_path):
     # np.median and a plain np.unique import numpy.ma on their first call,
-    # about 15 ms of a stage's process
+    # about 15 ms of a stage's process; ingest's parse parts fork with
+    # os.fork, without the import of a process pool
     script = (
         "import json, sys\n"
         "from rlexec import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0, argv[0]\n"
-        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+        "    for module in ('numpy.ma', 'multiprocessing', 'concurrent.futures'):\n"
+        "        assert module not in sys.modules, (argv[0], module)\n"
     )
     stages = json.dumps([args(stage, tmp_path / "out") for stage in STAGES])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -203,6 +205,9 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
         ("lambda = -0.001", "lambda must be >= 0"),
         ("days = 0", "days must be >= 1"),
         ("seed = -1", "seed must be >= 0"),
+        # a key given twice, under its own name or an alias, names both lines
+        ("T = 4\nT = 8", "exp.cfg: key 'T' on line 3 repeats 'T' on line 2"),
+        ("lambda = 0.5\nlam = 0.25", "exp.cfg: key 'lam' on line 3 repeats 'lambda' on line 2"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, line, message):
@@ -236,6 +241,15 @@ def test_non_finite_or_runaway_value_exits_2(tmp_path, capsys, flag, value, mess
     error = error_of(capsys)
     assert error["error"] == "config-error"
     assert message in error["message"]
+
+
+def test_config_file_with_a_byte_order_mark_loads(tmp_path, monkeypatch):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(f"split = {SPLIT}\nT = 6\n".encode("utf-8-sig"))
+    seen = []
+    monkeypatch.setitem(cli._STAGES, "train", seen.append)
+    assert cli.main(["train", "--config", str(path)]) == 0
+    assert [(cfg.split, cfg.T) for cfg in seen] == [(SPLIT, 6)]
 
 
 def test_config_file_that_is_not_utf_8_exits_2_naming_it(tmp_path, capsys):

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import math
+import os
+import sys
 import warnings
 import zipfile
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, time, timedelta, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlexec import depth_csv
 from rlexec.almgren_chriss import calibrate
 from rlexec.cli import _load_split
 from rlexec.config import ExperimentConfig
@@ -54,6 +60,9 @@ from rlexec.market_data import (
 )
 
 from conftest import T0, make_bar_sequence, make_bars, make_frame, make_row
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from rawcsv import DEFECTS  # noqa: E402
 
 HEADER = ",".join(DEPTH_CSV_COLUMNS)
 
@@ -236,6 +245,159 @@ class TestIngest:
         write_snapshots_csv(path, generate_synthetic(7, 2, SyntheticConfig()))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "80fa0aa904dac9a68116d28147f4edac93dc7e57a4bedc77e98780d793f88d44"
+
+
+@contextmanager
+def parse_parts(cpus: int, part_bytes: int, scan_bytes: int = 1 << 16):
+    """ingest_csv splits a file of `part_bytes` or more on `cpus` usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_csv, "_PART_BYTES", part_bytes)
+        patch.setattr(depth_csv, "_SCAN_BYTES", scan_bytes)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield
+
+
+def ingest_outcome(path):
+    """What ingest_csv gives for `path`: its rows, timestamps as written
+    (datetimes of one instant in two zones compare equal), values as bytes
+    and the reject tally, or its ValueError's text."""
+    try:
+        result = ingest_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    frame = result.snapshots
+    return [ts.isoformat() for ts in frame.timestamps], frame.values.tobytes(), result.row_errors
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@st.composite
+def raw_depth_files(draw) -> bytes:
+    """Raw depth CSV: rows at unsorted times in a few zones, each clean or
+    with one perfbench defect, blank lines, and LF, CRLF or CR line ends."""
+    lines = [HEADER]
+    for second in draw(st.lists(st.integers(0, 7200), min_size=1, max_size=40)):
+        zone = draw(st.sampled_from(["+00:00", "Z", "+02:00"]))
+        cells = row((datetime(2024, 3, 4, 9, tzinfo=timezone.utc) + timedelta(seconds=second)).isoformat()).split(",")
+        cells[0] = cells[0].replace("+00:00", zone)
+        defect = draw(st.sampled_from([None, *DEFECTS]))
+        if defect is not None:
+            defect(cells)
+        lines.append(",".join(cells))
+        lines += [""] * draw(st.integers(0, 1))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return text.encode("utf-8")
+
+
+class TestIngestParts:
+    """A file parsed in byte ranges, the first here and each other in a
+    forked child, gives what one range gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_depth_files(), st.integers(2, 6), st.integers(16, 512), st.integers(1, 64))
+    def test_split_parse_is_the_one_range_parse(self, tmp_path_factory, raw, cpus, part_bytes, scan_bytes):
+        path = tmp_path_factory.mktemp("parts") / "raw.csv"
+        path.write_bytes(raw)
+        one_range = ingest_outcome(path)
+        with parse_parts(cpus, part_bytes, scan_bytes):
+            ranges = depth_csv._byte_ranges(path)
+            split = ingest_outcome(path)
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(raw)
+        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+        assert all(raw[start - 1 : start] in (b"\n", b"\r") and raw[start - 1 : start + 1] != b"\r\n" for start, _ in ranges[1:])
+        assert split == one_range
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda line: b"9" * (csv.field_size_limit() + 1) + line, "line {line}: field larger than field limit"),
+            (lambda line: line[:30] + b"\0" + line[31:], None),  # csv splits a NUL: an unparseable row
+            (lambda line: line[:30] + b"\xff" + line[31:], "'utf-8' codec can't decode byte 0xff in position"),
+        ],
+        ids=["oversized-field", "nul-byte", "not-utf-8"],
+    )
+    def test_a_defect_in_the_last_range_reads_as_in_one_range(self, tmp_path, damage, message):
+        path = tmp_path / "raw.csv"
+        write_snapshots_csv(path, generate_synthetic(3, 2, SyntheticConfig()))
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = len(lines) - 20
+        lines[damaged] = damage(lines[damaged])
+        path.write_bytes(b"".join(lines))
+        one_range = ingest_outcome(path)
+        with parse_parts(cpus=2, part_bytes=1 << 16):
+            ranges = depth_csv._byte_ranges(path)
+            split = ingest_outcome(path)
+        assert len(ranges) == 2 and ranges[-1][0] < sum(map(len, lines[:damaged]))
+        if message is None:
+            assert split == one_range and one_range[2] == {"unparseable row": 1}
+        else:
+            # a decode error's position counts within its range's decode chunk
+            assert split.partition(" in position")[0] == one_range.partition(" in position")[0]
+            assert split.startswith(f"{path}: {message.format(line=damaged + 1)}")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: [b"time,stuff\n", *lines[1:]], "malformed header"),
+            (lambda lines: [lines[0], b"9" * (csv.field_size_limit() + 1) + lines[1], *lines[2:]], "line 2: field larger"),
+            (lambda lines: [lines[0], *(b"x\n" for _ in lines[1:])], "no valid rows"),
+        ],
+        ids=["bad-header", "oversized-field-in-range-0", "no-valid-rows"],
+    )
+    def test_no_child_outlives_a_failed_parse(self, tmp_path, damage, message):
+        path = tmp_path / "raw.csv"
+        write_snapshots_csv(path, generate_synthetic(3, 2, SyntheticConfig()))
+        path.write_bytes(b"".join(damage(path.read_bytes().splitlines(keepends=True))))
+        with parse_parts(cpus=4, part_bytes=1 << 12), pytest.raises(ValueError, match=message):
+            ingest_csv(path)
+        assert_no_child_left()
+
+    def test_no_child_outlives_an_interrupt_or_a_failed_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "raw.csv"
+        write_snapshots_csv(path, generate_synthetic(3, 2, SyntheticConfig()))
+        parent, parse_rows = os.getpid(), depth_csv._parse_rows
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_rows(*args)
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return parse_rows(*args)
+
+        with parse_parts(cpus=4, part_bytes=1 << 12):
+            monkeypatch.setattr(depth_csv, "_parse_rows", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                ingest_csv(path)
+            assert_no_child_left()
+            monkeypatch.setattr(depth_csv, "_parse_rows", child_dies)
+            with pytest.raises(ChildProcessError, match="ended with exit code 3"):
+                ingest_csv(path)
+            assert_no_child_left()
+
+    def test_a_file_with_a_quote_parses_without_a_fork(self, tmp_path, monkeypatch):
+        lines = [HEADER, *(row((T0 + timedelta(seconds=k)).isoformat()) for k in range(200))]
+        lines[100] = '"' + lines[100].replace(",", '",', 1)  # a quoted timestamp
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+        def no_fork():
+            raise AssertionError("forked on a file with a quote")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with parse_parts(cpus=4, part_bytes=64):
+            assert depth_csv._byte_ranges(path) == [(0, path.stat().st_size)]
+            result = ingest_csv(path)
+        assert len(result.snapshots) == 200 and result.rejected_rows == 0
+
 
 class TestAggregate:
     def test_single_snapshot_bar_equals_snapshot(self):
