@@ -34,55 +34,15 @@ reads back.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import ActionGrid
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _child_volume, _inventory_bucket, _walk_books, walk_book  # noqa: F401
 from .market_data import Bars, HistoricalDistribution, _load_npz, arrival_reference, state_buckets
-
-
-#: Most betas from_bounds builds; the Q table holds one value per beta and state.
-MAX_ACTIONS = 10_000
-#: Most cells (T x I x B x W x actions) a run's Q table may have. A cell takes
-#: 16 bytes of arrays and a 30-50 byte CSV export row: at the bound, 320 MB
-#: and up to 1 GB.
-MAX_QTABLE_CELLS = 20_000_000
-
-
-@dataclass(frozen=True)
-class ActionGrid:
-    """Strictly increasing, finite beta multipliers applied to the child volume."""
-
-    betas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.betas:
-            raise ValueError("empty action grid")
-        if not all(math.isfinite(b) for b in self.betas):
-            raise ValueError("non-finite beta")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("negative beta")
-        if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
-            raise ValueError("betas must be strictly increasing")
-
-    @classmethod
-    def from_bounds(cls, lower: float, upper: float, incr: float) -> "ActionGrid":
-        """lower, lower + incr, ... up to upper: at most MAX_ACTIONS betas,
-        checked before any is built."""
-        if incr <= 0 or upper < lower:
-            raise ValueError("bad beta bounds")
-        steps = (upper - lower) / incr
-        if not steps < MAX_ACTIONS - 0.5:  # also catches inf and nan
-            raise ValueError(f"beta grid from {lower!r} to {upper!r} by {incr!r} exceeds {MAX_ACTIONS} actions")
-        count = int(round(steps)) + 1
-        return cls(betas=tuple(lower + k * incr for k in range(count)))
-
-    def __len__(self) -> int:
-        return len(self.betas)
 
 
 @dataclass
@@ -272,12 +232,12 @@ def _period_reward(walk, reference: float, total: int) -> np.ndarray:
 # Q-table persistence: a CSV export to read, an .npz hand-off to load
 # ---------------------------------------------------------------------------
 
-#: The arrays of the hand-off, each with its dtype kind and shape over the
+#: The arrays of the hand-off, each with its dtype and shape over the
 #: table's dimensions.
 _QTABLE_ARRAYS = {
-    "values": ("f", ("T", "I", "B", "W", "A")),
-    "visits": ("i", ("T", "I", "B", "W", "A")),
-    "betas": ("f", ("A",)),
+    "values": ("float64", ("T", "I", "B", "W", "A")),
+    "visits": ("int64", ("T", "I", "B", "W", "A")),
+    "betas": ("float64", ("A",)),
 }
 
 
@@ -313,10 +273,15 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
 
 def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid]:
     """The table and action grid in the .npz hand-off `save_qtable` wrote;
-    the CSV export is never read back. A file `_load_npz` refuses, or betas
-    `ActionGrid` or arrays `QTable` refuses, is a ValueError naming `path`."""
+    the CSV export is never read back. A file `_load_npz` refuses, a
+    non-finite value or a negative visit count, or betas `ActionGrid` or
+    arrays `QTable` refuses, is a ValueError naming `path`."""
     arrays = _load_npz(path, _QTABLE_ARRAYS, "q-table")
     try:
+        if not np.isfinite(arrays["values"]).all():
+            raise ValueError("non-finite q value")  # np.argmax would take a NaN for the greedy action
+        if (arrays["visits"] < 0).any():
+            raise ValueError("negative visit count")
         q = QTable(values=arrays["values"], visit_counts=arrays["visits"])
         return q, ActionGrid(betas=tuple(arrays["betas"].tolist()))
     except ValueError as exc:

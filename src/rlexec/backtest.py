@@ -1,4 +1,4 @@
-"""The static and Q-modulated strategies over every test day, and the report.
+"""The static and Q-modulated strategies over every test day.
 
 Each test day supplies one window of bars at the configured hour: a row of
 the test bars indexed (days, periods) by day_windows. Both strategies are one
@@ -8,10 +8,10 @@ each day's live state. A day is skipped, with its reason, when it has no
 window, when a non-final bar's hour has no historical distribution to encode
 its state (adaptive only), or when its terminal order leaves shares
 unexecuted. Runs are scored by implementation shortfall and compared by
-medians and dispersion. Every run and report function takes the experiment
-as the pipeline's own `ExperimentConfig`: its hour, horizon, cap, reference
-and beta grid drive the runs, and its (V, T, I/B/W, H) key the report
-tables. The order side and the bar length are the test bars' own.
+medians and dispersion, which `rlexec.report` tabulates. Every run function
+takes the experiment as the pipeline's own `ExperimentConfig`: its hour,
+horizon, cap, reference and beta grid drive the runs. The order side and the
+bar length are the test bars' own.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .config import ExperimentConfig
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import ISRecord, execute_schedule, walk_book  # noqa: F401
 from .market_data import Bars, HistoricalDistribution, _median, arrival_reference, day_windows, state_buckets
-
-REPORT_HOURS = tuple(range(9, 17))
+from .report import ISStatistics
 
 
 @dataclass
@@ -93,21 +92,6 @@ def run_rl(
     return _strategy_runs(windows, skipped, records, reasons)
 
 
-@dataclass
-class ISStatistics:
-    """Paired per-day shortfalls with medians and dispersion for both models."""
-
-    dates: list[date]
-    ac_bps: list[float]
-    rl_bps: list[float]
-    median_ac: float
-    median_rl: float
-    median_improvement_pct: float | None
-    std_ac_pct: float
-    std_rl_pct: float
-    n_days: int
-
-
 def compare(ac: dict[date, ISRecord], rl: dict[date, ISRecord]) -> ISStatistics:
     """Pairwise statistics over the days both strategies completed.
 
@@ -126,15 +110,8 @@ def compare(ac: dict[date, ISRecord], rl: dict[date, ISRecord]) -> ISStatistics:
     if median_ac != 0.0:
         improvement = (median_rl - median_ac) / abs(median_ac) * 100.0
     return ISStatistics(
-        dates=common,
-        ac_bps=ac_bps,
-        rl_bps=rl_bps,
-        median_ac=median_ac,
-        median_rl=median_rl,
-        median_improvement_pct=improvement,
-        std_ac_pct=_std_pct(ac_bps),
-        std_rl_pct=_std_pct(rl_bps),
-        n_days=len(common),
+        dates=common, ac_bps=ac_bps, rl_bps=rl_bps, median_ac=median_ac, median_rl=median_rl,
+        median_improvement_pct=improvement, std_ac_pct=_std_pct(ac_bps), std_rl_pct=_std_pct(rl_bps), n_days=len(common),
     )
 
 
@@ -142,17 +119,6 @@ def _std_pct(bps: list[float]) -> float:
     if len(bps) < 2:
         return 0.0
     return float(np.std(bps, ddof=1)) / 100.0
-
-
-# ---------------------------------------------------------------------------
-# Report bundle
-# ---------------------------------------------------------------------------
-
-
-def _ibw_label(cfg: ExperimentConfig) -> str:
-    if cfg.I == cfg.B == cfg.W:
-        return str(cfg.I)
-    return f"{cfg.I}/{cfg.B}/{cfg.W}"
 
 
 def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[str, StrategyRuns]) -> None:
@@ -168,110 +134,5 @@ def write_runs_csv(path: str | Path, cfg: ExperimentConfig, runs_by_model: dict[
             runs = runs_by_model[model]
             for day in sorted(runs.records):
                 record = runs.records[day]
-                row = [
-                    f"{model}-{day.isoformat()}",
-                    day.isoformat(),
-                    cfg.H,
-                    model,
-                    repr(record.shortfall_bps),
-                ]
-                row += [repr(x) for x in record.executed.tolist()]
-                row += [repr(x) for x in record.vwap.tolist()]
-                writer.writerow(row)
-
-
-def write_report(
-    out_dir: str | Path,
-    entries: list[tuple[ExperimentConfig, ISStatistics]],
-    trace: list[tuple[int, float | None]],
-    config_echo: dict,
-) -> dict[str, Path]:
-    """Write table1.csv, table2.csv, and fig2_trace.csv under `out_dir`.
-
-    table1 pivots median-IS improvement over the hour dimension (all eight
-    session hours are emitted, blank when absent); table2 reports standard
-    deviations with an aggregate `average` row; the trace file lists the
-    correct-action fraction per tuple visit, skipping undefined points.
-    Ordering is deterministic, and the resolved config is embedded as comment
-    lines for provenance.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    comments = [f"# config {key}={config_echo[key]}" for key in sorted(config_echo)]
-
-    grouped: dict[tuple, dict[int, ISStatistics]] = {}
-    for cfg, stats in entries:
-        key = (cfg.V, cfg.T, _ibw_label(cfg))
-        grouped.setdefault(key, {})[cfg.H] = stats
-
-    def fmt(value: float | None) -> str:
-        return "NA" if value is None else f"{value:.4f}"
-
-    table1 = out_dir / "table1.csv"
-    with open(table1, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["V", "T", "IBW", *(str(h) for h in REPORT_HOURS), "average"])
-        for key in sorted(grouped):
-            by_hour = grouped[key]
-            cells = []
-            defined = []
-            for hour in REPORT_HOURS:
-                stats = by_hour.get(hour)
-                if stats is None:
-                    cells.append("")
-                    continue
-                cells.append(fmt(stats.median_improvement_pct))
-                if stats.median_improvement_pct is not None:
-                    defined.append(stats.median_improvement_pct)
-            average = fmt(float(np.mean(defined))) if defined else ""
-            writer.writerow([*key, *cells, average])
-
-    table2 = out_dir / "table2.csv"
-    with open(table2, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["V", "T", "IBW", "std_ac_pct", "std_rl_pct", "improvement_pct"])
-        col_ac: list[float] = []
-        col_rl: list[float] = []
-        col_imp: list[float] = []
-        for key in sorted(grouped):
-            stats_list = [grouped[key][h] for h in sorted(grouped[key])]
-            std_ac = float(np.mean([s.std_ac_pct for s in stats_list]))
-            std_rl = float(np.mean([s.std_rl_pct for s in stats_list]))
-            imps = [
-                s.median_improvement_pct
-                for s in stats_list
-                if s.median_improvement_pct is not None
-            ]
-            imp = float(np.mean(imps)) if imps else None
-            writer.writerow([*key, f"{std_ac:.4f}", f"{std_rl:.4f}", fmt(imp)])
-            col_ac.append(std_ac)
-            col_rl.append(std_rl)
-            if imp is not None:
-                col_imp.append(imp)
-        writer.writerow(
-            [
-                "average",
-                "",
-                "",
-                f"{float(np.mean(col_ac)):.4f}" if col_ac else "",
-                f"{float(np.mean(col_rl)):.4f}" if col_rl else "",
-                fmt(float(np.mean(col_imp))) if col_imp else "",
-            ]
-        )
-
-    fig2 = out_dir / "fig2_trace.csv"
-    with open(fig2, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["tuple_visit_index", "pct_correct_actions"])
-        for visit_index, fraction in trace:
-            if fraction is None:
-                continue  # undefined point: absent from the trace
-            writer.writerow([visit_index, f"{fraction:.6f}"])
-
-    return {"table1": table1, "table2": table2, "fig2_trace": fig2}
+                cells = [record.shortfall_bps, *record.executed.tolist(), *record.vwap.tolist()]
+                writer.writerow([f"{model}-{day.isoformat()}", day.isoformat(), cfg.H, model, *map(repr, cells)])

@@ -10,10 +10,7 @@ the user's raw depth CSV once and writes `ingest_meta.json`, with that file's
 sha256, and `bars.npz`, its tau-second bars as the columns of one `Bars`
 table. With data = synthetic it writes the generated store `snapshots.csv`,
 the readable export, reads it back the way it reads a raw file, and writes
-the same two files for it. On Linux, `ingest_csv` parses a file of 2 MiB or
-more that holds no `"` in byte ranges, one per usable CPU but at most one
-per MiB, each range after the first in a forked child; its result is the
-one-range parse's, byte for byte. Calibrate, train and backtest load `bars.npz` and
+the same two files for it. Calibrate, train and backtest load `bars.npz` and
 never open a depth CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
 source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
 no aggregation gives, is a data error. The config's order side and bar length
@@ -22,8 +19,19 @@ checks the file's tau against the config's and gives the bars the config's
 side. Train, at the agent's fixed harmonic learning rate, likewise writes
 `qtable.csv`, the readable export, and `qtable.npz`, the arrays backtest
 loads; backtest never opens `qtable.csv`.
-A JSON hand-off lacking a key, with a value of the wrong type, or with a
-trade list that does not plan V shares, is a data error as well.
+A hand-off that does not decode as UTF-8, a JSON hand-off lacking a key,
+with a value of the wrong type, a non-finite number or nesting too deep to
+parse, a trade list that does not plan V shares, or a malformed
+`train_trace.csv` line is a data error as well, naming the file.
+
+Each stage imports only the modules it runs, inside its `cmd_*` body:
+`import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and
+`rlexec.config`, which import no NumPy.
+- ingest: `market_data` and NumPy, and `depth_csv` to parse;
+- calibrate: `market_data`, `execution` and `almgren_chriss`;
+- train: `market_data`, `execution` and `agent`;
+- backtest: `market_data`, `execution`, `agent`, `backtest` and `report`;
+- report: `report` only, without NumPy.
 """
 
 from __future__ import annotations
@@ -35,36 +43,20 @@ import sys
 from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Callable, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, get_type_hints
 
-import numpy as np
-
-from .agent import QTable, load_qtable, save_qtable, train
-from .almgren_chriss import compute_trajectory, calibrate
-from .backtest import ISStatistics, compare, run_ac, run_rl, write_report, write_runs_csv
+# rlexec.cli.<name>, such as rlexec.cli.ingest_csv, resolves each name the package exports from its layer
+from . import __getattr__  # noqa: F401
 from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
-from .market_data import (
-    Bars,
-    IngestResult,
-    Side,
-    aggregate_intervals,
-    build_distributions,
-    day_windows,
-    generate_synthetic,
-    ingest_csv,
-    load_bars,
-    save_bars,
-    write_snapshots_csv,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .market_data import Bars, IngestResult
 
 
 class MissingArtifactError(FileNotFoundError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Stage artifacts
-# ---------------------------------------------------------------------------
 
 
 def _bars_path(cfg: ExperimentConfig) -> Path:
@@ -78,11 +70,19 @@ def _require(path: Path, producer: str) -> Path:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # finite, and within a float's range: the report formats every number as a float
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _is_count(value: Any) -> bool:
     return _is_number(value) and isinstance(value, int) and 0 <= value < 2**63
+
+
+def _is_iso_date(value: Any) -> bool:
+    try:
+        return bool(date.fromisoformat(value))
+    except (TypeError, ValueError):
+        return False
 
 
 def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -91,7 +91,8 @@ def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
 
 #: The JSON form of each type a hand-off value has, as (description, check):
 #: an int is a count, a non-negative integer within int64, a float is any
-#: number, and a date is an ISO date string. No bool passes for a number.
+#: finite number a float holds, and a date is an ISO date string. No bool
+#: passes for a number.
 _JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
     str: ("a string", lambda value: isinstance(value, str)),
     int: ("a non-negative integer", _is_count),
@@ -99,14 +100,18 @@ _JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
     float | None: ("a number or null", lambda value: value is None or _is_number(value)),
     list[int]: ("a list of non-negative integers", _list_of(_is_count)),
     list[float]: ("a list of numbers", _list_of(_is_number)),
-    list[date]: ("a list of ISO dates", _list_of(lambda value: isinstance(value, str))),
+    list[date]: ("a list of ISO dates", _list_of(_is_iso_date)),
 }
 
 
 def _load_json(path: Path, types: dict[str, Any]) -> dict:
-    """The JSON object in `path`, holding each key of `types` with a value
-    of that key's type in JSON form (_JSON_TYPES)."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    """The JSON object in `path`, with each key of `types` holding a value of
+    that key's type in JSON form (_JSON_TYPES); else, or for a file that is
+    not UTF-8 JSON or nests too deep to parse, a ValueError naming `path`."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
     missing = [key for key in types if key not in payload]
@@ -123,6 +128,8 @@ def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Pa
     """Write ingest_meta.json for the depth CSV at `source`, whose snapshots
     `result` holds, and bars.npz, those snapshots aggregated at the config's
     tau; both carry the sha256 of `source`."""
+    from .market_data import aggregate_intervals, save_bars
+
     with open(source, "rb") as fh:
         sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     meta = {
@@ -145,6 +152,8 @@ def cmd_ingest(cfg: ExperimentConfig) -> Path:
     # once, and no copy of its rows is written. Synthetic depth is written to
     # snapshots.csv, the generated frame is dropped, and the store is read
     # back through the validate-and-sort path a raw CSV takes.
+    from .market_data import generate_synthetic, ingest_csv, write_snapshots_csv
+
     if cfg.data == "csv":
         return _write_bars(cfg, Path(cfg.csv), ingest_csv(cfg.csv))
     cfg.out_dir().mkdir(parents=True, exist_ok=True)
@@ -156,6 +165,8 @@ def cmd_ingest(cfg: ExperimentConfig) -> Path:
 def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
     """The bars ingest wrote to bars.npz, split at the config's boundary:
     those starting before it train, the rest test. No depth CSV is read."""
+    from .market_data import Side, load_bars
+
     path = _require(_bars_path(cfg), "ingest")
     meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
     bars = load_bars(path, cfg.tau, meta["sha256"], Side(cfg.side))
@@ -170,18 +181,14 @@ def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
 
 def cmd_calibrate(cfg: ExperimentConfig) -> Path:
     """Fit sigma/eta on the training bars and write the trajectory."""
+    from .almgren_chriss import calibrate, compute_trajectory
+
     training, _ = _load_split(cfg)
     params = calibrate(training, cfg.lam, cfg.V, cfg.T)
     trajectory = compute_trajectory(params)
     payload = {
-        "sigma": params.sigma,
-        "eta": params.eta,
-        "rho": params.rho,
-        "lambda": params.lam,
-        "tau": params.tau,
-        "periods": params.periods,
-        "total_shares": params.total_shares,
-        "kappa": trajectory.kappa,
+        "sigma": params.sigma, "eta": params.eta, "rho": params.rho, "lambda": params.lam, "tau": params.tau,
+        "periods": params.periods, "total_shares": params.total_shares, "kappa": trajectory.kappa,
         "holdings": [float(x) for x in trajectory.holdings],
         "trades": [float(x) for x in trajectory.trades],
         "share_schedule": [int(x) for x in trajectory.share_schedule()],
@@ -193,6 +200,8 @@ def cmd_calibrate(cfg: ExperimentConfig) -> Path:
 
 def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
     """The trade list in params.json, which must plan the config's V shares."""
+    import numpy as np
+
     path = _require(cfg.out_dir() / "params.json", "calibrate")
     shares = _load_json(path, {"share_schedule": list[int]})["share_schedule"]
     total = sum(shares)  # Python ints, which cannot wrap
@@ -203,6 +212,9 @@ def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
 
 def cmd_train(cfg: ExperimentConfig) -> Path:
     """Sweep-train the Q table on the training windows."""
+    from .agent import QTable, save_qtable, train
+    from .market_data import build_distributions, day_windows
+
     training, _ = _load_split(cfg)
     schedule = _load_schedule(cfg)
     grid = cfg.grid()
@@ -226,6 +238,11 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
 
 def cmd_backtest(cfg: ExperimentConfig) -> Path:
     """Run both strategies over the test days and write records and stats."""
+    from .agent import load_qtable
+    from .backtest import compare, run_ac, run_rl, write_runs_csv
+    from .market_data import build_distributions
+    from .report import ISStatistics
+
     training, testing = _load_split(cfg)
     schedule = _load_schedule(cfg)
     q, grid = load_qtable(_require(cfg.out_dir() / "qtable.npz", "train"))
@@ -247,18 +264,40 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _load_trace(path: Path) -> list[tuple[int, float]]:
+    """The (tuple visits, correct-action fraction) rows of the train_trace.csv
+    at `path`, below its header. A line without exactly those two fields, or
+    with a visit count that is not an integer or a fraction that is not a
+    finite number, is a ValueError naming `path` and the line."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    trace: list[tuple[int, float]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != 2:
+                raise ValueError(f"{len(cells)} fields, not 2")
+            visit, fraction = int(cells[0]), float(cells[1])
+            if not abs(fraction) <= sys.float_info.max:
+                raise ValueError(f"non-finite fraction {cells[1]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        trace.append((visit, fraction))
+    return trace
+
+
 def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
     """Render the comparison tables and the training trace."""
+    from .report import ISStatistics, write_report
+
     types = get_type_hints(ISStatistics)
     payload = _load_json(_require(cfg.out_dir() / "stats.json", "backtest"), types)
     values = {name: payload[name] for name in types}
     values["dates"] = [date.fromisoformat(d) for d in values["dates"]]
     stats = ISStatistics(**values)
-    trace_path = _require(cfg.out_dir() / "train_trace.csv", "train")
-    trace: list[tuple[int, float | None]] = []
-    for line in trace_path.read_text(encoding="utf-8").splitlines()[1:]:
-        visit, fraction = line.split(",")
-        trace.append((int(visit), float(fraction)))
+    trace = _load_trace(_require(cfg.out_dir() / "train_trace.csv", "train"))
     echo = cfg.echo()
     paths = write_report(cfg.out_dir(), [(cfg, stats)], trace=trace, config_echo=echo)
     resolved = cfg.out_dir() / "resolved_config.txt"

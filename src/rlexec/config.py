@@ -4,6 +4,8 @@ An `ExperimentConfig` is one cell of the paper's Table 1 (V, T, hour H, state
 grid I/B/W, beta grid) plus its data source and engine knobs; every CLI stage
 and backtest function takes it. Each field with help text is also a
 command-line flag, and flags override the file (``#`` starts a comment).
+The module imports no NumPy: a stage resolves and validates its config,
+action grid and synthetic-store bound without loading it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,75 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
-from .agent import MAX_QTABLE_CELLS, ActionGrid
-from .market_data import SyntheticConfig, planted_regime_config, synthetic_rows
+if typing.TYPE_CHECKING:
+    from .market_data import SyntheticConfig
 
 
 class ConfigError(ValueError):
     pass
+
+
+#: Most betas from_bounds builds; the Q table holds one value per beta and state.
+MAX_ACTIONS = 10_000
+#: Most cells (T x I x B x W x actions) a run's Q table may have. A cell takes
+#: 16 bytes of arrays and a 30-50 byte CSV export row: at the bound, 320 MB
+#: and up to 1 GB.
+MAX_QTABLE_CELLS = 20_000_000
+
+
+@dataclass(frozen=True)
+class ActionGrid:
+    """Strictly increasing, finite beta multipliers applied to the child volume."""
+
+    betas: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.betas:
+            raise ValueError("empty action grid")
+        if not all(math.isfinite(b) for b in self.betas):
+            raise ValueError("non-finite beta")
+        if any(b < 0 for b in self.betas):
+            raise ValueError("negative beta")
+        if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
+            raise ValueError("betas must be strictly increasing")
+
+    @classmethod
+    def from_bounds(cls, lower: float, upper: float, incr: float) -> "ActionGrid":
+        """lower, lower + incr, ... up to upper: at most MAX_ACTIONS betas,
+        checked before any is built."""
+        if incr <= 0 or upper < lower:
+            raise ValueError("bad beta bounds")
+        steps = (upper - lower) / incr
+        if not steps < MAX_ACTIONS - 0.5:  # also catches inf and nan
+            raise ValueError(f"beta grid from {lower!r} to {upper!r} by {incr!r} exceeds {MAX_ACTIONS} actions")
+        count = int(round(steps)) + 1
+        return cls(betas=tuple(lower + k * incr for k in range(count)))
+
+    def __len__(self) -> int:
+        return len(self.betas)
+
+
+#: Synthetic days run one UTC session of SESSION_HOURS each, with
+#: SNAPSHOTS_PER_INTERVAL evenly spaced snapshots per tau-interval.
+SESSION_HOURS = range(9, 17)
+SNAPSHOTS_PER_INTERVAL = 5
+#: Most rows generate_synthetic builds. It allocates them all up front: per
+#: row the 20 float64 values, an 11-float draw buffer and the mid, 256 bytes,
+#: plus the row's datetime; no temporary it makes is as large as the values.
+MAX_SYNTHETIC_ROWS = 1_000_000
+
+
+def synthetic_rows(days: int, tau: float) -> int:
+    """Rows generate_synthetic builds for `days` days of `tau`-second bars,
+    checked against MAX_SYNTHETIC_ROWS before any row exists."""
+    per_hour = 3600.0 / tau  # inf for a subnormal tau, which round() refuses
+    per_hour = round(per_hour) if math.isfinite(per_hour) else per_hour
+    rows = days * len(SESSION_HOURS) * per_hour * SNAPSHOTS_PER_INTERVAL
+    if not rows <= MAX_SYNTHETIC_ROWS:  # also catches inf and nan
+        raise ValueError(
+            f"{days} days of {tau!r} s bars need {rows:,.0f} synthetic rows, more than {MAX_SYNTHETIC_ROWS:,}"
+        )
+    return rows
 
 
 _PRESETS = ("planted", "uniform")
@@ -116,6 +181,8 @@ class ExperimentConfig:
     def synthetic_config(self) -> SyntheticConfig:
         """The generator config of the preset, planted at this config's hour,
         for bars of its tau; every other generator setting is the preset's."""
+        from .market_data import SyntheticConfig, planted_regime_config  # here: only ingest generates
+
         cfg = planted_regime_config(self.H) if self.preset == "planted" else SyntheticConfig()
         cfg.tau = self.tau
         return cfg

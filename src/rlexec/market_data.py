@@ -32,6 +32,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .config import SESSION_HOURS, SNAPSHOTS_PER_INTERVAL, synthetic_rows
+
 N_LEVELS = 5
 
 #: Canonical depth CSV schema: timestamp, five bid (price, volume) pairs from
@@ -401,7 +403,7 @@ def _majority(group: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
     """The arrays `spec` names in the .npz file at `path`, each checked
-    against its dtype kind and shape, where a str is a named dimension that
+    against its exact dtype and shape, where a str is a named dimension that
     every array naming it shares. A member whose header declares more bytes
     than the file holds is refused before NumPy allocates them. A file that
     is not a readable .npz, lacks an array or has one of the wrong dtype or
@@ -428,26 +430,26 @@ def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: an array not saved as .npy
         raise ValueError(f"{path}: unreadable {what} file: {exc}") from None
     sizes: dict[str, int] = {}
-    for name, (kind, shape) in spec.items():
+    for name, (dtype, shape) in spec.items():
         array = arrays[name]
         for dim, length in zip(shape, array.shape):
             if isinstance(dim, str):
                 sizes.setdefault(dim, length)
-        if array.dtype.kind != kind or array.shape != tuple(sizes.get(dim, dim) for dim in shape):
+        if array.dtype != dtype or array.shape != tuple(sizes.get(dim, dim) for dim in shape):
             raise ValueError(f"{path}: array {name!r} has dtype {array.dtype} and shape {array.shape}")
     return arrays
 
 
-#: The arrays of a bars file, each with its dtype kind and shape over the
-#: bar count n: the columns of `Bars`, then the bar length and the sha256 of
-#: the source depth CSV the bars were aggregated from.
+#: The arrays of a bars file, each with its dtype and shape over the bar
+#: count n: the columns of `Bars`, then the bar length and the sha256 (64 hex
+#: digits) of the source depth CSV the bars were aggregated from.
 _BARS_ARRAYS = {
-    "start": ("f", ("n",)),
-    "utc_offset": ("f", ("n",)),
-    "n_snapshots": ("i", ("n",)),
-    "row": ("f", ("n", 4 * N_LEVELS)),
-    "tau": ("f", ()),
-    "source_sha256": ("U", ()),
+    "start": ("float64", ("n",)),
+    "utc_offset": ("float64", ("n",)),
+    "n_snapshots": ("int64", ("n",)),
+    "row": ("float64", ("n", 4 * N_LEVELS)),
+    "tau": ("float64", ()),
+    "source_sha256": ("U64", ()),
 }
 
 
@@ -566,15 +568,8 @@ class MixedRegime:
     lead_in: int = 0
 
 
-#: Synthetic days run from START_DAY, one UTC session of SESSION_HOURS each,
-#: with SNAPSHOTS_PER_INTERVAL evenly spaced snapshots per tau-interval.
+#: Synthetic days run from START_DAY, one UTC session of SESSION_HOURS each.
 START_DAY = date(2024, 1, 1)
-SESSION_HOURS = range(9, 17)
-SNAPSHOTS_PER_INTERVAL = 5
-#: Most rows generate_synthetic builds. It allocates them all up front: per
-#: row the 20 float64 values, an 11-float draw buffer and the mid, 256 bytes,
-#: plus the row's datetime; no temporary it makes is as large as the values.
-MAX_SYNTHETIC_ROWS = 1_000_000
 
 
 @dataclass
@@ -613,19 +608,6 @@ def planted_regime_config(hour: int) -> SyntheticConfig:
         default_regime=BookRegime(spread=0.16, level_volume=8000.0, level_step=0.08),
         mixed_hours={hour: MixedRegime(favorable, unfavorable, p_favorable=0.5, lead_in=1)},
     )
-
-
-def synthetic_rows(days: int, tau: float) -> int:
-    """Rows generate_synthetic builds for `days` days of `tau`-second bars,
-    checked against MAX_SYNTHETIC_ROWS before any row exists."""
-    per_hour = 3600.0 / tau  # inf for a subnormal tau, which round() refuses
-    per_hour = round(per_hour) if math.isfinite(per_hour) else per_hour
-    rows = days * len(SESSION_HOURS) * per_hour * SNAPSHOTS_PER_INTERVAL
-    if not rows <= MAX_SYNTHETIC_ROWS:  # also catches inf and nan
-        raise ValueError(
-            f"{days} days of {tau!r} s bars need {rows:,.0f} synthetic rows, more than {MAX_SYNTHETIC_ROWS:,}"
-        )
-    return rows
 
 
 def generate_synthetic(seed: int, days: int, config: SyntheticConfig) -> BookFrame:

@@ -22,7 +22,7 @@ from rlexec.agent import (
     train,
 )
 from rlexec.backtest import run_rl
-from rlexec.config import ExperimentConfig
+from rlexec.config import MAX_ACTIONS, ExperimentConfig
 from rlexec.execution import _child_volume, _inventory_bucket, _walk_books, execute_schedule
 from rlexec.market_data import (
     ASK_VOLUMES,
@@ -88,9 +88,9 @@ class TestActionGrid:
             ActionGrid(betas=(0.0, bad))
 
     def test_grid_size_is_checked_before_building(self):
-        assert len(ActionGrid.from_bounds(0.0, agent.MAX_ACTIONS - 1.0, 1.0)) == agent.MAX_ACTIONS
-        for bounds in [(0.0, float(agent.MAX_ACTIONS), 1.0), (0.0, 2.0, 1e-300), (0.0, float("inf"), 1.0)]:
-            with pytest.raises(ValueError, match=f"exceeds {agent.MAX_ACTIONS} actions"):
+        assert len(ActionGrid.from_bounds(0.0, MAX_ACTIONS - 1.0, 1.0)) == MAX_ACTIONS
+        for bounds in [(0.0, float(MAX_ACTIONS), 1.0), (0.0, 2.0, 1e-300), (0.0, float("inf"), 1.0)]:
+            with pytest.raises(ValueError, match=f"exceeds {MAX_ACTIONS} actions"):
                 ActionGrid.from_bounds(*bounds)
 
 

@@ -8,16 +8,11 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlexec.agent import QTable
-from rlexec.backtest import (
-    ISStatistics,
-    compare,
-    run_ac,
-    run_rl,
-    write_report,
-    write_runs_csv,
-)
+from rlexec.backtest import compare, run_ac, run_rl, write_runs_csv
 from rlexec.config import ExperimentConfig
 from rlexec.execution import ISRecord, walk_book
 from rlexec.market_data import (
@@ -28,6 +23,7 @@ from rlexec.market_data import (
     generate_synthetic,
     planted_regime_config,
 )
+from rlexec.report import ISStatistics, _mean, write_report
 
 from conftest import T0, make_bar_sequence
 
@@ -341,6 +337,20 @@ class TestReport:
         _, comments = read_csv(paths["table1"])
         assert "# config V=10000" in comments
         assert "# config seed=42" in comments
+
+    FLOATS = st.one_of(
+        st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0])
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(FLOATS, min_size=1, max_size=300), st.lists(FLOATS, min_size=129, max_size=300)))
+    @example([-0.0] * 3)
+    @example([-0.0] * 200)  # numpy's 8 running sums of -0.0 stay -0.0; the initial +0.0 clears the sign
+    def test_mean_is_np_mean_bit_for_bit(self, values):
+        # the averages the tables print were np.mean's: the same bits, signed zeros and overflow included
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.mean(values)
+        assert np.float64(_mean(values)).tobytes() == expected.tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
         entries = [(config(), stats_with(3.21))]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlexec import cli
+from rlexec import cli, market_data
 from rlexec.config import ExperimentConfig
 from rlexec.market_data import (
     ASK_PRICES,
@@ -145,21 +145,79 @@ def error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-def test_no_stage_imports_numpy_ma(tmp_path):
-    # np.median and a plain np.unique import numpy.ma on their first call,
-    # about 15 ms of a stage's process; ingest's parse parts fork with
-    # os.fork, without the import of a process pool
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh process holds after `from rlexec import cli` and
+    `cli.main(argv)`, or after the import alone when argv is empty."""
     script = (
         "import json, sys\n"
         "from rlexec import cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert cli.main(argv) == 0, argv[0]\n"
-        "    for module in ('numpy.ma', 'multiprocessing', 'concurrent.futures'):\n"
-        "        assert module not in sys.modules, (argv[0], module)\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        "except SystemExit as exc:  # --help\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    stages = json.dumps([args(stage, tmp_path / "out") for stage in STAGES])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", script, stages], env=env, check=True, timeout=300)
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, check=True, capture_output=True, text=True, timeout=300
+    )
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0, (argv, run.stderr)
+    return set(modules)
+
+
+#: The rlexec modules each stage's process loads, as the cli docstring lists them.
+STAGE_MODULES = {
+    "ingest": {"market_data", "depth_csv"},
+    "calibrate": {"market_data", "execution", "almgren_chriss"},
+    "train": {"market_data", "execution", "agent"},
+    "backtest": {"market_data", "execution", "agent", "backtest", "report"},
+    "report": {"report"},
+}
+
+
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
+    # np.median and a plain np.unique import numpy.ma on their first call,
+    # about 15 ms of a stage's process; ingest's parse parts fork with
+    # os.fork, without the import of a process pool
+    never = {"numpy.ma", "multiprocessing", "concurrent.futures"}
+    for argv in ((), ("--help",), ("train", "--help")):
+        modules = loaded_modules(*argv)
+        assert {m for m in modules if m.startswith("rlexec")} == {"rlexec", "rlexec.cli", "rlexec.config"}, argv
+        assert "numpy" not in modules, argv
+    for stage in STAGES:
+        modules = loaded_modules(*args(stage, tmp_path / "out"))
+        expected = {"rlexec", "rlexec.cli", "rlexec.config", *(f"rlexec.{name}" for name in STAGE_MODULES[stage])}
+        assert {m for m in modules if m.startswith("rlexec")} == expected, stage
+        assert ("numpy" in modules) == (stage != "report"), stage
+        assert not modules & never, stage
+
+
+#: Every name the package exported when it imported all its layers up front.
+PACKAGE_EXPORTS = (
+    "ACParams ACTrajectory ActionGrid Bars BookFrame BookRegime ExperimentConfig Fill HistoricalDistribution "
+    "ISRecord ISStatistics IngestResult MixedRegime QTable Side StrategyRuns SyntheticConfig TrainingResult "
+    "aggregate_intervals arrival_reference bucket_of build_distributions calibrate compare compute_kappa "
+    "compute_trajectory correct_action_fraction day_windows execute_schedule extract_policy fit_temporary_impact "
+    "generate_synthetic implementation_shortfall ingest_csv load_bars load_qtable planted_regime_config q_update "
+    "run_ac run_rl save_bars save_qtable state_buckets train walk_book write_report write_runs_csv "
+    "write_snapshots_csv"
+).split()
+
+
+def test_every_exported_name_resolves_to_the_object_its_layer_defines():
+    import rlexec
+
+    assert rlexec.__version__ == "0.1.0"
+    assert rlexec.__all__ == sorted(PACKAGE_EXPORTS)
+    for name in PACKAGE_EXPORTS:
+        value = getattr(rlexec, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert value.__module__.startswith("rlexec."), name
+        assert getattr(cli, name) is value, name  # rlexec.cli bound them too
+    for module in (rlexec, cli):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name
 
 
 def test_every_stage_has_the_same_flags():
@@ -289,7 +347,7 @@ def test_runaway_synthetic_store_is_refused_before_generation(tmp_path, capsys, 
     def generate(*_):
         raise AssertionError("generated a store the config refuses")
 
-    monkeypatch.setattr(cli, "generate_synthetic", generate)
+    monkeypatch.setattr(market_data, "generate_synthetic", generate)
     assert cli.main(args("ingest", tmp_path / "out", "--days", "1000000000")) == 2
     assert error_of(capsys)["error"] == "config-error"
     assert not (tmp_path / "out").exists()
@@ -401,6 +459,39 @@ def write_json(value):
     return damage
 
 
+def write_bytes(data: bytes):
+    def damage(path):
+        path.write_bytes(data)
+
+    return damage
+
+
+def append_bytes(data: bytes):
+    def damage(path):
+        path.write_bytes(path.read_bytes() + data)
+
+    return damage
+
+
+def as_float32(name: str):
+    def damage(path):
+        with np.load(path, allow_pickle=False) as npz:
+            array = npz[name].astype(np.float32)
+        rewrite_arrays(**{name: array})(path)
+
+    return damage
+
+
+def set_raw_number(key: str, text: str):
+    """Give `key` the JSON number `text`, which json.dumps never writes."""
+
+    def damage(path):
+        set_key(key, "@")(path)
+        path.write_text(path.read_text(encoding="utf-8").replace('"@"', text), encoding="utf-8")
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "stage, artifact, damage, extra, message",
     [
@@ -456,6 +547,60 @@ def write_json(value):
         ("calibrate", "bars.npz", set_cell("start", 0, -1e300), (), "bar 0: start outside the datetime range"),
         ("train", "params.json", set_key("share_schedule", [2**62] * 4), (), "plans 18446744073709551616 shares, not V = 10000"),
         ("backtest", "params.json", set_key("share_schedule", [3000, 3000, 3000, 3001]), (), "plans 12001 shares, not V = 10000"),
+        pytest.param(
+            "report", "stats.json", set_key("median_ac", float("nan")), (), "'median_ac' is not a number", id="nan"
+        ),
+        pytest.param(
+            "report", "stats.json", set_key("std_rl_pct", float("-inf")), (), "'std_rl_pct' is not a number",
+            id="infinity",
+        ),
+        pytest.param(
+            "report", "stats.json", set_raw_number("median_rl", "1e999"), (), "'median_rl' is not a number", id="1e999"
+        ),
+        pytest.param(
+            "report", "stats.json", set_key("median_improvement_pct", 10**400), (),
+            "'median_improvement_pct' is not a number or null", id="int-beyond-float",
+        ),
+        pytest.param(
+            "train", "params.json", write_bytes(b"[" * 100_000), (), "maximum recursion depth exceeded",
+            id="deep-nesting",
+        ),
+        pytest.param(
+            "calibrate", "ingest_meta.json", write_bytes(b'{"sha256": "\xff"}'), (), "'utf-8' codec can't decode",
+            id="non-utf8-json",
+        ),
+        pytest.param(
+            "report", "train_trace.csv", append_bytes(b"5,0.\xff\n"), (), "'utf-8' codec can't decode",
+            id="non-utf8-trace",
+        ),
+        pytest.param(
+            "report", "stats.json", set_key("dates", lambda dates: [*dates[:-1], "2024-02-30"]), (),
+            "'dates' is not a list of ISO dates", id="bad-iso-date",
+        ),
+        # the fixture's trace has a header and 3 rows, so the appended row is line 5
+        pytest.param(
+            "report", "train_trace.csv", append_bytes(b"5,0.5,1\n"), (), "train_trace.csv: line 5: 3 fields, not 2",
+            id="trace-field-count",
+        ),
+        pytest.param(
+            "report", "train_trace.csv", append_bytes(b"5,half\n"), (),
+            "train_trace.csv: line 5: could not convert string to float: 'half'", id="trace-bad-number",
+        ),
+        pytest.param(
+            "report", "train_trace.csv", append_bytes(b"5,nan\n"), (),
+            "train_trace.csv: line 5: non-finite fraction 'nan'", id="trace-nan",
+        ),
+        pytest.param(
+            "backtest", "qtable.npz", set_cell("values", (1, 0, 1, 1, 4), np.nan), (), "non-finite q value",
+            id="nan-q-value",
+        ),
+        pytest.param(
+            "backtest", "qtable.npz", set_cell("visits", (0, 1, 0, 0, 2), -1), (), "negative visit count",
+            id="negative-visits",
+        ),
+        pytest.param(
+            "calibrate", "bars.npz", as_float32("start"), (), "array 'start' has dtype float32", id="float32-bars"
+        ),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -468,7 +613,7 @@ def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stag
     assert error["error"] == "data-error"
     assert message in error["message"]
     if artifact is not None:
-        assert artifact in error["message"]
+        assert error["message"].startswith(f"{out / artifact}: ")
 
 
 def test_missing_qtable_npz_exits_4(pipeline, tmp_path, capsys):
@@ -513,13 +658,13 @@ def test_only_ingest_parses_depth_csv(tmp_path, monkeypatch, data):
         write_snapshots_csv(source, generate_synthetic(3, 6, SyntheticConfig()))
         extra = ("--data", "csv", "--csv", str(source))
     parses = []
-    ingest_csv = cli.ingest_csv
+    ingest_csv = market_data.ingest_csv
 
     def counted(path):
         parses.append(path)
         return ingest_csv(path)
 
-    monkeypatch.setattr(cli, "ingest_csv", counted)
+    monkeypatch.setattr(market_data, "ingest_csv", counted)
     calls = {}
     for stage in STAGES:
         before = len(parses)
