@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ActionGrid
+from .config import HANDOFFS, ActionGrid
 # walk_book stays bound here, unused: perfbench/tests/test_bench_tracer.py reaches it through this binding
 from .execution import _child_volume, _inventory_bucket, _walk_books, walk_book  # noqa: F401
 from .market_data import Bars, HistoricalDistribution, _load_npz, arrival_reference, state_buckets
@@ -232,15 +232,6 @@ def _period_reward(walk, reference: float, total: int) -> np.ndarray:
 # Q-table persistence: a CSV export to read, an .npz hand-off to load
 # ---------------------------------------------------------------------------
 
-#: The arrays of the hand-off, each with its dtype and shape over the
-#: table's dimensions.
-_QTABLE_ARRAYS = {
-    "values": ("float64", ("T", "I", "B", "W", "A")),
-    "visits": ("int64", ("T", "I", "B", "W", "A")),
-    "betas": ("float64", ("A",)),
-}
-
-
 def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
     """Write the table to `path` as the export, a versioned CSV with one row
     per cell and every float's repr, and beside it, with suffix .npz, as the
@@ -271,18 +262,13 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
     np.savez(Path(path).with_suffix(".npz"), values=q.values, visits=q.visit_counts, betas=np.asarray(grid.betas))
 
 
-def load_qtable(path: str | Path) -> tuple[QTable, ActionGrid]:
-    """The table and action grid in the .npz hand-off `save_qtable` wrote;
-    the CSV export is never read back. A file `_load_npz` refuses, a
-    non-finite value or a negative visit count, or betas `ActionGrid` or
-    arrays `QTable` refuses, is a ValueError naming `path`."""
-    arrays = _load_npz(path, _QTABLE_ARRAYS, "q-table")
+def load_qtable(path: str | Path, dims: dict[str, int]) -> tuple[QTable, ActionGrid]:
+    """The table and action grid in the .npz hand-off `save_qtable` wrote,
+    of the dimensions `dims` (see `ExperimentConfig.dims`). A file `_load_npz`
+    refuses under `HANDOFFS`, or betas `ActionGrid` or arrays `QTable`
+    refuses, is a ValueError naming `path`."""
+    arrays = _load_npz(path, HANDOFFS["qtable.npz"].fields, dims)
     try:
-        if not np.isfinite(arrays["values"]).all():
-            raise ValueError("non-finite q value")  # np.argmax would take a NaN for the greedy action
-        if (arrays["visits"] < 0).any():
-            raise ValueError("negative visit count")
-        q = QTable(values=arrays["values"], visit_counts=arrays["visits"])
-        return q, ActionGrid(betas=tuple(arrays["betas"].tolist()))
+        return QTable(arrays["values"], arrays["visits"]), ActionGrid(tuple(arrays["betas"].tolist()))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

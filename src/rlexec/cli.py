@@ -5,24 +5,14 @@ its own, so runs are resumable and, given a fixed seed, byte-identical. Every
 stage takes the same `ExperimentConfig` (see `rlexec.config`): a key = value
 file, overridden by command-line flags named after the model parameters.
 
-Ingest is the only stage that parses depth CSV. With data = csv it parses
-the user's raw depth CSV once and writes `ingest_meta.json`, with that file's
-sha256, and `bars.npz`, its tau-second bars as the columns of one `Bars`
-table. With data = synthetic it writes the generated store `snapshots.csv`,
-the readable export, reads it back the way it reads a raw file, and writes
-the same two files for it. Calibrate, train and backtest load `bars.npz` and
-never open a depth CSV; the split is a mask on the bar starts. A `bars.npz` of another tau, of a
-source depth CSV other than the one `ingest_meta.json` hashes, or with a bar
-no aggregation gives, is a data error. The config's order side and bar length
-reach calibrate, train and backtest only through the loaded `Bars`: `load_bars`
-checks the file's tau against the config's and gives the bars the config's
-side. Train, at the agent's fixed harmonic learning rate, likewise writes
-`qtable.csv`, the readable export, and `qtable.npz`, the arrays backtest
-loads; backtest never opens `qtable.csv`.
-A hand-off that does not decode as UTF-8, a JSON hand-off lacking a key,
-with a value of the wrong type, a non-finite number or nesting too deep to
-parse, a trade list that does not plan V shares, or a malformed
-`train_trace.csv` line is a data error as well, naming the file.
+Ingest is the only stage that parses depth CSV: the user's raw file with
+data = csv, else the generated store it writes to `snapshots.csv`, the
+readable export. It writes `ingest_meta.json`, with that file's sha256, and
+`bars.npz`, its tau-second bars as the columns of one `Bars` table, which
+calibrate, train and backtest load; the split is a mask on the bar starts.
+Train writes `qtable.csv`, the readable export, and `qtable.npz`, the arrays
+backtest loads. `config.HANDOFFS` declares each file one stage hands another:
+a file its readers refuse is a data error naming the file.
 
 Each stage imports only the modules it runs, inside its `cmd_*` body:
 `import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and
@@ -40,14 +30,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, get_type_hints
+from typing import TYPE_CHECKING, Any
 
 # rlexec.cli.<name>, such as rlexec.cli.ingest_csv, resolves each name the package exports from its layer
 from . import __getattr__  # noqa: F401
-from .config import ConfigError, ExperimentConfig, add_flags, join_negative_values, load_config
+from .config import HANDOFFS, ConfigError, ExperimentConfig, Field, add_flags, join_negative_values, load_config
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,69 +48,62 @@ class MissingArtifactError(FileNotFoundError):
     pass
 
 
-def _bars_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir() / "bars.npz"
-
-
-def _require(path: Path, producer: str) -> Path:
+def _require(cfg: ExperimentConfig, name: str) -> Path:
+    """The path of hand-off `name` in the output directory, which must exist."""
+    path = cfg.out_dir() / name
     if not path.exists():
-        raise MissingArtifactError(f"{path} missing; run `rlexec {producer}` first")
+        raise MissingArtifactError(f"{path} missing; run `rlexec {HANDOFFS[name].writer}` first")
     return path
 
 
-def _is_number(value: Any) -> bool:
-    # finite, and within a float's range: the report formats every number as a float
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+def _fits(field: Field, value: Any) -> bool:
+    """Whether one JSON value is of `field`'s kind and range. No bool passes
+    for a number, nor an int no float holds for a float64."""
+    if field.kind == "int64":
+        ok = isinstance(value, int) and -(2**63) <= value < 2**63
+    elif field.kind == "float64":  # NaN and the infinities only where not finite
+        ok = isinstance(value, (int, float))
+        ok = ok and (abs(value) <= sys.float_info.max or isinstance(value, float) and not field.finite)
+    else:
+        try:
+            ok = isinstance(value, str) and (field.kind == "str" or bool(date.fromisoformat(value)))
+        except ValueError:
+            ok = False
+    ok = ok and not isinstance(value, bool) and (field.low is None or value >= field.low)
+    return ok or value is None and field.null
 
 
-def _is_count(value: Any) -> bool:
-    return _is_number(value) and isinstance(value, int) and 0 <= value < 2**63
+def _noun(field: Field) -> str:
+    noun = {"float64": "number", "int64": "integer", "str": "string", "date": "ISO date"}[field.kind]
+    return noun if field.low is None else f"non-negative {noun}"
 
 
-def _is_iso_date(value: Any) -> bool:
-    try:
-        return bool(date.fromisoformat(value))
-    except (TypeError, ValueError):
-        return False
-
-
-def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-#: The JSON form of each type a hand-off value has, as (description, check):
-#: an int is a count, a non-negative integer within int64, a float is any
-#: finite number a float holds, and a date is an ISO date string. No bool
-#: passes for a number.
-_JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
-    str: ("a string", lambda value: isinstance(value, str)),
-    int: ("a non-negative integer", _is_count),
-    float: ("a number", _is_number),
-    float | None: ("a number or null", lambda value: value is None or _is_number(value)),
-    list[int]: ("a list of non-negative integers", _list_of(_is_count)),
-    list[float]: ("a list of numbers", _list_of(_is_number)),
-    list[date]: ("a list of ISO dates", _list_of(_is_iso_date)),
-}
-
-
-def _load_json(path: Path, types: dict[str, Any]) -> dict:
-    """The JSON object in `path`, with each key of `types` holding a value of
-    that key's type in JSON form (_JSON_TYPES); else, or for a file that is
-    not UTF-8 JSON or nests too deep to parse, a ValueError naming `path`."""
+def _load_json(cfg: ExperimentConfig, name: str) -> dict:
+    """The JSON object in hand-off `name`, each field `HANDOFFS` declares for
+    it of a length and values `_fits` passes; else, or for a file that is not
+    UTF-8 JSON or nests too deep to parse, a ValueError naming the file."""
+    path = _require(cfg, name)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
-    missing = [key for key in types if key not in payload]
+    fields = HANDOFFS[name].fields
+    missing = [key for key in fields if key not in payload]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    for key, hint in types.items():
-        description, check = _JSON_TYPES[hint]
-        if not check(payload[key]):
-            raise ValueError(f"{path}: {key!r} is not {description}")
-    return payload
+    sizes = cfg.dims()
+    for key, field in fields.items():
+        value = payload[key]
+        fits = isinstance(value, list) and all(_fits(field, v) for v in value) if field.shape else _fits(field, value)
+        if not fits:
+            kind = f"a list of {_noun(field)}s" if field.shape else f"a {_noun(field)}" + " or null" * field.null
+            raise ValueError(f"{path}: {key!r} is not {kind}")
+        if field.shape and field.bind((len(value),), sizes) != (len(value),):
+            dim = field.shape[0]
+            raise ValueError(f"{path}: {key!r} has {len(value)} entries, not {dim} = {sizes[dim]}")
+    return {key: payload[key] for key in fields}
 
 
 def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Path:
@@ -140,7 +122,7 @@ def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Pa
     }
     cfg.out_dir().mkdir(parents=True, exist_ok=True)
     (cfg.out_dir() / "ingest_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-    path = _bars_path(cfg)
+    path = cfg.out_dir() / "bars.npz"
     save_bars(path, aggregate_intervals(result.snapshots, cfg.tau), sha256)
     return path
 
@@ -167,9 +149,8 @@ def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
     those starting before it train, the rest test. No depth CSV is read."""
     from .market_data import Side, load_bars
 
-    path = _require(_bars_path(cfg), "ingest")
-    meta = _load_json(_require(cfg.out_dir() / "ingest_meta.json", "ingest"), {"sha256": str})
-    bars = load_bars(path, cfg.tau, meta["sha256"], Side(cfg.side))
+    path = _require(cfg, "bars.npz")
+    bars = load_bars(path, cfg.tau, _load_json(cfg, "ingest_meta.json")["sha256"], Side(cfg.side))
     boundary = (cfg.split_datetime() - datetime.fromtimestamp(0, timezone.utc)) // timedelta(microseconds=1)
     training = bars.start_us < boundary
     if not training.any():
@@ -202,11 +183,10 @@ def _load_schedule(cfg: ExperimentConfig) -> np.ndarray:
     """The trade list in params.json, which must plan the config's V shares."""
     import numpy as np
 
-    path = _require(cfg.out_dir() / "params.json", "calibrate")
-    shares = _load_json(path, {"share_schedule": list[int]})["share_schedule"]
+    shares = _load_json(cfg, "params.json")["share_schedule"]
     total = sum(shares)  # Python ints, which cannot wrap
     if total != cfg.V:
-        raise ValueError(f"{path}: share_schedule plans {total} shares, not V = {cfg.V}")
+        raise ValueError(f"{cfg.out_dir() / 'params.json'}: share_schedule plans {total} shares, not V = {cfg.V}")
     return np.asarray(shares, dtype=np.int64)
 
 
@@ -226,13 +206,8 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     result = train(q, episodes, schedule, grid, dists, cap=cfg.cap, reference_kind=cfg.reference)
     path = cfg.out_dir() / "qtable.csv"
     save_qtable(path, q, grid)  # and qtable.npz, which backtest loads
-    trace_path = cfg.out_dir() / "train_trace.csv"
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("tuple_visit_index,pct_correct_actions\n")
-        for visit, fraction in result.trace:
-            if fraction is None:
-                continue
-            fh.write(f"{visit},{fraction:.6f}\n")
+    rows = [",".join(HANDOFFS["train_trace.csv"].fields), *(f"{v},{f:.6f}" for v, f in result.trace if f is not None)]
+    (cfg.out_dir() / "train_trace.csv").write_text("".join(f"{row}\n" for row in rows), encoding="utf-8", newline="")
     return path
 
 
@@ -241,50 +216,47 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
     from .agent import load_qtable
     from .backtest import compare, run_ac, run_rl, write_runs_csv
     from .market_data import build_distributions
-    from .report import ISStatistics
 
     training, testing = _load_split(cfg)
     schedule = _load_schedule(cfg)
-    q, grid = load_qtable(_require(cfg.out_dir() / "qtable.npz", "train"))
-    if grid.betas != cfg.grid().betas:
-        raise ValueError("q-table action grid does not match the config")
-    if q.values.shape[:4] != (cfg.T, cfg.I, cfg.B, cfg.W):
-        raise ValueError(f"q-table dims {q.values.shape[:4]} do not match the config's (T, I, B, W)")
+    path = _require(cfg, "qtable.npz")
+    q, grid = load_qtable(path, cfg.dims())
+    if grid != cfg.grid():
+        raise ValueError(f"{path}: betas {grid.betas} are not the config's action grid")
     dists = build_distributions(training)
     ac_runs = run_ac(cfg, testing, schedule)
     rl_runs = run_rl(cfg, testing, schedule, q, dists)
     stats = compare(ac_runs.records, rl_runs.records)
     write_runs_csv(cfg.out_dir() / "runs.csv", cfg, {"ac": ac_runs, "rl": rl_runs})
-    payload = {f.name: getattr(stats, f.name) for f in fields(ISStatistics)}
-    payload["dates"] = [d.isoformat() for d in stats.dates]
-    payload["skipped_ac"] = [[d.isoformat(), why] for d, why in ac_runs.skipped]
-    payload["skipped_rl"] = [[d.isoformat(), why] for d, why in rl_runs.skipped]
+    payload = {name: getattr(stats, name) for name in HANDOFFS["stats.json"].fields}
+    payload["skipped_ac"], payload["skipped_rl"] = ac_runs.skipped, rl_runs.skipped  # (date, reason) pairs
     path = cfg.out_dir() / "stats.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=date.isoformat), encoding="utf-8")
     return path
 
 
-def _load_trace(path: Path) -> list[tuple[int, float]]:
-    """The (tuple visits, correct-action fraction) rows of the train_trace.csv
-    at `path`, below its header. A line without exactly those two fields, or
-    with a visit count that is not an integer or a fraction that is not a
-    finite number, is a ValueError naming `path` and the line."""
+def _load_trace(cfg: ExperimentConfig) -> list[tuple[int, float]]:
+    """The rows below the header of train_trace.csv, whose columns `HANDOFFS`
+    declares; a line without a JSON number `_fits` in each column, as train
+    writes them, is a ValueError naming the file and the line."""
+    path = _require(cfg, "train_trace.csv")
+    fields = HANDOFFS["train_trace.csv"].fields
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    trace: list[tuple[int, float]] = []
+    header, kinds = ",".join(fields), ", ".join(f"a {_noun(field)}" for field in fields.values())
+    if lines[:1] != [header]:
+        raise ValueError(f"{path}: line 1: {(lines or [''])[0]!r} is not the header {header!r}")
+    trace = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
         try:
-            if len(cells) != 2:
-                raise ValueError(f"{len(cells)} fields, not 2")
-            visit, fraction = int(cells[0]), float(cells[1])
-            if not abs(fraction) <= sys.float_info.max:
-                raise ValueError(f"non-finite fraction {cells[1]!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        trace.append((visit, fraction))
+            row = json.loads(f"[{line}]")
+        except (ValueError, RecursionError):
+            row = []
+        if len(row) != len(fields) or not all(map(_fits, fields.values(), row)):
+            raise ValueError(f"{path}: line {lineno}: {line!r} is not {len(fields)} cells: {kinds}")
+        trace.append(tuple(row))
     return trace
 
 
@@ -292,12 +264,10 @@ def cmd_report(cfg: ExperimentConfig) -> dict[str, Path]:
     """Render the comparison tables and the training trace."""
     from .report import ISStatistics, write_report
 
-    types = get_type_hints(ISStatistics)
-    payload = _load_json(_require(cfg.out_dir() / "stats.json", "backtest"), types)
-    values = {name: payload[name] for name in types}
+    values = _load_json(cfg, "stats.json")
     values["dates"] = [date.fromisoformat(d) for d in values["dates"]]
     stats = ISStatistics(**values)
-    trace = _load_trace(_require(cfg.out_dir() / "train_trace.csv", "train"))
+    trace = _load_trace(cfg)
     echo = cfg.echo()
     paths = write_report(cfg.out_dir(), [(cfg, stats)], trace=trace, config_echo=echo)
     resolved = cfg.out_dir() / "resolved_config.txt"

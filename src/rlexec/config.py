@@ -6,6 +6,9 @@ and backtest function takes it. Each field with help text is also a
 command-line flag, and flags override the file (``#`` starts a comment).
 The module imports no NumPy: a stage resolves and validates its config,
 action grid and synthetic-store bound without loading it.
+
+`HANDOFFS` is the schema of the files the stages hand one another: every
+field a stage reads, with its kind, shape and range, in one table.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ class ActionGrid:
         return len(self.betas)
 
 
+#: Price levels per side of a depth row: a row is 4 * N_LEVELS values.
+N_LEVELS = 5
 #: Synthetic days run one UTC session of SESSION_HOURS each, with
 #: SNAPSHOTS_PER_INTERVAL evenly spaced snapshots per tau-interval.
 SESSION_HOURS = range(9, 17)
@@ -190,6 +195,10 @@ class ExperimentConfig:
     def out_dir(self) -> Path:
         return Path(self.out)
 
+    def dims(self) -> dict[str, int]:
+        """The lengths of the named dimensions of `HANDOFFS` the config sets."""
+        return {"T": self.T, "I": self.I, "B": self.B, "W": self.W, "A": len(self.grid())}
+
     def echo(self) -> dict:
         """Resolved key=value pairs for provenance; `out` is a location, not an
         input, and is excluded so reruns into different directories compare
@@ -276,3 +285,59 @@ def join_negative_values(argv: list[str]) -> list[str]:
         else:
             joined.append(arg)
     return joined
+
+
+class Field(typing.NamedTuple):
+    """One value a stage reads from a hand-off. `kind` is float64, int64 or U64
+    (an .npz array's dtype; in JSON, a number a float or an int64 holds), str
+    or date (an ISO date string). `shape` runs over lengths and named
+    dimensions: n, the file's own, and T, I, B, W and A (`ExperimentConfig.dims`).
+    A `finite` field holds no NaN or infinity, none below `low`, JSON null if `null`."""
+
+    kind: str
+    shape: tuple = ()
+    finite: bool = False
+    low: int | None = None
+    null: bool = False
+
+    def bind(self, shape: tuple[int, ...], sizes: dict[str, int]) -> tuple[int, ...]:
+        """The shape due where the file has `shape`: each name's length in `sizes`, else bound from `shape`."""
+        for dim, length in zip(self.shape, shape):
+            if isinstance(dim, str):
+                sizes.setdefault(dim, length)
+        return tuple(sizes.get(dim, dim) for dim in self.shape)
+
+
+Handoff = typing.NamedTuple("Handoff", [("writer", str), ("fields", dict[str, Field])])
+_NUMBER, _NUMBERS = Field("float64", finite=True), Field("float64", ("n",), finite=True)
+_COLUMN = Field("float64", ("n",))
+
+#: Every file a stage writes for another: the stage that writes it, and each
+#: field a stage reads from it, which `cli._load_json`, `cli._load_trace` and
+#: `market_data._load_npz` enforce. What no one field shows (a bar no
+#: aggregation gives, bars of another source, a trade list that does not plan
+#: V shares) the stage checks.
+HANDOFFS = {
+    "ingest_meta.json": Handoff("ingest", {"sha256": Field("str")}),
+    # the columns of `market_data.Bars`, their length in seconds, and their source depth CSV's sha256
+    "bars.npz": Handoff("ingest", {
+        "start": _COLUMN, "utc_offset": _COLUMN, "n_snapshots": Field("int64", ("n",)),
+        "row": Field("float64", ("n", 4 * N_LEVELS)), "tau": Field("float64"), "source_sha256": Field("U64"),
+    }),
+    "params.json": Handoff("calibrate", {"share_schedule": Field("int64", ("T",), low=0)}),
+    "qtable.npz": Handoff("train", {
+        "values": Field("float64", tuple("TIBWA"), finite=True),  # np.argmax would take a NaN for the greedy action
+        "visits": Field("int64", tuple("TIBWA"), low=0),
+        "betas": Field("float64", ("A",)),
+    }),
+    # the columns, under a header naming them in order
+    "train_trace.csv": Handoff("train", {
+        "tuple_visit_index": Field("int64", ("n",), low=0), "pct_correct_actions": _NUMBERS,
+    }),
+    # `report.ISStatistics`, whose report formats each number as a float
+    "stats.json": Handoff("backtest", {
+        "dates": Field("date", ("n",)), "ac_bps": _NUMBERS, "rl_bps": _NUMBERS, "median_ac": _NUMBER,
+        "median_rl": _NUMBER, "median_improvement_pct": Field("float64", finite=True, null=True),
+        "std_ac_pct": _NUMBER, "std_rl_pct": _NUMBER, "n_days": Field("int64", low=0),
+    }),
+}

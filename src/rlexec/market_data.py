@@ -21,7 +21,6 @@ substrate for book walks.
 from __future__ import annotations
 
 import math
-import zipfile
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -32,9 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import SESSION_HOURS, SNAPSHOTS_PER_INTERVAL, synthetic_rows
-
-N_LEVELS = 5
+from .config import HANDOFFS, N_LEVELS, SESSION_HOURS, SNAPSHOTS_PER_INTERVAL, Field, synthetic_rows
 
 #: Canonical depth CSV schema: timestamp, five bid (price, volume) pairs from
 #: the best bid down, five ask (price, volume) pairs from the best ask up.
@@ -401,56 +398,41 @@ def _majority(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return v[start][pick[lead]]
 
 
-def _load_npz(path: str | Path, spec: dict[str, tuple[str, tuple]], what: str) -> dict[str, np.ndarray]:
-    """The arrays `spec` names in the .npz file at `path`, each checked
-    against its exact dtype and shape, where a str is a named dimension that
-    every array naming it shares. A member whose header declares more bytes
-    than the file holds is refused before NumPy allocates them. A file that
-    is not a readable .npz, lacks an array or has one of the wrong dtype or
-    shape is a ValueError naming `path` as a `what` file."""
-    try:
-        # np.load given a path leaks the file it opened when the zip is damaged
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                missing = [name for name in spec if name not in npz.files]
+def _load_npz(path: str | Path, fields: dict[str, Field], dims: dict[str, int]) -> dict[str, np.ndarray]:
+    """The arrays `fields` names in the .npz file at `path`, each of its
+    field's exact dtype, shape (`dims` fixes named dimensions), finiteness
+    and range; else, or for a header declaring more bytes than the file holds
+    (checked before NumPy allocates them), a ValueError naming `path`."""
+    size = Path(path).stat().st_size
+    with open(path, "rb") as fh:
+        try:
+            with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+                missing = [name for name in fields if name not in npz.files]
                 if missing:
                     raise ValueError(f"missing arrays {missing}")
-                size = Path(path).stat().st_size
-                for name in spec:
+                for name in fields:
                     with npz.zip.open(f"{name}.npy") as member:
                         major, _ = np.lib.format.read_magic(member)
                         read_header = np.lib.format.read_array_header_1_0 if major == 1 else np.lib.format.read_array_header_2_0
                         shape, _, dtype = read_header(member)
                     if math.prod(shape) * dtype.itemsize > size:
                         raise ValueError(f"array {name!r} of shape {shape} needs more than the file's {size} bytes")
-                arrays = {name: npz[name] for name in spec}
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: an array not saved as .npy
-        raise ValueError(f"{path}: unreadable {what} file: {exc}") from None
-    sizes: dict[str, int] = {}
-    for name, (dtype, shape) in spec.items():
-        array = arrays[name]
-        for dim, length in zip(shape, array.shape):
-            if isinstance(dim, str):
-                sizes.setdefault(dim, length)
-        if array.dtype != dtype or array.shape != tuple(sizes.get(dim, dim) for dim in shape):
-            raise ValueError(f"{path}: array {name!r} has dtype {array.dtype} and shape {array.shape}")
+                arrays = {name: npz[name] for name in fields}
+        # zipfile and NumPy fail on damaged bytes in many ways: BadZipFile, NotImplementedError
+        # (compression method), RuntimeError (encryption), OSError (seek), KeyError, SyntaxError, ...
+        except Exception as exc:  # noqa: BLE001
+            raise ValueError(f"{path}: unreadable .npz file: {exc}") from None
+    sizes = dict(dims)
+    for name, field in fields.items():
+        array, shape = arrays[name], field.bind(arrays[name].shape, sizes)
+        if array.dtype != field.kind or array.shape != shape:
+            found = f"dtype {array.dtype} and shape {array.shape}"
+            raise ValueError(f"{path}: array {name!r} has {found}, not {field.kind} and {shape}")
+        if field.finite and not np.isfinite(array).all():
+            raise ValueError(f"{path}: array {name!r} holds a non-finite value")
+        if field.low is not None and (array < field.low).any():
+            raise ValueError(f"{path}: array {name!r} holds a value below {field.low}")
     return arrays
-
-
-#: The arrays of a bars file, each with its dtype and shape over the bar
-#: count n: the columns of `Bars`, then the bar length and the sha256 (64 hex
-#: digits) of the source depth CSV the bars were aggregated from.
-_BARS_ARRAYS = {
-    "start": ("float64", ("n",)),
-    "utc_offset": ("float64", ("n",)),
-    "n_snapshots": ("int64", ("n",)),
-    "row": ("float64", ("n", 4 * N_LEVELS)),
-    "tau": ("float64", ()),
-    "source_sha256": ("U64", ()),
-}
 
 
 def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
@@ -467,15 +449,10 @@ def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
 
 
 def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side) -> Bars:
-    """The bars `save_bars` wrote, with ``quote_volume`` for `side`.
-
-    A file `_load_npz` refuses, one that holds bars of another tau or of
-    another source depth CSV, or one with a bar no aggregation gives (a
-    non-finite cell, a negative volume, a non-positive price or spread, no
-    snapshots, an offset of a day or more, starts out of datetime's range or
-    not strictly increasing) is a ValueError naming `path`.
-    """
-    arrays = _load_npz(path, _BARS_ARRAYS, "bars")
+    """The bars `save_bars` wrote, with ``quote_volume`` for `side`. A file
+    `_load_npz` refuses under `HANDOFFS`, none, bars of another tau or source
+    depth CSV, or a bar `_check_bars` refuses is a ValueError naming `path`."""
+    arrays = _load_npz(path, HANDOFFS["bars.npz"].fields, {})
     if len(arrays["start"]) == 0:
         raise ValueError(f"{path}: no bars")
     if float(arrays["tau"]) != tau:

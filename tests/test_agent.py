@@ -508,7 +508,7 @@ class TestPersistence:
     def test_round_trip_is_bit_exact_at_the_float_and_count_extremes(self, tmp_path):
         q = self.extreme_table()
         save_qtable(tmp_path / "qtable.csv", q, ActionGrid(betas=(0.5, 1.0, 1.5)))
-        q2, grid2 = load_qtable(tmp_path / "qtable.npz")
+        q2, grid2 = load_qtable(tmp_path / "qtable.npz", dict(zip("TIBWA", q.values.shape)))
         assert q2.values.dtype == np.float64 and q2.visit_counts.dtype == np.int64
         assert q2.values.tobytes() == q.values.tobytes()  # -0.0 keeps its sign bit
         assert q2.visit_counts.tobytes() == q.visit_counts.tobytes()
@@ -572,7 +572,7 @@ class TestPersistence:
     def test_a_table_without_cells_round_trips(self, tmp_path):
         # its flat views are empty; the backtest refuses it by its dims
         save_qtable(tmp_path / "qtable.csv", QTable.zeros(0, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5)))
-        q, _ = load_qtable(tmp_path / "qtable.npz")
+        q, _ = load_qtable(tmp_path / "qtable.npz", dict(zip("TIBWA", (0, 2, 2, 2, 3))))
         assert q.values.shape == q.visit_counts.shape == (0, 2, 2, 2, 3)
         assert len(q.flat_values) == len(q.flat_visits) == 0
 
@@ -597,7 +597,7 @@ class TestPersistence:
             ({"values": np.zeros((2, 2, 2, 2))}, "array 'values' has dtype float64 and shape (2, 2, 2, 2)"),
             ({"betas": np.array([0.5, 1.5, 1.0])}, "betas must be strictly increasing"),
             ({"betas": np.array([0.5, 1.0, np.nan])}, "non-finite beta"),
-            ({"values": None}, "unreadable q-table file: missing arrays ['values']"),
+            ({"values": None}, "unreadable .npz file: missing arrays ['values']"),
             ({"values": np.zeros((2, 2, 2, 2, 3), order="F")}, "q-table values must be a C-contiguous float64 array"),
         ],
     )
@@ -609,7 +609,7 @@ class TestPersistence:
         arrays.update(changes)
         np.savez(path, **{name: array for name, array in arrays.items() if array is not None})
         with pytest.raises(ValueError) as info:
-            load_qtable(path)
+            load_qtable(path, dict(zip("TIBWA", (2, 2, 2, 2, 3))))
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
 

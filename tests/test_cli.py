@@ -3,23 +3,29 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlexec import cli, market_data
-from rlexec.config import ExperimentConfig
+from rlexec.config import HANDOFFS, ExperimentConfig
 from rlexec.market_data import (
     ASK_PRICES,
     ASK_VOLUMES,
@@ -33,6 +39,7 @@ from rlexec.market_data import (
     load_bars,
     write_snapshots_csv,
 )
+from rlexec.report import ISStatistics
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
@@ -366,7 +373,7 @@ def test_horizon_longer_than_trade_list(pipeline, tmp_path, capsys):
     assert cli.main(args("train", out, "--T", "6")) == 5
     assert error_of(capsys) == {
         "error": "data-error",
-        "message": "trade list length does not match the horizon",
+        "message": f"{out / 'params.json'}: 'share_schedule' has 4 entries, not T = 6",
     }
 
 
@@ -428,6 +435,10 @@ def oversized_header(name, shape):
 
 def truncate_half(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def drop_first_line(path):
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
 
 
 def not_a_zip(path):
@@ -492,12 +503,34 @@ def set_raw_number(key: str, text: str):
     return damage
 
 
+def central_directory(data: bytes) -> int:
+    """The offset of a zip's central directory, from its end record (which
+    np.savez writes without a comment, so its signature is the last)."""
+    return struct.unpack_from("<I", data, data.rfind(b"PK\x05\x06") + 16)[0]
+
+
+def flip_zip_byte(record: str, offset: int, mask: int = 0x01):
+    """Xor `mask` into the byte `offset` bytes into a zip record: "cd", the
+    first central directory entry, or "eocd", the end of central directory."""
+
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        data[(data.rfind(b"PK\x05\x06") if record == "eocd" else central_directory(data)) + offset] ^= mask
+        path.write_bytes(bytes(data))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "stage, artifact, damage, extra, message",
     [
-        ("backtest", None, None, ("--I", "5"), "q-table dims (4, 2, 2, 2)"),
-        ("backtest", "qtable.npz", truncate_half, (), "unreadable q-table file: File is not a zip file"),
-        ("backtest", "qtable.npz", not_a_zip, (), "unreadable q-table file"),
+        pytest.param(
+            "backtest", "qtable.npz", None, ("--I", "5"),
+            "array 'values' has dtype float64 and shape (4, 2, 2, 2, 9), not float64 and (4, 5, 2, 2, 9)",
+            id="qtable-dims-of-another-config",
+        ),
+        ("backtest", "qtable.npz", truncate_half, (), "unreadable .npz file: File is not a zip file"),
+        ("backtest", "qtable.npz", not_a_zip, (), "unreadable .npz file"),
         ("backtest", "qtable.npz", rewrite_arrays(visits=None), (), "missing arrays ['visits']"),
         (
             "backtest", "qtable.npz", rewrite_arrays(visits=np.zeros((4, 2, 2, 2, 8), dtype=np.int64)), (),
@@ -513,15 +546,15 @@ def set_raw_number(key: str, text: str):
             "backtest", "qtable.npz", oversized_header("values", (10**6, 10**6, 10, 10, 9)), (),
             "array 'values' of shape (1000000, 1000000, 10, 10, 9) needs more than the file's",
         ),
-        ("calibrate", "bars.npz", truncate_half, (), "unreadable bars file: File is not a zip file"),
-        ("train", "bars.npz", not_a_zip, (), "unreadable bars file"),
+        ("calibrate", "bars.npz", truncate_half, (), "unreadable .npz file: File is not a zip file"),
+        ("train", "bars.npz", not_a_zip, (), "unreadable .npz file"),
         ("backtest", "bars.npz", rewrite_arrays(row=None), (), "missing arrays ['row']"),
         ("calibrate", "bars.npz", rewrite_arrays(row=np.zeros((3, 19))), (), "array 'row' has dtype float64 and shape"),
         ("calibrate", "bars.npz", None, ("--tau", "600"), "bars are 300.0 s long, not tau = 600.0"),
         ("train", "bars.npz", rewrite_arrays(source_sha256=np.str_("0" * 64)), (), "bars of source depth CSV sha256 0000"),
         (
             "calibrate", "bars.npz", oversized_header("row", (10**12, 20)), (),
-            "unreadable bars file: array 'row' of shape (1000000000000, 20) needs more than the file's",
+            "unreadable .npz file: array 'row' of shape (1000000000000, 20) needs more than the file's",
         ),
         ("train", "params.json", set_key("share_schedule", 5), (), "'share_schedule' is not a list of non-negative integers"),
         ("backtest", "params.json", set_key("share_schedule", None), (), "'share_schedule' is not a list of non-negative"),
@@ -579,27 +612,64 @@ def set_raw_number(key: str, text: str):
         ),
         # the fixture's trace has a header and 3 rows, so the appended row is line 5
         pytest.param(
-            "report", "train_trace.csv", append_bytes(b"5,0.5,1\n"), (), "train_trace.csv: line 5: 3 fields, not 2",
+            "report", "train_trace.csv", append_bytes(b"5,0.5,1\n"), (), "train_trace.csv: line 5: '5,0.5,1' is not 2 cells: a non-negative integer, a number",
             id="trace-field-count",
         ),
         pytest.param(
             "report", "train_trace.csv", append_bytes(b"5,half\n"), (),
-            "train_trace.csv: line 5: could not convert string to float: 'half'", id="trace-bad-number",
+            "train_trace.csv: line 5: '5,half' is not 2 cells", id="trace-bad-number",
         ),
         pytest.param(
             "report", "train_trace.csv", append_bytes(b"5,nan\n"), (),
-            "train_trace.csv: line 5: non-finite fraction 'nan'", id="trace-nan",
+            "train_trace.csv: line 5: '5,nan' is not 2 cells", id="trace-nan",
         ),
         pytest.param(
-            "backtest", "qtable.npz", set_cell("values", (1, 0, 1, 1, 4), np.nan), (), "non-finite q value",
+            "backtest", "qtable.npz", set_cell("values", (1, 0, 1, 1, 4), np.nan), (), "array 'values' holds a non-finite value",
             id="nan-q-value",
         ),
         pytest.param(
-            "backtest", "qtable.npz", set_cell("visits", (0, 1, 0, 0, 2), -1), (), "negative visit count",
+            "backtest", "qtable.npz", set_cell("visits", (0, 1, 0, 0, 2), -1), (), "array 'visits' holds a value below 0",
             id="negative-visits",
         ),
         pytest.param(
             "calibrate", "bars.npz", as_float32("start"), (), "array 'start' has dtype float32", id="float32-bars"
+        ),
+        # a flipped bit of a zip's central directory entry (the compression
+        # method at +10, the encryption flag at +8), or of the end record's
+        # directory offset (+16), which then points before the file's start
+    ]
+    + [
+        pytest.param(
+            stage, f"{stem}.npz", flip_zip_byte(record, offset, mask), (), f"unreadable .npz file: {message}",
+            id=f"{stem}-{label}",
+        )
+        for stage, stem, member in (("calibrate", "bars", "start"), ("backtest", "qtable", "values"))
+        for record, offset, mask, message, label in (
+            ("cd", 10, 0x01, "That compression method is not supported", "compression-method"),
+            ("cd", 8, 0x01, f"File '{member}.npy' is encrypted", "encryption-flag"),
+            ("eocd", 16, 0x80, "[Errno 22] Invalid argument", "directory-offset"),
+        )
+    ]
+    + [
+        pytest.param(
+            "train", "params.json", set_key("share_schedule", lambda s: [s[0] + s[1], *s[2:]]), (),
+            "'share_schedule' has 3 entries, not T = 4", id="short-share-schedule-train",
+        ),
+        pytest.param(
+            "backtest", "params.json", set_key("share_schedule", lambda s: [s[0] + s[1], *s[2:]]), (),
+            "'share_schedule' has 3 entries, not T = 4", id="short-share-schedule-backtest",
+        ),
+        pytest.param(
+            "report", "train_trace.csv", drop_first_line, (),
+            "line 1: '72,0.333333' is not the header 'tuple_visit_index,pct_correct_actions'", id="trace-no-header",
+        ),
+        pytest.param(
+            "report", "train_trace.csv", append_bytes(b"-7,0.5\n"), (),
+            "line 5: '-7,0.5' is not 2 cells: a non-negative integer, a number", id="trace-negative-visit",
+        ),
+        pytest.param(
+            "backtest", "qtable.npz", rewrite_arrays(betas=np.linspace(0.25, 2.25, 9)), (),
+            "betas (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25) are not the config's action grid", id="other-betas",
         ),
     ],
 )
@@ -614,6 +684,138 @@ def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stag
     assert message in error["message"]
     if artifact is not None:
         assert error["message"].startswith(f"{out / artifact}: ")
+
+
+#: The hand-offs each stage reads, and the files it writes.
+STAGE_READS = {
+    "calibrate": ("ingest_meta.json", "bars.npz"),
+    "train": ("ingest_meta.json", "bars.npz", "params.json"),
+    "backtest": ("ingest_meta.json", "bars.npz", "params.json", "qtable.npz"),
+    "report": ("stats.json", "train_trace.csv"),
+}
+STAGE_WRITES = {
+    "calibrate": ("params.json",),
+    "train": ("qtable.csv", "qtable.npz", "train_trace.csv"),
+    "backtest": ("runs.csv", "stats.json"),
+    "report": ("table1.csv", "table2.csv", "fig2_trace.csv", "resolved_config.txt"),
+}
+#: Values of no kind, shape or range `HANDOFFS` declares for any field.
+NO_FIELD_HOLDS = (True, False, {}, {"k": 1}, [True], [None], [{}], [[1]])
+
+
+def insert_byte(draw, data: bytes) -> bytes:
+    """`data`, ASCII as every text hand-off is, with a byte that starts no
+    UTF-8 character in ASCII text put in at a drawn offset."""
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+def mutate_npz(draw, data: bytes, path) -> bytes:
+    how = draw(st.sampled_from(["truncate", "flip", "value", "dtype"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":  # the zip's CRC covers each member's bytes
+        # a byte anywhere, or one of the central directory and end record, a
+        # few hundred bytes at the end of the file
+        at = draw(st.integers(0, len(data) - 1) | st.integers(central_directory(data), len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    name = draw(st.sampled_from(sorted(name for name in arrays if arrays[name].dtype.kind in "fi")))
+    array = arrays[name]
+    if how == "value":
+        array = array.copy()
+        flat = array.reshape(-1)
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]) if array.dtype.kind == "f" else st.integers(-(2**63), -1))
+        flat[draw(st.integers(0, len(flat) - 1))] = value
+    else:
+        dtypes = {"f": ["float32", ">f8", "int64", "complex128"], "i": ["int32", ">i8", "uint64", "float64"]}
+        array = array.astype(draw(st.sampled_from(dtypes[array.dtype.kind])))
+    arrays[name] = array
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+def mutate_json(draw, data: bytes, fields) -> bytes:
+    how = draw(st.sampled_from(["truncate", "type", "literal", "nesting", "byte"]))
+    if how == "truncate":  # json.dumps ends the object with its closing brace
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "byte":
+        return insert_byte(draw, data)
+    payload = json.loads(data)
+    key = draw(st.sampled_from(sorted(fields)))
+    field = fields[key]
+    if how == "type":
+        wrong = [*NO_FIELD_HOLDS, *(["x"] if field.kind != "str" else [5]), *([] if field.null else [None])]
+        payload[key] = draw(st.sampled_from(wrong))
+        return json.dumps(payload).encode()
+    if how == "literal":  # json.dumps writes NaN or Infinity for a non-finite float; 1e999 reads as one
+        text = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]))
+    else:
+        depth = draw(st.integers(5_000, 100_000))
+        text = "[" * depth + "]" * depth
+    if field.shape and payload[key] and how == "literal":  # in place of one entry of the list
+        payload[key][draw(st.integers(0, len(payload[key]) - 1))] = "@"
+    else:
+        payload[key] = "@"
+    return json.dumps(payload).replace('"@"', text).encode()
+
+
+def mutate_trace(draw, data: bytes) -> bytes:
+    how = draw(st.sampled_from(["fields", "number", "header", "byte"]))
+    if how == "byte":
+        return insert_byte(draw, data)
+    lines = data.decode().splitlines()
+    if how == "header":
+        return "\n".join(lines[1:]).encode() + b"\n"
+    k = draw(st.integers(1, len(lines) - 1))
+    cells = lines[k].split(",")
+    if how == "fields":
+        cells = draw(st.sampled_from([cells[:1], [*cells, "1"], [*cells, ""], [",".join(cells)] * 2]))
+    else:
+        column = draw(st.integers(0, 1))
+        bad = ["", "x", "0x10", "1e", "--1"] + (["-7", "1.5", "1e3", str(2**63)] if column == 0 else ["nan", "inf", "-1e999"])
+        cells[column] = draw(st.sampled_from(bad))
+    lines[k] = ",".join(cells)
+    return "\n".join(lines).encode() + b"\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_damaged_hand_off_exits_5_naming_it_or_changes_no_output(pipeline, data):
+    # one mutation HANDOFFS does not allow, of one file one stage reads; the
+    # stage exits 5 naming the file, or reads nothing the mutation touched
+    stage = data.draw(st.sampled_from(sorted(STAGE_READS)))
+    name = data.draw(st.sampled_from(STAGE_READS[stage]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        for read in STAGE_READS[stage]:
+            shutil.copyfile(pipeline / read, out / read)
+        original = (out / name).read_bytes()
+        if name.endswith(".npz"):
+            mutant = mutate_npz(data.draw, original, out / name)
+        elif name.endswith(".json"):
+            mutant = mutate_json(data.draw, original, HANDOFFS[name].fields)
+        else:
+            mutant = mutate_trace(data.draw, original)
+        (out / name).write_bytes(mutant)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(args(stage, out))
+        if code == 0:
+            assert sorted(os.listdir(out)) == sorted({*STAGE_READS[stage], *STAGE_WRITES[stage]})
+            for written in STAGE_WRITES[stage]:
+                assert (out / written).read_bytes() == (pipeline / written).read_bytes(), written
+        else:
+            error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+            assert (code, error["error"]) == (5, "data-error"), error
+            assert error["message"].startswith(f"{out / name}: "), error
+
+
+def test_stats_json_declares_the_fields_of_isstatistics():
+    assert list(HANDOFFS["stats.json"].fields) == [f.name for f in dataclasses.fields(ISStatistics)]
 
 
 def test_missing_qtable_npz_exits_4(pipeline, tmp_path, capsys):

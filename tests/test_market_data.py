@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from rlexec import depth_csv
 from rlexec.almgren_chriss import calibrate
 from rlexec.cli import _load_split
-from rlexec.config import ExperimentConfig
+from rlexec.config import ExperimentConfig, Field
 from rlexec.market_data import (
     ASK_PRICES,
     ASK_VOLUMES,
@@ -707,25 +707,40 @@ class TestBarClock:
 
 
 class TestLoadNpz:
-    SPEC = {"a": ("float64", ("n",)), "b": ("int64", ("n", 2))}
+    SPEC = {"a": Field("float64", ("n",)), "b": Field("int64", ("n", 2))}
 
-    def refused(self, path, spec=SPEC) -> str:
+    def refused(self, path, spec=SPEC, dims=None) -> str:
         with pytest.raises(ValueError) as info:
-            _load_npz(path, spec, "test")
+            _load_npz(path, spec, dims or {})
         assert str(info.value).startswith(f"{path}: ")
         return str(info.value)
 
     def test_named_dimension_is_read_from_the_first_array_naming_it(self, tmp_path):
         path = tmp_path / "x.npz"
         np.savez(path, a=np.arange(3.0), b=np.zeros((3, 2), dtype=np.int64), extra=np.zeros(5))
-        arrays = _load_npz(path, self.SPEC, "test")
+        arrays = _load_npz(path, self.SPEC, {})
         assert sorted(arrays) == ["a", "b"]
         assert arrays["a"].tolist() == [0.0, 1.0, 2.0]
 
     def test_named_dimension_must_agree_across_arrays(self, tmp_path):
         path = tmp_path / "x.npz"
         np.savez(path, a=np.arange(3.0), b=np.zeros((4, 2), dtype=np.int64))
-        assert "array 'b' has dtype int64 and shape (4, 2)" in self.refused(path)
+        assert "array 'b' has dtype int64 and shape (4, 2), not int64 and (3, 2)" in self.refused(path)
+
+    def test_a_dimension_the_caller_gives_is_not_bound_by_the_file(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, a=np.arange(3.0), b=np.zeros((3, 2), dtype=np.int64))
+        assert "array 'a' has dtype float64 and shape (3,), not float64 and (4,)" in self.refused(path, dims={"n": 4})
+
+    def test_finiteness_and_least_value_are_checked(self, tmp_path):
+        path = tmp_path / "x.npz"
+        spec = {"a": Field("float64", ("n",), finite=True), "b": Field("int64", ("n", 2), low=0)}
+        np.savez(path, a=np.array([0.0, -np.inf]), b=np.zeros((2, 2), dtype=np.int64))
+        assert "array 'a' holds a non-finite value" in self.refused(path, spec)
+        np.savez(path, a=np.zeros(2), b=np.array([[0, 0], [0, -1]]))
+        assert "array 'b' holds a value below 0" in self.refused(path, spec)
+        np.savez(path, a=np.array([np.nan, 0.0]), b=np.zeros((2, 2), dtype=np.int64))
+        assert sorted(_load_npz(path, self.SPEC, {})) == ["a", "b"]  # neither is checked unless declared
 
     def test_dtype_kind_is_checked(self, tmp_path):
         path = tmp_path / "x.npz"
@@ -747,25 +762,25 @@ class TestLoadNpz:
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("a.npy", header.getvalue() + bytes(64))
             zf.writestr("b.npy", b"")
-        assert "unreadable test file: array 'a' of shape (1000000000000,) needs more than the file's" in self.refused(path)
+        assert "unreadable .npz file: array 'a' of shape (1000000000000,) needs more than the file's" in self.refused(path)
 
     def test_a_plain_npy_is_not_an_npz_archive(self, tmp_path):
         path = tmp_path / "x.npz"
         with open(path, "wb") as fh:
             np.save(fh, np.arange(3.0))
-        assert "unreadable test file: not an .npz archive" in self.refused(path)
+        assert "unreadable .npz file: File is not a zip file" in self.refused(path)
 
     def test_an_object_array_is_refused_without_unpickling(self, tmp_path):
         path = tmp_path / "x.npz"
         np.savez(path, a=np.array([{"x": 1}, None], dtype=object), b=np.zeros((2, 2), dtype=np.int64))
-        assert "unreadable test file: Object arrays cannot be loaded when allow_pickle=False" in self.refused(path)
+        assert "unreadable .npz file: Object arrays cannot be loaded when allow_pickle=False" in self.refused(path)
 
     def test_a_member_not_saved_as_npy_is_unreadable(self, tmp_path):
         path = tmp_path / "x.npz"
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("a", b"raw bytes")
             zf.writestr("b.npy", b"")
-        assert "unreadable test file: " in self.refused(path)
+        assert "unreadable .npz file: " in self.refused(path)
 
 
 class TestDistributions:
