@@ -7,9 +7,15 @@ file, overridden by command-line flags named after the model parameters.
 
 Ingest is the only stage that parses depth CSV: the user's raw file with
 data = csv, else the generated store it writes to `snapshots.csv`, the
-readable export. It writes `ingest_meta.json`, with that file's sha256, and
-`bars.npz`, its tau-second bars as the columns of one `Bars` table, which
-calibrate, train and backtest load; the split is a mask on the bar starts.
+readable export. `rlexec.depth_csv` parses it in byte ranges, each range
+after the first in a forked part that sends back arrays (its two int64
+timestamp columns, then its raw float64 cells); a range goes through NumPy's
+C reader in bounded blocks of whole lines, or through the csv module where
+a block cannot be certified, and the result is the one-range result. Ingest
+writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
+tau-second bars as the columns of one `Bars` table, which calibrate, train
+and backtest load; the split is a mask on the bar starts. A digest the two
+disagree on is a data error naming both files.
 Train writes `qtable.csv`, the readable export, and `qtable.npz`, the arrays
 backtest loads. `config.HANDOFFS` declares each file one stage hands another:
 a file its readers refuse is a data error naming the file.
@@ -17,7 +23,8 @@ a file its readers refuse is a data error naming the file.
 Each stage imports only the modules it runs, inside its `cmd_*` body:
 `import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and
 `rlexec.config`, which import no NumPy.
-- ingest: `market_data` and NumPy, and `depth_csv` to parse;
+- ingest: `market_data` and NumPy, `depth_csv` to parse and `hashlib` (with
+  OpenSSL's `_hashlib`) for the sha256;
 - calibrate: `market_data`, `execution` and `almgren_chriss`;
 - train: `market_data`, `execution` and `agent`;
 - backtest: `market_data`, `execution`, `agent`, `backtest` and `report`;
@@ -27,7 +34,6 @@ Each stage imports only the modules it runs, inside its `cmd_*` body:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from datetime import date, datetime, timedelta, timezone
@@ -110,6 +116,8 @@ def _write_bars(cfg: ExperimentConfig, source: Path, result: IngestResult) -> Pa
     """Write ingest_meta.json for the depth CSV at `source`, whose snapshots
     `result` holds, and bars.npz, those snapshots aggregated at the config's
     tau; both carry the sha256 of `source`."""
+    import hashlib  # here: OpenSSL's _hashlib, about 3 ms a process, loads in ingest alone
+
     from .market_data import aggregate_intervals, save_bars
 
     with open(source, "rb") as fh:
@@ -150,7 +158,8 @@ def _load_split(cfg: ExperimentConfig) -> tuple[Bars, Bars]:
     from .market_data import Side, load_bars
 
     path = _require(cfg, "bars.npz")
-    bars = load_bars(path, cfg.tau, _load_json(cfg, "ingest_meta.json")["sha256"], Side(cfg.side))
+    sha256 = _load_json(cfg, "ingest_meta.json")["sha256"]
+    bars = load_bars(path, cfg.tau, sha256, Side(cfg.side), recorded_in=cfg.out_dir() / "ingest_meta.json")
     boundary = (cfg.split_datetime() - datetime.fromtimestamp(0, timezone.utc)) // timedelta(microseconds=1)
     training = bars.start_us < boundary
     if not training.any():

@@ -2,9 +2,10 @@
 
 Depth has one layout from CSV to bar: a row of 20 floats in the CSV's column
 order, sliced by BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES. Raw
-snapshots are one `BookFrame` (timestamps and a (rows, 20) array); ingestion
-validates every row `rlexec.depth_csv` parses with one vectorized check and
-tallies rejects per reason.
+snapshots are one `BookFrame` (two int64 timestamp columns, UTC microseconds
+and UTC offset microseconds, and a (rows, 20) array); ingestion validates
+every row `rlexec.depth_csv` parses with one vectorized check, tallies
+rejects per reason and sorts the kept rows inside the parsed block.
 
 Interval bars are one column table, `Bars`, from aggregation to execution:
 per bar its start epoch, its start's UTC offset, its snapshot count and its
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
@@ -80,35 +81,64 @@ class Side(Enum):
     SELL = "sell"
 
 
+#: Timestamp columns count microseconds from the epoch: UTC instants, and UTC offsets.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
 @dataclass
 class BookFrame:
-    """The snapshot store: one timestamp per row and a (rows, 20) float array
-    of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded), whose levels
-    BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES slice.
+    """The snapshot store, as columns: per row its timestamp, as the int64 UTC
+    microseconds since the epoch ``utc_us`` and the int64 UTC offset in
+    microseconds ``offset_us`` of the zone it was written in, and a (rows, 20)
+    float array of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded),
+    whose levels BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES slice.
 
-    Every timestamp carries a timezone and every row passes BOOK_CHECKS.
+    Every row passes BOOK_CHECKS. `timestamps` and `from_timestamps` are the
+    datetime view of the two timestamp columns; the pipeline reads the columns.
     """
 
-    timestamps: list[datetime]
+    utc_us: np.ndarray
+    offset_us: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (len(self.timestamps), 4 * N_LEVELS):
-            raise ValueError(f"values must be ({len(self.timestamps)}, {4 * N_LEVELS}), got {self.values.shape}")
-        naive = next((k for k, ts in enumerate(self.timestamps) if ts.tzinfo is None), None)
-        if naive is not None:
-            raise ValueError(f"row {naive}: naive timestamp")
+        rows = len(self.utc_us)
+        shapes = (self.utc_us.shape, self.offset_us.shape, self.values.shape)
+        want = ((rows,), (rows,), (rows, 4 * N_LEVELS))
+        if shapes != want:
+            raise ValueError(f"utc_us, offset_us and values must be of shapes {want}, got {shapes}")
         failure = first_book_failure(self.values)
         bad = np.flatnonzero(failure >= 0)
         if len(bad):
             raise ValueError(f"row {bad[0]}: {BOOK_CHECKS[failure[bad[0]]]}")
 
+    @classmethod
+    def from_timestamps(cls, timestamps: Sequence[datetime], values: np.ndarray) -> BookFrame:
+        """The frame of aware `timestamps` and their depth rows; a naive
+        timestamp is a ValueError naming its row."""
+        naive = next((k for k, ts in enumerate(timestamps) if ts.utcoffset() is None), None)
+        if naive is not None:
+            raise ValueError(f"row {naive}: naive timestamp")
+        utc_us = np.array([(ts - _EPOCH) // _MICROSECOND for ts in timestamps], dtype=np.int64)
+        offset_us = np.array([ts.utcoffset() // _MICROSECOND for ts in timestamps], dtype=np.int64)
+        return cls(utc_us, offset_us, values)
+
+    @property
+    def timestamps(self) -> list[datetime]:
+        """Each row's timestamp as an aware datetime on its zone's clock."""
+        local = datetime(1970, 1, 1)
+        return [
+            (local + timedelta(microseconds=utc + offset)).replace(tzinfo=timezone(timedelta(microseconds=offset)))
+            for utc, offset in zip(self.utc_us.tolist(), self.offset_us.tolist())
+        ]
+
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.utc_us)
 
     def __iter__(self) -> Iterator[SimpleNamespace]:
         """Each row's timestamp and level views, for perfbench's ingest test;
-        the pipeline reads `values` whole."""
+        the pipeline reads the columns whole."""
         for ts, r in zip(self.timestamps, self.values):
             yield SimpleNamespace(timestamp=ts, bid_prices=r[BID_PRICES], bid_volumes=r[BID_VOLUMES],
                                   ask_prices=r[ASK_PRICES], ask_volumes=r[ASK_VOLUMES])
@@ -301,18 +331,21 @@ def ingest_csv(path: str | Path) -> IngestResult:
     csv.field_size_limit()) or bytes that are not UTF-8 is a ValueError
     naming `path`; with several such lines, the first in file order.
 
-    `rlexec.depth_csv.parse` reads the rows. On Linux it parses a file of
-    2 MiB or more without a `"` byte as byte ranges that each start a line,
-    one per usable CPU but at most one per MiB, each range after the first
-    in a forked child. The rows are joined in file order before the checks
-    and the sort, so the result is the one-range result. A decode error's
-    position counts within its range's decode chunk.
+    `rlexec.depth_csv.parse` reads the rows into one (rows, 20) block and two
+    int64 timestamp columns. On Linux it parses a file of 2 MiB or more
+    without a `"` byte as byte ranges that each start a line, one per usable
+    CPU but at most one per MiB, each range after the first in a forked
+    child; a range goes through NumPy's C reader in blocks of whole lines,
+    or through the csv module when it cannot be read so. The rows are joined
+    in file order before the checks, and the kept rows are put in timestamp
+    order (a stable sort on the UTC microseconds) inside that block, so the
+    result is the one-range result. A decode error's position counts within
+    its range's decode chunk.
     """
     from .depth_csv import parse  # here: the stages that load bars.npz never load the parser
 
     path = Path(path)
-    stamps, flat, errors = parse(path)
-    values = np.frombuffer(flat, dtype=float).reshape(len(stamps), 4 * N_LEVELS)
+    utc_us, offset_us, values, errors = parse(path)
     # a row with a non-finite cell is unparseable, whatever its book checks say
     reasons = (*BOOK_CHECKS, "unparseable row")
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row's order check
@@ -320,17 +353,48 @@ def ingest_csv(path: str | Path) -> IngestResult:
     failure[~np.isfinite(values).all(axis=1)] = len(BOOK_CHECKS)
     for code, count in zip(*np.unique(failure[failure >= 0], return_counts=True)):
         errors[reasons[code]] += int(count)
-    kept = sorted(np.flatnonzero(failure < 0).tolist(), key=stamps.__getitem__)
-    if not kept:
+    kept = np.flatnonzero(failure < 0)
+    if not len(kept):
         raise ValueError(f"{path}: no valid rows")
-    kept_values = values[kept]
-    del values, flat  # the parse buffer, before BookFrame checks its copy of the kept rows
-    frame = BookFrame(timestamps=[stamps[k] for k in kept], values=kept_values)
+    rank = np.argsort(utc_us[kept], kind="stable")
+    _take_rows(values, kept, rank)
+    order = kept[rank]
+    frame = BookFrame(utc_us[order], offset_us[order], values[: len(order)])
     return IngestResult(snapshots=frame, rejected_rows=sum(errors.values()), row_errors=errors)
+
+
+#: Rows _take_rows moves per step; bounds the copy it keeps beside the block.
+_TAKE_ROWS = 4096
+
+
+def _take_rows(values: np.ndarray, kept: np.ndarray, rank: np.ndarray) -> None:
+    """Put rows kept[rank] of `values` in its first len(rank) rows, in place,
+    for ascending `kept`. It copies a _TAKE_ROWS step of rows at a time, then
+    the rows `rank` moves, never a second block."""
+    # drop the rejected rows from the first one on: a step reads rows at or
+    # after those it writes, so no later step reads a row a step wrote
+    shifted = np.flatnonzero(kept != np.arange(len(kept)))
+    for lo in range(shifted[0] if len(shifted) else len(kept), len(kept), _TAKE_ROWS):
+        step = kept[lo : lo + _TAKE_ROWS]
+        values[lo : lo + len(step)] = values[step]
+    # then sort: the moved rows are all read before any is written
+    moved = np.flatnonzero(rank != np.arange(len(rank)))
+    values[moved] = values[rank[moved]]
 
 
 #: Rows formatted per block by write_snapshots_csv; bounds its Python objects.
 _WRITE_BLOCK = 1024
+
+
+def _isoformat(utc_us: np.ndarray, offset_us: np.ndarray) -> list[str]:
+    """Each timestamp as datetime.isoformat writes it on its zone's clock:
+    the fraction only when not zero, then the offset."""
+    local = utc_us + offset_us
+    text = np.datetime_as_string(local.astype("datetime64[us]"), unit="us")
+    text = np.where(local % 1_000_000 == 0, text.astype("U19"), text).tolist()
+    zones, zone = np.unique(offset_us, return_inverse=True)
+    suffix = [datetime(1970, 1, 1, tzinfo=timezone(timedelta(microseconds=z))).isoformat()[19:] for z in zones.tolist()]
+    return [f"{stamp}{suffix[z]}" for stamp, z in zip(text, zone.tolist())]
 
 
 def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
@@ -348,10 +412,9 @@ def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
             cells = block.astype(object)  # Python floats, whose str is their repr
             integral = np.isfinite(block) & (block == np.trunc(block))
             cells[integral] = [int(x) for x in block[integral]]
-            stamps = snapshots.timestamps[start : start + _WRITE_BLOCK]
-            fh.writelines(
-                f"{ts.isoformat()},{','.join(map(str, row))}\r\n" for ts, row in zip(stamps, cells.tolist())
-            )
+            rows = slice(start, start + _WRITE_BLOCK)
+            stamps = _isoformat(snapshots.utc_us[rows], snapshots.offset_us[rows])
+            fh.writelines(f"{ts},{','.join(map(str, row))}\r\n" for ts, row in zip(stamps, cells.tolist()))
 
 
 def aggregate_intervals(snapshots: BookFrame, tau: float) -> Bars:
@@ -362,12 +425,19 @@ def aggregate_intervals(snapshots: BookFrame, tau: float) -> Bars:
     is the one most of its snapshots carry; a tie goes to the tied offset
     that comes first in the bar in input order. The bars are a buy order's,
     which `save_bars` does not store: a run takes its side from `load_bars`.
+
+    Epochs and offsets in seconds come from the timestamp columns, each the
+    quotient datetime.timestamp and timedelta.total_seconds give.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not len(snapshots):
         raise ValueError("no snapshots to aggregate")
-    epochs = np.fromiter((ts.timestamp() for ts in snapshots.timestamps), dtype=float, count=len(snapshots))
+    epochs = snapshots.utc_us / 1e6
+    # past 2**53 an int64 rounds on its way to float64 and the quotient rounds
+    # again; Python's int division rounds once, as datetime.timestamp's does
+    far = np.flatnonzero(np.abs(snapshots.utc_us) > 2**53)
+    epochs[far] = [utc / 10**6 for utc in snapshots.utc_us[far].tolist()]
     with np.errstate(over="ignore"):
         grid = np.floor(epochs / tau) * tau
     if not np.isfinite(grid).all():
@@ -379,7 +449,7 @@ def aggregate_intervals(snapshots: BookFrame, tau: float) -> Bars:
     sums = np.zeros((len(starts), 4 * N_LEVELS))
     np.add.at(sums, group, snapshots.values)
     counts = np.bincount(group, minlength=len(starts))
-    zones = np.fromiter((ts.utcoffset().total_seconds() for ts in snapshots.timestamps), float, len(snapshots))
+    zones = snapshots.offset_us / 1e6
     return _check_bars(Bars(tau, Side.BUY, starts, _majority(group, zones), counts, sums / counts[:, np.newaxis]))
 
 
@@ -448,17 +518,23 @@ def save_bars(path: str | Path, bars: Bars, source_sha256: str) -> None:
     np.savez(path, **columns, tau=np.float64(bars.tau), source_sha256=np.str_(source_sha256))
 
 
-def load_bars(path: str | Path, tau: float, source_sha256: str, side: Side) -> Bars:
+def load_bars(
+    path: str | Path, tau: float, source_sha256: str, side: Side, recorded_in: str | Path | None = None
+) -> Bars:
     """The bars `save_bars` wrote, with ``quote_volume`` for `side`. A file
     `_load_npz` refuses under `HANDOFFS`, none, bars of another tau or source
-    depth CSV, or a bar `_check_bars` refuses is a ValueError naming `path`."""
+    depth CSV, or a bar `_check_bars` refuses is a ValueError naming `path`;
+    one of another source depth CSV than `source_sha256` also names the file
+    `recorded_in` that records that digest, since either may be at fault."""
     arrays = _load_npz(path, HANDOFFS["bars.npz"].fields, {})
     if len(arrays["start"]) == 0:
         raise ValueError(f"{path}: no bars")
     if float(arrays["tau"]) != tau:
         raise ValueError(f"{path}: bars are {float(arrays['tau'])!r} s long, not tau = {tau!r}")
     if arrays["source_sha256"].item() != source_sha256:
-        raise ValueError(f"{path}: bars of source depth CSV sha256 {arrays['source_sha256'].item()}, not {source_sha256}")
+        files = path if recorded_in is None else f"{recorded_in} and {path}"
+        found = arrays["source_sha256"].item()
+        raise ValueError(f"{files}: bars of source depth CSV sha256 {found}, not {source_sha256}")
     bars = Bars(tau, side, arrays["start"], arrays["utc_offset"], arrays["n_snapshots"], arrays["row"])
     return _check_bars(bars, f"{path}: ")
 
@@ -649,14 +725,16 @@ def generate_synthetic(seed: int, days: int, config: SyntheticConfig) -> BookFra
     for levels, jitter in ((BID_VOLUMES, draws[:, 1 : 1 + N_LEVELS]), (ASK_VOLUMES, draws[:, 1 + N_LEVELS :])):
         values[:, levels] = np.maximum(np.rint(level_volume * (1.0 + volume_jitter * jitter)), 1.0)
 
-    # one day's snapshot offsets from midnight, each the sum of the interval's
-    # and the snapshot's rounded timedelta (exact: timedeltas add integer
-    # microseconds)
+    # one day's snapshot offsets from midnight in microseconds, each the sum
+    # of the interval's and the snapshot's rounded timedelta (exact: timedeltas
+    # add integer microseconds), after each day's UTC midnight
     pattern = [
-        timedelta(hours=hour, seconds=k * config.tau) + timedelta(seconds=s * snap_step)
+        (timedelta(hours=hour, seconds=k * config.tau) + timedelta(seconds=s * snap_step)) // _MICROSECOND
         for hour in SESSION_HOURS
         for k in range(intervals_per_hour)
         for s in range(SNAPSHOTS_PER_INTERVAL)
     ]
-    starts = (datetime.combine(START_DAY + timedelta(days=d), time(0), tzinfo=timezone.utc) for d in range(days))
-    return BookFrame(timestamps=[start + offset for start in starts for offset in pattern], values=values)
+    midnight = (datetime.combine(START_DAY, time(0), tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
+    days_us = midnight + np.arange(days, dtype=np.int64) * (timedelta(days=1) // _MICROSECOND)
+    utc_us = (days_us[:, np.newaxis] + np.array(pattern, dtype=np.int64)).reshape(rows)
+    return BookFrame(utc_us, np.zeros(rows, dtype=np.int64), values)

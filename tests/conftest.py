@@ -45,7 +45,7 @@ def make_row(
 
 
 def make_frame(stamps: list[datetime], rows: list[np.ndarray]) -> BookFrame:
-    return BookFrame(timestamps=list(stamps), values=np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
+    return BookFrame.from_timestamps(list(stamps), np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
 
 
 def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0, side: Side = Side.BUY) -> Bars:

@@ -191,12 +191,14 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
     for argv in ((), ("--help",), ("train", "--help")):
         modules = loaded_modules(*argv)
         assert {m for m in modules if m.startswith("rlexec")} == {"rlexec", "rlexec.cli", "rlexec.config"}, argv
-        assert "numpy" not in modules, argv
+        assert not modules & {"numpy", "_hashlib"}, argv
     for stage in STAGES:
         modules = loaded_modules(*args(stage, tmp_path / "out"))
         expected = {"rlexec", "rlexec.cli", "rlexec.config", *(f"rlexec.{name}" for name in STAGE_MODULES[stage])}
         assert {m for m in modules if m.startswith("rlexec")} == expected, stage
         assert ("numpy" in modules) == (stage != "report"), stage
+        # OpenSSL's hashes, about 3 ms a process, for the sha256 only ingest takes
+        assert ("_hashlib" in modules) == (stage == "ingest"), stage
         assert not modules & never, stage
 
 
@@ -671,6 +673,10 @@ def flip_zip_byte(record: str, offset: int, mask: int = 0x01):
             "backtest", "qtable.npz", rewrite_arrays(betas=np.linspace(0.25, 2.25, 9)), (),
             "betas (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25) are not the config's action grid", id="other-betas",
         ),
+        # a digest ingest_meta.json and bars.npz disagree on names both files
+        pytest.param(
+            "calibrate", "ingest_meta.json", set_key("sha256", "0" * 64), (), f", not {'0' * 64}", id="ingest-meta-sha256"
+        ),
     ],
 )
 def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stage, artifact, damage, extra, message):
@@ -683,7 +689,9 @@ def test_mismatched_or_damaged_artifact_exits_5(pipeline, tmp_path, capsys, stag
     assert error["error"] == "data-error"
     assert message in error["message"]
     if artifact is not None:
-        assert error["message"].startswith(f"{out / artifact}: ")
+        # a digest two hand-offs disagree on is either one's fault: the
+        # message starts with both paths, "<ingest_meta.json> and <bars.npz>: "
+        assert str(out / artifact) in error["message"].partition(": ")[0].split(" and ")
 
 
 #: The hand-offs each stage reads, and the files it writes.
@@ -991,7 +999,7 @@ def write_local_clock_csv(path) -> None:
     order = list(range(len(stamps)))
     for k in (7, 300, 2001):
         order[k], order[k + 1] = order[k + 1], order[k]
-    write_snapshots_csv(path, BookFrame(timestamps=[stamps[k] for k in order], values=frame.values[order]))
+    write_snapshots_csv(path, BookFrame.from_timestamps([stamps[k] for k in order], frame.values[order]))
 
 
 def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rlexec import depth_csv
@@ -246,6 +246,48 @@ class TestIngest:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "80fa0aa904dac9a68116d28147f4edac93dc7e57a4bedc77e98780d793f88d44"
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from([0, 1, 4, 1900, 1970, 2000, 2024, 2100, 9999]) | st.integers(0, 9999),
+            st.sampled_from([0, 2, 12, 13]) | st.integers(0, 13),
+            st.sampled_from([0, 28, 29, 30, 31, 32]) | st.integers(0, 32),
+            st.sampled_from([0, 23, 24]) | st.integers(0, 24),
+            st.sampled_from([0, 59, 60]) | st.integers(0, 60),
+            st.sampled_from([0, 59, 60]) | st.integers(0, 60),
+        ),
+        st.none() | st.integers(0, 999_999),
+        st.sampled_from(["Z", "+", "-"]),
+        st.sampled_from([0, 23, 24]) | st.integers(0, 24),
+        st.sampled_from([0, 59, 60]) | st.integers(0, 60),
+        st.text(alphabet="0123456789-:T.+Z ", max_size=3),
+        st.integers(0, 31),
+    )
+    @example((1900, 2, 29, 0, 0, 0), None, "Z", 0, 0, "", 0)  # a century, no leap year
+    @example((2000, 2, 29, 23, 59, 59), 999_999, "-", 23, 59, "", 0)
+    @example((0, 1, 1, 24, 0, 60), None, "+", 23, 60, "", 0)
+    @example((1, 1, 1, 0, 0, 0), None, "+", 23, 59, "", 0)  # 0000-12-31 on the UTC clock
+    def test_decoded_timestamps_are_what_fromisoformat_reads(self, fields, micro, sign, hours, minutes, noise, at):
+        # fields on and past their ranges; a cell decodes to what
+        # fromisoformat reads, or is left to it
+        text = "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}".format(*fields)
+        text += ("" if micro is None else f".{micro:06}") + ("Z" if sign == "Z" else f"{sign}{hours:02}:{minutes:02}")
+        cells = [text, text[:at] + noise + text[at + len(noise) :]]
+        data = np.frombuffer(",".join(cells).encode(), dtype=np.uint8)
+        starts = np.array([0, len(text) + 1])
+        utc_us, offset_us, decoded = depth_csv._decode_stamps(data, starts, starts + [len(cell) for cell in cells])
+        read = []
+        for cell, utc, offset, ok in zip(cells, utc_us.tolist(), offset_us.tolist(), decoded.tolist()):
+            try:
+                read.append(depth_csv._parse_timestamp(cell))
+            except ValueError:
+                read.append(None)
+            if ok:
+                assert (utc, offset) == read[-1], cell
+        # the written form decodes whenever fromisoformat reads it, but for an
+        # hour of 24 or a zone minute of 60, which some Pythons take
+        if fields[3] <= 23 and minutes <= 59:
+            assert decoded[0] == (read[0] is not None), text
 
 @contextmanager
 def parse_parts(cpus: int, part_bytes: int, scan_bytes: int = 1 << 16):
@@ -274,10 +316,21 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+#: Cells float() takes but NumPy's reader must not see; cells both refuse
+#: that hold only 0-9 . + - e E; and cells of other kinds. A row takes one in
+#: its timestamp or a depth column.
+ODD_CELLS = (
+    ("1_0", " 5 ", "\xa05", "\u0665"),
+    ("", "1e", "+", "."),
+    ("nan", "inf", "1e999", "-0", "#", "\0"),
+)
+
+
 @st.composite
-def raw_depth_files(draw) -> bytes:
+def raw_depth_files(draw, odd_cells: bool = False) -> bytes:
     """Raw depth CSV: rows at unsorted times in a few zones, each clean or
-    with one perfbench defect, blank lines, and LF, CRLF or CR line ends."""
+    with one perfbench defect, blank lines, and LF, CRLF or CR line ends;
+    with `odd_cells`, some rows hold one of ODD_CELLS."""
     lines = [HEADER]
     for second in draw(st.lists(st.integers(0, 7200), min_size=1, max_size=40)):
         zone = draw(st.sampled_from(["+00:00", "Z", "+02:00"]))
@@ -286,6 +339,9 @@ def raw_depth_files(draw) -> bytes:
         defect = draw(st.sampled_from([None, *DEFECTS]))
         if defect is not None:
             defect(cells)
+        if odd_cells and draw(st.booleans()):
+            column = draw(st.one_of(st.just(0), st.integers(1, len(cells) - 1)))
+            cells[column] = draw(st.sampled_from([cell for kind in ODD_CELLS for cell in kind]))
         lines.append(",".join(cells))
         lines += [""] * draw(st.integers(0, 1))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
@@ -293,9 +349,51 @@ def raw_depth_files(draw) -> bytes:
     return text.encode("utf-8")
 
 
+def range_rows(part) -> tuple:
+    """A range parser's result with its blocks of cells joined, to compare."""
+    utc_us, offset_us, blocks, errors, lines = part
+    return utc_us.tolist(), offset_us.tolist(), np.concatenate(blocks).tobytes(), errors, lines
+
+
+@contextmanager
+def screened_reader():
+    """np.loadtxt, failing when a line it is handed holds a byte other than
+    0-9 . + - e E among its depth cells, those after its first comma."""
+    loadtxt = np.loadtxt
+
+    def screened(lines, *args, **kwargs):
+        lines = list(lines)
+        for line in lines:
+            assert set(line.partition(",")[2]) <= set("0123456789.+-eE,"), line
+        return loadtxt(lines, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", screened)
+        yield
+
+
 class TestIngestParts:
     """A file parsed in byte ranges, the first here and each other in a
     forked child, gives what one range gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_depth_files(odd_cells=True), st.integers(1, 6), st.integers(16, 512), st.integers(200, 2000))
+    def test_block_path_is_the_csv_module_parse(self, tmp_path_factory, raw, cpus, part_bytes, block_bytes):
+        # NumPy's reader sees only screened cells, and never a block without one:
+        # its "input contained no data" warning is an error under filterwarnings.
+        # Blocks of a few lines cut at every kind of line end; a line longer
+        # than a block sends its range to the csv module
+        path = tmp_path_factory.mktemp("blocks") / "raw.csv"
+        path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depth_csv, "_parse_range", depth_csv._parse_rows)
+            csv_module = ingest_outcome(path)
+        with parse_parts(cpus, part_bytes), screened_reader(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depth_csv, "_BLOCK_BYTES", block_bytes)
+            assert ingest_outcome(path) == csv_module
+            # and one range alike, with the lines it counts, which later ranges' error lines add up
+            assert range_rows(depth_csv._parse_range(path, 0, len(raw))) == range_rows(depth_csv._parse_rows(path, 0, len(raw)))
+        assert_no_child_left()
 
     @settings(max_examples=80, deadline=None)
     @given(raw_depth_files(), st.integers(2, 6), st.integers(16, 512), st.integers(1, 64))
@@ -361,24 +459,24 @@ class TestIngestParts:
     def test_no_child_outlives_an_interrupt_or_a_failed_child(self, tmp_path, monkeypatch):
         path = tmp_path / "raw.csv"
         write_snapshots_csv(path, generate_synthetic(3, 2, SyntheticConfig()))
-        parent, parse_rows = os.getpid(), depth_csv._parse_rows
+        parent, parse_range = os.getpid(), depth_csv._parse_range
 
         def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return parse_rows(*args)
+            return parse_range(*args)
 
         def child_dies(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return parse_rows(*args)
+            return parse_range(*args)
 
         with parse_parts(cpus=4, part_bytes=1 << 12):
-            monkeypatch.setattr(depth_csv, "_parse_rows", interrupted)
+            monkeypatch.setattr(depth_csv, "_parse_range", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 ingest_csv(path)
             assert_no_child_left()
-            monkeypatch.setattr(depth_csv, "_parse_rows", child_dies)
+            monkeypatch.setattr(depth_csv, "_parse_range", child_dies)
             with pytest.raises(ChildProcessError, match="ended with exit code 3"):
                 ingest_csv(path)
             assert_no_child_left()
@@ -459,6 +557,13 @@ class TestAggregate:
         # epoch / 5e-324 overflows, so no bar start would be finite
         with pytest.raises(ValueError, match="too short"):
             aggregate_intervals(make_frame([T0], [make_row()]), 5e-324)
+
+    def test_far_starts_are_datetime_epochs(self):
+        # past 2**53 microseconds an int64 to float64 division rounds twice,
+        # and would read 173069044958.99905 for this instant
+        far = datetime(7454, 5, 4, 22, 42, 38, 999029, tzinfo=timezone.utc)
+        (bar,) = aggregate_intervals(make_frame([far], [make_row()]), 1e-5)
+        assert bar.start == math.floor(far.timestamp() / 1e-5) * 1e-5
 
     def test_quote_volume_follows_side(self):
         row = make_row()
