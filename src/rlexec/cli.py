@@ -8,10 +8,11 @@ file, overridden by command-line flags named after the model parameters.
 Ingest is the only stage that parses depth CSV: the user's raw file with
 data = csv, else the generated store it writes to `snapshots.csv`, the
 readable export. `rlexec.depth_csv` parses it in byte ranges, each range
-after the first in a forked part that sends back arrays (its two int64
+after the first in a forked part that carries rows only (its two int64
 timestamp columns, then its raw float64 cells); a range goes through NumPy's
-C reader in bounded blocks of whole lines, or through the csv module where
-a block cannot be certified, and the result is the one-range result. Ingest
+C reader in bounded blocks of whole lines. A range whose blocks cannot be
+certified sends the whole file through the csv module in the parent, so the
+result, errors included, is the one-range result. Ingest
 writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
 tau-second bars as the columns of one `Bars` table, which calibrate, train
 and backtest load; the split is a mask on the bar starts. A digest the two

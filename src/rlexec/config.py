@@ -75,8 +75,8 @@ N_LEVELS = 5
 SESSION_HOURS = range(9, 17)
 SNAPSHOTS_PER_INTERVAL = 5
 #: Most rows generate_synthetic builds. It allocates them all up front: per
-#: row the 20 float64 values, an 11-float draw buffer and the mid, 256 bytes,
-#: plus the row's datetime; no temporary it makes is as large as the values.
+#: row the 20 float64 values, an 11-float draw buffer, the mid and the two
+#: int64 timestamps, 272 bytes; no temporary it makes is as large as the values.
 MAX_SYNTHETIC_ROWS = 1_000_000
 
 

@@ -5,13 +5,13 @@ timestamp as int64 UTC microseconds since the epoch and int64 UTC offset
 microseconds, the depth cells as one (rows, 20) float64 block, and the tally
 of rows rejected before the book checks.
 
-Ranges. On Linux a file of two or more _PART_BYTES without a `"` byte is
-parsed in byte ranges that each start a line, one per usable CPU but at most
-one per _PART_BYTES: the first range in this process, each other in a forked
-child, at the same time. A child sends its two timestamp columns, its tally
-and its line count in one pickle, then its cells as raw float64 bytes, which
-the parent reads straight into that range's slice of the block. The parts are
-joined in file order, so the result is the one-range result.
+Ranges. On Linux a file of two or more _PART_BYTES is parsed in byte ranges
+that each start a line, one per usable CPU but at most one per _PART_BYTES:
+the first range in this process, each other in a forked child, at the same
+time. A child sends its two timestamp columns and its tally in one pickle,
+then its cells as raw float64 bytes, which the parent reads straight into
+that range's slice of the block. The parts carry rows only, and are joined
+in file order.
 
 Blocks. `_parse_range` reads a range in blocks of whole lines of at most
 _BLOCK_BYTES. In a block, a line of exactly 20 commas whose depth cells hold
@@ -25,9 +25,10 @@ other is read by datetime.fromisoformat, as `_parse_rows` reads them all.
 
 A range the block path cannot certify, because it holds a `"`, bytes that are
 not UTF-8, a header that is not DEPTH_CSV_COLUMNS or a line longer than
-csv.field_size_limit() or than a block, is parsed from its start by
-`_parse_rows`, the csv-module loop. It raises every data error, so the order
-of the errors is its own and the block path raises none.
+csv.field_size_limit() or than a block, sends the whole file through
+`_parse_rows`, the csv-module loop, in this process. It raises every data
+error, so the block path raises none, and the result, errors included, is
+the one-range result.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .market_data import _EPOCH, _MICROSECOND, DEPTH_CSV_COLUMNS
 
 #: A file splits into at most one parse part per _PART_BYTES bytes.
 _PART_BYTES = 1 << 20
-#: Bytes read at a time while scanning a file for a quote or a line end.
+#: Bytes read at a time while scanning a file for a line end.
 _SCAN_BYTES = 1 << 16
 #: The line ends csv.reader splits on when read with newline="".
 _LINE_END = re.compile(rb"\r\n?|\n")
@@ -63,8 +64,8 @@ _CELLS = len(DEPTH_CSV_COLUMNS) - 1
 _OUTSIDE = bytes(byte not in b"0123456789.+-eE," for byte in range(256))
 
 #: The rows of a range: UTC and offset microseconds, the depth cells in
-#: blocks of rows, the tally of rejected rows and the lines read.
-_Part = tuple[np.ndarray, np.ndarray, list[np.ndarray], Counter, int]
+#: blocks of rows, and the tally of rejected rows.
+_Part = tuple[np.ndarray, np.ndarray, list[np.ndarray], Counter]
 
 
 def _parse_timestamp(raw: str) -> tuple[int, int]:
@@ -77,57 +78,22 @@ def _parse_timestamp(raw: str) -> tuple[int, int]:
     return (ts - _EPOCH) // _MICROSECOND, offset // _MICROSECOND
 
 
-class _ByteRange(io.RawIOBase):
-    """Bytes `start` to `stop` of the open binary file `raw`, read as a whole file."""
-
-    def __init__(self, raw: io.RawIOBase, start: int, stop: int):
-        super().__init__()
-        raw.seek(start)
-        self._raw, self._left = raw, stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        read = self._raw.readinto(memoryview(buffer)[: self._left])
-        self._left -= read
-        return read
-
-
-class _RangeError(Exception):
-    """A line of a byte range that csv cannot split, `line` counting the
-    range's own lines, or with line None, bytes that are not UTF-8."""
-
-    def __init__(self, line: int | None, message: str):
-        super().__init__(line, message)
-        self.line, self.message = line, message
-
-    def naming(self, path: Path, lines_before: int) -> ValueError:
-        """The error as `parse` raises it, after `lines_before` lines of earlier ranges."""
-        if self.line is None:
-            return ValueError(f"{path}: {self.message}")
-        return ValueError(f"{path}: line {lines_before + self.line}: {self.message}")
-
-
-def _parse_rows(path: Path, start: int, stop: int) -> _Part:
-    """The depth rows of bytes `start` to `stop` of the depth CSV at `path`,
-    a range that starts a line, read by the csv module. The range at 0 starts
-    with the header, which is checked."""
+def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
+    """What `parse` gives for the depth CSV at `path`, read whole by the csv
+    module: the reference the block path is held to. A bad header, a line
+    csv cannot split or bytes that are not UTF-8 is a ValueError naming
+    `path`."""
     utc_us, offset_us, flat = array("q"), array("q"), array("d")
     errors: Counter = Counter()
-    with (
-        open(path, "rb", buffering=0) as raw,
-        io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop)), encoding="utf-8", newline="") as fh,
-    ):
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            if start == 0:
-                header = next(reader, None)
-                if header is None:
-                    raise ValueError(f"{path}: empty file, no header")
-                header = [cell.strip() for cell in header]
-                if header != list(DEPTH_CSV_COLUMNS):
-                    raise ValueError(f"{path}: malformed header {header!r}")
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, no header")
+            header = [cell.strip() for cell in header]
+            if header != list(DEPTH_CSV_COLUMNS):
+                raise ValueError(f"{path}: malformed header {header!r}")
             for row in reader:
                 if not row:
                     continue
@@ -145,19 +111,19 @@ def _parse_rows(path: Path, start: int, stop: int) -> _Part:
                 utc_us.append(utc)
                 offset_us.append(offset)
         except csv.Error as exc:
-            raise _RangeError(reader.line_num, str(exc)) from None
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise _RangeError(None, str(exc)) from None
+            raise ValueError(f"{path}: {exc}") from None
     utc, offset = (np.frombuffer(column, dtype=np.int64) for column in (utc_us, offset_us))
-    return utc, offset, [np.frombuffer(flat, dtype=np.float64).reshape(-1, _CELLS)], errors, reader.line_num
+    return utc, offset, np.frombuffer(flat, dtype=np.float64).reshape(-1, _CELLS), errors
 
 
-def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter, int] | None:
+def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter] | None:
     """The depth rows of `block`, whole lines of a range, as `_parse_rows`
-    reads them: UTC and offset microseconds, the cells, the tally and the
-    lines read; the first line is the header when `header`. None when
-    `_parse_rows` must read the range: for a `"`, bytes that are not UTF-8, a
-    header that is not DEPTH_CSV_COLUMNS or a line over csv.field_size_limit()."""
+    reads them: UTC and offset microseconds, the cells and the tally; the
+    first line is the header when `header`. None when `_parse_rows` must read
+    the file: for a `"`, bytes that are not UTF-8, a header that is not
+    DEPTH_CSV_COLUMNS or a line over csv.field_size_limit()."""
     if b'"' in block:
         return None
     try:
@@ -170,7 +136,6 @@ def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.
     cr = b"\r" in block
     ends = np.flatnonzero((data == ord("\n")) | (data == ord("\r")) if cr else data == ord("\n"))
     line_starts, line_stops = np.r_[0, ends + 1], np.r_[ends, len(data)]
-    lines = len(ends) - (block.count(b"\r\n") if cr else 0) + int(line_starts[-1] < len(data))
     if (line_stops - line_starts).max() > csv.field_size_limit():
         return None
     if header and [cell.strip() for cell in block[: line_stops[0]].decode().split(",")] != list(DEPTH_CSV_COLUMNS):
@@ -216,7 +181,7 @@ def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.
     errors["unparseable row"] = len(at) - int(parsed.sum())
     if not parsed.all():
         utc_us, offset_us, values = utc_us[parsed], offset_us[parsed], values[parsed]
-    return utc_us, offset_us, values, +errors, lines
+    return utc_us, offset_us, values, +errors
 
 
 #: How the block path's timestamp cells start, '0' standing for a digit:
@@ -268,16 +233,15 @@ def _decode_stamps(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> t
     return utc_us, offset, decoded
 
 
-def _parse_range(path: Path, start: int, stop: int) -> _Part:
+def _parse_range(path: Path, start: int, stop: int) -> _Part | None:
     """The depth rows of bytes `start` to `stop` of the depth CSV at `path`,
     a range that starts a line, read by `_block_rows` in blocks of whole lines
-    of at most _BLOCK_BYTES, or from its start by `_parse_rows` once a block
-    cannot be certified or holds a line longer than a block."""
+    of at most _BLOCK_BYTES; None once a block cannot be certified or holds a
+    line longer than a block."""
     utc_us: list[np.ndarray] = []
     offset_us: list[np.ndarray] = []
     values: list[np.ndarray] = []
     errors: Counter = Counter()
-    lines = 0
     with open(path, "rb") as fh:
         fh.seek(start)
         left, rest = stop - start, b""
@@ -289,18 +253,17 @@ def _parse_range(path: Path, start: int, stop: int) -> _Part:
                 # the block ends at its last line end; a \r that ends the chunk may have its \n ahead
                 cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
                 if not cut:
-                    return _parse_rows(path, start, stop)
+                    return None
                 block, rest = block[:cut], block[cut:]
-            part = _block_rows(block, header=start == 0 and not lines)
+            part = _block_rows(block, header=start == 0 and not values)
             if part is None:
-                return _parse_rows(path, start, stop)
+                return None
             for column, got in zip((utc_us, offset_us, values), part):
                 column.append(got)
             errors.update(part[3])
-            lines += part[4]
             if not left:
                 break
-    return np.concatenate(utc_us), np.concatenate(offset_us), values, errors, lines
+    return np.concatenate(utc_us), np.concatenate(offset_us), values, errors
 
 
 def _line_start(fh: io.BufferedReader, pos: int) -> int:
@@ -320,25 +283,23 @@ def _line_start(fh: io.BufferedReader, pos: int) -> int:
 def _byte_ranges(path: Path) -> list[tuple[int, int]]:
     """The byte ranges, each starting a line, that `parse` reads `path`
     in: one per usable CPU, but at most one per _PART_BYTES. The file stays
-    one range off Linux (no os.sched_getaffinity) and when it holds a `"`
-    byte, since a quoted field may hold a line end where a cut would land
-    inside a record."""
+    one range off Linux (no os.sched_getaffinity). A cut may land on a line
+    end inside a quoted field; the ranges on both sides of it then hold a
+    `"`, which sends the file to `_parse_rows`."""
     size = path.stat().st_size
     parts = min(len(os.sched_getaffinity(0)), size // _PART_BYTES) if hasattr(os, "sched_getaffinity") else 1
     if parts < 2:
         return [(0, size)]
     with open(path, "rb") as fh:
-        if any(b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_BYTES), b"")):
-            return [(0, size)]
         cuts = sorted({0, size, *(_line_start(fh, k * size // parts) for k in range(1, parts))})
     return list(zip(cuts, cuts[1:]))
 
 
 def _fork_parse(path: Path, start: int, stop: int) -> tuple[int, io.BufferedReader]:
     """Fork a child that parses bytes `start` to `stop` of `path` and sends
-    back a pickle of (UTC microseconds, offset microseconds, tally, lines
-    read), or of its _RangeError, then its depth cells as raw float64 bytes;
-    the child's pid and the pipe it writes to."""
+    back a pickle of None, for a range the block path cannot certify, or of
+    (UTC microseconds, offset microseconds, tally) followed by its depth
+    cells as raw float64 bytes; the child's pid and the pipe it writes to."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -357,12 +318,12 @@ def _fork_parse(path: Path, start: int, stop: int) -> tuple[int, io.BufferedRead
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                try:
-                    utc_us, offset_us, values, errors, lines = _parse_range(path, start, stop)
-                except _RangeError as exc:
-                    pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+                part = _parse_range(path, start, stop)
+                if part is None:
+                    pickle.dump(None, out, pickle.HIGHEST_PROTOCOL)
                 else:
-                    pickle.dump((utc_us, offset_us, errors, lines), out, pickle.HIGHEST_PROTOCOL)
+                    utc_us, offset_us, values, errors = part
+                    pickle.dump((utc_us, offset_us, errors), out, pickle.HIGHEST_PROTOCOL)
                     for block in values:
                         out.write(block)
             code = 0
@@ -376,9 +337,10 @@ def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
     """The rows of the depth CSV at `path`: their UTC and UTC offset
     microseconds, their depth cells as one (rows, 20) block, and the tally of
     rows rejected before the book checks, parsed in `_byte_ranges` and joined
-    in file order. A bad header, a line csv cannot split or bytes that are
-    not UTF-8 is a ValueError naming `path`, the first such in file order. No
-    child outlives the call."""
+    in file order, or by `_parse_rows` once any range cannot be certified. A
+    bad header, a line csv cannot split or bytes that are not UTF-8 is a
+    ValueError naming `path`, the first such in file order. No child outlives
+    the call."""
     ranges = _byte_ranges(path)
     children: list[tuple[int, io.BufferedReader]] = []
 
@@ -396,43 +358,37 @@ def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
     try:
         for start, stop in ranges[1:]:
             children.append(_fork_parse(path, start, stop))
-        try:
-            utc_us, offset_us, blocks, errors, lines = _parse_range(path, *ranges[0])
-        except _RangeError as exc:
-            raise exc.naming(path, 0) from None
-        stamps, sizes = [(utc_us, offset_us)], [sum(map(len, blocks))]
+        first = _parse_range(path, *ranges[0])
+        heads = []
         for (start, stop), child in zip(ranges[1:], list(children)):
             try:
-                part = pickle.load(child[1])
+                heads.append(pickle.load(child[1]))
             except (EOFError, pickle.UnpicklingError):
-                part = None
-            if part is None:
                 reap(child, start, stop, sent=False)
-            if isinstance(part, _RangeError):
-                raise part.naming(path, lines)
-            part_utc, part_offset, part_errors, part_lines = part
-            stamps.append((part_utc, part_offset))
-            sizes.append(len(part_utc))
-            errors.update(part_errors)
-            lines += part_lines
-        # one block for the cells of every range: this range's land block by
-        # block, freeing each, and each other's straight from its child's pipe
-        values = np.empty((sum(sizes), _CELLS))
-        row = 0
-        while blocks:
-            block = blocks.pop(0)
-            values[row : row + len(block)] = block
-            row += len(block)
-        for (start, stop), size, child in zip(ranges[1:], sizes[1:], list(children)):
-            view = memoryview(values[row : row + size].reshape(-1).view(np.uint8))
-            while view and (read := child[1].readinto(view)):
-                view = view[read:]
-            reap(child, start, stop, sent=not view)
-            row += size
+        if first is not None and None not in heads:
+            utc_us, offset_us, blocks, errors = first
+            stamps = [(utc_us, offset_us), *(head[:2] for head in heads)]
+            for head in heads:
+                errors.update(head[2])
+            # one block for the cells of every range: this range's land block by
+            # block, freeing each, and each other's straight from its child's pipe
+            values = np.empty((sum(len(utc) for utc, _ in stamps), _CELLS))
+            row = 0
+            while blocks:
+                block = blocks.pop(0)
+                values[row : row + len(block)] = block
+                row += len(block)
+            for (start, stop), (utc, _), child in zip(ranges[1:], stamps[1:], list(children)):
+                view = memoryview(values[row : row + len(utc)].reshape(-1).view(np.uint8))
+                while view and (read := child[1].readinto(view)):
+                    view = view[read:]
+                reap(child, start, stop, sent=not view)
+                row += len(utc)
+            utc_us, offset_us = (np.concatenate(column) for column in zip(*stamps))
+            return utc_us, offset_us, values, errors
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    utc_us, offset_us = (np.concatenate(column) for column in zip(*stamps))
-    return utc_us, offset_us, values, errors
+    return _parse_rows(path)

@@ -332,15 +332,15 @@ def ingest_csv(path: str | Path) -> IngestResult:
     naming `path`; with several such lines, the first in file order.
 
     `rlexec.depth_csv.parse` reads the rows into one (rows, 20) block and two
-    int64 timestamp columns. On Linux it parses a file of 2 MiB or more
-    without a `"` byte as byte ranges that each start a line, one per usable
-    CPU but at most one per MiB, each range after the first in a forked
-    child; a range goes through NumPy's C reader in blocks of whole lines,
-    or through the csv module when it cannot be read so. The rows are joined
-    in file order before the checks, and the kept rows are put in timestamp
-    order (a stable sort on the UTC microseconds) inside that block, so the
-    result is the one-range result. A decode error's position counts within
-    its range's decode chunk.
+    int64 timestamp columns. On Linux it parses a file of 2 MiB or more as
+    byte ranges that each start a line, one per usable CPU but at most one
+    per MiB, each range after the first in a forked child whose part carries
+    rows only; a range goes through NumPy's C reader in blocks of whole
+    lines. A range that cannot be read so sends the whole file through the
+    csv module in this process, which raises every data error. The rows are
+    joined in file order before the checks, and the kept rows are put in
+    timestamp order (a stable sort on the UTC microseconds) inside that
+    block, so the result, errors included, is the one-range result.
     """
     from .depth_csv import parse  # here: the stages that load bars.npz never load the parser
 
