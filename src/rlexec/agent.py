@@ -33,9 +33,11 @@ reads back.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -88,11 +90,17 @@ def q_update(q: QTable, cell: int, reward: float, future: float | None) -> QTabl
     return q
 
 
+@functools.lru_cache(maxsize=8)
+def _tie_break_order(betas: tuple[float, ...]) -> np.ndarray:
+    """The actions, closest to beta = 1 first, then smaller beta."""
+    return np.array(sorted(range(len(betas)), key=lambda a: (abs(betas[a] - 1.0), betas[a])))
+
+
 def _greedy_actions(values: np.ndarray, betas: tuple[float, ...]) -> np.ndarray:
     """Argmax over the last axis with deterministic ties: closest to beta = 1,
     then smaller beta. The actions are put in that order first, so argmax's
     first hit is the tie-break."""
-    order = np.array(sorted(range(len(betas)), key=lambda a: (abs(betas[a] - 1.0), betas[a])))
+    order = _tie_break_order(betas)
     return order[np.argmax(values[..., order], axis=-1)]
 
 
@@ -110,16 +118,23 @@ def correct_action_fraction(q: QTable, grid: ActionGrid) -> float | None:
     (correct: beta > 1). Final-period states are excluded: there the terminal
     clean-up order makes every action equivalent. Returns None when no
     qualifying state has been visited.
+
+    Only the qualifying (s, v) rows of the table are read, gathered with the
+    actions already in tie-break order.
     """
     _, _, spread, vol, _ = q.values.shape
     s, v = np.ogrid[1 : spread + 1, 1 : vol + 1]
     trim = (s > (spread + 1) / 2) & (v < (vol + 1) / 2)
     add = (s < (spread + 1) / 2) & (v > (vol + 1) / 2)
-    # index 0 along the first axis is the final period (t = 1)
-    qualifying = (trim | add) & (q.visit_counts[1:].sum(axis=-1) != 0)
-    beta = np.asarray(grid.betas)[_greedy_actions(q.values[1:], grid.betas)]
-    correct = qualifying & ((trim & (beta < 1.0)) | (add & (beta > 1.0)))
-    total = int(qualifying.sum())
+    s_at, v_at = np.nonzero(trim | add)
+    order = _tie_break_order(grid.betas)
+    # (T - 1, I, K, A) rows of the K qualifying (s, v) pairs; index 0 along
+    # the first axis is the final period (t = 1), left out
+    rows = q.values[1:, :, s_at[:, np.newaxis], v_at[:, np.newaxis], order]
+    visited = q.visit_counts[1:, :, s_at, v_at].any(axis=-1)
+    beta = np.asarray(grid.betas)[order[np.argmax(rows, axis=-1)]]
+    correct = visited & np.where(trim[s_at, v_at], beta < 1.0, beta > 1.0)
+    total = int(visited.sum())
     return int(correct.sum()) / total if total else None
 
 
@@ -158,9 +173,10 @@ def train(
     in one array pass, which gives their rewards and next inventory buckets
     i', and one gather over period t - 1's rows at (i', s', v') gives every
     cell's bootstrap value max_b Q(t - 1, i', s', v', b). The block's Q
-    updates then run one q_update per (bucket, action) in bucket-major order,
-    on flat cells: A in a row per bucket, B * W * A apart from bucket to
-    bucket. Within a period every update writes its own cell of period t and
+    updates then run as one flat loop, one q_update per (bucket, action) in
+    bucket-major order, each on the block's first flat cell plus an offset
+    computed once per call: A in a row per bucket, B * W * A apart from
+    bucket to bucket. Within a period every update writes its own cell of period t and
     none writes period t - 1, so the values gathered before the block are the
     values each update would read at its own time; and the block arithmetic
     is the per-request arithmetic, so the table is the one per-request walks
@@ -186,7 +202,9 @@ def train(
         dtype=float,
     )
     betas = np.asarray(grid.betas)
-    stride = spread_buckets * vol_buckets * n_actions
+    # each (bucket, action)'s flat cell less its block's first, (t, 1, s, v, 0)
+    offsets = [i * spread_buckets * vol_buckets * n_actions + a for i in range(inv_buckets) for a in range(n_actions)]
+    absorbing = [None] * len(offsets)
     result = TrainingResult()
     s_bucket, v_bucket = state_buckets(episodes, dists, spread_buckets, vol_buckets)
     kept = s_bucket.all(axis=1) if episodes.start.shape[1] == periods else np.zeros(len(episodes), dtype=bool)
@@ -201,22 +219,19 @@ def train(
                 # liquidation guarantee: the last period executes all
                 # remaining inventory cap-free, whatever beta says
                 walk = _walk_books(prices[e, j], volumes[e, j], midpoints, cap=1.0)
-                futures = [[None] * n_actions] * inv_buckets  # absorbing
+                futures = absorbing
             else:
                 volume = _child_volume(betas, midpoints, sched[j], suffix[j])
                 walk = _walk_books(prices[e, j], volumes[e, j], volume, cap=cap)
                 i1 = _inventory_bucket(midpoints - walk.executed, total, inv_buckets)
                 # (I, A, A) rows of period t - 1, reduced to their (I, A) maxima
                 rows = q.values[t - 2, i1 - 1, s_bucket[e][j + 1] - 1, v_bucket[e][j + 1] - 1]
-                futures = rows.max(axis=-1).tolist()
-            rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).tolist()
+                futures = rows.max(axis=-1).ravel().tolist()
+            rewards = np.broadcast_to(_period_reward(walk, ref, total), (inv_buckets, n_actions)).ravel().tolist()
             s, v = s_bucket[e][j], v_bucket[e][j]
-            # flat cell of (t, 1, s, v, 0), each bucket's first action
             first = (((t - 1) * inv_buckets * spread_buckets + s - 1) * vol_buckets + v - 1) * n_actions
-            for row_rewards, row_futures in zip(rewards, futures):
-                for cell, reward, future in zip(range(first, first + n_actions), row_rewards, row_futures):
-                    q_update(q, cell, reward, future)
-                first += stride
+            for offset, reward, future in zip(offsets, rewards, futures):
+                q_update(q, first + offset, reward, future)
             result.updates += inv_buckets * n_actions
         result.trace.append((result.updates, correct_action_fraction(q, grid)))
     return result
@@ -232,33 +247,55 @@ def _period_reward(walk, reference: float, total: int) -> np.ndarray:
 # Q-table persistence: a CSV export to read, an .npz hand-off to load
 # ---------------------------------------------------------------------------
 
+#: A table splits into at most one export part per _SAVE_PART_ROWS rows.
+_SAVE_PART_ROWS = 32768
+
+
+def _write_states(q: QTable, grid: ActionGrid, fh: TextIO, start: int, stop: int) -> None:
+    """Write the export rows of states `start` to `stop` of `q`, in C order
+    of (t, i, s, v), A rows per state, to `fh`."""
+    actions = [f",{a},{beta!r}," for a, beta in enumerate(grid.betas)]
+    values = q.values.reshape(-1, len(actions))[start:stop]
+    visits = q.visit_counts.reshape(-1, len(actions))[start:stop]
+    # a state no update touched holds +0.0 (all bits zero, so not -0.0)
+    # and count 0 in every cell, and all such states share their rows' tails
+    touched = (values.view(np.int64).any(axis=1) | visits.any(axis=1)).tolist()
+    untouched_tails = [f"{action}0.0,0\r\n" for action in actions]
+    labels = [[str(n) for n in range(1, size + 1)] for size in q.values.shape[:4]]
+    states = itertools.islice(itertools.product(*labels), start, stop)  # "t,i,s,v" in C order
+    for k, prefix in enumerate(map(",".join, states)):
+        tails = untouched_tails
+        if touched[k]:
+            rows = zip(actions, values[k].tolist(), visits[k].tolist())
+            tails = [f"{action}{value!r},{n}\r\n" for action, value, n in rows]
+        fh.write(prefix + prefix.join(tails))
+
+
 def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
     """Write the table to `path` as the export, a versioned CSV with one row
     per cell and every float's repr, and beside it, with suffix .npz, as the
     hand-off `load_qtable` reads. Both repeat byte for byte for the same
-    table (the zip entries carry a fixed date)."""
+    table (the zip entries carry a fixed date).
+
+    The export's rows are written in ranges of states, one per usable CPU
+    but at most one per _SAVE_PART_ROWS rows (`rlexec.parts.write_parts`):
+    the first here, each other at the same time by a forked child into an
+    unlinked spool file beside `path`, appended in order, so the bytes are
+    the one-range bytes. A child that fails is a ChildProcessError naming
+    `path`."""
+    from .parts import even_ranges, usable_parts, write_parts  # here: only train saves a table
+
     periods, inv, spread, vol, _ = q.values.shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# rlexec-qtable: 1\n")
-        fh.write(f"# dims: {periods} {inv} {spread} {vol}\n")
-        fh.write("# betas: " + " ".join(repr(b) for b in grid.betas) + "\n")
+    header = (
+        "# rlexec-qtable: 1\n"
+        f"# dims: {periods} {inv} {spread} {vol}\n"
+        "# betas: " + " ".join(repr(b) for b in grid.betas) + "\n"
         # rows as csv.writer's default dialect writes them: CRLF-terminated,
         # and no cell needs quoting
-        fh.write("t,i,s,v,action,beta,q,visits\r\n")
-        actions = [f",{a},{beta!r}," for a, beta in enumerate(grid.betas)]
-        values = q.values.reshape(-1, len(actions))
-        visits = q.visit_counts.reshape(-1, len(actions))
-        # a state no update touched holds +0.0 (all bits zero, so not -0.0)
-        # and count 0 in every cell, and all such states share their rows' tails
-        touched = (values.view(np.int64).any(axis=1) | visits.any(axis=1)).tolist()
-        untouched_tails = [f"{action}0.0,0\r\n" for action in actions]
-        labels = [[str(n) for n in range(1, size + 1)] for size in q.values.shape[:4]]
-        for k, prefix in enumerate(map(",".join, itertools.product(*labels))):  # "t,i,s,v" in C order
-            tails = untouched_tails
-            if touched[k]:
-                rows = zip(actions, values[k].tolist(), visits[k].tolist())
-                tails = [f"{action}{value!r},{n}\r\n" for action, value, n in rows]
-            fh.write(prefix + prefix.join(tails))
+        "t,i,s,v,action,beta,q,visits\r\n"
+    )
+    ranges = even_ranges(periods * inv * spread * vol, usable_parts(q.values.size, _SAVE_PART_ROWS))
+    write_parts(path, header, ranges, functools.partial(_write_states, q, grid))
     np.savez(Path(path).with_suffix(".npz"), values=q.values, visits=q.visit_counts, betas=np.asarray(grid.betas))
 
 

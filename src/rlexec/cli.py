@@ -21,13 +21,20 @@ Train writes `qtable.csv`, the readable export, and `qtable.npz`, the arrays
 backtest loads. `config.HANDOFFS` declares each file one stage hands another:
 a file its readers refuse is a data error naming the file.
 
+The two readable exports, `snapshots.csv` and `qtable.csv`, are written in
+row ranges, one per usable CPU above a floor of rows per range: each range
+after the first is formatted at the same time by a forked child into an
+unlinked spool file, appended in order, so the bytes are the one-range
+bytes. `rlexec.parts` holds the fork, reap and kill code that the parse and
+both writers share; a child that fails is an io-error naming the file.
+
 Each stage imports only the modules it runs, inside its `cmd_*` body:
 `import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and
 `rlexec.config`, which import no NumPy.
-- ingest: `market_data` and NumPy, `depth_csv` to parse and `hashlib` (with
-  OpenSSL's `_hashlib`) for the sha256;
+- ingest: `market_data` and NumPy, `depth_csv` to parse, `parts` to fork and
+  `hashlib` (with OpenSSL's `_hashlib`) for the sha256;
 - calibrate: `market_data`, `execution` and `almgren_chriss`;
-- train: `market_data`, `execution` and `agent`;
+- train: `market_data`, `execution`, `agent` and `parts`;
 - backtest: `market_data`, `execution`, `agent`, `backtest` and `report`;
 - report: `report` only, without NumPy.
 """

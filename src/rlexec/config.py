@@ -82,9 +82,13 @@ MAX_SYNTHETIC_ROWS = 1_000_000
 
 def synthetic_rows(days: int, tau: float) -> int:
     """Rows generate_synthetic builds for `days` days of `tau`-second bars,
-    checked against MAX_SYNTHETIC_ROWS before any row exists."""
+    checked against MAX_SYNTHETIC_ROWS before any row exists. A synthetic
+    hour holds round(3600 / tau) bars, none for a tau of 7200 s or more: a
+    ValueError naming tau."""
     per_hour = 3600.0 / tau  # inf for a subnormal tau, which round() refuses
     per_hour = round(per_hour) if math.isfinite(per_hour) else per_hour
+    if per_hour < 1:
+        raise ValueError(f"tau = {tau!r} s leaves no synthetic rows: a synthetic hour holds round(3600 / tau) = 0 bars")
     rows = days * len(SESSION_HOURS) * per_hour * SNAPSHOTS_PER_INTERVAL
     if not rows <= MAX_SYNTHETIC_ROWS:  # also catches inf and nan
         raise ValueError(

@@ -7,11 +7,11 @@ of rows rejected before the book checks.
 
 Ranges. On Linux a file of two or more _PART_BYTES is parsed in byte ranges
 that each start a line, one per usable CPU but at most one per _PART_BYTES:
-the first range in this process, each other in a forked child, at the same
-time. A child sends its two timestamp columns and its tally in one pickle,
-then its cells as raw float64 bytes, which the parent reads straight into
-that range's slice of the block. The parts carry rows only, and are joined
-in file order.
+the first range in this process, each other in a child that
+`rlexec.parts.Children` forks, at the same time. A child sends its two
+timestamp columns and its tally in one pickle through a pipe, then its cells
+as raw float64 bytes, which the parent reads straight into that range's
+slice of the block. The parts carry rows only, and are joined in file order.
 
 Blocks. `_parse_range` reads a range in blocks of whole lines of at most
 _BLOCK_BYTES. In a block, a line of exactly 20 commas whose depth cells hold
@@ -34,12 +34,10 @@ the one-range result.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import os
 import pickle
 import re
-import signal
-import warnings
 from array import array
 from collections import Counter
 from datetime import datetime
@@ -48,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .market_data import _EPOCH, _MICROSECOND, DEPTH_CSV_COLUMNS
+from .parts import Children, usable_parts
 
 #: A file splits into at most one parse part per _PART_BYTES bytes.
 _PART_BYTES = 1 << 20
@@ -287,7 +286,7 @@ def _byte_ranges(path: Path) -> list[tuple[int, int]]:
     end inside a quoted field; the ranges on both sides of it then hold a
     `"`, which sends the file to `_parse_rows`."""
     size = path.stat().st_size
-    parts = min(len(os.sched_getaffinity(0)), size // _PART_BYTES) if hasattr(os, "sched_getaffinity") else 1
+    parts = usable_parts(size, _PART_BYTES)
     if parts < 2:
         return [(0, size)]
     with open(path, "rb") as fh:
@@ -295,42 +294,19 @@ def _byte_ranges(path: Path) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _fork_parse(path: Path, start: int, stop: int) -> tuple[int, io.BufferedReader]:
-    """Fork a child that parses bytes `start` to `stop` of `path` and sends
-    back a pickle of None, for a range the block path cannot certify, or of
-    (UTC microseconds, offset microseconds, tally) followed by its depth
-    cells as raw float64 bytes; the child's pid and the pipe it writes to."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # From Python 3.12 fork warns in a threaded process, as NumPy's
-            # BLAS pool makes every process. The child is safe: it makes no
-            # BLAS call, and leaves by os._exit, running no cleanup of the
-            # parent's.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                part = _parse_range(path, start, stop)
-                if part is None:
-                    pickle.dump(None, out, pickle.HIGHEST_PROTOCOL)
-                else:
-                    utc_us, offset_us, values, errors = part
-                    pickle.dump((utc_us, offset_us, errors), out, pickle.HIGHEST_PROTOCOL)
-                    for block in values:
-                        out.write(block)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+def _send_part(path: Path, start: int, stop: int, out: io.BufferedWriter) -> None:
+    """Parse bytes `start` to `stop` of `path` and send to `out` a pickle of
+    None, for a range the block path cannot certify, or of (UTC microseconds,
+    offset microseconds, tally) followed by its depth cells as raw float64
+    bytes."""
+    part = _parse_range(path, start, stop)
+    if part is None:
+        pickle.dump(None, out, pickle.HIGHEST_PROTOCOL)
+        return
+    utc_us, offset_us, values, errors = part
+    pickle.dump((utc_us, offset_us, errors), out, pickle.HIGHEST_PROTOCOL)
+    for block in values:
+        out.write(block)
 
 
 def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
@@ -342,29 +318,15 @@ def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
     ValueError naming `path`, the first such in file order. No child outlives
     the call."""
     ranges = _byte_ranges(path)
-    children: list[tuple[int, io.BufferedReader]] = []
-
-    def reap(child: tuple[int, io.BufferedReader], start: int, stop: int, sent: bool) -> None:
-        """Close a child's pipe and wait for it; unless it `sent` its whole
-        part and exited 0, a ChildProcessError."""
-        pid, pipe = child
-        pipe.close()
-        children.remove(child)
-        _, status = os.waitpid(pid, 0)
-        if status or not sent:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"{path}: the parse of bytes {start} to {stop} ended with exit code {code}")
-
-    try:
-        for start, stop in ranges[1:]:
-            children.append(_fork_parse(path, start, stop))
+    with Children() as children:
+        pipes = [children.fork(functools.partial(_send_part, path, start, stop)) for start, stop in ranges[1:]]
         first = _parse_range(path, *ranges[0])
         heads = []
-        for (start, stop), child in zip(ranges[1:], list(children)):
+        for (start, stop), pipe in zip(ranges[1:], pipes):
             try:
-                heads.append(pickle.load(child[1]))
+                heads.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
-                reap(child, start, stop, sent=False)
+                children.reap(pipe, f"{path}: the parse of bytes {start} to {stop}", sent=False)
         if first is not None and None not in heads:
             utc_us, offset_us, blocks, errors = first
             stamps = [(utc_us, offset_us), *(head[:2] for head in heads)]
@@ -378,17 +340,12 @@ def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
                 block = blocks.pop(0)
                 values[row : row + len(block)] = block
                 row += len(block)
-            for (start, stop), (utc, _), child in zip(ranges[1:], stamps[1:], list(children)):
+            for (start, stop), (utc, _), pipe in zip(ranges[1:], stamps[1:], pipes):
                 view = memoryview(values[row : row + len(utc)].reshape(-1).view(np.uint8))
-                while view and (read := child[1].readinto(view)):
+                while view and (read := pipe.readinto(view)):
                     view = view[read:]
-                reap(child, start, stop, sent=not view)
+                children.reap(pipe, f"{path}: the parse of bytes {start} to {stop}", sent=not view)
                 row += len(utc)
             utc_us, offset_us = (np.concatenate(column) for column in zip(*stamps))
             return utc_us, offset_us, values, errors
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     return _parse_rows(path)

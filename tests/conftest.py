@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -75,3 +77,18 @@ def make_bar(start: datetime = T0, **kwargs) -> Bars:
 def paper_bars() -> Bars:
     """Two periods whose ask sides are the worked-example books."""
     return make_bars([make_row(ask_levels=BOOK_A), make_row(mid=99.75, ask_levels=BOOK_B)])
+
+
+@contextmanager
+def export_parts(cpus: int, module, floor_name: str, floor: int):
+    """`module`'s readable export splits into a part per `floor` rows, its
+    floor `floor_name`, on `cpus` usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, floor_name, floor)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

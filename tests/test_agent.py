@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import os
 from dataclasses import replace
 from datetime import timedelta
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlexec import agent
 from rlexec.agent import (
@@ -38,7 +42,7 @@ from rlexec.market_data import (
     state_buckets,
 )
 
-from conftest import T0, make_bar_sequence
+from conftest import T0, assert_no_child_left, export_parts, make_bar_sequence
 
 
 class StateTuple(NamedTuple):
@@ -297,30 +301,34 @@ class TestCorrectActionFraction:
         assert correct_action_fraction(q, self.grid()) == 1.0
 
     def test_mixed_policy_matches_counting_oracle(self):
-        rng = np.random.default_rng(12)
+        # odd and even bucket counts move the median bucket; values on a few
+        # levels tie often, and the oracle breaks ties row by row: closest to
+        # beta = 1, then smaller
         grid = self.grid()
-        q = QTable.zeros(4, 3, 5, 5, 9)
-        q.values[:] = rng.uniform(-10, 0, size=q.values.shape)
-        q.visit_counts[:] = rng.integers(0, 2, size=q.values.shape)
-        got = correct_action_fraction(q, grid)
+        shapes = [(5, 5), (2, 2), (3, 4), (4, 3), (6, 5)]
+        for seed, (spread, vol), levels in itertools.product(range(3), shapes, [None, 3]):
+            rng = np.random.default_rng(12 + seed)
+            q = QTable.zeros(4, 3, spread, vol, 9)
+            if levels is None:
+                q.values[:] = rng.uniform(-10, 0, size=q.values.shape)
+            else:
+                q.values[:] = rng.integers(-levels + 1, 1, size=q.values.shape).astype(float)
+            q.visit_counts[:] = rng.integers(0, 2, size=q.values.shape)
 
-        correct = total = 0
-        for t in range(1, 4):  # skip the final period (index 0)
-            for i in range(3):
-                for s in range(5):
-                    for v in range(5):
-                        trim = (s + 1) > 3 and (v + 1) < 3
-                        add = (s + 1) < 3 and (v + 1) > 3
-                        if not (trim or add):
-                            continue
-                        if q.visit_counts[t, i, s, v].sum() == 0:
-                            continue
-                        beta = grid.betas[int(np.argmax(q.values[t, i, s, v]))]
-                        # ties cannot occur with continuous random values
-                        total += 1
-                        if (trim and beta < 1) or (add and beta > 1):
-                            correct += 1
-        assert got == pytest.approx(correct / total)
+            correct = total = 0
+            for t in range(1, 4):  # skip the final period (index 0)
+                for i, s, v in np.ndindex(3, spread, vol):
+                    trim = (s + 1) > (spread + 1) / 2 and (v + 1) < (vol + 1) / 2
+                    add = (s + 1) < (spread + 1) / 2 and (v + 1) > (vol + 1) / 2
+                    if not (trim or add) or q.visit_counts[t, i, s, v].sum() == 0:
+                        continue
+                    row = q.values[t, i, s, v]
+                    tied = np.flatnonzero(row == row.max())
+                    beta = grid.betas[min(tied, key=lambda a: (abs(grid.betas[a] - 1.0), grid.betas[a]))]
+                    total += 1
+                    correct += (trim and beta < 1) or (add and beta > 1)
+            assert total > 0
+            assert correct_action_fraction(q, grid) == correct / total, (seed, spread, vol, levels)
 
     def test_tie_heavy_table_matches_per_row_loop(self):
         # values on a few levels tie often; the loop below is the per-row
@@ -612,6 +620,66 @@ class TestPersistence:
             load_qtable(path, dict(zip("TIBWA", (2, 2, 2, 2, 3))))
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
+
+
+@st.composite
+def trained_tables(draw) -> QTable:
+    """Small tables of every shape the sweep leaves: trained and untouched
+    states, -0.0, values held with count 0, the float and count extremes."""
+    shape = tuple(draw(st.integers(0 if k == 0 else 1, 3)) for k in range(4)) + (draw(st.integers(1, 4)),)
+    q = QTable.zeros(*shape)
+    cells = q.values.size
+    q.values.flat[:] = draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, -3.5, 1 / 3, 5e-324, 1e308, -12.25]),
+                                     min_size=cells, max_size=cells))
+    q.visit_counts.flat[:] = draw(st.lists(st.sampled_from([0, 1, 7, 2**63 - 1]), min_size=cells, max_size=cells))
+    untouched = draw(st.lists(st.booleans(), min_size=cells // shape[-1], max_size=cells // shape[-1]))
+    q.values.reshape(-1, shape[-1])[untouched] = 0.0
+    q.visit_counts.reshape(-1, shape[-1])[untouched] = 0
+    return q
+
+
+class TestExportParts:
+    """The export written in ranges of states, the first here and each
+    other in a forked child, is the per-row export byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(trained_tables(), st.integers(1, 4), st.integers(1, 40))
+    def test_parts_write_the_per_row_bytes(self, tmp_path_factory, q, cpus, floor):
+        tmp = tmp_path_factory.mktemp("export")
+        grid = ActionGrid(betas=tuple(0.5 * k for k in range(q.values.shape[-1])))
+        TestPersistence.reference_export(tmp / "reference.csv", q, grid)
+        with export_parts(cpus, agent, "_SAVE_PART_ROWS", floor):
+            save_qtable(tmp / "qtable.csv", q, grid)
+        assert (tmp / "qtable.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        assert_no_child_left()
+
+    def test_fine_grid_splits_on_two_cpus_and_paper_csv_does_not(self, monkeypatch):
+        from rlexec.parts import usable_parts
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fine_grid, paper_csv = 8 * 20 * 5 * 5 * 41, 8 * 5 * 5 * 5 * 9
+        assert (fine_grid, paper_csv) == (164_000, 9_000)
+        assert usable_parts(fine_grid, agent._SAVE_PART_ROWS) == 2
+        assert usable_parts(paper_csv, agent._SAVE_PART_ROWS) == 1
+
+    def test_a_child_that_dies_is_a_child_process_error_naming_the_file(self, tmp_path, monkeypatch):
+        parent, write_states = os.getpid(), agent._write_states
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            write_states(*args)
+
+        monkeypatch.setattr(agent, "_write_states", child_dies)
+        q = QTable.zeros(3, 2, 2, 2, 3)
+        path = tmp_path / "qtable.csv"
+        fds = len(os.listdir("/proc/self/fd"))
+        with export_parts(2, agent, "_SAVE_PART_ROWS", 10):
+            with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 2 ended with exit code 3$"):
+                save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)))
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["qtable.csv"]
 
 
 class TestDPEquivalenceSmall:

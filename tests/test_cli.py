@@ -175,9 +175,9 @@ def loaded_modules(*argv: str) -> set[str]:
 
 #: The rlexec modules each stage's process loads, as the cli docstring lists them.
 STAGE_MODULES = {
-    "ingest": {"market_data", "depth_csv"},
+    "ingest": {"market_data", "depth_csv", "parts"},
     "calibrate": {"market_data", "execution", "almgren_chriss"},
-    "train": {"market_data", "execution", "agent"},
+    "train": {"market_data", "execution", "agent", "parts"},
     "backtest": {"market_data", "execution", "agent", "backtest", "report"},
     "report": {"report"},
 }
@@ -185,8 +185,8 @@ STAGE_MODULES = {
 
 def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
     # np.median and a plain np.unique import numpy.ma on their first call,
-    # about 15 ms of a stage's process; ingest's parse parts fork with
-    # os.fork, without the import of a process pool
+    # about 15 ms of a stage's process; ingest's parse and write parts and
+    # train's export parts fork with os.fork, without the import of a process pool
     never = {"numpy.ma", "multiprocessing", "concurrent.futures"}
     for argv in ((), ("--help",), ("train", "--help")):
         modules = loaded_modules(*argv)
@@ -359,6 +359,16 @@ def test_runaway_synthetic_store_is_refused_before_generation(tmp_path, capsys, 
     monkeypatch.setattr(market_data, "generate_synthetic", generate)
     assert cli.main(args("ingest", tmp_path / "out", "--days", "1000000000")) == 2
     assert error_of(capsys)["error"] == "config-error"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tau", ["7200", "1e9"])
+def test_synthetic_bars_too_long_for_an_hour_exit_2_naming_tau(tmp_path, capsys, tau):
+    # round(3600 / tau) = 0 bars an hour: no synthetic row, refused before generation
+    assert cli.main(args("ingest", tmp_path / "out", "--tau", tau)) == 2
+    error = error_of(capsys)
+    assert error["error"] == "config-error"
+    assert error["message"].startswith(f"tau = {float(tau)!r} s leaves no synthetic rows")
     assert not (tmp_path / "out").exists()
 
 

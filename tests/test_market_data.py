@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rlexec import depth_csv
+from rlexec import depth_csv, market_data
 from rlexec.almgren_chriss import calibrate
 from rlexec.cli import _load_split
 from rlexec.config import ExperimentConfig, Field
@@ -38,6 +39,7 @@ from rlexec.market_data import (
     SESSION_HOURS,
     SNAPSHOTS_PER_INTERVAL,
     START_DAY,
+    BookFrame,
     BookRegime,
     HistoricalDistribution,
     MixedRegime,
@@ -59,7 +61,7 @@ from rlexec.market_data import (
     write_snapshots_csv,
 )
 
-from conftest import T0, make_bar_sequence, make_bars, make_frame, make_row
+from conftest import T0, assert_no_child_left, export_parts, make_bar_sequence, make_bars, make_frame, make_row
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from rawcsv import DEFECTS  # noqa: E402
@@ -239,6 +241,19 @@ class TestIngest:
         assert np.array_equal(back.snapshots.values, frame.values)
 
 
+    def test_each_row_is_book_checked_once(self, tmp_path, monkeypatch):
+        # ingest_csv checks the parsed rows; the frame of its kept rows is not checked again
+        path = tmp_path / "store.csv"
+        write_snapshots_csv(path, generate_synthetic(7, 2, SyntheticConfig()))
+        checked, check = [], market_data.first_book_failure
+        monkeypatch.setattr(market_data, "first_book_failure", lambda values: checked.append(len(values)) or check(values))
+        assert len(ingest_csv(path).snapshots) == checked[0] == 960
+        assert checked == [960]
+        # a frame built directly still checks its rows
+        with pytest.raises(ValueError, match="row 1: crossed book"):
+            BookFrame(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), np.array([make_row(), make_row(spread=-0.02)]))
+        assert checked == [960, 2]
+
     def test_synthetic_store_bytes_are_pinned(self, tmp_path):
         # sha256 of the file the per-snapshot writer produced for this input
         path = tmp_path / "store.csv"
@@ -309,11 +324,6 @@ def ingest_outcome(path):
         return str(exc)
     frame = result.snapshots
     return [ts.isoformat() for ts in frame.timestamps], frame.values.tobytes(), result.row_errors
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 #: Cells float() takes but NumPy's reader must not see; cells both refuse
@@ -505,6 +515,115 @@ class TestIngestParts:
             assert depth_csv._parse_range(path, *ranges[at]) is None
         assert split == ingest_outcome(path)
         assert len(split[0]) == 200 and split[2] == {}
+        assert_no_child_left()
+
+
+def reference_store(path: Path, frame: BookFrame) -> None:
+    """The store as a per-cell writer writes it: a finite integral value as
+    an integer, any other as its repr, timestamps by datetime.isoformat."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(DEPTH_CSV_COLUMNS) + "\r\n")
+        for ts, values in zip(frame.timestamps, frame.values.tolist()):
+            cells = (str(int(x)) if math.isfinite(x) and x == math.trunc(x) else repr(x) for x in values)
+            fh.write(f"{ts.isoformat()},{','.join(cells)}\r\n")
+
+
+#: Volumes BookFrame admits, among them NaN, the infinities' positive one and -0.0.
+ODD_VOLUMES = (1000.0, 0.5, math.nan, math.inf, 1e300, -0.0, 3.0, 5e-324, 2.0**63)
+
+
+@st.composite
+def depth_frames(draw, rows: int) -> BookFrame:
+    """`rows` depth rows at rising times in a few zones, some with integral
+    prices, some with ODD_VOLUMES."""
+    stamps, values = [], []
+    for k in range(rows):
+        zone = timezone(timedelta(minutes=draw(st.sampled_from([0, 600, -90]))))
+        micro = draw(st.sampled_from([0, 0, 250_000, 1]))
+        stamps.append((T0 + timedelta(seconds=k, microseconds=micro)).astimezone(zone))
+        integral = draw(st.booleans())
+        row = make_row(mid=100.5 if integral else draw(st.sampled_from([100.0, 99.123456789, 1e6 + 0.25])),
+                       spread=1.0 if integral else 0.1, step=1.0 if integral else 0.05)
+        row[BID_VOLUMES] = draw(st.lists(st.sampled_from(ODD_VOLUMES), min_size=N_LEVELS, max_size=N_LEVELS))
+        row[ASK_VOLUMES] = draw(st.lists(st.sampled_from(ODD_VOLUMES), min_size=N_LEVELS, max_size=N_LEVELS))
+        values.append(row)
+    return make_frame(stamps, values)
+
+
+class TestStoreParts:
+    """A store written in row ranges, the first here and each other in a
+    forked child, is the one-range store byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.data())
+    def test_parts_write_the_per_cell_bytes(self, tmp_path_factory, cpus, floor, data):
+        rows = data.draw(st.sampled_from([0, 1, floor - 1, floor, 2 * floor - 1, 2 * floor, 4 * floor + 1]))
+        frame = data.draw(depth_frames(max(rows, 0)))
+        tmp = tmp_path_factory.mktemp("store")
+        reference_store(tmp / "reference.csv", frame)
+        with export_parts(cpus, market_data, "_WRITE_PART_ROWS", floor), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market_data, "_WRITE_BLOCK", 3)  # a part of several blocks
+            write_snapshots_csv(tmp / "split.csv", frame)
+        assert (tmp / "split.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        assert_no_child_left()
+
+    def test_fine_grid_splits_on_two_cpus_and_a_two_day_store_does_not(self, tmp_path, monkeypatch):
+        from rlexec.parts import usable_parts
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rows = lambda days: len(generate_synthetic(1, days, SyntheticConfig()))  # noqa: E731
+        assert (rows(30), rows(2)) == (14_400, 960)
+        assert usable_parts(14_400, market_data._WRITE_PART_ROWS) == 2
+        assert usable_parts(960, market_data._WRITE_PART_ROWS) == 1
+
+    def test_a_child_that_dies_is_a_child_process_error_naming_the_file(self, tmp_path, monkeypatch):
+        frame = generate_synthetic(3, 2, SyntheticConfig())
+        path = tmp_path / "snapshots.csv"
+        parent, write_rows = os.getpid(), market_data._write_store_rows
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return write_rows(*args)
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return write_rows(*args)
+
+        fds = len(os.listdir("/proc/self/fd"))
+        with export_parts(4, market_data, "_WRITE_PART_ROWS", 100), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
+            with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 4 ended with exit code 3$"):
+                write_snapshots_csv(path, frame)
+            assert_no_child_left()
+            monkeypatch.setattr(market_data, "_write_store_rows", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                write_snapshots_csv(path, frame)
+            assert_no_child_left()
+            gc.collect()
+        # every spool closed, none left to a finalizer
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshots.csv"]
+
+    def test_a_child_process_error_is_an_io_error_of_the_stage(self, tmp_path, capsys, monkeypatch):
+        from rlexec import cli
+
+        parent, write_rows = os.getpid(), market_data._write_store_rows
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            write_rows(*args)
+
+        monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
+        with export_parts(2, market_data, "_WRITE_PART_ROWS", 100):
+            code = cli.main(["ingest", "--days", "2", "--split", "2024-01-02T00:00:00+00:00", "--out", str(tmp_path)])
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (code, error["error"]) == (3, "io-error")
+        assert error["message"] == f"{tmp_path / 'snapshots.csv'}: writing part 2 of 2 ended with exit code 3"
         assert_no_child_left()
 
 
