@@ -80,9 +80,9 @@ def paper_bars() -> Bars:
 
 
 @contextmanager
-def export_parts(cpus: int, module, floor_name: str, floor: int):
-    """`module`'s readable export splits into a part per `floor` rows, its
-    floor `floor_name`, on `cpus` usable CPUs."""
+def forked_parts(cpus: int, module, floor_name: str, floor: int):
+    """`module` splits its work into a part per `floor` units, its floor
+    `floor_name`, on `cpus` usable CPUs: a readable export, or the parse."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, floor_name, floor)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)

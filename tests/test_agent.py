@@ -42,7 +42,7 @@ from rlexec.market_data import (
     state_buckets,
 )
 
-from conftest import T0, assert_no_child_left, export_parts, make_bar_sequence
+from conftest import T0, assert_no_child_left, forked_parts, make_bar_sequence
 
 
 class StateTuple(NamedTuple):
@@ -648,7 +648,7 @@ class TestExportParts:
         tmp = tmp_path_factory.mktemp("export")
         grid = ActionGrid(betas=tuple(0.5 * k for k in range(q.values.shape[-1])))
         TestPersistence.reference_export(tmp / "reference.csv", q, grid)
-        with export_parts(cpus, agent, "_SAVE_PART_ROWS", floor):
+        with forked_parts(cpus, agent, "_SAVE_PART_ROWS", floor):
             save_qtable(tmp / "qtable.csv", q, grid)
         assert (tmp / "qtable.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
         assert_no_child_left()
@@ -674,7 +674,7 @@ class TestExportParts:
         q = QTable.zeros(3, 2, 2, 2, 3)
         path = tmp_path / "qtable.csv"
         fds = len(os.listdir("/proc/self/fd"))
-        with export_parts(2, agent, "_SAVE_PART_ROWS", 10):
+        with forked_parts(2, agent, "_SAVE_PART_ROWS", 10):
             with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 2 ended with exit code 3$"):
                 save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)))
         assert_no_child_left()

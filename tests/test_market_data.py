@@ -61,7 +61,7 @@ from rlexec.market_data import (
     write_snapshots_csv,
 )
 
-from conftest import T0, assert_no_child_left, export_parts, make_bar_sequence, make_bars, make_frame, make_row
+from conftest import T0, assert_no_child_left, forked_parts, make_bar_sequence, make_bars, make_frame, make_row
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from rawcsv import DEFECTS  # noqa: E402
@@ -307,10 +307,8 @@ class TestIngest:
 @contextmanager
 def parse_parts(cpus: int, part_bytes: int, scan_bytes: int = 1 << 16):
     """ingest_csv splits a file of `part_bytes` or more on `cpus` usable CPUs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(depth_csv, "_PART_BYTES", part_bytes)
+    with forked_parts(cpus, depth_csv, "_PART_BYTES", part_bytes), pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_csv, "_SCAN_BYTES", scan_bytes)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         yield
 
 
@@ -561,13 +559,13 @@ class TestStoreParts:
         frame = data.draw(depth_frames(max(rows, 0)))
         tmp = tmp_path_factory.mktemp("store")
         reference_store(tmp / "reference.csv", frame)
-        with export_parts(cpus, market_data, "_WRITE_PART_ROWS", floor), pytest.MonkeyPatch.context() as patch:
+        with forked_parts(cpus, market_data, "_WRITE_PART_ROWS", floor), pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_data, "_WRITE_BLOCK", 3)  # a part of several blocks
             write_snapshots_csv(tmp / "split.csv", frame)
         assert (tmp / "split.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
         assert_no_child_left()
 
-    def test_fine_grid_splits_on_two_cpus_and_a_two_day_store_does_not(self, tmp_path, monkeypatch):
+    def test_fine_grid_splits_on_two_cpus_and_a_two_day_store_does_not(self, monkeypatch):
         from rlexec.parts import usable_parts
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -592,7 +590,7 @@ class TestStoreParts:
             return write_rows(*args)
 
         fds = len(os.listdir("/proc/self/fd"))
-        with export_parts(4, market_data, "_WRITE_PART_ROWS", 100), warnings.catch_warnings(record=True) as caught:
+        with forked_parts(4, market_data, "_WRITE_PART_ROWS", 100), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
             with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 4 ended with exit code 3$"):
@@ -619,7 +617,7 @@ class TestStoreParts:
             write_rows(*args)
 
         monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
-        with export_parts(2, market_data, "_WRITE_PART_ROWS", 100):
+        with forked_parts(2, market_data, "_WRITE_PART_ROWS", 100):
             code = cli.main(["ingest", "--days", "2", "--split", "2024-01-02T00:00:00+00:00", "--out", str(tmp_path)])
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (code, error["error"]) == (3, "io-error")
