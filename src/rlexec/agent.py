@@ -282,7 +282,7 @@ def save_qtable(path: str | Path, q: QTable, grid: ActionGrid) -> None:
     the first here, each other at the same time by a forked child into an
     unlinked spool file beside `path`, appended in order, so the bytes are
     the one-range bytes. A child that fails is a ChildProcessError naming
-    `path`."""
+    `path`, and leaves `path` as it was."""
     from .parts import even_ranges, usable_parts, write_parts  # here: only train saves a table
 
     periods, inv, spread, vol, _ = q.values.shape

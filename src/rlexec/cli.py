@@ -7,10 +7,10 @@ file, overridden by command-line flags named after the model parameters.
 
 Ingest is the only stage that parses depth CSV: the user's raw file with
 data = csv, else the generated store it writes to `snapshots.csv`, the
-readable export. `rlexec.depth_csv` parses it in byte ranges, each range
-after the first in a forked part that carries rows only (its two int64
-timestamp columns, then its raw float64 cells); a range goes through NumPy's
-C reader in bounded blocks of whole lines. A range whose blocks cannot be
+readable export. `rlexec.depth_csv` cuts it once into blocks of whole lines,
+which go through NumPy's C reader, and parses them in runs of blocks, each
+run after the first in a forked part that carries rows only (its two int64
+timestamp columns, then its raw float64 cells). A block that cannot be
 certified sends the whole file through the csv module in the parent, so the
 result, errors included, is the one-range result. Ingest
 writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
@@ -23,10 +23,13 @@ a file its readers refuse is a data error naming the file.
 
 The two readable exports, `snapshots.csv` and `qtable.csv`, are written in
 row ranges, one per usable CPU above a floor of rows per range: each range
-after the first is formatted at the same time by a forked child into an
-unlinked spool file, appended in order, so the bytes are the one-range
-bytes. `rlexec.parts` holds the fork, reap and kill code that the parse and
-both writers share; a child that fails is an io-error naming the file.
+after the first is formatted at the same time by a forked child, appended in
+order, so the bytes are the one-range bytes, and the whole export replaces
+the file only once every part is in. `rlexec.parts` holds the fork, reap and
+kill code that the parse and both writers share: every forked part, the
+parse's and the exports', comes back through an unlinked spool file that
+the parent reads once it has reaped the child. A child that fails is an
+io-error naming the file, which it leaves as it was.
 
 Each stage imports only the modules it runs, inside its `cmd_*` body:
 `import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and

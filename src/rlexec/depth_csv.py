@@ -5,17 +5,10 @@ timestamp as int64 UTC microseconds since the epoch and int64 UTC offset
 microseconds, the depth cells as one (rows, 20) float64 block, and the tally
 of rows rejected before the book checks.
 
-Ranges. On Linux a file of two or more _PART_BYTES is parsed in byte ranges
-that each start a line, one per usable CPU but at most one per _PART_BYTES:
-the first range in this process, each other in a child that
-`rlexec.parts.Children` forks, at the same time. A child sends its two
-timestamp columns and its tally in one pickle through a pipe, then its cells
-as raw float64 bytes, which the parent reads straight into that range's
-slice of the block. The parts carry rows only, and are joined in file order.
-
-Blocks. `_parse_range` reads a range in blocks of whole lines of at most
-_BLOCK_BYTES. In a block, a line of exactly 20 commas whose depth cells hold
-only `0-9 . + - e E` goes to np.loadtxt, NumPy's C reader, which rounds a cell
+Blocks. `_byte_ranges` cuts a file once, whatever the CPU count, into blocks
+of whole lines, at the first line start after each multiple of _BLOCK_BYTES.
+In a block, a line of exactly 20 commas whose depth cells hold only
+`0-9 . + - e E` goes to np.loadtxt, NumPy's C reader, which rounds a cell
 through the PyOS_string_to_double that float() calls; each other line of 21
 cells goes through float() one cell at a time, as do all of a block's lines
 when the reader refuses one of its cells (such as an empty cell or `1e`).
@@ -23,12 +16,19 @@ when the reader refuses one of its cells (such as an empty cell or `1e`).
 with a Z or ±HH:MM zone into its two columns with integer arithmetic; any
 other is read by datetime.fromisoformat, as `_parse_rows` reads them all.
 
-A range the block path cannot certify, because it holds a `"`, bytes that are
-not UTF-8, a header that is not DEPTH_CSV_COLUMNS or a line longer than
-csv.field_size_limit() or than a block, sends the whole file through
-`_parse_rows`, the csv-module loop, in this process. It raises every data
-error, so the block path raises none, and the result, errors included, is
-the one-range result.
+Parts. On Linux the blocks are parsed in runs, one per usable CPU but at
+most one per two blocks: the first in this process, each other at the same
+time in a child that `rlexec.parts.Children` forks. A child writes to its
+spool one pickle of its two timestamp columns and its tally, then its cells
+as raw float64 bytes, which the parent reads, once it has reaped the child,
+straight into that run's slice of the block. Parts carry rows only, and are
+joined in file order.
+
+A block the block path cannot certify, because it holds a `"`, bytes that
+are not UTF-8, a header that is not DEPTH_CSV_COLUMNS or a line longer than
+csv.field_size_limit(), sends the whole file through `_parse_rows`, the
+csv-module loop, in this process. It raises every data error, so the block
+path raises none, and the result, errors included, is the one-range result.
 """
 
 from __future__ import annotations
@@ -46,15 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from .market_data import _EPOCH, _MICROSECOND, DEPTH_CSV_COLUMNS
-from .parts import Children, usable_parts
+from .parts import Children, even_ranges, usable_parts
 
-#: A file splits into at most one parse part per _PART_BYTES bytes.
-_PART_BYTES = 1 << 20
 #: Bytes read at a time while scanning a file for a line end.
 _SCAN_BYTES = 1 << 16
 #: The line ends csv.reader splits on when read with newline="".
 _LINE_END = re.compile(rb"\r\n?|\n")
-#: The most bytes `_parse_range` reads for one block of whole lines.
+#: A file is cut into blocks at the first line start after each multiple of _BLOCK_BYTES.
 _BLOCK_BYTES = 1 << 19
 #: Depth cells per row: the columns after ``ts``, and the commas before them.
 _CELLS = len(DEPTH_CSV_COLUMNS) - 1
@@ -62,7 +60,7 @@ _CELLS = len(DEPTH_CSV_COLUMNS) - 1
 #: between cells, to 0, and every other byte to 1.
 _OUTSIDE = bytes(byte not in b"0123456789.+-eE," for byte in range(256))
 
-#: The rows of a range: UTC and offset microseconds, the depth cells in
+#: The rows of a part: UTC and offset microseconds, the depth cells in
 #: blocks of rows, and the tally of rejected rows.
 _Part = tuple[np.ndarray, np.ndarray, list[np.ndarray], Counter]
 
@@ -118,7 +116,7 @@ def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter
 
 
 def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter] | None:
-    """The depth rows of `block`, whole lines of a range, as `_parse_rows`
+    """The depth rows of `block`, whole lines of the file, as `_parse_rows`
     reads them: UTC and offset microseconds, the cells and the tally; the
     first line is the header when `header`. None when `_parse_rows` must read
     the file: for a `"`, bytes that are not UTF-8, a header that is not
@@ -232,37 +230,22 @@ def _decode_stamps(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> t
     return utc_us, offset, decoded
 
 
-def _parse_range(path: Path, start: int, stop: int) -> _Part | None:
-    """The depth rows of bytes `start` to `stop` of the depth CSV at `path`,
-    a range that starts a line, read by `_block_rows` in blocks of whole lines
-    of at most _BLOCK_BYTES; None once a block cannot be certified or holds a
-    line longer than a block."""
-    utc_us: list[np.ndarray] = []
-    offset_us: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    errors: Counter = Counter()
+def _parse_range(path: Path, blocks: list[tuple[int, int]]) -> _Part | None:
+    """The depth rows of `blocks`, byte ranges (start, stop) of whole lines of
+    the depth CSV at `path` in file order, each read whole by `_block_rows`;
+    None once a block cannot be certified or is longer than _BLOCK_BYTES and
+    csv.field_size_limit() together, so holds a line over that limit."""
+    rows = []
     with open(path, "rb") as fh:
-        fh.seek(start)
-        left, rest = stop - start, b""
-        while True:
-            chunk = fh.read(min(_BLOCK_BYTES, left))
-            left = left - len(chunk) if chunk else 0
-            block = rest + chunk
-            if left:
-                # the block ends at its last line end; a \r that ends the chunk may have its \n ahead
-                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-                if not cut:
-                    return None
-                block, rest = block[:cut], block[cut:]
-            part = _block_rows(block, header=start == 0 and not values)
-            if part is None:
+        for start, stop in blocks:
+            if stop - start > _BLOCK_BYTES + csv.field_size_limit():
                 return None
-            for column, got in zip((utc_us, offset_us, values), part):
-                column.append(got)
-            errors.update(part[3])
-            if not left:
-                break
-    return np.concatenate(utc_us), np.concatenate(offset_us), values, errors
+            fh.seek(start)
+            rows.append(_block_rows(fh.read(stop - start), header=start == 0))
+            if rows[-1] is None:
+                return None
+    utc_us, offset_us, values, errors = zip(*rows)
+    return np.concatenate(utc_us), np.concatenate(offset_us), list(values), sum(errors, Counter())
 
 
 def _line_start(fh: io.BufferedReader, pos: int) -> int:
@@ -279,72 +262,66 @@ def _line_start(fh: io.BufferedReader, pos: int) -> int:
     return pos
 
 
-def _byte_ranges(path: Path) -> list[tuple[int, int]]:
-    """The byte ranges, each starting a line, that `parse` reads `path`
-    in: one per usable CPU, but at most one per _PART_BYTES. The file stays
-    one range off Linux (no os.sched_getaffinity). A cut may land on a line
-    end inside a quoted field; the ranges on both sides of it then hold a
-    `"`, which sends the file to `_parse_rows`."""
+def _byte_ranges(path: Path) -> list[list[tuple[int, int]]]:
+    """The parts `parse` reads `path` in: runs of the file's blocks (start,
+    stop) of whole lines, one per usable CPU but at most one per two blocks,
+    one off Linux. A cut may land on a line end inside a quoted field; the
+    blocks on both sides of it then hold a `"`, which sends the file to
+    `_parse_rows`."""
     size = path.stat().st_size
-    parts = usable_parts(size, _PART_BYTES)
-    if parts < 2:
-        return [(0, size)]
+    cuts = [0]
     with open(path, "rb") as fh:
-        cuts = sorted({0, size, *(_line_start(fh, k * size // parts) for k in range(1, parts))})
-    return list(zip(cuts, cuts[1:]))
+        for pos in range(_BLOCK_BYTES, size, _BLOCK_BYTES):
+            if cuts[-1] <= pos:  # else the first line start after `pos` is cuts[-1]
+                cuts.append(_line_start(fh, pos))
+    blocks = list(zip(cuts, sorted({*cuts[1:], size})))
+    return [blocks[lo:hi] for lo, hi in even_ranges(len(blocks), usable_parts(len(blocks), 2))]
 
 
-def _send_part(path: Path, start: int, stop: int, out: io.BufferedWriter) -> None:
-    """Parse bytes `start` to `stop` of `path` and send to `out` a pickle of
-    None, for a range the block path cannot certify, or of (UTC microseconds,
-    offset microseconds, tally) followed by its depth cells as raw float64
-    bytes."""
-    part = _parse_range(path, start, stop)
+def _send_part(path: Path, blocks: list[tuple[int, int]], out: io.BufferedRandom) -> None:
+    """Parse `blocks` of `path` and write to `out` a pickle of None, for a
+    part the block path cannot certify, or of (UTC microseconds, offset
+    microseconds, tally) followed by its depth cells as raw float64 bytes."""
+    part = _parse_range(path, blocks)
     if part is None:
         pickle.dump(None, out, pickle.HIGHEST_PROTOCOL)
         return
     utc_us, offset_us, values, errors = part
     pickle.dump((utc_us, offset_us, errors), out, pickle.HIGHEST_PROTOCOL)
-    for block in values:
-        out.write(block)
+    out.writelines(values)
 
 
 def parse(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
     """The rows of the depth CSV at `path`: their UTC and UTC offset
     microseconds, their depth cells as one (rows, 20) block, and the tally of
-    rows rejected before the book checks, parsed in `_byte_ranges` and joined
-    in file order, or by `_parse_rows` once any range cannot be certified. A
-    bad header, a line csv cannot split or bytes that are not UTF-8 is a
-    ValueError naming `path`, the first such in file order. No child outlives
-    the call."""
-    ranges = _byte_ranges(path)
+    rows rejected before the book checks, parsed in the parts of
+    `_byte_ranges` and joined in file order, or by `_parse_rows` once any
+    block cannot be certified. A bad header, a line csv cannot split or bytes
+    that are not UTF-8 is a ValueError naming `path`, the first such in file
+    order. No child outlives the call."""
+    parts = _byte_ranges(path)
     with Children() as children:
-        pipes = [children.fork(functools.partial(_send_part, path, start, stop)) for start, stop in ranges[1:]]
-        first = _parse_range(path, *ranges[0])
-        heads = []
-        for (start, stop), pipe in zip(ranges[1:], pipes):
-            try:
-                heads.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                children.reap(pipe, f"{path}: the parse of bytes {start} to {stop}", sent=False)
+        spools = [children.fork(functools.partial(_send_part, path, part)) for part in parts[1:]]
+        first = _parse_range(path, parts[0])
+        named = [f"{path}: the parse of bytes {part[0][0]} to {part[-1][1]}" for part in parts[1:]]
+        heads = [pickle.load(children.reap(spool, what)) for spool, what in zip(spools, named)]
         if first is not None and None not in heads:
             utc_us, offset_us, blocks, errors = first
             stamps = [(utc_us, offset_us), *(head[:2] for head in heads)]
             for head in heads:
                 errors.update(head[2])
-            # one block for the cells of every range: this range's land block by
-            # block, freeing each, and each other's straight from its child's pipe
+            # one block for the cells of every part: this part's land block by
+            # block, freeing each, and each other's straight from its spool
             values = np.empty((sum(len(utc) for utc, _ in stamps), _CELLS))
             row = 0
             while blocks:
                 block = blocks.pop(0)
                 values[row : row + len(block)] = block
                 row += len(block)
-            for (start, stop), (utc, _), pipe in zip(ranges[1:], stamps[1:], pipes):
-                view = memoryview(values[row : row + len(utc)].reshape(-1).view(np.uint8))
-                while view and (read := pipe.readinto(view)):
-                    view = view[read:]
-                children.reap(pipe, f"{path}: the parse of bytes {start} to {stop}", sent=not view)
+            for (utc, _), spool, what in zip(stamps[1:], spools, named):
+                cells = values[row : row + len(utc)]
+                if spool.readinto(cells) < cells.nbytes:  # a file's readinto reads to its end
+                    raise ChildProcessError(f"{what} ended short of its cells")
                 row += len(utc)
             utc_us, offset_us = (np.concatenate(column) for column in zip(*stamps))
             return utc_us, offset_us, values, errors

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
@@ -96,8 +96,9 @@ class BookFrame:
     float array of depth rows in DEPTH_CSV_COLUMNS order (``ts`` excluded),
     whose levels BID_PRICES, BID_VOLUMES, ASK_PRICES and ASK_VOLUMES slice.
 
-    Every row passes BOOK_CHECKS. `timestamps` and `from_timestamps` are the
-    datetime view of the two timestamp columns; the pipeline reads the columns.
+    Every row passes BOOK_CHECKS. `timestamps`, the datetime view of the two
+    timestamp columns, and iteration over rows serve the tests and perfbench;
+    the pipeline reads the columns.
     """
 
     utc_us: np.ndarray
@@ -122,17 +123,6 @@ class BookFrame:
         frame = cls.__new__(cls)
         frame.utc_us, frame.offset_us, frame.values = utc_us, offset_us, values
         return frame
-
-    @classmethod
-    def from_timestamps(cls, timestamps: Sequence[datetime], values: np.ndarray) -> BookFrame:
-        """The frame of aware `timestamps` and their depth rows; a naive
-        timestamp is a ValueError naming its row."""
-        naive = next((k for k, ts in enumerate(timestamps) if ts.utcoffset() is None), None)
-        if naive is not None:
-            raise ValueError(f"row {naive}: naive timestamp")
-        utc_us = np.array([(ts - _EPOCH) // _MICROSECOND for ts in timestamps], dtype=np.int64)
-        offset_us = np.array([ts.utcoffset() // _MICROSECOND for ts in timestamps], dtype=np.int64)
-        return cls(utc_us, offset_us, values)
 
     @property
     def timestamps(self) -> list[datetime]:
@@ -342,15 +332,16 @@ def ingest_csv(path: str | Path) -> IngestResult:
     naming `path`; with several such lines, the first in file order.
 
     `rlexec.depth_csv.parse` reads the rows into one (rows, 20) block and two
-    int64 timestamp columns. On Linux it parses a file of 2 MiB or more as
-    byte ranges that each start a line, one per usable CPU but at most one
-    per MiB, each range after the first in a forked child whose part carries
-    rows only; a range goes through NumPy's C reader in blocks of whole
-    lines. A range that cannot be read so sends the whole file through the
-    csv module in this process, which raises every data error. The rows are
-    joined in file order before the checks, and the kept rows are put in
-    timestamp order (a stable sort on the UTC microseconds) inside that
-    block, so the result, errors included, is the one-range result.
+    int64 timestamp columns. It cuts the file once into blocks of whole lines
+    of about 512 KiB, which go through NumPy's C reader. On Linux it parses
+    them in runs, one per usable CPU but at most one per two blocks, each run
+    after the first in a forked child whose part, rows only, comes back
+    through a spool file. A block that
+    cannot be read so sends the whole file through the csv module in this
+    process, which raises every data error. The rows are joined in file
+    order before the checks, and the kept rows are put in timestamp order (a
+    stable sort on the UTC microseconds) inside that block, so the result,
+    errors included, is the one-range result.
     """
     from .depth_csv import parse  # here: the stages that load bars.npz never load the parser
 
@@ -446,7 +437,8 @@ def write_snapshots_csv(path: str | Path, snapshots: BookFrame) -> None:
     _WRITE_PART_ROWS rows (`rlexec.parts.write_parts`): the first here, each
     other at the same time by a forked child into an unlinked spool file
     beside `path`, appended in order, so the bytes are the one-range bytes.
-    A child that fails is a ChildProcessError naming `path`.
+    A child that fails is a ChildProcessError naming `path`, and leaves
+    `path` as it was.
     """
     from .parts import even_ranges, usable_parts, write_parts  # here: only ingest writes a store
 

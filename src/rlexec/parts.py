@@ -3,11 +3,12 @@ each other in a forked child.
 
 `usable_parts` is how many parts a job of a given size takes: one per usable
 CPU (os.sched_getaffinity), but at most one per `floor` units of work, and
-one off Linux. `Children` forks the children, each writing its part to a
-stream of its own, the write end of a pipe or an unlinked spool file, reaps
-them in order and, when the job ends by an error or not, kills and reaps any
-child left, so none outlives it. `write_parts` writes a text export in row
-ranges through it: the readable `snapshots.csv` and `qtable.csv`.
+one off Linux. `Children` forks the children, each writing its part to an
+unlinked spool file of its own, which the parent reads only once it has
+reaped that child; it reaps them in order and, when the job ends by an error
+or not, kills and reaps any child left, so none outlives it. `write_parts`
+writes a text export in row ranges through it: the readable `snapshots.csv`
+and `qtable.csv`.
 
 Nothing here imports NumPy. A child leaves by os._exit, running no cleanup of
 the parent's: exit code 0 once its part is written, 1 if writing it raised.
@@ -44,29 +45,28 @@ def even_ranges(count: int, parts: int) -> list[tuple[int, int]]:
 
 class Children:
     """The forked children of one job, as a context manager: leaving it
-    closes every child's stream and kills and reaps every child not reaped."""
+    closes every child's spool and kills and reaps every child not reaped."""
 
     def __init__(self) -> None:
-        # per child stream: its pid (None once reaped) and whether it is a pipe
-        self._children: dict[BinaryIO, tuple[int | None, bool]] = {}
+        # per child spool: its pid, None once reaped
+        self._children: dict[BinaryIO, int | None] = {}
 
     def __enter__(self) -> Children:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        for stream, (pid, _) in self._children.items():
-            stream.close()
+        for spool, pid in self._children.items():
+            spool.close()
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         self._children.clear()
 
     def fork(self, work: Callable[[BinaryIO], object], spool_dir: Path | None = None) -> BinaryIO:
-        """Fork a child that runs work(stream), `stream` being the write end
-        of a pipe or, given `spool_dir`, an unlinked spool file there; the
-        parent's end of it: the pipe's read end, or the spool."""
-        spool = None if spool_dir is None else tempfile.TemporaryFile(dir=spool_dir)
-        read_fd, write_fd = os.pipe() if spool is None else (None, None)
+        """Fork a child that runs work(spool), `spool` an unlinked spool file
+        in `spool_dir`, or in tempfile's default directory; the spool, to be
+        read once `reap` has returned."""
+        spool = tempfile.TemporaryFile(dir=spool_dir)
         try:
             with warnings.catch_warnings():
                 # From Python 3.12 fork warns in a threaded process, as NumPy's
@@ -76,43 +76,30 @@ class Children:
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
                 pid = os.fork()
         except BaseException:
-            if spool is None:
-                os.close(read_fd)
-                os.close(write_fd)
-            else:
-                spool.close()
+            spool.close()
             raise
         if pid == 0:
             code = 1
             try:
-                if spool is None:
-                    os.close(read_fd)
-                out = open(write_fd, "wb") if spool is None else spool
-                work(out)
-                out.flush()
+                work(spool)
+                spool.flush()
                 code = 0
             finally:
                 os._exit(code)
-        if spool is None:
-            os.close(write_fd)
-            stream = open(read_fd, "rb")
-        else:
-            stream = spool
-        self._children[stream] = (pid, spool is None)
-        return stream
+        self._children[spool] = pid
+        return spool
 
-    def reap(self, stream: BinaryIO, what: str, sent: bool = True) -> None:
-        """Wait for the child writing `stream`; unless it exited 0 and `sent`
-        its whole part, a ChildProcessError: `what` ended with its exit code.
-        A pipe is closed first, so a child blocked on a full one ends; a
-        spool stays open, to be read."""
-        pid, pipe = self._children[stream]
-        if pipe:
-            stream.close()
-        self._children[stream] = (None, pipe)
+    def reap(self, spool: BinaryIO, what: str) -> BinaryIO:
+        """Wait for the child writing `spool`; the spool, rewound to be read,
+        unless the child did not exit 0: then a ChildProcessError, `what`
+        ended with its exit code."""
+        pid = self._children[spool]
+        self._children[spool] = None
         _, status = os.waitpid(pid, 0)
-        if status or not sent:
+        if status:
             raise ChildProcessError(f"{what} ended with exit code {os.waitstatus_to_exitcode(status)}")
+        spool.seek(0)
+        return spool
 
 
 def _write_text(write_rows: Callable[[TextIO, int, int], None], start: int, stop: int, spool: BinaryIO) -> None:
@@ -129,15 +116,20 @@ def write_parts(
     a text file opened with newline="". Range 0 is written here, each other
     by a forked child into an unlinked spool file beside `path`, at the same
     time, and appended once its child has exited 0; else a ChildProcessError
-    names `path` and the part."""
+    names `path` and the part. The text goes to a file beside `path`, made as
+    open(path, "w") makes one, which replaces `path` only once every part is
+    in: a part that fails, or an interrupt, leaves `path` as it was."""
     path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
     with Children() as children:
         spools = [children.fork(functools.partial(_write_text, write_rows, *part), path.parent) for part in ranges[1:]]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(header)
-            write_rows(fh, *ranges[0])
-            fh.flush()
-            for k, spool in enumerate(spools, start=2):
-                children.reap(spool, f"{path}: writing part {k} of {len(ranges)}")
-                spool.seek(0)
-                shutil.copyfileobj(spool, fh.buffer)
+        try:
+            with open(partial, "w", newline="", encoding="utf-8") as fh:
+                fh.write(header)
+                write_rows(fh, *ranges[0])
+                fh.flush()
+                for k, spool in enumerate(spools, start=2):
+                    shutil.copyfileobj(children.reap(spool, f"{path}: writing part {k} of {len(ranges)}"), fh.buffer)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)

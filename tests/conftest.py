@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ BOOK_B = (
 PAPER_REFERENCE = 99.5
 
 T0 = datetime(2024, 3, 4, 10, 0, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def make_row(
@@ -47,7 +48,15 @@ def make_row(
 
 
 def make_frame(stamps: list[datetime], rows: list[np.ndarray]) -> BookFrame:
-    return BookFrame.from_timestamps(list(stamps), np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
+    """The frame of aware `stamps` and their depth rows; a naive timestamp is
+    a ValueError naming its row."""
+    naive = next((k for k, ts in enumerate(stamps) if ts.utcoffset() is None), None)
+    if naive is not None:
+        raise ValueError(f"row {naive}: naive timestamp")
+    microsecond = timedelta(microseconds=1)
+    utc_us = np.array([(ts - EPOCH) // microsecond for ts in stamps], dtype=np.int64)
+    offset_us = np.array([ts.utcoffset() // microsecond for ts in stamps], dtype=np.int64)
+    return BookFrame(utc_us, offset_us, np.array(rows, dtype=float).reshape(len(stamps), 4 * N_LEVELS))
 
 
 def make_bars(rows: list[np.ndarray], start: datetime = T0, tau: float = 300.0, side: Side = Side.BUY) -> Bars:

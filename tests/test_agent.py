@@ -674,12 +674,23 @@ class TestExportParts:
         q = QTable.zeros(3, 2, 2, 2, 3)
         path = tmp_path / "qtable.csv"
         fds = len(os.listdir("/proc/self/fd"))
+        for before in (None, b"an earlier export\r\n"):
+            if before is not None:
+                path.write_bytes(before)
+            with forked_parts(2, agent, "_SAVE_PART_ROWS", 10):
+                with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 2 ended with exit code 3$"):
+                    save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)))
+            assert_no_child_left()
+            assert len(os.listdir("/proc/self/fd")) == fds
+            # no part of the export at `path` or beside it: a fresh directory stays empty
+            assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == ([] if before is None else [(path.name, before)])
+
+    def test_a_whole_export_has_the_mode_a_plain_open_gives(self, tmp_path):
+        q, grid = QTable.zeros(3, 2, 2, 2, 3), ActionGrid(betas=(0.5, 1.0, 1.5))
+        (tmp_path / "plain.csv").open("w").close()
         with forked_parts(2, agent, "_SAVE_PART_ROWS", 10):
-            with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 2 ended with exit code 3$"):
-                save_qtable(path, q, ActionGrid(betas=(0.5, 1.0, 1.5)))
-        assert_no_child_left()
-        assert len(os.listdir("/proc/self/fd")) == fds
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["qtable.csv"]
+            save_qtable(tmp_path / "qtable.csv", q, grid)
+        assert (tmp_path / "qtable.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 class TestDPEquivalenceSmall:

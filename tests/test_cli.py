@@ -31,7 +31,6 @@ from rlexec.market_data import (
     ASK_VOLUMES,
     BID_PRICES,
     BID_VOLUMES,
-    BookFrame,
     Side,
     SyntheticConfig,
     day_windows,
@@ -40,6 +39,8 @@ from rlexec.market_data import (
     write_snapshots_csv,
 )
 from rlexec.report import ISStatistics
+
+from conftest import make_frame
 
 SPLIT = "2024-01-04T00:00:00+00:00"
 STAGES = ("ingest", "calibrate", "train", "backtest", "report")
@@ -1009,7 +1010,7 @@ def write_local_clock_csv(path) -> None:
     order = list(range(len(stamps)))
     for k in (7, 300, 2001):
         order[k], order[k + 1] = order[k + 1], order[k]
-    write_snapshots_csv(path, BookFrame.from_timestamps([stamps[k] for k in order], frame.values[order]))
+    write_snapshots_csv(path, make_frame([stamps[k] for k in order], frame.values[order]))
 
 
 def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):

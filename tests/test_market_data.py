@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import pickle
+import re
 import sys
 import warnings
 import zipfile
@@ -305,9 +307,10 @@ class TestIngest:
             assert decoded[0] == (read[0] is not None), text
 
 @contextmanager
-def parse_parts(cpus: int, part_bytes: int, scan_bytes: int = 1 << 16):
-    """ingest_csv splits a file of `part_bytes` or more on `cpus` usable CPUs."""
-    with forked_parts(cpus, depth_csv, "_PART_BYTES", part_bytes), pytest.MonkeyPatch.context() as patch:
+def parse_parts(cpus: int, block_bytes: int, scan_bytes: int = 1 << 16):
+    """ingest_csv cuts a file into blocks at the first line start after each
+    multiple of `block_bytes`, and parses them in runs on `cpus` usable CPUs."""
+    with forked_parts(cpus, depth_csv, "_BLOCK_BYTES", block_bytes), pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_csv, "_SCAN_BYTES", scan_bytes)
         yield
 
@@ -391,38 +394,51 @@ class TestIngestParts:
     forked child, gives what one range gives."""
 
     @settings(max_examples=200, deadline=None)
-    @given(raw_depth_files(odd_cells=True), st.integers(1, 6), st.integers(16, 512), st.integers(200, 2000))
-    def test_block_path_is_the_csv_module_parse(self, tmp_path_factory, raw, cpus, part_bytes, block_bytes):
+    @given(raw_depth_files(odd_cells=True), st.integers(1, 6), st.integers(16, 2000))
+    def test_block_path_is_the_csv_module_parse(self, tmp_path_factory, raw, cpus, block_bytes):
         # NumPy's reader sees only screened cells, and never a block without one:
         # its "input contained no data" warning is an error under filterwarnings.
-        # Blocks of a few lines cut at every kind of line end; a line longer
-        # than a block, or a quote, sends the file to the csv module
+        # Blocks of a few lines cut at every kind of line end; a quote sends
+        # the file to the csv module
         path = tmp_path_factory.mktemp("blocks") / "raw.csv"
         path.write_bytes(raw)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(depth_csv, "_parse_range", lambda *args: None)
             csv_module = ingest_outcome(path)
-        with parse_parts(cpus, part_bytes), screened_reader(), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(depth_csv, "_BLOCK_BYTES", block_bytes)
+        with parse_parts(cpus, block_bytes), screened_reader():
             assert ingest_outcome(path) == csv_module
-            # and one range the block path certifies alike, before any check or sort
-            part = depth_csv._parse_range(path, 0, len(raw))
+            # and every block in one part, which the block path certifies alike, before any check or sort
+            part = depth_csv._parse_range(path, [block for run in depth_csv._byte_ranges(path) for block in run])
             if part is not None:
                 assert range_rows(part) == range_rows(depth_csv._parse_rows(path))
         assert_no_child_left()
 
     @settings(max_examples=80, deadline=None)
-    @given(raw_depth_files(), st.integers(2, 6), st.integers(16, 512), st.integers(1, 64))
-    def test_split_parse_is_the_one_range_parse(self, tmp_path_factory, raw, cpus, part_bytes, scan_bytes):
+    @given(raw_depth_files(), st.integers(16, 512), st.integers(1, 64))
+    def test_blocks_are_cut_once_whatever_the_cpu_count(self, tmp_path_factory, raw, block_bytes, scan_bytes):
+        # at the first line start after each multiple of block_bytes, as
+        # csv.reader ends lines: never between a \r and its \n
+        path = tmp_path_factory.mktemp("cuts") / "raw.csv"
+        path.write_bytes(raw)
+        line_starts = [end.end() for end in re.finditer(rb"\r\n?|\n", raw)]
+        cuts = sorted({0, len(raw)} | {min((s for s in line_starts if s > pos), default=len(raw))
+                                        for pos in range(block_bytes, len(raw), block_bytes)})
+        for cpus in range(1, 7):
+            with parse_parts(cpus, block_bytes, scan_bytes):
+                parts = depth_csv._byte_ranges(path)
+            blocks = [block for part in parts for block in part]
+            assert blocks == (list(zip(cuts, cuts[1:])) or [(0, 0)])
+            assert all(raw[start - 1 : start + 1] != b"\r\n" for start, _ in blocks)
+            assert all(part for part in parts) and len(parts) == min(cpus, max(1, len(blocks) // 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_depth_files(), st.integers(2, 6), st.integers(16, 512))
+    def test_split_parse_is_the_one_range_parse(self, tmp_path_factory, raw, cpus, block_bytes):
         path = tmp_path_factory.mktemp("parts") / "raw.csv"
         path.write_bytes(raw)
         one_range = ingest_outcome(path)
-        with parse_parts(cpus, part_bytes, scan_bytes):
-            ranges = depth_csv._byte_ranges(path)
+        with parse_parts(cpus, block_bytes):
             split = ingest_outcome(path)
-        assert ranges[0][0] == 0 and ranges[-1][1] == len(raw)
-        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
-        assert all(raw[start - 1 : start] in (b"\n", b"\r") and raw[start - 1 : start + 1] != b"\r\n" for start, _ in ranges[1:])
         assert split == one_range
         assert_no_child_left()
 
@@ -443,10 +459,10 @@ class TestIngestParts:
         lines[damaged] = damage(lines[damaged])
         path.write_bytes(b"".join(lines))
         one_range = ingest_outcome(path)
-        with parse_parts(cpus=2, part_bytes=1 << 16):
-            ranges = depth_csv._byte_ranges(path)
+        with parse_parts(cpus=2, block_bytes=1 << 16):
+            parts = depth_csv._byte_ranges(path)
             split = ingest_outcome(path)
-        assert len(ranges) == 2 and ranges[-1][0] < sum(map(len, lines[:damaged]))
+        assert len(parts) == 2 and parts[-1][0][0] < sum(map(len, lines[:damaged]))
         assert split == one_range
         if message is None:
             assert one_range[2] == {"unparseable row": 1}
@@ -467,7 +483,7 @@ class TestIngestParts:
         path = tmp_path / "raw.csv"
         write_snapshots_csv(path, generate_synthetic(3, 2, SyntheticConfig()))
         path.write_bytes(b"".join(damage(path.read_bytes().splitlines(keepends=True))))
-        with parse_parts(cpus=4, part_bytes=1 << 12), pytest.raises(ValueError, match=message):
+        with parse_parts(cpus=4, block_bytes=1 << 12), pytest.raises(ValueError, match=message):
             ingest_csv(path)
         assert_no_child_left()
 
@@ -486,31 +502,53 @@ class TestIngestParts:
                 os._exit(3)
             return parse_range(*args)
 
-        with parse_parts(cpus=4, part_bytes=1 << 12):
+        def short_of_its_cells(path, blocks, out):
+            # the head whole, then one cell of the part's, and exit code 0
+            utc_us, offset_us, values, errors = parse_range(path, blocks)
+            pickle.dump((utc_us, offset_us, errors), out, pickle.HIGHEST_PROTOCOL)
+            out.write(values[0][:1].tobytes())
+            out.flush()
+            os._exit(0)
+
+        fds = len(os.listdir("/proc/self/fd"))
+        with parse_parts(cpus=4, block_bytes=1 << 12), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            part = depth_csv._byte_ranges(path)[1]
+            named = f"^{path}: the parse of bytes {part[0][0]} to {part[-1][1]} ended"
             monkeypatch.setattr(depth_csv, "_parse_range", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 ingest_csv(path)
             assert_no_child_left()
             monkeypatch.setattr(depth_csv, "_parse_range", child_dies)
-            with pytest.raises(ChildProcessError, match="ended with exit code 3"):
+            with pytest.raises(ChildProcessError, match=f"{named} with exit code 3$"):
                 ingest_csv(path)
             assert_no_child_left()
+            monkeypatch.setattr(depth_csv, "_parse_range", parse_range)
+            monkeypatch.setattr(depth_csv, "_send_part", short_of_its_cells)
+            with pytest.raises(ChildProcessError, match=f"{named} short of its cells$"):
+                ingest_csv(path)
+            assert_no_child_left()
+            gc.collect()
+        # every spool closed, none left to a finalizer
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.parametrize("at", [0, 1, 2], ids=["first-range", "middle-range", "last-range"])
     def test_a_quote_in_any_range_reads_as_in_one_range(self, tmp_path, at):
         lines = [HEADER, *(row((T0 + timedelta(seconds=k)).isoformat()) for k in range(200))]
         path = tmp_path / "raw.csv"
         path.write_text("\n".join(lines), encoding="utf-8")
-        with parse_parts(cpus=3, part_bytes=64):
-            start, stop = depth_csv._byte_ranges(path)[at]
+        with parse_parts(cpus=3, block_bytes=64):
+            part = depth_csv._byte_ranges(path)[at]
+            start, stop = part[0][0], part[-1][1]
             # a line in the middle of the range: its last cell, quoted with its line end inside
             quoted = np.searchsorted(np.cumsum([len(line) + 1 for line in lines]), (start + stop) // 2)
             lines[quoted] = lines[quoted].rpartition(",")[0] + ',"1000\n"'
             path.write_text("\n".join(lines), encoding="utf-8")
-            ranges = depth_csv._byte_ranges(path)
+            parts = depth_csv._byte_ranges(path)
             split = ingest_outcome(path)
-            assert len(ranges) == 3 and ranges[at][0] <= path.read_bytes().index(b'"') < ranges[at][1]
-            assert depth_csv._parse_range(path, *ranges[at]) is None
+            assert len(parts) == 3 and parts[at][0][0] <= path.read_bytes().index(b'"') < parts[at][-1][1]
+            assert depth_csv._parse_range(path, parts[at]) is None
         assert split == ingest_outcome(path)
         assert len(split[0]) == 200 and split[2] == {}
         assert_no_child_left()
@@ -592,19 +630,23 @@ class TestStoreParts:
         fds = len(os.listdir("/proc/self/fd"))
         with forked_parts(4, market_data, "_WRITE_PART_ROWS", 100), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
-            with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 4 ended with exit code 3$"):
-                write_snapshots_csv(path, frame)
-            assert_no_child_left()
-            monkeypatch.setattr(market_data, "_write_store_rows", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                write_snapshots_csv(path, frame)
-            assert_no_child_left()
+            for before in (None, b"an earlier export\r\n"):
+                if before is not None:
+                    path.write_bytes(before)
+                monkeypatch.setattr(market_data, "_write_store_rows", child_dies)
+                with pytest.raises(ChildProcessError, match=f"^{path}: writing part 2 of 4 ended with exit code 3$"):
+                    write_snapshots_csv(path, frame)
+                assert_no_child_left()
+                monkeypatch.setattr(market_data, "_write_store_rows", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    write_snapshots_csv(path, frame)
+                assert_no_child_left()
+                # no part of the export at `path` or beside it: a fresh directory stays empty
+                assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == ([] if before is None else [(path.name, before)])
             gc.collect()
         # every spool closed, none left to a finalizer
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert len(os.listdir("/proc/self/fd")) == fds
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshots.csv"]
 
     def test_a_child_process_error_is_an_io_error_of_the_stage(self, tmp_path, capsys, monkeypatch):
         from rlexec import cli
