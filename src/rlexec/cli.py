@@ -7,13 +7,14 @@ file, overridden by command-line flags named after the model parameters.
 
 Ingest is the only stage that parses depth CSV: the user's raw file with
 data = csv, else the generated store it writes to `snapshots.csv`, the
-readable export. `rlexec.depth_csv` cuts it once into blocks of whole lines,
-which go through NumPy's C reader, and parses them in runs of blocks, each
-run after the first in a forked part that carries rows only (its two int64
-timestamp columns, then its raw float64 cells). A block that cannot be
-certified sends the whole file through the csv module in the parent, so the
-result, errors included, is the one-range result. Ingest
-writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
+readable export. `rlexec.depth_csv` cuts it once, after an LF, into blocks
+of whole lines, each ending at an LF less a CR right before it, which go
+through NumPy's C reader, and parses them in runs of blocks, each run after
+the first in a forked part that carries rows only (its two int64 timestamp
+columns, then its raw float64 cells). A block that cannot be certified,
+such as one with a quote or a CR no LF follows, sends the whole file
+through the csv module in the parent, so the result, errors included, is
+the one-range result. Ingest writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
 tau-second bars as the columns of one `Bars` table, which calibrate, train
 and backtest load; the split is a mask on the bar starts. A digest the two
 disagree on is a data error naming both files.
@@ -257,17 +258,17 @@ def cmd_backtest(cfg: ExperimentConfig) -> Path:
 
 def _load_trace(cfg: ExperimentConfig) -> list[tuple[int, float]]:
     """The rows below the header of train_trace.csv, whose columns `HANDOFFS`
-    declares; a line without a JSON number `_fits` in each column, as train
-    writes them, is a ValueError naming the file and the line."""
+    declares, in LF-ended lines as train writes them; a line without a JSON
+    number `_fits` in each column is a ValueError naming the file and the line."""
     path = _require(cfg, "train_trace.csv")
     fields = HANDOFFS["train_trace.csv"].fields
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     header, kinds = ",".join(fields), ", ".join(f"a {_noun(field)}" for field in fields.values())
-    if lines[:1] != [header]:
-        raise ValueError(f"{path}: line 1: {(lines or [''])[0]!r} is not the header {header!r}")
+    if lines[0] != header:
+        raise ValueError(f"{path}: line 1: {lines[0]!r} is not the header {header!r}")
     trace = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:

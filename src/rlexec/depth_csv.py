@@ -5,9 +5,11 @@ timestamp as int64 UTC microseconds since the epoch and int64 UTC offset
 microseconds, the depth cells as one (rows, 20) float64 block, and the tally
 of rows rejected before the book checks.
 
-Blocks. `_byte_ranges` cuts a file once, whatever the CPU count, into blocks
-of whole lines, at the first line start after each multiple of _BLOCK_BYTES.
-In a block, a line of exactly 20 commas whose depth cells hold only
+Blocks. The block path has one line model: a line ends at an LF, less a CR
+right before that LF. `_byte_ranges` cuts a file once, whatever the CPU
+count, into blocks of whole lines, after the first LF at or after each
+multiple of _BLOCK_BYTES. `_block_rows` decodes a block once and splits it
+at its LFs. A line of exactly 20 commas whose depth cells hold only
 `0-9 . + - e E` goes to np.loadtxt, NumPy's C reader, which rounds a cell
 through the PyOS_string_to_double that float() calls; each other line of 21
 cells goes through float() one cell at a time, as do all of a block's lines
@@ -24,9 +26,10 @@ as raw float64 bytes, which the parent reads, once it has reaped the child,
 straight into that run's slice of the block. Parts carry rows only, and are
 joined in file order.
 
-A block the block path cannot certify, because it holds a `"`, bytes that
-are not UTF-8, a header that is not DEPTH_CSV_COLUMNS or a line longer than
-csv.field_size_limit(), sends the whole file through `_parse_rows`, the
+A block the block path cannot certify, because it holds a `"`, a CR with no
+LF after it (a line end to csv.reader, as in a classic-Mac export), bytes
+that are not UTF-8, a header that is not DEPTH_CSV_COLUMNS or a line longer
+than csv.field_size_limit(), sends the whole file through `_parse_rows`, the
 csv-module loop, in this process. It raises every data error, so the block
 path raises none, and the result, errors included, is the one-range result.
 """
@@ -37,7 +40,6 @@ import csv
 import functools
 import io
 import pickle
-import re
 from array import array
 from collections import Counter
 from datetime import datetime
@@ -48,11 +50,9 @@ import numpy as np
 from .market_data import _EPOCH, _MICROSECOND, DEPTH_CSV_COLUMNS
 from .parts import Children, even_ranges, usable_parts
 
-#: Bytes read at a time while scanning a file for a line end.
+#: The most bytes read at a time while scanning for an LF: a long line is never held whole.
 _SCAN_BYTES = 1 << 16
-#: The line ends csv.reader splits on when read with newline="".
-_LINE_END = re.compile(rb"\r\n?|\n")
-#: A file is cut into blocks at the first line start after each multiple of _BLOCK_BYTES.
+#: A file is cut into blocks after the first LF at or after each multiple of _BLOCK_BYTES.
 _BLOCK_BYTES = 1 << 19
 #: Depth cells per row: the columns after ``ts``, and the commas before them.
 _CELLS = len(DEPTH_CSV_COLUMNS) - 1
@@ -118,29 +118,31 @@ def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter
 def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter] | None:
     """The depth rows of `block`, whole lines of the file, as `_parse_rows`
     reads them: UTC and offset microseconds, the cells and the tally; the
-    first line is the header when `header`. None when `_parse_rows` must read
-    the file: for a `"`, bytes that are not UTF-8, a header that is not
+    first line is the header when `header`. A line ends at an LF, less a CR
+    right before it. None when `_parse_rows` must read the file: for a `"`, a
+    CR with no LF after it, bytes that are not UTF-8, a header that is not
     DEPTH_CSV_COLUMNS or a line over csv.field_size_limit()."""
     if b'"' in block:
         return None
+    data = np.frombuffer(block, dtype=np.uint8)
+    if b"\r" in block:
+        if block.endswith(b"\r") or (data[np.flatnonzero(data == ord("\r")) + 1] != ord("\n")).any():
+            return None  # a lone CR
+        block = block.replace(b"\r", b"")
+        data = np.frombuffer(block, dtype=np.uint8)
     try:
-        block.decode("utf-8")
+        lines = block.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return None
-    data = np.frombuffer(block, dtype=np.uint8)
-    # csv.reader ends a line at each \r, \n and \r\n; the empty line this
-    # split leaves between a \r and its \n is a blank line, which has no row
-    cr = b"\r" in block
-    ends = np.flatnonzero((data == ord("\n")) | (data == ord("\r")) if cr else data == ord("\n"))
+    ends = np.flatnonzero(data == ord("\n"))
     line_starts, line_stops = np.r_[0, ends + 1], np.r_[ends, len(data)]
     if (line_stops - line_starts).max() > csv.field_size_limit():
         return None
-    if header and [cell.strip() for cell in block[: line_stops[0]].decode().split(",")] != list(DEPTH_CSV_COLUMNS):
+    if header and [cell.strip() for cell in lines[0].split(",")] != list(DEPTH_CSV_COLUMNS):
         return None
     commas = np.flatnonzero(data == ord(","))
     first = np.searchsorted(commas, line_starts)
-    written = line_stops > line_starts
-    body = written.copy()
+    body = line_stops > line_starts
     body[0] &= not header
     row = body & (np.searchsorted(commas, line_stops) - first == _CELLS)
     errors = Counter({"wrong column count": int((body & ~row).sum())})
@@ -152,27 +154,20 @@ def _block_rows(block: bytes, header: bool) -> tuple[np.ndarray, np.ndarray, np.
     utc_us, offset_us, decoded = _decode_stamps(data, starts, comma)
     values = np.empty((len(at), _CELLS))
     if screened.any():
-        # the block without the text of its other lines, whose line ends
-        # stay as blank lines, which np.loadtxt skips
-        hidden = written.copy()
-        hidden[at[screened]] = False
-        cut = [0, *np.column_stack((line_starts[hidden], line_stops[hidden])).ravel().tolist(), len(block)]
-        text = b"".join(block[lo:hi] for lo, hi in zip(cut[::2], cut[1::2])).replace(b"\r", b"\n").decode()
         try:
-            cells = np.loadtxt(text.split("\n"), delimiter=",", comments=None, usecols=range(1, _CELLS + 1), ndmin=2)
+            values[screened] = np.loadtxt([lines[k] for k in at[screened].tolist()], delimiter=",",
+                                          comments=None, usecols=range(1, _CELLS + 1), ndmin=2)
         except ValueError:  # a screened cell that is no number, such as "" or "1e": float() refuses it below
             screened[:] = False
-        else:
-            values[screened] = cells
     # the other timestamps and cells one row at a time, as _parse_rows reads them
     parsed = np.ones(len(at), dtype=bool)
     for k in np.flatnonzero(~(decoded & screened)).tolist():
-        lo, mid, hi = int(starts[k]), int(comma[k]), int(stops[k])
+        stamp, *cells = lines[at[k]].split(",")
         try:
             if not decoded[k]:
-                utc_us[k], offset_us[k] = _parse_timestamp(block[lo:mid].decode())
+                utc_us[k], offset_us[k] = _parse_timestamp(stamp)
             if not screened[k]:
-                values[k] = [float(cell) for cell in block[mid + 1 : hi].decode().split(",")]
+                values[k] = [float(cell) for cell in cells]
         except ValueError:
             parsed[k] = False
     errors["unparseable row"] = len(at) - int(parsed.sum())
@@ -248,32 +243,21 @@ def _parse_range(path: Path, blocks: list[tuple[int, int]]) -> _Part | None:
     return np.concatenate(utc_us), np.concatenate(offset_us), list(values), sum(errors, Counter())
 
 
-def _line_start(fh: io.BufferedReader, pos: int) -> int:
-    """The offset of the first line that starts after byte `pos` of the
-    binary file `fh`, or the file's size if none does."""
-    fh.seek(pos)
-    while chunk := fh.read(_SCAN_BYTES):
-        end = _LINE_END.search(chunk)
-        if end:
-            # a CR that ends the chunk ends the line only if no LF follows it
-            crlf = end.group() == b"\r" and end.end() == len(chunk) and fh.read(1) == b"\n"
-            return pos + end.end() + crlf
-        pos += len(chunk)
-    return pos
-
-
 def _byte_ranges(path: Path) -> list[list[tuple[int, int]]]:
     """The parts `parse` reads `path` in: runs of the file's blocks (start,
-    stop) of whole lines, one per usable CPU but at most one per two blocks,
-    one off Linux. A cut may land on a line end inside a quoted field; the
-    blocks on both sides of it then hold a `"`, which sends the file to
-    `_parse_rows`."""
+    stop) of whole lines, cut after the first LF at or after each multiple of
+    _BLOCK_BYTES, one run per usable CPU but at most one per two blocks, one off
+    Linux. A cut may land on a line end inside a quoted field; the blocks on
+    both sides of it then hold a `"`, which sends the file to `_parse_rows`."""
     size = path.stat().st_size
     cuts = [0]
     with open(path, "rb") as fh:
         for pos in range(_BLOCK_BYTES, size, _BLOCK_BYTES):
-            if cuts[-1] <= pos:  # else the first line start after `pos` is cuts[-1]
-                cuts.append(_line_start(fh, pos))
+            if cuts[-1] <= pos:  # else the first LF at or after `pos` is the one before cuts[-1]
+                fh.seek(pos)
+                while (line := fh.readline(_SCAN_BYTES)) and not line.endswith(b"\n"):
+                    pass
+                cuts.append(fh.tell())
     blocks = list(zip(cuts, sorted({*cuts[1:], size})))
     return [blocks[lo:hi] for lo, hi in even_ranges(len(blocks), usable_parts(len(blocks), 2))]
 

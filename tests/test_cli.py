@@ -490,6 +490,16 @@ def write_bytes(data: bytes):
     return damage
 
 
+def extend_line_2(text: str):
+    """Append `text` to the trace's first row, line 2."""
+    def damage(path):
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += text.encode("utf-8")
+        path.write_bytes(b"\n".join(lines))
+
+    return damage
+
+
 def append_bytes(data: bytes):
     def damage(path):
         path.write_bytes(path.read_bytes() + data)
@@ -663,6 +673,14 @@ def flip_zip_byte(record: str, offset: int, mask: int = 0x01):
             ("eocd", 16, 0x80, "[Errno 22] Invalid argument", "directory-offset"),
         )
     ]
+    # each line end str.splitlines knows but LF stays inside the line train numbered
+    + [
+        pytest.param(
+            "report", "train_trace.csv", extend_line_2(f"{end}999999,0.5"), (),
+            f"line 2: {f'72,0.333333{end}999999,0.5'!r} is not 2 cells", id=f"trace-line-end-{ord(end):#x}",
+        )
+        for end in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    ]
     + [
         pytest.param(
             "train", "params.json", set_key("share_schedule", lambda s: [s[0] + s[1], *s[2:]]), (),
@@ -679,6 +697,11 @@ def flip_zip_byte(record: str, offset: int, mask: int = 0x01):
         pytest.param(
             "report", "train_trace.csv", append_bytes(b"-7,0.5\n"), (),
             "line 5: '-7,0.5' is not 2 cells: a non-negative integer, a number", id="trace-negative-visit",
+        ),
+        # train ends each line with an LF; a CRLF trace is refused at its header
+        pytest.param(
+            "report", "train_trace.csv", lambda path: path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")), (),
+            "line 1: 'tuple_visit_index,pct_correct_actions\\r' is not the header", id="trace-crlf",
         ),
         pytest.param(
             "backtest", "qtable.npz", rewrite_arrays(betas=np.linspace(0.25, 2.25, 9)), (),

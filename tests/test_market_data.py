@@ -66,7 +66,7 @@ from rlexec.market_data import (
 from conftest import T0, assert_no_child_left, forked_parts, make_bar_sequence, make_bars, make_frame, make_row
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from rawcsv import DEFECTS  # noqa: E402
+from rawcsv import DEFECTS, write_raw_depth_csv  # noqa: E402
 
 HEADER = ",".join(DEPTH_CSV_COLUMNS)
 
@@ -308,7 +308,7 @@ class TestIngest:
 
 @contextmanager
 def parse_parts(cpus: int, block_bytes: int, scan_bytes: int = 1 << 16):
-    """ingest_csv cuts a file into blocks at the first line start after each
+    """ingest_csv cuts a file into blocks after the first LF at or after each
     multiple of `block_bytes`, and parses them in runs on `cpus` usable CPUs."""
     with forked_parts(cpus, depth_csv, "_BLOCK_BYTES", block_bytes), pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_csv, "_SCAN_BYTES", scan_bytes)
@@ -337,13 +337,20 @@ ODD_CELLS = (
 )
 
 
+#: The line ends a raw file may use: LF, CRLF, both, a lone CR (to csv.reader
+#: a line end, to the block path a reason to fall back) or all three.
+LINE_ENDS = (("\n",), ("\r\n",), ("\n", "\r\n"), ("\r",), ("\n", "\r\n", "\r"))
+
+
 @st.composite
-def raw_depth_files(draw, odd_cells: bool = False) -> bytes:
+def raw_depth_files(draw, odd_cells: bool = False, lone_cr: bool = True, quotes: bool = True) -> bytes:
     """Raw depth CSV: rows at unsorted times in a few zones, each clean or
     with one perfbench defect, maybe a quoted cell, which may be the last
-    cell written with a line end inside its quotes, blank lines, and LF, CRLF
-    or CR line ends; with `odd_cells`, some rows hold one of ODD_CELLS."""
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    cell written with a line end inside its quotes, blank lines, and line
+    ends of one of LINE_ENDS; with `odd_cells`, some rows hold one of
+    ODD_CELLS. Without `lone_cr`, no file holds a CR but before an LF;
+    without `quotes`, no file holds a quote."""
+    ends = st.sampled_from(draw(st.sampled_from([end for end in LINE_ENDS if lone_cr or "\r" not in end])))
     lines = [HEADER]
     for second in draw(st.lists(st.integers(0, 7200), min_size=1, max_size=40)):
         zone = draw(st.sampled_from(["+00:00", "Z", "+02:00"]))
@@ -355,14 +362,14 @@ def raw_depth_files(draw, odd_cells: bool = False) -> bytes:
         if odd_cells and draw(st.booleans()):
             column = draw(st.one_of(st.just(0), st.integers(1, len(cells) - 1)))
             cells[column] = draw(st.sampled_from([cell for kind in ODD_CELLS for cell in kind]))
-        if draw(st.integers(0, 9)) == 0:
+        if quotes and draw(st.integers(0, 9)) == 0:
             # float() reads "1000\n" as 1000.0, so a row whose last cell holds its line end is valid
             column = draw(st.integers(0, len(cells) - 1))
             inside = draw(ends) if column == len(cells) - 1 and draw(st.booleans()) else ""
             cells[column] = f'"{cells[column]}{inside}"'
         lines.append(",".join(cells))
         lines += [""] * draw(st.integers(0, 1))
-    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(st.one_of(st.just(""), ends))
     return text.encode("utf-8")
 
 
@@ -398,7 +405,7 @@ class TestIngestParts:
     def test_block_path_is_the_csv_module_parse(self, tmp_path_factory, raw, cpus, block_bytes):
         # NumPy's reader sees only screened cells, and never a block without one:
         # its "input contained no data" warning is an error under filterwarnings.
-        # Blocks of a few lines cut at every kind of line end; a quote sends
+        # Blocks of a few lines cut after an LF; a quote or a lone CR sends
         # the file to the csv module
         path = tmp_path_factory.mktemp("blocks") / "raw.csv"
         path.write_bytes(raw)
@@ -413,14 +420,62 @@ class TestIngestParts:
                 assert range_rows(part) == range_rows(depth_csv._parse_rows(path))
         assert_no_child_left()
 
+    @settings(max_examples=150, deadline=None)
+    @given(raw_depth_files(odd_cells=True, lone_cr=False, quotes=False), st.integers(16, 2000))
+    def test_every_lf_or_crlf_block_is_certified(self, tmp_path_factory, raw, block_bytes):
+        # no quote, no lone CR, UTF-8 bytes and a good header: nothing leaves the block path
+        path = tmp_path_factory.mktemp("certified") / "raw.csv"
+        path.write_bytes(raw)
+        with parse_parts(1, block_bytes), screened_reader():
+            part = depth_csv._parse_range(path, [block for run in depth_csv._byte_ranges(path) for block in run])
+        assert part is not None
+        assert range_rows(part) == range_rows(depth_csv._parse_rows(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_depth_files(odd_cells=True, lone_cr=False, quotes=False), st.integers(1, 6), st.integers(16, 2000), st.data())
+    def test_one_lone_cr_anywhere_sends_the_file_to_the_csv_module(self, tmp_path_factory, raw, cpus, block_bytes, data):
+        at = data.draw(st.integers(0, len(raw)))
+        assume(raw[at : at + 1] != b"\n")
+        assert depth_csv._block_rows(raw, header=True) is not None
+        raw = raw[:at] + b"\r" + raw[at:]
+        assert depth_csv._block_rows(raw, header=True) is None
+        path = tmp_path_factory.mktemp("lone-cr") / "raw.csv"
+        path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depth_csv, "_parse_range", lambda *args: None)
+            csv_module = ingest_outcome(path)
+        with parse_parts(cpus, block_bytes):
+            assert depth_csv._parse_range(path, [block for run in depth_csv._byte_ranges(path) for block in run]) is None
+            assert ingest_outcome(path) == csv_module
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_benchmark_inputs_never_fall_back(self, tmp_path, monkeypatch, cpus):
+        # the store write_snapshots_csv writes (CRLF), and perfbench's raw file
+        # of the same rows (LF, a copy of some with each defect kind, some swapped)
+        store, raw = tmp_path / "snapshots.csv", tmp_path / "raw.csv"
+        write_snapshots_csv(store, generate_synthetic(3, 2, SyntheticConfig()))
+        _, tally = write_raw_depth_csv(raw, 3, 2, SyntheticConfig())
+        assert len(tally) == len(BOOK_CHECKS) + 2 and b"\r" not in raw.read_bytes()
+
+        def fallen_back(path):
+            raise AssertionError(f"{path} fell back to the csv module")
+
+        monkeypatch.setattr(depth_csv, "_parse_rows", fallen_back)
+        with parse_parts(cpus, block_bytes=1 << 16):
+            assert [len(depth_csv._byte_ranges(path)) for path in (store, raw)] == [cpus, cpus]
+            read = [ingest_outcome(path) for path in (store, raw)]
+        assert read[0][:2] == read[1][:2] and read[0][2] == {} and read[1][2] == tally
+        assert_no_child_left()
+
     @settings(max_examples=80, deadline=None)
     @given(raw_depth_files(), st.integers(16, 512), st.integers(1, 64))
     def test_blocks_are_cut_once_whatever_the_cpu_count(self, tmp_path_factory, raw, block_bytes, scan_bytes):
-        # at the first line start after each multiple of block_bytes, as
-        # csv.reader ends lines: never between a \r and its \n
+        # after the first LF at or after each multiple of block_bytes:
+        # never between a \r and its \n
         path = tmp_path_factory.mktemp("cuts") / "raw.csv"
         path.write_bytes(raw)
-        line_starts = [end.end() for end in re.finditer(rb"\r\n?|\n", raw)]
+        line_starts = [end.end() for end in re.finditer(rb"\n", raw)]
         cuts = sorted({0, len(raw)} | {min((s for s in line_starts if s > pos), default=len(raw))
                                         for pos in range(block_bytes, len(raw), block_bytes)})
         for cpus in range(1, 7):
