@@ -7,30 +7,16 @@ file, overridden by command-line flags named after the model parameters.
 
 Ingest is the only stage that parses depth CSV: the user's raw file with
 data = csv, else the generated store it writes to `snapshots.csv`, the
-readable export. `rlexec.depth_csv` cuts it once, after an LF, into blocks
-of whole lines, each ending at an LF less a CR right before it, which go
-through NumPy's C reader, and parses them in runs of blocks, each run after
-the first in a forked part that carries rows only (its two int64 timestamp
-columns, then its raw float64 cells). A block that cannot be certified,
-such as one with a quote or a CR no LF follows, sends the whole file
-through the csv module in the parent, so the result, errors included, is
-the one-range result. Ingest writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
+readable export. `rlexec.depth_csv` holds the design of that parse. Ingest
+writes `ingest_meta.json`, with that file's sha256, and `bars.npz`, its
 tau-second bars as the columns of one `Bars` table, which calibrate, train
 and backtest load; the split is a mask on the bar starts. A digest the two
 disagree on is a data error naming both files.
 Train writes `qtable.csv`, the readable export, and `qtable.npz`, the arrays
 backtest loads. `config.HANDOFFS` declares each file one stage hands another:
-a file its readers refuse is a data error naming the file.
-
-The two readable exports, `snapshots.csv` and `qtable.csv`, are written in
-row ranges, one per usable CPU above a floor of rows per range: each range
-after the first is formatted at the same time by a forked child, appended in
-order, so the bytes are the one-range bytes, and the whole export replaces
-the file only once every part is in. `rlexec.parts` holds the fork, reap and
-kill code that the parse and both writers share: every forked part, the
-parse's and the exports', comes back through an unlinked spool file that
-the parent reads once it has reaped the child. A child that fails is an
-io-error naming the file, which it leaves as it was.
+a file its readers refuse is a data error naming the file. The two readable
+exports are written in row ranges at the same time, in forked parts whose
+design `rlexec.parts` holds.
 
 Each stage imports only the modules it runs, inside its `cmd_*` body:
 `import rlexec.cli` and `rlexec --help` load `rlexec`, `rlexec.cli` and

@@ -220,15 +220,19 @@ _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """The key = value pairs of a config file, which may start with a UTF-8
-    byte-order mark. A key that sets a field an earlier line set, under its
-    own name or an alias, is a ConfigError naming both lines."""
+    byte-order mark, in lines that end at an LF or a CRLF. A CR elsewhere is
+    a ConfigError: in a classic-Mac file a first comment would hide the rest.
+    A key that sets a field an earlier line set, under its own name or an
+    alias, is a ConfigError naming both lines."""
     try:
-        content = Path(path).read_text(encoding="utf-8-sig")
+        content = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, str] = {}
     first: dict[str, tuple[str, int]] = {}  # per field, the key and line that set it
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        if "\r" in line.removesuffix("\r"):
+            raise ConfigError(f"{path}:{lineno}: a CR inside a line; a line ends at an LF or a CRLF")
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

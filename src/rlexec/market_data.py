@@ -331,19 +331,10 @@ def ingest_csv(path: str | Path) -> IngestResult:
     csv.field_size_limit()) or bytes that are not UTF-8 is a ValueError
     naming `path`; with several such lines, the first in file order.
 
-    `rlexec.depth_csv.parse` reads the rows into one (rows, 20) block and two
-    int64 timestamp columns. It cuts the file once, after an LF, into blocks
-    of whole lines of about 512 KiB, whose lines end at an LF (less a CR
-    right before it) and go through NumPy's C reader. On Linux it parses
-    them in runs, one per usable CPU but at most one per two blocks, each run
-    after the first in a forked child whose part, rows only, comes back
-    through a spool file. A block that cannot be read so, such as one with a
-    quote or with a CR no LF follows (a line end to the csv module), sends
-    the whole file through the csv module in this process, which raises
-    every data error. The rows are joined in file order before the checks,
-    and the kept rows are put in timestamp order (a stable sort on the UTC
-    microseconds) inside that block, so the result, errors included, is the
-    one-range result.
+    `rlexec.depth_csv.parse`, which holds the design of the parse, reads the
+    rows in file order into one (rows, 20) block and two int64 timestamp
+    columns; the kept rows are put in timestamp order (a stable sort on the
+    UTC microseconds) inside that block.
     """
     from .depth_csv import parse  # here: the stages that load bars.npz never load the parser
 

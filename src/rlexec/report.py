@@ -1,11 +1,13 @@
 """The report tables: Table 1's median IS improvement by hour, Table 2's
 dispersion, and Fig. 2's correct-action trace, from the backtest's statistics.
-The module imports no NumPy: its averages are `_mean`, np.mean bit for bit.
+The module imports no NumPy: its averages are `_mean`s, math.fsum means.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -36,31 +38,16 @@ def _ibw_label(cfg: ExperimentConfig) -> str:
     return f"{cfg.I}/{cfg.B}/{cfg.W}"
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """NumPy's float64 add-reduction sum (pairwise_sum): past 128 values, the
-    sums of two halves cut at a multiple of 8; from 8, eight running sums over
-    strides of 8 added pairwise, else +0.0; then the rest added in order."""
+def _mean(values: list[float]) -> float:
+    """The mean of the non-empty `values`: the math.fsum of each v / n, so the
+    same bits on every Python (the built-in sum's rounding changed in 3.12).
+    For n finite values it is within 3 * 2**-53 * mean(|v|) + n * 2**-1074 of
+    their exact mean; one value x gives 0.0 + x, so -0.0 reads 0.0."""
     n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total, rest = 0.0, 0
-    if n >= 8:
-        rest, sums = n - n % 8, values[:8]
-        for start in range(8, rest, 8):
-            sums = [a + b for a, b in zip(sums, values[start : start + 8])]
-        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
-    for value in values[rest:]:
-        total += value
-    return total
-
-
-def _mean(values) -> float:
-    """np.mean of the non-empty `values`, bit for bit: their float64 pairwise
-    sum, added onto +0.0 as the reduction's initial value (so -0.0 reads
-    0.0), over their count."""
-    values = [float(value) for value in values]
-    return (0.0 + _pairwise_sum(values)) / len(values)
+    try:
+        return 0.0 + math.fsum(value / n for value in values)
+    except OverflowError:  # only when all values lie within n / 2 ulps of ±DBL_MAX, to which their mean rounds
+        return math.copysign(sys.float_info.max, values[0])
 
 
 def write_report(
@@ -71,9 +58,10 @@ def write_report(
 ) -> dict[str, Path]:
     """Write table1.csv, table2.csv, and fig2_trace.csv under `out_dir`.
 
-    table1 pivots median-IS improvement over the hour dimension (all eight
-    session hours are emitted, blank when absent); table2 reports standard
-    deviations with an aggregate `average` row; the trace file lists the
+    table1 pivots median-IS improvement over the hours, a column for each of
+    REPORT_HOURS and each entry's H (blank where a row has no run), then the
+    `_mean` of its defined cells; table2 reports standard deviations and that
+    mean per row, with an `average` row of `_mean`s; the trace file lists the
     correct-action fraction per tuple visit, skipping undefined points.
     Ordering is deterministic, and the resolved config is embedded as comment
     lines for provenance.
@@ -87,17 +75,17 @@ def write_report(
     def fmt(value: float | None) -> str:
         return "NA" if value is None else f"{value:.4f}"
 
-    table1 = [["V", "T", "IBW", *map(str, REPORT_HOURS), "average"]]
+    hours = sorted({*REPORT_HOURS, *(cfg.H for cfg, _ in entries)})
+    table1 = [["V", "T", "IBW", *map(str, hours), "average"]]
     table2 = [["V", "T", "IBW", "std_ac_pct", "std_rl_pct", "improvement_pct"]]
     columns: tuple[list[float], ...] = ([], [], [])  # table2's per-key values, for its average row
-    for key in sorted(grouped):
-        by_hour = [grouped[key].get(hour) for hour in REPORT_HOURS]
-        defined = [s.median_improvement_pct for s in by_hour if s is not None and s.median_improvement_pct is not None]
-        cells = ["" if s is None else fmt(s.median_improvement_pct) for s in by_hour]
-        table1.append([*key, *cells, fmt(_mean(defined)) if defined else ""])
-        stats_list = [grouped[key][h] for h in sorted(grouped[key])]
+    for key, by_hour in sorted(grouped.items()):
+        stats_list = [by_hour[h] for h in sorted(by_hour)]
         imps = [s.median_improvement_pct for s in stats_list if s.median_improvement_pct is not None]
         row = (_mean([s.std_ac_pct for s in stats_list]), _mean([s.std_rl_pct for s in stats_list]), _mean(imps) if imps else None)
+        cells = [fmt(by_hour[h].median_improvement_pct) if h in by_hour else "" for h in hours]
+        # every hour has a column, so table1's average is table2's improvement
+        table1.append([*key, *cells, "" if row[2] is None else fmt(row[2])])
         table2.append([*key, *map(fmt, row)])
         for column, value in zip(columns, row):
             if value is not None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import statistics
+import sys
 from datetime import date, datetime, timedelta, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +301,13 @@ class TestReport:
         hour_cells = rows[1][3:11]
         assert hour_cells == [f"{float(h):.4f}" for h in range(9, 17)]
 
+    def test_hours_outside_the_session_get_columns(self, tmp_path):
+        # validate accepts any hour from 0 to 23, and a raw CSV trades at any hour that has bars
+        entries = [(config(H=3), stats_with(-3.0)), (config(H=10), stats_with(1.0)), (config(H=17), stats_with(17.5))]
+        rows, _ = read_csv(write_report(tmp_path, entries, trace=[], config_echo={})["table1"])
+        assert rows[0] == ["V", "T", "IBW", "3", "9", "10", "11", "12", "13", "14", "15", "16", "17", "average"]
+        assert rows[1][3:] == ["-3.0000", "", "1.0000", "", "", "", "", "", "", "17.5000", "5.1667"]
+
     def test_twelve_parameter_rows(self, tmp_path):
         entries = []
         for v in (100000, 1000000):
@@ -343,14 +352,22 @@ class TestReport:
     )
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.lists(FLOATS, min_size=1, max_size=300), st.lists(FLOATS, min_size=129, max_size=300)))
-    @example([-0.0] * 3)
-    @example([-0.0] * 200)  # numpy's 8 running sums of -0.0 stay -0.0; the initial +0.0 clears the sign
-    def test_mean_is_np_mean_bit_for_bit(self, values):
-        # the averages the tables print were np.mean's: the same bits, signed zeros and overflow included
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.mean(values)
-        assert np.float64(_mean(values)).tobytes() == expected.tobytes()
+    @given(st.lists(FLOATS, min_size=1, max_size=300))
+    @example([-0.0])
+    @example([1e308, 1e308])  # np.mean gives inf, and math.fsum of the values raises
+    @example([sys.float_info.max] * 3)  # the rounded quotients sum past DBL_MAX
+    @example([(-1) ** k * 10.0 ** (k % 41 - 20) * (1 + k / 300) for k in range(300)])
+    def test_mean_is_within_its_bound_of_the_exact_mean(self, values):
+        mean, n = _mean(values), len(values)
+        if n == 1:
+            assert np.float64(mean).tobytes() == np.float64(0.0 + values[0]).tobytes()
+        exact = sum(map(Fraction, values)) / n
+        bound = 3 * Fraction(2) ** -53 * sum(Fraction(abs(v)) for v in values) / n + n * Fraction(2) ** -1074
+        assert abs(Fraction(mean) - exact) <= bound
+
+    def test_mean_is_an_fsum(self):
+        # a running float sum of the quotients gives 0.5 on Python 3.11
+        assert _mean([1e16, 1.0, -1e16]) == 1 / 3
 
     def test_deterministic_bytes(self, tmp_path):
         entries = [(config(), stats_with(3.21))]

@@ -276,6 +276,10 @@ def test_flag_overrides_config_file(tmp_path, monkeypatch):
         # a key given twice, under its own name or an alias, names both lines
         ("T = 4\nT = 8", "exp.cfg: key 'T' on line 3 repeats 'T' on line 2"),
         ("lambda = 0.5\nlam = 0.25", "exp.cfg: key 'lam' on line 3 repeats 'lambda' on line 2"),
+        # a line ends at an LF or a CRLF: a U+2028 is a character of its line, and a lone CR is refused
+        ("seed = 1\u2028days = 9", "bad value for seed"),
+        ("seed = 1\u2028x = 2\nseed = 2", "exp.cfg: key 'seed' on line 3 repeats 'seed' on line 2"),
+        ("# a classic-Mac file\rdays = 9", "exp.cfg:2: a CR inside a line"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, line, message):
@@ -962,15 +966,23 @@ def test_unreadable_raw_csv_exits_5_naming_the_file(tmp_path, capsys, damage, me
 
 
 @pytest.mark.parametrize(
-    "flags, pinned",
+    "flags, pinned, config_file",
     [
-        pytest.param(DEMO_FLAGS, DEMO_SHA256, id="demo"),
-        pytest.param(FINE_GRID_FLAGS, FINE_GRID_SHA256, id="fine_grid"),
-        pytest.param(SELL_ASK_FLAGS, SELL_ASK_SHA256, id="sell_ask"),
+        pytest.param(DEMO_FLAGS, DEMO_SHA256, False, id="demo"),
+        pytest.param(FINE_GRID_FLAGS, FINE_GRID_SHA256, False, id="fine_grid"),
+        pytest.param(SELL_ASK_FLAGS, SELL_ASK_SHA256, False, id="sell_ask"),
+        # the flags as a key = value file with CRLF line ends, a comment line
+        # and the lambda alias at its default: only --config and --out are flags
+        pytest.param(SELL_ASK_FLAGS, SELL_ASK_SHA256, True, id="sell_ask_config_file"),
     ],
 )
-def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned):
+def test_demo_artifacts_at_seed_42_are_pinned(tmp_path, flags, pinned, config_file):
     out = tmp_path / "out"
+    if config_file:
+        lines = ["# the sell_ask run", f"lambda = {ExperimentConfig().lam}"]
+        lines += [f"{flag[2:]} = {value}" for flag, value in zip(flags[::2], flags[1::2])]
+        (tmp_path / "run.cfg").write_bytes("".join(f"{line}\r\n" for line in lines).encode("utf-8"))
+        flags = ("--config", str(tmp_path / "run.cfg"))
     for stage in STAGES:
         assert cli.main([stage, *flags, "--out", str(out)]) == 0, stage
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
@@ -1012,7 +1024,7 @@ LOCAL_CLOCK_SHA256 = {
     "train_trace.csv": "b1f9379423bd4758cd457a923e4cc9d5d80cdc5db08cad698cbcf91f338a5f1c",
     "runs.csv": "a187cff42d1000410ebc0f37441d37b25eefb464f83ca244f16b85bc9a6cb374",
     "stats.json": "18e7d46528c99f2362a1f7bc9b4f0954fcb6f91c5600ccf6291274c20118fa49",
-    "table1.csv": "73fe974a60bcf1bf7fa9a44d5da5104faffa69993c57344b9105f2e0018e27b9",
+    "table1.csv": "911997b3a99996bfffa608031d820edd5694233487546463657b3c397f0eb0df",
     "table2.csv": "c988a3c00644f54f258d0d994336a4652743fc0ca573c237679c0993ffc7d6e7",
     "fig2_trace.csv": "1f62e59caf2479f76c1c378975e8406e412952de0d78d096bc3787d35ea9b965",
     "resolved_config.txt": "280198bde6a9471b19d7b0796374e7c5a75d2c4f4c569bf3f5a434a29b6bf01e",
@@ -1046,5 +1058,9 @@ def test_local_clock_csv_artifacts_at_seed_42_are_pinned(tmp_path, monkeypatch):
     windows, _ = day_windows(load_bars(tmp_path / "out" / "bars.npz", 300.0, meta["sha256"], Side.BUY), 20, 4)
     assert len(windows) == 8
     assert (windows.hour == 20).all()
+    # Table 1 gives hour 20 a column, which holds the run's improvement, as the row's average does
+    lines = (tmp_path / "out" / "table1.csv").read_text(encoding="utf-8").splitlines()
+    (row,) = csv.DictReader(line for line in lines if not line.startswith("#"))
+    assert row["20"] == row["average"] == "-76.8269"
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert digests == LOCAL_CLOCK_SHA256
